@@ -21,12 +21,14 @@ import numpy as np
 
 from .data import PreparedSample
 from .errors import PietspError
-from .model import ModelParams, forward, init_params
+from .model import ForwardTrace, ModelParams, forward, init_params
 
 try:  # optional: pins BLAS threads for stable latency numbers
     from threadpoolctl import threadpool_limits
 except ImportError:  # pragma: no cover
     threadpool_limits = None
+
+WARMUP_RUNS = 3
 
 
 @dataclass
@@ -98,30 +100,21 @@ def synthetic_samples(
     return samples
 
 
-def bench_inference(
-    samples: list[PreparedSample],
-    params: ModelParams,
-    runs: int = 100,
-    batch_size: int = 64,
-    warmup: int = 3,
-    variant: str = "full",
-    single_thread: bool = True,
-) -> BenchReport:
-    """Run ``runs`` timed batches of forward passes and report latency stats."""
-    if not samples:
-        raise PietspError("bench_inference: no samples")
-    if runs <= warmup:
-        raise PietspError(f"bench_inference: runs={runs} must exceed warmup={warmup}")
-    batch = [samples[i % len(samples)] for i in range(batch_size)]
-    per_sample = np.empty(runs)
-    limiter = threadpool_limits(limits=1) if (single_thread and threadpool_limits) else nullcontext()
-    with limiter:
-        for r in range(runs):
-            t0 = time.perf_counter()
-            for sample in batch:
-                forward(sample, params, variant)
-            per_sample[r] = (time.perf_counter() - t0) / batch_size
+def _limiter(single_thread: bool):
+    return threadpool_limits(limits=1) if (single_thread and threadpool_limits) else nullcontext()
+
+
+def _time_batch(batch: list[PreparedSample], params: ModelParams, variant: str) -> tuple[float, ForwardTrace]:
+    """Wall time of one batch of forward passes, per sample, and the batch's last trace."""
+    t0 = time.perf_counter()
+    for sample in batch:
+        trace = forward(sample, params, variant)
+    return (time.perf_counter() - t0) / len(batch), trace
+
+
+def _report(per_sample: np.ndarray, warmup: int, batch: list[PreparedSample], params: ModelParams) -> BenchReport:
     timed = per_sample[warmup:]
+    batch_size = len(batch)
     total_time = float(timed.sum() * batch_size)
     n_sizes = np.array([s.n_elements for s in batch])
     return BenchReport(
@@ -142,25 +135,24 @@ def bench_inference(
     )
 
 
-def bench_throughput(
+def bench_inference(
     samples: list[PreparedSample],
     params: ModelParams,
-    workers: int,
-    runs: int = 20,
+    runs: int = 100,
     batch_size: int = 64,
+    warmup: int = WARMUP_RUNS,
     variant: str = "full",
-) -> float:
-    """Multi-worker samples/sec (thread pool over samples); reported separately
-    from the single-threaded latency statistics."""
-    from concurrent.futures import ThreadPoolExecutor
-
+    single_thread: bool = True,
+) -> BenchReport:
+    """Run ``runs`` timed batches of forward passes and report latency stats."""
+    if not samples:
+        raise PietspError("bench_inference: no samples")
+    if runs <= warmup:
+        raise PietspError(f"bench_inference: runs={runs} must exceed warmup={warmup}")
     batch = [samples[i % len(samples)] for i in range(batch_size)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        t0 = time.perf_counter()
-        for _ in range(runs):
-            list(pool.map(lambda s: forward(s, params, variant), batch))
-        elapsed = time.perf_counter() - t0
-    return runs * batch_size / elapsed
+    with _limiter(single_thread):
+        per_sample = np.array([_time_batch(batch, params, variant)[0] for _ in range(runs)])
+    return _report(per_sample, warmup, batch, params)
 
 
 def linear_fit_r2(x, y) -> tuple[float, float, float]:
@@ -189,19 +181,36 @@ def measure_axis(
     seed: int = 0,
     dtype=np.float64,
 ) -> list[BenchReport]:
-    """One BenchReport per value of the swept axis ('n', 'k', or 'vocab')."""
+    """One BenchReport per value of the swept axis ('n', 'k', or 'vocab').
+
+    The timed batches run round-robin across the values (run r of every
+    value, then run r + 1), so a change in machine speed during the sweep
+    spreads over every value instead of skewing the ones timed during it.
+    """
     if axis not in ("n", "k", "vocab"):
         raise PietspError(f"unknown axis '{axis}'")
-    reports = []
+    if runs <= WARMUP_RUNS:
+        raise PietspError(f"measure_axis: runs={runs} must exceed warmup={WARMUP_RUNS}")
+    cases = []
     for value in values:
         n = value if axis == "n" else n_elements
         k = value if axis == "k" else k_max
         vocab = value if axis == "vocab" else vocab_size
         vocab = max(vocab, n)  # universe must fit
         params = init_params(vocab, dim, k, seed=seed).astype(dtype)
-        samples = synthetic_samples(n, k, vocab, batch_size, seed=seed + value, dtype=dtype)
-        reports.append(bench_inference(samples, params, runs=runs, batch_size=batch_size))
-    return reports
+        cases.append((params, synthetic_samples(n, k, vocab, batch_size, seed=seed + value, dtype=dtype)))
+    per_sample = np.empty((len(cases), runs))
+    # Each value's last trace stays alive until that value's next batch has run.
+    # Freed between turns, the largest value's trace left a free block at the top
+    # of the heap that glibc returned to the OS, so every forward of its next
+    # batch page-faulted fresh memory: ~1,500 faults each at N=4096 in
+    # criterion 7, whose N-doubling then read 2.8-3.3x instead of ~2.1x.
+    held = [None] * len(cases)
+    with _limiter(True):
+        for r in range(runs):
+            for i, (params, batch) in enumerate(cases):
+                per_sample[i, r], held[i] = _time_batch(batch, params, "full")
+    return [_report(per_sample[i], WARMUP_RUNS, batch, params) for i, (params, batch) in enumerate(cases)]
 
 
 def memory_highwater_bytes(vocab_size: int, dim: int, k_max: int, n_elements: int, seed: int = 0) -> int:

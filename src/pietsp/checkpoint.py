@@ -5,19 +5,26 @@ with explicit shapes, inside a canonical JSON envelope (sorted keys, no
 whitespace), so save -> load -> save is byte-identical.  The envelope
 records the model dimensions, the concatenation layout, and the run seed;
 optimizer and trainer state ride along for resumable training.
+
+Loading is where parameter shapes enter from outside the program, so every
+slot of the parameters, both Adam moments and the best parameters is
+checked there against the shapes the envelope's dimensions give.  Saving
+writes a temporary file and renames it over the target, so an interrupted
+save leaves the previous checkpoint intact.
 """
 
 from __future__ import annotations
 
 import base64
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import PietspError
-from .model import CONCAT_LAYOUT, PARAM_SLOTS, ModelParams
+from .model import CONCAT_LAYOUT, PARAM_SLOTS, ModelParams, param_shapes
 from .optim import AdamState
 
 FORMAT_VERSION = 1
@@ -56,13 +63,24 @@ def _encode_params(params: ModelParams) -> dict:
     return {name: _encode_array(arr) for name, arr in params.slots()}
 
 
-def _decode_params(obj) -> ModelParams:
+def _decode_params(obj, table: str, dims: dict[str, int]) -> ModelParams:
+    """Decode one parameter table, each slot checked against the shape ``dims`` give it."""
     if not isinstance(obj, dict):
-        raise CheckpointError("parameter table missing")
+        raise CheckpointError(f"{table}: parameter table missing")
     missing = [s for s in PARAM_SLOTS if s not in obj]
     if missing:
-        raise CheckpointError(f"parameter table missing slots: {missing}")
-    return ModelParams(**{slot: _decode_array(slot, obj[slot]) for slot in PARAM_SLOTS})
+        raise CheckpointError(f"{table}: parameter table missing slots: {missing}")
+    shapes = param_shapes(**dims)
+    arrays = {}
+    for slot in PARAM_SLOTS:
+        arr = _decode_array(slot, obj[slot])
+        if arr.shape != shapes[slot]:
+            raise CheckpointError(
+                f"{table} slot '{slot}': shape {arr.shape}, but the envelope's"
+                f" {', '.join(f'{k}={v}' for k, v in dims.items())} need {shapes[slot]}"
+            )
+        arrays[slot] = arr
+    return ModelParams(**arrays)
 
 
 @dataclass
@@ -110,8 +128,23 @@ def checkpoint_bytes(
     return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
+def write_atomic(path, data: bytes) -> None:
+    """Write ``data`` to a temporary file beside ``path``, then rename it over ``path``.
+
+    A write interrupted part-way leaves the previous file intact.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_checkpoint(path, params: ModelParams, **kwargs) -> None:
-    Path(path).write_bytes(checkpoint_bytes(params, **kwargs))
+    write_atomic(path, checkpoint_bytes(params, **kwargs))
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -129,21 +162,23 @@ def load_checkpoint(path) -> Checkpoint:
         )
     if payload.get("concat_layout") != CONCAT_LAYOUT:
         raise CheckpointError(f"{path}: unknown concatenation layout {payload.get('concat_layout')!r}")
-    params = _decode_params(payload.get("params"))
-    for field, value in (("vocab_size", params.vocab_size), ("dim", params.dim), ("k_max", params.k_max)):
-        if payload.get(field) != value:
-            raise CheckpointError(
-                f"{path}: envelope says {field}={payload.get(field)} but arrays imply {value}"
-            )
+    dims = {field: payload.get(field) for field in ("vocab_size", "dim", "k_max")}
+    if not all(isinstance(v, int) and v >= 1 for v in dims.values()):
+        raise CheckpointError(f"{path}: envelope model dimensions {dims} are not positive integers")
+    params = _decode_params(payload.get("params"), "params", dims)
     opt_state = None
     if payload.get("optimizer") is not None:
         opt = payload["optimizer"]
-        opt_state = AdamState(step=int(opt["step"]), m=_decode_params(opt.get("m")), v=_decode_params(opt.get("v")))
+        opt_state = AdamState(
+            step=int(opt["step"]),
+            m=_decode_params(opt.get("m"), "optimizer m", dims),
+            v=_decode_params(opt.get("v"), "optimizer v", dims),
+        )
     train_state = None
     if payload.get("trainer") is not None:
         train_state = dict(payload["trainer"])
         if train_state.get("best_params") is not None:
-            train_state["best_params"] = _decode_params(train_state["best_params"])
+            train_state["best_params"] = _decode_params(train_state["best_params"], "best_params", dims)
     return Checkpoint(
         params=params,
         seed=payload.get("seed"),

@@ -47,10 +47,26 @@ def _load_config_arg(args) -> dict:
 
 
 def _write_effective(out_dir: Path, settings: dict) -> None:
+    from .checkpoint import write_atomic
+
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "effective-config.json").write_text(
-        json.dumps(settings, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    text = json.dumps(settings, sort_keys=True, indent=2) + "\n"
+    write_atomic(out_dir / "effective-config.json", text.encode("utf-8"))
+
+
+def _load_matching(ckpt: str, data: str):
+    """The checkpoint and the corpus, which must share the checkpoint's vocabulary."""
+    from .checkpoint import load_checkpoint
+    from .data import load_corpus
+    from .errors import PietspError
+
+    ck = load_checkpoint(ckpt)
+    corpus, _ = load_corpus(data)
+    if corpus.vocab_size != ck.params.vocab_size:
+        raise PietspError(
+            f"{data} has vocab_size {corpus.vocab_size} but {ckpt} was trained on vocab_size {ck.params.vocab_size}"
+        )
+    return ck, corpus
 
 
 def _split_corpus(corpus, ratios, seed):
@@ -70,43 +86,36 @@ def _pick_split(corpus, name: str, ratios, seed):
         raise ValueError(f"unknown split '{name}' (train/val/test/all)")
 
 
+# train flag and effective-config.json key -> the TrainConfig field it sets
+TRAIN_SETTINGS = {
+    "seed": "seed",
+    "epochs": "max_epochs",
+    "batch_size": "batch_size",
+    "dim": "dim",
+    "lr": "base_lr",
+    "weight_decay": "weight_decay",
+    "l2": "l2_coeff",
+    "patience": "patience",
+    "k": "k_list",
+    "variant": "variant",
+    "split_ratios": "split_ratios",
+}
+
+
 def _cmd_train(args) -> int:
     from .data import load_corpus, prepare_all
     from .train import TrainConfig, evaluate, fit, write_history
 
     cfg_file = _load_config_arg(args)
-    settings = {
-        "command": "train",
-        "data": _resolve(args, cfg_file, "data", None),
-        "seed": _resolve(args, cfg_file, "seed", 0),
-        "epochs": _resolve(args, cfg_file, "epochs", 100),
-        "batch_size": _resolve(args, cfg_file, "batch_size", 64),
-        "dim": _resolve(args, cfg_file, "dim", 32),
-        "lr": _resolve(args, cfg_file, "lr", 0.001),
-        "weight_decay": _resolve(args, cfg_file, "weight_decay", 0.01),
-        "l2": _resolve(args, cfg_file, "l2", 0.0),
-        "patience": _resolve(args, cfg_file, "patience", 10),
-        "k": _resolve(args, cfg_file, "k", [10, 20, 30, 40]),
-        "variant": _resolve(args, cfg_file, "variant", "full"),
-        "split_ratios": _resolve(args, cfg_file, "split_ratios", [0.7, 0.1, 0.2]),
-    }
+    defaults = TrainConfig().to_dict()
+    settings = {"command": "train", "data": _resolve(args, cfg_file, "data", None)}
+    for key, field in TRAIN_SETTINGS.items():
+        settings[key] = _resolve(args, cfg_file, key, defaults[field])
     if not settings["data"]:
         print("train: --data is required", file=sys.stderr)
         return 2
     out_dir = Path(args.out)
-    config = TrainConfig(
-        batch_size=settings["batch_size"],
-        dim=settings["dim"],
-        base_lr=settings["lr"],
-        weight_decay=settings["weight_decay"],
-        l2_coeff=settings["l2"],
-        max_epochs=settings["epochs"],
-        patience=settings["patience"],
-        seed=settings["seed"],
-        k_list=tuple(settings["k"]),
-        variant=settings["variant"],
-        split_ratios=tuple(settings["split_ratios"]),
-    )
+    config = TrainConfig(**{field: settings[key] for key, field in TRAIN_SETTINGS.items()})
     corpus, report = load_corpus(settings["data"])
     if report.users_dropped or report.empty_sets_dropped or report.duplicate_ids_removed:
         print(
@@ -135,13 +144,11 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    from .checkpoint import load_checkpoint
-    from .data import load_corpus, prepare_all
+    from .data import prepare_all
     from .train import TrainConfig, evaluate
 
-    ck = load_checkpoint(args.ckpt)
+    ck, corpus = _load_matching(args.ckpt, args.data)
     config = TrainConfig.from_dict(ck.config or {})
-    corpus, _ = load_corpus(args.data)
     part = _pick_split(corpus, args.split, config.split_ratios, config.seed)
     k_list = tuple(args.k) if args.k else config.k_list
     samples = prepare_all(part, ck.params.k_max)
@@ -155,21 +162,18 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_predict(args) -> int:
-    from .checkpoint import load_checkpoint
-    from .data import load_corpus, prepare_all
+    from .data import prepare_all
     from .metrics import top_k
     from .model import forward
     from .train import TrainConfig
 
-    ck = load_checkpoint(args.ckpt)
+    ck, corpus = _load_matching(args.ckpt, args.data)
     config = TrainConfig.from_dict(ck.config or {})
-    corpus, _ = load_corpus(args.data)
     part = _pick_split(corpus, args.split, config.split_ratios, config.seed)
-    k = args.top if args.top else 10
     lines = []
     for sample in prepare_all(part, ck.params.k_max):
         scores = forward(sample, ck.params, config.variant).logits
-        ids = top_k(scores, k)
+        ids = top_k(scores, args.top)
         lines.append(json.dumps({"user_id": sample.user_id, "items": [int(i) for i in ids]}))
     text = "\n".join(lines) + "\n"
     if args.out:
@@ -206,22 +210,15 @@ def _cmd_bench(args) -> int:
     dtype = np.float32 if _resolve(args, cfg_file, "dtype", "float64") == "float32" else np.float64
 
     reports, labels = [], []
-    throughputs = []
     if args.data and args.ckpt:
         # time inference over a real corpus with a trained checkpoint
-        from .bench import bench_throughput
-        from .checkpoint import load_checkpoint
-        from .data import load_corpus, prepare_all
+        from .data import prepare_all
 
-        ck = load_checkpoint(args.ckpt)
-        corpus, _ = load_corpus(args.data)
+        ck, corpus = _load_matching(args.ckpt, args.data)
         samples = prepare_all(corpus, ck.params.k_max)
         params = ck.params.astype(dtype)
         reports.append(bench_inference(samples, params, runs=runs, batch_size=batch))
         labels.append(f"{Path(args.data).name} ({len(samples)} users)")
-        if args.workers and args.workers > 1:
-            rate = bench_throughput(samples, params, workers=args.workers, batch_size=batch)
-            throughputs.append(f"throughput with {args.workers} workers: {rate:.2f} samples/sec")
     else:
         grid = _parse_grid(grid_text if isinstance(grid_text, str) else str(grid_text))
         axes = {"N": grid.get("N", [256]), "K": grid.get("K", [8]), "E": grid.get("E", [1024]), "D": grid.get("D", [32])}
@@ -235,8 +232,6 @@ def _cmd_bench(args) -> int:
                         reports.append(bench_inference(samples, params, runs=runs, batch_size=batch))
                         labels.append(f"N={n} K={k} E={vocab} D={d}")
     print(format_table(reports, labels))
-    for line in throughputs:
-        print(line)
     if args.out:
         out_dir = Path(args.out)
         _write_effective(
@@ -337,7 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--dtype", choices=("float32", "float64"))
-    p.add_argument("--workers", type=int, help="also report multi-worker throughput (corpus mode)")
     p.add_argument("--config")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_bench)

@@ -1,16 +1,16 @@
-"""Dense 2-D float primitives with hand-written gradient companions.
+"""Element-wise activations, their gradient companions, and the finiteness check.
 
-This is the whole "tensor" layer of the package: affine maps, element-wise
-activations, and row reductions, each with an explicit backward rule.  No
-autodiff and no broadcasting zoo, just the operations the network is built
-from.  Activation backward companions take the cached *forward output*
-(cheap and sufficient, since ELU' and ReLU' are recoverable from it), affine
-and reduction backwards take the original operands.
+The model's affine maps and row reductions are plain numpy (``z @ W + b``,
+``.mean(axis=0)``, ``.sum(axis=0)``) written inline in ``model.py``; this
+module holds only what has a rule worth naming.  Activation backward
+companions take the cached *forward output* (cheap and sufficient, since
+ELU' and ReLU' are recoverable from it).
 
-Every primitive checks shapes up front and rejects non-finite results, so
-numerical corruption surfaces at the op that produced it.  Training and all
-verification use float64; the bench harness may feed float32 and every op
-preserves the incoming dtype.
+Activations do not check finiteness themselves: ELU and ReLU map -inf to
+finite values, so the model checks each pre-activation before applying
+them, naming the layer in the ``NumericsError``.  Training and all
+verification use float64; the bench harness may feed float32 and every
+function preserves the incoming dtype.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ class ShapeError(PietspError):
 
 
 class NumericsError(PietspError):
-    """A primitive produced a non-finite value (NaN or Inf)."""
+    """A layer produced a non-finite value (NaN or Inf)."""
 
 
 def check_finite(a: np.ndarray, where: str) -> None:
@@ -33,52 +33,11 @@ def check_finite(a: np.ndarray, where: str) -> None:
         raise NumericsError(f"non-finite values produced by {where}")
 
 
-# ---------------------------------------------------------------------------
-# affine
-# ---------------------------------------------------------------------------
-
-def affine(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
-    """x @ w + b for x (n, p), w (p, q) and optional bias b (q,)."""
-    if x.ndim != 2 or w.ndim != 2:
-        raise ShapeError(f"affine expects 2-D operands, got {x.shape} and {w.shape}")
-    if x.shape[1] != w.shape[0]:
-        raise ShapeError(f"affine: inner dimensions disagree, {x.shape} vs {w.shape}")
-    out = x @ w
-    if b is not None:
-        if b.shape != (w.shape[1],):
-            raise ShapeError(f"affine: bias shape {b.shape} does not match output width {w.shape[1]}")
-        out = out + b
-    check_finite(out, "affine")
-    return out
-
-
-def affine_backward(
-    x: np.ndarray, w: np.ndarray, d_out: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients (dx, dw, db) of an affine layer given upstream d_out (n, q).
-
-    db is always returned; callers of bias-free layers simply drop it.
-    """
-    if d_out.shape != (x.shape[0], w.shape[1]):
-        raise ShapeError(
-            f"affine_backward: upstream gradient {d_out.shape} does not match output ({x.shape[0]}, {w.shape[1]})"
-        )
-    dx = d_out @ w.T
-    dw = x.T @ d_out
-    db = d_out.sum(axis=0)
-    return dx, dw, db
-
-
-# ---------------------------------------------------------------------------
-# activations
-# ---------------------------------------------------------------------------
-
 def elu(x: np.ndarray) -> np.ndarray:
     """Exponential linear unit: x for x > 0, exp(x) - 1 otherwise."""
     out = np.asarray(x, dtype=x.dtype).copy()
     neg = out < 0
     out[neg] = np.expm1(out[neg])
-    check_finite(out, "elu")
     return out
 
 
@@ -88,9 +47,7 @@ def elu_grad(y: np.ndarray) -> np.ndarray:
 
 
 def relu(x: np.ndarray) -> np.ndarray:
-    out = np.maximum(x, 0)
-    check_finite(out, "relu")
-    return out
+    return np.maximum(x, 0)
 
 
 def relu_grad(y: np.ndarray) -> np.ndarray:
@@ -106,52 +63,9 @@ def logistic(x: np.ndarray) -> np.ndarray:
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
-    check_finite(out, "logistic")
     return out
-
-
-def logistic_grad(y: np.ndarray) -> np.ndarray:
-    return y * (1 - y)
 
 
 def softplus(x: np.ndarray) -> np.ndarray:
     """log(1 + exp(x)) computed as max(x, 0) + log1p(exp(-|x|))."""
-    out = np.maximum(x, 0) + np.log1p(np.exp(-np.abs(x)))
-    check_finite(out, "softplus")
-    return out
-
-
-# ---------------------------------------------------------------------------
-# row reductions
-# ---------------------------------------------------------------------------
-
-def _guard_rows(x: np.ndarray, op: str) -> None:
-    if x.ndim != 2:
-        raise ShapeError(f"{op} expects a 2-D matrix, got shape {x.shape}")
-    if x.shape[0] == 0:
-        raise ShapeError(f"{op} over an empty set of rows")
-
-
-def row_mean(x: np.ndarray) -> np.ndarray:
-    """Column-wise mean over rows: (n, d) -> (d,)."""
-    _guard_rows(x, "row_mean")
-    out = x.mean(axis=0)
-    check_finite(out, "row_mean")
-    return out
-
-
-def row_mean_backward(d_out: np.ndarray, n_rows: int) -> np.ndarray:
-    """Broadcast d_out / n to every row: (d,) -> (n, d)."""
-    return np.tile(d_out / n_rows, (n_rows, 1))
-
-
-def row_sum(x: np.ndarray) -> np.ndarray:
-    """Column-wise sum over rows: (n, d) -> (d,)."""
-    _guard_rows(x, "row_sum")
-    out = x.sum(axis=0)
-    check_finite(out, "row_sum")
-    return out
-
-
-def row_sum_backward(d_out: np.ndarray, n_rows: int) -> np.ndarray:
-    return np.tile(d_out, (n_rows, 1))
+    return np.maximum(x, 0) + np.log1p(np.exp(-np.abs(x)))

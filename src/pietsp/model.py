@@ -18,10 +18,18 @@ Permuting the universe enumeration permutes Zt and o_e identically and
 leaves zbar, o_s, and y unchanged, so predictions never depend on how the
 universe was enumerated.
 
-The backward pass is derived by hand (no autodiff).  The embedding table
-receives gradient through two routes: the gather into Z (universe rows
-only) and the global scoring o_s = M zbar (every row); both are
-accumulated.  Ablation variants drop one scoring branch:
+Each layer is plain numpy.  A layer checks each value that can first turn
+non-finite (every affine pre-activation before its ELU or ReLU, which would
+map -inf to a finite value, and the element scores, the summary, the global
+scores and the fused logits) and raises ``NumericsError`` naming itself.
+Parameter shapes are checked once, where they enter from outside the
+program (``checkpoint.load_checkpoint``).
+
+The backward pass is derived by hand (no autodiff) and adds one sample's
+gradients into a caller-owned ``ModelParams`` buffer, so a minibatch sums
+into one table.  The embedding table receives gradient through two routes:
+the gather into Z (universe rows only) and the global scoring o_s = M zbar
+(every row).  Ablation variants drop one scoring branch:
 
     "no-ee": y = a * o_s          (element scores removed)
     "no-ge": y = b * o_e on universe ids, 0 elsewhere (global scores removed)
@@ -33,21 +41,9 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import linalg
 from .data import PreparedSample
 from .errors import PietspError
-from .linalg import (
-    affine,
-    affine_backward,
-    check_finite,
-    elu,
-    elu_grad,
-    relu_grad,
-    row_mean,
-    row_mean_backward,
-    row_sum,
-    row_sum_backward,
-)
+from .linalg import ShapeError, check_finite, elu, elu_grad, relu, relu_grad
 
 CONCAT_LAYOUT = "membership-then-embedding"
 VARIANTS = ("full", "no-ee", "no-ge")
@@ -108,6 +104,29 @@ class ModelParams:
 PARAM_SLOTS = tuple(f.name for f in fields(ModelParams))
 
 
+def param_shapes(vocab_size: int, dim: int, k_max: int) -> dict[str, tuple[int, ...]]:
+    """The shape of every slot for a model of the given dimensions, as ``init_params`` builds it."""
+    width = k_max + dim
+    return {
+        "emb": (vocab_size, dim),
+        "pe_w_global": (width, dim),
+        "pe_w_local": (width, dim),
+        "pe_bias": (dim,),
+        "ee_w1": (dim, dim),
+        "ee_b1": (dim,),
+        "ee_w2": (dim,),
+        "ee_b2": (),
+        "pi_w1": (dim, dim),
+        "pi_b1": (dim,),
+        "pi_w2": (dim, dim),
+        "pi_b2": (dim,),
+        "pi_w3": (dim, dim),
+        "pi_b3": (dim,),
+        "fuse_global": (vocab_size,),
+        "fuse_local": (vocab_size,),
+    }
+
+
 def init_params(vocab_size: int, dim: int, k_max: int, seed: int) -> ModelParams:
     """Glorot-uniform weights, zero biases, N(0, 0.1) embeddings, unit fusion weights."""
     if dim < 1 or k_max < 1 or vocab_size < 1:
@@ -160,7 +179,7 @@ class ForwardTrace:
 def sfi_concat(m_u: np.ndarray, membership: np.ndarray) -> np.ndarray:
     """Row-wise concatenation [membership | embedding], fixed layout."""
     if m_u.shape[0] != membership.shape[0]:
-        raise linalg.ShapeError(
+        raise ShapeError(
             f"sfi_concat: {membership.shape[0]} membership rows vs {m_u.shape[0]} embedding rows"
         )
     return np.hstack([membership, m_u])
@@ -168,14 +187,17 @@ def sfi_concat(m_u: np.ndarray, membership: np.ndarray) -> np.ndarray:
 
 def pe_forward(z: np.ndarray, params: ModelParams) -> np.ndarray:
     """Equivariant layer: ELU(Z Wg + bg - mean_i(Z_i Wl)), one shared mean row."""
-    per_row = affine(z, params.pe_w_global, params.pe_bias)
-    shared = row_mean(affine(z, params.pe_w_local))
-    return elu(per_row - shared)
+    shared = z.mean(axis=0, keepdims=True) @ params.pe_w_local
+    pre = z @ params.pe_w_global + params.pe_bias - shared
+    check_finite(pre, "pe_forward")
+    return elu(pre)
 
 
 def ee_forward(pe_out: np.ndarray, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     """Per-element scorer; returns (scores (N,), relu hidden (N, D))."""
-    hidden = linalg.relu(affine(pe_out, params.ee_w1, params.ee_b1))
+    pre = pe_out @ params.ee_w1 + params.ee_b1
+    check_finite(pre, "ee_forward")
+    hidden = relu(pre)
     scores = hidden @ params.ee_w2 + params.ee_b2
     check_finite(scores, "ee_forward")
     return scores, hidden
@@ -183,17 +205,20 @@ def ee_forward(pe_out: np.ndarray, params: ModelParams) -> tuple[np.ndarray, np.
 
 def pi_forward(pe_out: np.ndarray, params: ModelParams):
     """Invariant summary: sum rows, then a two-hidden-layer ELU MLP (linear out)."""
-    pooled = row_sum(pe_out)[None, :]
-    h1 = elu(affine(pooled, params.pi_w1, params.pi_b1))
-    h2 = elu(affine(h1, params.pi_w2, params.pi_b2))
-    set_repr = affine(h2, params.pi_w3, params.pi_b3)[0]
+    pooled = pe_out.sum(axis=0, keepdims=True)
+    pre1 = pooled @ params.pi_w1 + params.pi_b1
+    check_finite(pre1, "pi_forward")
+    h1 = elu(pre1)
+    pre2 = h1 @ params.pi_w2 + params.pi_b2
+    check_finite(pre2, "pi_forward")
+    h2 = elu(pre2)
+    set_repr = (h2 @ params.pi_w3 + params.pi_b3)[0]
+    check_finite(set_repr, "pi_forward")
     return set_repr, pooled, h1, h2
 
 
 def ge_forward(set_repr: np.ndarray, emb: np.ndarray) -> np.ndarray:
     """Score every vocabulary item against the set summary: M @ zbar."""
-    if emb.shape[1] != set_repr.shape[0]:
-        raise linalg.ShapeError(f"ge_forward: embeddings {emb.shape} vs summary {set_repr.shape}")
     out = emb @ set_repr
     check_finite(out, "ge_forward")
     return out
@@ -228,8 +253,7 @@ def forward(sample: PreparedSample, params: ModelParams, variant: str = "full") 
         raise PietspError(f"unknown variant '{variant}', expected one of {VARIANTS}")
     universe = sample.universe
     _check_universe(universe, params.vocab_size)
-    m_u = params.emb[universe]
-    z = sfi_concat(m_u, sample.membership.astype(params.emb.dtype, copy=False))
+    z = sfi_concat(params.emb[universe], sample.membership.astype(params.emb.dtype, copy=False))
     pe_out = pe_forward(z, params)
 
     elem_scores = hidden = None
@@ -267,53 +291,47 @@ def forward(sample: PreparedSample, params: ModelParams, variant: str = "full") 
     )
 
 
-def backward(trace: ForwardTrace, params: ModelParams, d_logits: np.ndarray) -> ModelParams:
-    """Gradients of (logits . d_logits) with respect to every parameter slot."""
+def backward(trace: ForwardTrace, params: ModelParams, d_logits: np.ndarray, grads: ModelParams) -> None:
+    """Add the gradients of (logits . d_logits) for every parameter slot into ``grads``."""
     if d_logits.shape != trace.logits.shape:
-        raise linalg.ShapeError(f"backward: d_logits {d_logits.shape} vs logits {trace.logits.shape}")
-    grads = params.zeros_like()
+        raise ShapeError(f"backward: d_logits {d_logits.shape} vs logits {trace.logits.shape}")
     u = trace.universe
-    n = u.size
-    k_max = params.k_max
     d_pe = np.zeros_like(trace.pe_out)
 
-    # score fusion
+    # score fusion, global scoring and the invariant branch
     if trace.variant != "no-ge":
-        grads.fuse_global[:] = d_logits * trace.global_scores
+        grads.fuse_global += d_logits * trace.global_scores
         d_global = d_logits * params.fuse_global
-    if trace.variant != "no-ee":
-        grads.fuse_local[u] = d_logits[u] * trace.elem_scores
-        d_elem = d_logits[u] * params.fuse_local[u]
-
-    # global scoring and the invariant branch
-    if trace.variant != "no-ge":
         grads.emb += np.outer(d_global, trace.set_repr)
         d_repr = (params.emb.T @ d_global)[None, :]
-        d_h2, grads.pi_w3[...], grads.pi_b3[...] = affine_backward(trace.pi_h2, params.pi_w3, d_repr)
-        d_h2 *= elu_grad(trace.pi_h2)
-        d_h1, grads.pi_w2[...], grads.pi_b2[...] = affine_backward(trace.pi_h1, params.pi_w2, d_h2)
-        d_h1 *= elu_grad(trace.pi_h1)
-        d_pooled, grads.pi_w1[...], grads.pi_b1[...] = affine_backward(trace.pooled, params.pi_w1, d_h1)
-        d_pe += row_sum_backward(d_pooled[0], n)
+        grads.pi_w3 += trace.pi_h2.T @ d_repr
+        grads.pi_b3 += d_repr.sum(0)
+        d_h2 = (d_repr @ params.pi_w3.T) * elu_grad(trace.pi_h2)
+        grads.pi_w2 += trace.pi_h1.T @ d_h2
+        grads.pi_b2 += d_h2.sum(0)
+        d_h1 = (d_h2 @ params.pi_w2.T) * elu_grad(trace.pi_h1)
+        grads.pi_w1 += trace.pooled.T @ d_h1
+        grads.pi_b1 += d_h1.sum(0)
+        d_pe += d_h1 @ params.pi_w1.T  # sum pooling: every row receives the pooled gradient
 
-    # element scoring branch
+    # score fusion and the element scoring branch
     if trace.variant != "no-ee":
-        grads.ee_w2[...] = trace.ee_hidden.T @ d_elem
-        grads.ee_b2[...] = d_elem.sum()
-        d_hidden = np.outer(d_elem, params.ee_w2)
-        d_hidden *= relu_grad(trace.ee_hidden)
-        d_pe_ee, grads.ee_w1[...], grads.ee_b1[...] = affine_backward(trace.pe_out, params.ee_w1, d_hidden)
-        d_pe += d_pe_ee
+        grads.fuse_local[u] += d_logits[u] * trace.elem_scores
+        d_elem = d_logits[u] * params.fuse_local[u]
+        grads.ee_w2 += trace.ee_hidden.T @ d_elem
+        grads.ee_b2 += d_elem.sum(0)
+        d_hidden = np.outer(d_elem, params.ee_w2) * relu_grad(trace.ee_hidden)
+        grads.ee_w1 += trace.pe_out.T @ d_hidden
+        grads.ee_b1 += d_hidden.sum(0)
+        d_pe += d_hidden @ params.ee_w1.T
 
-    # equivariant layer
+    # equivariant layer; the shared row subtracts mean_i(Z_i) Wl, so its gradient is -d_pre.sum(0)
     d_pre = d_pe * elu_grad(trace.pe_out)
-    d_z, grads.pe_w_global[...], grads.pe_bias[...] = affine_backward(trace.z, params.pe_w_global, d_pre)
-    d_shared = -d_pre.sum(axis=0)
-    d_z_local, grads.pe_w_local[...], _ = affine_backward(
-        trace.z, params.pe_w_local, row_mean_backward(d_shared, n)
-    )
-    d_z += d_z_local
+    d_sum = d_pre.sum(0, keepdims=True)
+    grads.pe_w_global += trace.z.T @ d_pre
+    grads.pe_bias += d_sum[0]
+    grads.pe_w_local -= trace.z.mean(axis=0, keepdims=True).T @ d_sum
 
-    # concatenation split: trailing D columns belong to the gathered embeddings
-    grads.emb[u] += d_z[:, k_max:]
-    return grads
+    # concatenation split: only the trailing D columns of Z (the gathered embeddings) are parameters
+    k_max = params.k_max
+    grads.emb[u] += d_pre @ params.pe_w_global[k_max:].T - (d_sum @ params.pe_w_local[k_max:].T) / u.size

@@ -1,8 +1,9 @@
 """Training loop: multi-label loss, batched epochs, early stopping, evaluation.
 
 A batch is ``batch_size`` users processed one at a time (the universe size N
-varies per user, so there is no padding); their gradients are averaged and
-applied in a single optimizer step.  The per-epoch shuffle is keyed by
+varies per user, so there is no padding); each user's backward adds into one
+gradient buffer per batch, which is averaged and applied in a single
+optimizer step.  The per-epoch shuffle is keyed by
 (seed, epoch), so resuming from a checkpoint replays the identical stream.
 """
 
@@ -91,11 +92,6 @@ def bce_loss(
     return loss, d_logits
 
 
-def _accumulate(total: ModelParams, grads: ModelParams) -> None:
-    for name, arr in total.slots():
-        arr += getattr(grads, name)
-
-
 def train_epoch(
     samples: list[PreparedSample],
     params: ModelParams,
@@ -116,7 +112,7 @@ def train_epoch(
             sample = samples[idx]
             trace = forward(sample, params, config.variant)
             loss, d_logits = bce_loss(trace.logits, sample.target_multihot())
-            _accumulate(grads, backward(trace, params, d_logits))
+            backward(trace, params, d_logits, grads)
             total_loss += loss
         inv = 1.0 / len(chunk)
         for _, arr in grads.slots():

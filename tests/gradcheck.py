@@ -1,14 +1,14 @@
 """Central finite-difference oracle for the hand-written backward pass.
 
 The objective is f(theta) = logits(theta) . d_logits for a fixed random
-d_logits; the analytic gradient of f is exactly what ``backward`` returns.
+d_logits; the analytic gradient of f is exactly what ``backward`` adds into
+its gradient buffer.
 Instances are resampled until every activation sits away from its kink so
 the finite differences are trustworthy.
 """
 
 import numpy as np
 
-from pietsp import linalg
 from pietsp.bench import synthetic_samples
 from pietsp.model import backward, forward, init_params
 
@@ -20,12 +20,12 @@ def objective(sample, params, d_logits, variant="full"):
 def activation_margin(sample, params):
     """Smallest |pre-activation| across the ELU and ReLU layers."""
     trace = forward(sample, params)
-    per_row = linalg.affine(trace.z, params.pe_w_global, params.pe_bias)
-    shared = linalg.row_mean(linalg.affine(trace.z, params.pe_w_local))
+    per_row = trace.z @ params.pe_w_global + params.pe_bias
+    shared = (trace.z @ params.pe_w_local).mean(axis=0)
     margins = [np.abs(per_row - shared).min()]
-    margins.append(np.abs(linalg.affine(trace.pe_out, params.ee_w1, params.ee_b1)).min())
-    margins.append(np.abs(linalg.affine(trace.pooled, params.pi_w1, params.pi_b1)).min())
-    margins.append(np.abs(linalg.affine(trace.pi_h1, params.pi_w2, params.pi_b2)).min())
+    margins.append(np.abs(trace.pe_out @ params.ee_w1 + params.ee_b1).min())
+    margins.append(np.abs(trace.pooled @ params.pi_w1 + params.pi_b1).min())
+    margins.append(np.abs(trace.pi_h1 @ params.pi_w2 + params.pi_b2).min())
     return float(min(margins))
 
 
@@ -61,9 +61,16 @@ def relative_error(a, b):
     return float((np.abs(a - b) / denom).max())
 
 
+def analytic_gradient(sample, params, d_logits, variant="full"):
+    """``backward``'s gradients for one sample, added into a fresh zero buffer."""
+    grads = params.zeros_like()
+    backward(forward(sample, params, variant), params, d_logits, grads)
+    return grads
+
+
 def check_all_slots(sample, params, d_logits, tol=1e-5, variant="full"):
     """Returns {slot: (rel_err, fd_max_abs)} and asserts every slot matches."""
-    grads = backward(forward(sample, params, variant), params, d_logits)
+    grads = analytic_gradient(sample, params, d_logits, variant)
     results = {}
     for slot, _ in params.slots():
         fd = fd_gradient_slot(sample, params, d_logits, slot, variant=variant)

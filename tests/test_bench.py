@@ -3,7 +3,6 @@ import pytest
 
 from pietsp.bench import (
     bench_inference,
-    bench_throughput,
     format_table,
     linear_fit_r2,
     measure_axis,
@@ -58,13 +57,6 @@ def test_bench_rejects_runs_not_exceeding_warmup():
         bench_inference(samples, params, runs=3, batch_size=4, warmup=3)
 
 
-def test_bench_throughput_runs():
-    params = init_params(64, 8, 4, seed=1)
-    samples = synthetic_samples(6, 4, 64, 8, seed=2)
-    rate = bench_throughput(samples, params, workers=2, runs=3, batch_size=8)
-    assert rate > 0
-
-
 def test_linear_fit_r2_exact_line():
     x = np.array([1.0, 2.0, 3.0, 4.0])
     slope, intercept, r2 = linear_fit_r2(x, 3.0 * x + 1.0)
@@ -83,6 +75,23 @@ def test_measure_axis_shapes():
     assert [r.n_max for r in reports] == [8, 16]
     table = format_table(reports)
     assert "samples/sec" in table and len(table.splitlines()) == 3
+
+
+def test_measure_axis_runs_round_robin(monkeypatch):
+    import pietsp.bench
+
+    seen = []
+    real_forward = pietsp.bench.forward
+
+    def recording_forward(sample, params, variant="full"):
+        seen.append(params.vocab_size)
+        return real_forward(sample, params, variant)
+
+    monkeypatch.setattr(pietsp.bench, "forward", recording_forward)
+    measure_axis("vocab", [64, 128, 256], n_elements=4, k_max=2, dim=4, runs=5, batch_size=2)
+    # each timed batch is one value's 2 forwards; the values take turns, run by run
+    assert seen[::2] == [64, 128, 256] * 5
+    assert seen[1::2] == seen[::2]
 
 
 def test_memory_highwater_tracks_vocab():

@@ -1,4 +1,6 @@
+import base64
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -116,3 +118,48 @@ def test_train_state_with_best_params_roundtrip(tmp_path):
     loaded = load_checkpoint(path)
     assert loaded.train_state["epoch"] == 3
     assert np.array_equal(loaded.train_state["best_params"].emb, best.emb)
+
+
+@pytest.mark.parametrize(
+    "table",
+    [("params",), ("optimizer", "m"), ("optimizer", "v"), ("trainer", "best_params")],
+    ids=lambda t: "-".join(t),
+)
+def test_wrong_shaped_slot_rejected_naming_it(tmp_path, table):
+    params = init_params(9, 4, 2, seed=6)
+    path = tmp_path / "ck.json"
+    save_checkpoint(
+        path,
+        params,
+        opt_state=AdamState.init(params),
+        train_state={"epoch": 0, "best_metric": 0.0, "best_epoch": 0, "bad_epochs": 0,
+                     "history": [], "best_params": params.copy()},
+    )
+    payload = json.loads(path.read_text())
+    slots = payload
+    for key in table:
+        slots = slots[key]
+    # a well-formed array of the wrong shape: one entry instead of vocab_size
+    slots["fuse_global"] = {"shape": [1], "data": base64.b64encode(np.ones(1).tobytes()).decode("ascii")}
+    path.write_text(json.dumps(payload))
+    with pytest.raises(CheckpointError, match=rf"{table[-1]} slot 'fuse_global'.*\(9,\)"):
+        load_checkpoint(path)
+
+
+def test_interrupted_save_keeps_previous_checkpoint(tmp_path, monkeypatch):
+    path = tmp_path / "ck.json"
+    save_checkpoint(path, init_params(9, 4, 2, seed=7), seed=7)
+    before = path.read_bytes()
+
+    def fail_part_way(self, data):
+        with open(self, "wb") as fh:
+            fh.write(bytes(data)[: len(data) // 2])
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(Path, "write_bytes", fail_part_way)
+    with pytest.raises(OSError):
+        save_checkpoint(path, init_params(9, 4, 2, seed=8), seed=8)
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert load_checkpoint(path).seed == 7
+    assert [p.name for p in tmp_path.iterdir()] == ["ck.json"]

@@ -1,7 +1,9 @@
 import json
+from dataclasses import dataclass
 
 import pytest
 
+import pietsp.train
 from pietsp.cli import main
 
 
@@ -146,3 +148,55 @@ def test_variant_flag_trains(tmp_path, synthetic_file):
     assert code == 0
     ck = json.loads((out / "checkpoint-best.json").read_text())
     assert ck["config"]["variant"] == "no-ee"
+
+
+@pytest.fixture(scope="module")
+def other_vocab_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("data") / "vocab50.json"
+    code = run_cli(
+        "gen-synthetic", "--pattern", "periodic", "--users", "30", "--vocab", "50",
+        "--out", str(path), "--seed", "3",
+    )
+    assert code == 0
+    return path
+
+
+@pytest.mark.parametrize("command", [["eval"], ["predict"], ["bench", "--runs", "5", "--batch", "4"]],
+                         ids=lambda c: c[0])
+def test_vocabulary_mismatch_fails_loudly(trained, other_vocab_file, capsys, command):
+    code = run_cli(command[0], "--ckpt", str(trained / "checkpoint-best.json"),
+                   "--data", str(other_vocab_file), *command[1:])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.strip().count("\n") == 0 and "vocab_size 50" in captured.err
+
+
+def test_predict_top_zero_is_an_error(trained, synthetic_file, capsys):
+    code = run_cli("predict", "--ckpt", str(trained / "checkpoint-best.json"),
+                   "--data", str(synthetic_file), "--top", "0")
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+
+
+def test_train_defaults_come_from_trainconfig(tmp_path, synthetic_file, monkeypatch):
+    @dataclass
+    class Quick(pietsp.train.TrainConfig):
+        max_epochs: int = 3
+        patience: int = 2
+        dim: int = 4
+        batch_size: int = 16
+        base_lr: float = 0.002
+
+    monkeypatch.setattr(pietsp.train, "TrainConfig", Quick)
+    out = tmp_path / "defaults"
+    assert run_cli("train", "--data", str(synthetic_file), "--out", str(out)) == 0
+    written = json.loads((out / "effective-config.json").read_text())
+    expected = Quick().to_dict()
+    # effective-config.json key -> TrainConfig field; the key names stay so old --config files replay
+    keys = {"seed": "seed", "epochs": "max_epochs", "batch_size": "batch_size", "dim": "dim",
+            "lr": "base_lr", "weight_decay": "weight_decay", "l2": "l2_coeff", "patience": "patience",
+            "k": "k_list", "variant": "variant", "split_ratios": "split_ratios"}
+    assert {key: written[key] for key in keys} == {key: expected[field] for key, field in keys.items()}
+    assert len((out / "history.jsonl").read_text().splitlines()) == 3

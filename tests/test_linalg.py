@@ -1,76 +1,8 @@
 import numpy as np
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pietsp.linalg import (
-    NumericsError,
-    ShapeError,
-    affine,
-    affine_backward,
-    elu,
-    elu_grad,
-    logistic,
-    relu,
-    relu_grad,
-    row_mean,
-    row_mean_backward,
-    row_sum,
-    row_sum_backward,
-    softplus,
-)
-
-
-def test_affine_sum_case():
-    out = affine(np.array([[1.0, 2.0]]), np.array([[1.0], [1.0]]), np.array([0.0]))
-    assert np.array_equal(out, [[3.0]])
-
-
-def test_affine_identity_case():
-    w = np.array([[5.0, 6.0], [7.0, 8.0]])
-    assert np.array_equal(affine(np.eye(2), w), w)
-
-
-def test_affine_dimension_mismatch_names_shapes():
-    with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 3\)"):
-        affine(np.zeros((2, 3)), np.zeros((2, 3)))
-
-
-def test_affine_bias_mismatch():
-    with pytest.raises(ShapeError):
-        affine(np.zeros((2, 3)), np.zeros((3, 4)), np.zeros(3))
-
-
-def test_affine_rejects_nonfinite_result():
-    big = np.full((2, 2), 1e308)
-    with np.errstate(over="ignore"), pytest.raises(NumericsError):
-        affine(big, big)
-
-
-def test_affine_backward_matches_finite_differences():
-    rng = np.random.default_rng(7)
-    x = rng.normal(size=(3, 4))
-    w = rng.normal(size=(4, 2))
-    b = rng.normal(size=2)
-    d_out = rng.normal(size=(3, 2))
-    dx, dw, db = affine_backward(x, w, d_out)
-
-    def obj(xv, wv, bv):
-        return float((affine(xv, wv, bv) * d_out).sum())
-
-    h = 1e-5
-    for target, grad in ((x, dx), (w, dw), (b, db)):
-        flat = target.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            up = obj(x, w, b)
-            flat[i] = orig - h
-            down = obj(x, w, b)
-            flat[i] = orig
-            fd = (up - down) / (2 * h)
-            g = grad.reshape(-1)[i]
-            assert abs(fd - g) / max(abs(fd) + abs(g), 1e-8) < 1e-6
+from pietsp.linalg import elu, elu_grad, logistic, relu, relu_grad, softplus
 
 
 def test_elu_definition():
@@ -122,36 +54,3 @@ def test_activations_monotone(xs):
     for fn in (elu, relu, logistic):
         out = fn(row)[0]
         assert all(out[i] <= out[i + 1] + 1e-12 for i in range(len(out) - 1))
-
-
-def test_row_reduce_examples():
-    x = np.array([[1.0, 3.0], [3.0, 5.0]])
-    assert np.array_equal(row_mean(x), [2.0, 4.0])
-    assert np.array_equal(row_sum(x), [4.0, 8.0])
-
-
-def test_row_reduce_single_row_degenerate():
-    x = np.array([[2.5, -1.0, 7.0]])
-    assert np.array_equal(row_mean(x), x[0])
-    assert np.array_equal(row_sum(x), x[0])
-
-
-def test_row_reduce_empty_rejected():
-    with pytest.raises(ShapeError):
-        row_mean(np.zeros((0, 3)))
-    with pytest.raises(ShapeError):
-        row_sum(np.zeros((0, 3)))
-
-
-@given(st.integers(0, 2**32 - 1))
-def test_row_mean_permutation_invariant(seed):
-    rng = np.random.default_rng(seed)
-    x = rng.normal(size=(rng.integers(1, 20), rng.integers(1, 8)))
-    perm = rng.permutation(x.shape[0])
-    assert np.abs(row_mean(x[perm]) - row_mean(x)).max() < 1e-12
-
-
-def test_row_reduce_backwards():
-    d = np.array([1.0, -2.0, 3.0])
-    assert np.array_equal(row_mean_backward(d, 4), np.tile(d / 4, (4, 1)))
-    assert np.array_equal(row_sum_backward(d, 4), np.tile(d, (4, 1)))

@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradcheck import check_all_slots, fd_gradient_slot, make_instance, relative_error
+from gradcheck import analytic_gradient, check_all_slots, fd_gradient_slot, make_instance, relative_error
 from pietsp.bench import synthetic_samples
 from pietsp.data import PreparedSample
-from pietsp.linalg import ShapeError
+from pietsp.linalg import NumericsError, ShapeError, elu
 from pietsp.model import (
     MappingError,
     backward,
@@ -15,6 +15,7 @@ from pietsp.model import (
     fuse_scores,
     ge_forward,
     init_params,
+    param_shapes,
     pe_forward,
     pi_forward,
     sfi_concat,
@@ -64,6 +65,7 @@ def test_init_glorot_bounds():
 def test_param_dims_properties():
     p = init_params(33, 7, 5, seed=0)
     assert (p.vocab_size, p.dim, p.k_max) == (33, 7, 5)
+    assert {name: arr.shape for name, arr in p.slots()} == param_shapes(33, 7, 5)
 
 
 # --- individual blocks ----------------------------------------------------------
@@ -100,12 +102,10 @@ def test_pe_self_cancellation_single_row():
 
 
 def test_pe_zero_local_weights_is_plain_dense_layer():
-    from pietsp.linalg import affine, elu
-
     p = init_params(10, 4, 2, seed=4)
     p.pe_w_local[:] = 0.0
     z = np.random.default_rng(5).normal(size=(7, 6))
-    expected = elu(affine(z, p.pe_w_global, p.pe_bias))
+    expected = elu(z @ p.pe_w_global + p.pe_bias)
     assert np.abs(pe_forward(z, p) - expected).max() < 1e-15
 
 
@@ -260,6 +260,35 @@ def test_forward_rejects_out_of_range_universe():
     )
     with pytest.raises(MappingError):
         forward(bad, params)
+    empty = PreparedSample(
+        user_id="x",
+        universe=np.array([], dtype=np.int64),
+        membership=np.zeros((0, 2)),
+        target_ids=sample.target_ids,
+        vocab_size=10,
+    )
+    with pytest.raises(MappingError):
+        forward(empty, params)
+
+
+def test_nonfinite_values_name_their_layer():
+    """An overflow in each layer raises NumericsError naming that layer."""
+    sample = synthetic_samples(4, 2, 10, 1, seed=29)[0]
+    cases = {
+        "pe_forward": {"emb": 1.0, "pe_w_global": 1e308},
+        "ee_forward": {"ee_b1": 1e308, "ee_w2": 1.0},
+        "pi_forward": {"pi_b1": 1e308, "pi_w2": 1.0},
+        "ge_forward": {"emb": 1.0, "pi_b3": 1e308},
+        "fuse_scores": {"emb": 1.0, "pi_b3": 10.0, "fuse_global": 1e308},
+    }
+    # ReLU maps -inf to 0, so only a check before it sees the ee pre-activation overflow
+    relu_hidden = {"emb": 1.0, "pe_bias": 100.0, "ee_w1": -1e308}
+    for layer, values in [*cases.items(), ("ee_forward", relu_hidden)]:
+        params = init_params(10, 4, 2, seed=30)
+        for slot, value in values.items():
+            getattr(params, slot)[...] = value
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericsError, match=layer):
+            forward(sample, params)
 
 
 # --- ablation variants -------------------------------------------------------------
@@ -301,15 +330,26 @@ def test_backward_matches_finite_differences_every_slot():
 
 def test_backward_zero_upstream_gives_zero_grads():
     sample, params, _ = make_instance(start_seed=50)
-    grads = backward(forward(sample, params), params, np.zeros(params.vocab_size))
+    grads = analytic_gradient(sample, params, np.zeros(params.vocab_size))
     for name, arr in grads.slots():
         assert np.all(arr == 0.0), name
+
+
+def test_backward_adds_into_the_buffer():
+    sample, params, d_logits = make_instance(start_seed=70)
+    alone = analytic_gradient(sample, params, d_logits)
+    grads = params.zeros_like()
+    for _, arr in grads.slots():
+        arr[...] = 0.5
+    backward(forward(sample, params), params, d_logits, grads)
+    for (name, got), (_, want) in zip(grads.slots(), alone.slots()):
+        assert np.abs(got - (want + 0.5)).max() < 1e-12, name
 
 
 def test_emb_rows_outside_universe_get_only_global_path():
     sample, params, d_logits = make_instance(start_seed=60)
     trace = forward(sample, params)
-    grads = backward(trace, params, d_logits)
+    grads = analytic_gradient(sample, params, d_logits)
     d_global = d_logits * params.fuse_global
     ge_only = np.outer(d_global, trace.set_repr)
     outside = np.setdiff1d(np.arange(params.vocab_size), sample.universe)
@@ -322,7 +362,7 @@ def test_emb_rows_outside_universe_get_only_global_path():
 def test_backward_variants_match_finite_differences():
     for variant, seed in (("no-ee", 80), ("no-ge", 120)):
         sample, params, d_logits = make_instance(start_seed=seed)
-        grads = backward(forward(sample, params, variant), params, d_logits)
+        grads = analytic_gradient(sample, params, d_logits, variant)
         for slot in ("emb", "pe_w_global", "pe_w_local", "fuse_global", "fuse_local"):
             fd = fd_gradient_slot(sample, params, d_logits, slot, variant=variant)
             assert relative_error(getattr(grads, slot), fd) < 1e-5, (variant, slot)
