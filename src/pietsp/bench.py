@@ -6,7 +6,10 @@ batch wall time divided by batch size; the reported statistics are taken
 over the timed runs.  Scaling helpers fit runtime against one shape axis
 (universe size N, history length K, or vocabulary size) to verify the
 linear-cost design empirically, and a coarse memory probe checks that the
-footprint tracks the vocabulary size.
+footprint tracks the vocabulary size.  The harness runs with whatever BLAS
+thread count the process started with; for single-thread numbers, set
+``OPENBLAS_NUM_THREADS=1`` (or ``PIETSP_THREADS=1`` for the CLI) before
+launching.
 """
 
 from __future__ import annotations
@@ -14,19 +17,13 @@ from __future__ import annotations
 import json
 import time
 import tracemalloc
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import PreparedSample
 from .errors import PietspError
-from .model import ForwardTrace, ModelParams, forward, init_params
-
-try:  # optional: pins BLAS threads for stable latency numbers
-    from threadpoolctl import threadpool_limits
-except ImportError:  # pragma: no cover
-    threadpool_limits = None
+from .model import ModelParams, forward, init_params
 
 WARMUP_RUNS = 3
 
@@ -100,16 +97,12 @@ def synthetic_samples(
     return samples
 
 
-def _limiter(single_thread: bool):
-    return threadpool_limits(limits=1) if (single_thread and threadpool_limits) else nullcontext()
-
-
-def _time_batch(batch: list[PreparedSample], params: ModelParams, variant: str) -> tuple[float, ForwardTrace]:
-    """Wall time of one batch of forward passes, per sample, and the batch's last trace."""
+def _time_batch(batch: list[PreparedSample], params: ModelParams, variant: str) -> float:
+    """Wall time of one batch of forward passes, per sample."""
     t0 = time.perf_counter()
     for sample in batch:
-        trace = forward(sample, params, variant)
-    return (time.perf_counter() - t0) / len(batch), trace
+        forward(sample, params, variant)
+    return (time.perf_counter() - t0) / len(batch)
 
 
 def _report(per_sample: np.ndarray, warmup: int, batch: list[PreparedSample], params: ModelParams) -> BenchReport:
@@ -142,7 +135,6 @@ def bench_inference(
     batch_size: int = 64,
     warmup: int = WARMUP_RUNS,
     variant: str = "full",
-    single_thread: bool = True,
 ) -> BenchReport:
     """Run ``runs`` timed batches of forward passes and report latency stats."""
     if not samples:
@@ -150,8 +142,7 @@ def bench_inference(
     if runs <= warmup:
         raise PietspError(f"bench_inference: runs={runs} must exceed warmup={warmup}")
     batch = [samples[i % len(samples)] for i in range(batch_size)]
-    with _limiter(single_thread):
-        per_sample = np.array([_time_batch(batch, params, variant)[0] for _ in range(runs)])
+    per_sample = np.array([_time_batch(batch, params, variant) for _ in range(runs)])
     return _report(per_sample, warmup, batch, params)
 
 
@@ -200,16 +191,9 @@ def measure_axis(
         params = init_params(vocab, dim, k, seed=seed).astype(dtype)
         cases.append((params, synthetic_samples(n, k, vocab, batch_size, seed=seed + value, dtype=dtype)))
     per_sample = np.empty((len(cases), runs))
-    # Each value's last trace stays alive until that value's next batch has run.
-    # Freed between turns, the largest value's trace left a free block at the top
-    # of the heap that glibc returned to the OS, so every forward of its next
-    # batch page-faulted fresh memory: ~1,500 faults each at N=4096 in
-    # criterion 7, whose N-doubling then read 2.8-3.3x instead of ~2.1x.
-    held = [None] * len(cases)
-    with _limiter(True):
-        for r in range(runs):
-            for i, (params, batch) in enumerate(cases):
-                per_sample[i, r], held[i] = _time_batch(batch, params, "full")
+    for r in range(runs):
+        for i, (params, batch) in enumerate(cases):
+            per_sample[i, r] = _time_batch(batch, params, "full")
     return [_report(per_sample[i], WARMUP_RUNS, batch, params) for i, (params, batch) in enumerate(cases)]
 
 

@@ -1,10 +1,12 @@
 """Element-wise activations, their gradient companions, and the finiteness check.
 
-The model's affine maps and row reductions are plain numpy (``z @ W + b``,
-``.mean(axis=0)``, ``.sum(axis=0)``) written inline in ``model.py``; this
-module holds only what has a rule worth naming.  Activation backward
-companions take the cached *forward output* (cheap and sufficient, since
-ELU' and ReLU' are recoverable from it).
+The model's affine maps and segment reductions are plain numpy written
+inline in ``model.py``; this module holds only what has a rule worth
+naming.  ``elu`` and ``relu`` take ``out=x`` to overwrite their input, and
+no function gathers or scatters through a boolean mask (on large blocks
+that costs several times the arithmetic).  Activation backward companions
+take the cached *forward output* (cheap and sufficient, since ELU' and
+ReLU' are recoverable from it).
 
 Activations do not check finiteness themselves: ELU and ReLU map -inf to
 finite values, so the model checks each pre-activation before applying
@@ -29,43 +31,64 @@ class NumericsError(PietspError):
 
 
 def check_finite(a: np.ndarray, where: str) -> None:
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise NumericsError(f"non-finite values produced by {where}")
 
 
-def elu(x: np.ndarray) -> np.ndarray:
-    """Exponential linear unit: x for x > 0, exp(x) - 1 otherwise."""
-    out = np.asarray(x, dtype=x.dtype).copy()
-    neg = out < 0
-    out[neg] = np.expm1(out[neg])
-    return out
+def elu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Exponential linear unit: x for x > 0, exp(x) - 1 otherwise.  ``out=x`` works in place.
+
+    Computed without masks as max(x, expm1(min(x, 0))): for x > 0 the
+    second operand is 0, and for x <= 0 expm1(x) >= x.
+    """
+    neg = np.minimum(x, 0)
+    np.expm1(neg, out=neg)
+    return np.maximum(x, neg, out=neg if out is None else out)
 
 
 def elu_grad(y: np.ndarray) -> np.ndarray:
     """ELU derivative recovered from the forward output: 1 for y > 0, y + 1 otherwise."""
-    return np.where(y > 0, np.asarray(1.0, dtype=y.dtype), y + 1)
+    grad = np.minimum(y, 0)
+    grad += 1
+    return grad
 
 
-def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0)
+def relu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """max(x, 0).  ``out=x`` works in place."""
+    return np.maximum(x, 0, out=out)
 
 
 def relu_grad(y: np.ndarray) -> np.ndarray:
-    """ReLU derivative from the forward output: 1 where y > 0 (0 at the kink)."""
-    return (y > 0).astype(y.dtype)
+    """ReLU derivative from the forward output, as a boolean mask: y > 0 (0 at the kink)."""
+    return y > 0
 
 
 def logistic(x: np.ndarray) -> np.ndarray:
-    """Numerically stable 1 / (1 + exp(-x)); never overflows for any finite x."""
+    """Numerically stable 1 / (1 + exp(-x)); never overflows for any finite x.
+
+    With e = exp(-|x|) this is 1 / (1 + e) for x >= 0 and e / (1 + e) below,
+    the same bits as evaluating each branch on its own half.  The numerator
+    is max(e, x >= 0), since e <= 1, so no mask is gathered or scattered.
+    """
     x = np.asarray(x)
-    out = np.empty_like(x, dtype=x.dtype)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    e = _exp_neg_abs(x)
+    out = np.maximum(e, x >= 0)
+    e += 1
+    out /= e
     return out
 
 
 def softplus(x: np.ndarray) -> np.ndarray:
     """log(1 + exp(x)) computed as max(x, 0) + log1p(exp(-|x|))."""
-    return np.maximum(x, 0) + np.log1p(np.exp(-np.abs(x)))
+    x = np.asarray(x)
+    out = _exp_neg_abs(x)
+    np.log1p(out, out=out)
+    out += np.maximum(x, 0)
+    return out
+
+
+def _exp_neg_abs(x: np.ndarray) -> np.ndarray:
+    """exp(-|x|) in one new array."""
+    out = np.abs(x, out=np.empty_like(x))
+    np.negative(out, out=out)
+    return np.exp(out, out=out)

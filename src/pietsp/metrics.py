@@ -63,6 +63,11 @@ def ndcg_at_k(ranked_ids, truth, k: int) -> float:
     return dcg / ideal
 
 
+def position_weights(k: int) -> np.ndarray:
+    """The DCG discount 1 / log2(pos + 2) of each rank pos < k."""
+    return np.array([1.0 / math.log2(pos + 2) for pos in range(k)])
+
+
 def phr(hits) -> float:
     """Fraction of users with at least one relevant item in their top-k."""
     hits = list(hits)

@@ -1,4 +1,4 @@
-"""The set-prediction network: forward pass and hand-derived backward pass.
+"""The set-prediction network: a ragged-batch forward pass and its hand-derived backward pass.
 
 One sample is a user's basket history, prepared as a sorted universe of N
 distinct item ids, an N x K binary membership matrix C (columns are time
@@ -18,6 +18,20 @@ Permuting the universe enumeration permutes Zt and o_e identically and
 leaves zbar, o_s, and y unchanged, so predictions never depend on how the
 universe was enumerated.
 
+The engine runs B users in one call (``make_batch`` then ``forward_batch``).
+Their universes and membership rows are stacked into R = sum(N) rows, so
+the row-wise layers are single products over all R rows; the per-user mean
+in the equivariant layer and the sum pooling are segment reductions
+(``np.add.reduceat`` over each user's rows, ``Segments``); the global
+scores are one (B x D)(D x |E|) product, and the logits a B x |E| block.
+``forward`` is the B = 1 call and returns 1-D logits.  ``batch_slices``
+cuts a list of users into engine calls of bounded size (``MAX_BATCH_ROWS``
+universe rows, ``MAX_BATCH_USERS`` users), which keeps the memory of a call
+independent of the minibatch.  ``make_batch`` validates every universe once
+and names the user in the ``MappingError``.  The first call sets glibc's
+malloc thresholds (``heap.keep_freed_heap``), so the memory one call frees
+serves the next instead of going back to the OS and being faulted in again.
+
 Each layer is plain numpy.  A layer checks each value that can first turn
 non-finite (every affine pre-activation before its ELU or ReLU, which would
 map -inf to a finite value, and the element scores, the summary, the global
@@ -25,11 +39,12 @@ scores and the fused logits) and raises ``NumericsError`` naming itself.
 Parameter shapes are checked once, where they enter from outside the
 program (``checkpoint.load_checkpoint``).
 
-The backward pass is derived by hand (no autodiff) and adds one sample's
-gradients into a caller-owned ``ModelParams`` buffer, so a minibatch sums
-into one table.  The embedding table receives gradient through two routes:
-the gather into Z (universe rows only) and the global scoring o_s = M zbar
-(every row).  Ablation variants drop one scoring branch:
+The backward pass is derived by hand (no autodiff) and adds the gradients
+of the whole call into a caller-owned ``ModelParams`` buffer, so a
+minibatch sums into one table.  The embedding table receives gradient
+through two routes: the gather into Z (universe rows only, one
+``np.add.at``) and the global scoring o_s = M zbar (every row, one
+(|E| x B)(B x D) product).  Ablation variants drop one scoring branch:
 
     "no-ee": y = a * o_s          (element scores removed)
     "no-ge": y = b * o_e on universe ids, 0 elsewhere (global scores removed)
@@ -38,11 +53,13 @@ the gather into Z (universe rows only) and the global scoring o_s = M zbar
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
 from .data import PreparedSample
 from .errors import PietspError
+from .heap import keep_freed_heap
 from .linalg import ShapeError, check_finite, elu, elu_grad, relu, relu_grad
 
 CONCAT_LAYOUT = "membership-then-embedding"
@@ -158,79 +175,193 @@ def init_params(vocab_size: int, dim: int, k_max: int, seed: int) -> ModelParams
     )
 
 
+MAX_BATCH_ROWS = 4096   # universe rows per engine call: bounds the R x (K+D) and R x D arrays
+MAX_BATCH_USERS = 64    # users per engine call: bounds the B x |E| score blocks
+
+
+@dataclass
+class Segments:
+    """A ragged stack of B sets: set b owns rows offsets[b] .. offsets[b] + counts[b] - 1."""
+
+    offsets: np.ndarray  # (B,) first row of each set
+    counts: np.ndarray   # (B,) rows per set, all >= 1
+
+    @classmethod
+    def one(cls, n_rows: int) -> "Segments":
+        return cls(np.zeros(1, dtype=np.intp), np.array([n_rows], dtype=np.intp))
+
+    @property
+    def size(self) -> int:
+        return int(self.counts.size)
+
+    @cached_property
+    def rows(self) -> np.ndarray:
+        """(R,) the set index of every row."""
+        return np.repeat(np.arange(self.size), self.counts)
+
+    def sum(self, x: np.ndarray) -> np.ndarray:
+        """(B, ...) per-set sums of the rows of ``x``."""
+        return np.add.reduceat(x, self.offsets, axis=0)
+
+    def mean(self, x: np.ndarray) -> np.ndarray:
+        out = self.sum(x)
+        out /= self.counts[:, None]
+        return out
+
+    def spread(self, per_set: np.ndarray) -> np.ndarray:
+        """(B, ...) -> (R, ...): each set's row repeated over its rows (a broadcastable view for B = 1)."""
+        return per_set if self.size == 1 else np.repeat(per_set, self.counts, axis=0)
+
+
+@dataclass
+class Batch:
+    """One engine call's B users: universes concatenated in user order, membership blocks kept per user."""
+
+    ids: np.ndarray            # (R,) vocabulary id of every universe row
+    membership: tuple[np.ndarray, ...]  # each user's (N_b, K) rows; ``sfi_concat`` stacks them into Z
+    segs: Segments
+    targets: tuple[np.ndarray, np.ndarray]  # (user index, item id) of every target item
+
+    @property
+    def size(self) -> int:
+        return self.segs.size
+
+
+def _check_universe(sample: PreparedSample, vocab_size: int) -> None:
+    universe = sample.universe
+    where = f"user '{sample.user_id}'"
+    if universe.ndim != 1 or universe.size == 0:
+        raise MappingError(f"{where}: universe must be a non-empty 1-D id array, got shape {universe.shape}")
+    ordered = np.sort(universe)
+    if (ordered[1:] == ordered[:-1]).any():
+        raise MappingError(f"{where}: universe contains duplicate ids")
+    if ordered[0] < 0 or ordered[-1] >= vocab_size:
+        raise MappingError(f"{where}: universe ids outside [0, {vocab_size})")
+
+
+def make_batch(samples: list[PreparedSample], vocab_size: int) -> Batch:
+    """Stack the samples for one engine call, validating each universe once."""
+    for sample in samples:
+        _check_universe(sample, vocab_size)
+    if len(samples) == 1:  # predict's call: nothing to stack, and ~12 us less than the general path
+        (s,) = samples
+        return Batch(
+            ids=s.universe,
+            membership=(s.membership,),
+            segs=Segments.one(s.universe.size),
+            targets=(np.zeros(s.target_ids.size, dtype=np.intp), s.target_ids),
+        )
+    counts = np.array([s.universe.size for s in samples], dtype=np.intp)
+    offsets = np.zeros_like(counts)
+    np.cumsum(counts[:-1], out=offsets[1:])
+    return Batch(
+        ids=np.concatenate([s.universe for s in samples]),
+        membership=tuple(s.membership for s in samples),
+        segs=Segments(offsets, counts),
+        targets=(
+            np.repeat(np.arange(len(samples)), [s.target_ids.size for s in samples]),
+            np.concatenate([s.target_ids for s in samples]),
+        ),
+    )
+
+
+def batch_slices(samples: list[PreparedSample]):
+    """Consecutive runs of ``samples`` with at most MAX_BATCH_USERS users and MAX_BATCH_ROWS
+    universe rows each; a user whose universe alone exceeds the row cap gets a run of its own."""
+    start, rows = 0, 0
+    for i, sample in enumerate(samples):
+        n = sample.universe.size
+        if i > start and (rows + n > MAX_BATCH_ROWS or i - start == MAX_BATCH_USERS):
+            yield samples[start:i]
+            start, rows = i, 0
+        rows += n
+    if start < len(samples):
+        yield samples[start:]
+
+
 @dataclass
 class ForwardTrace:
-    """Everything the backward pass needs, cached once per forward."""
+    """Everything the backward pass needs, cached once per engine call."""
 
     variant: str
-    universe: np.ndarray
-    z: np.ndarray                     # (N, K+D) concatenated input
-    pe_out: np.ndarray                # (N, D) after the equivariant layer
-    ee_hidden: np.ndarray | None      # (N, D) relu activations
-    elem_scores: np.ndarray | None    # (N,)
-    pooled: np.ndarray | None         # (1, D) summed pe_out row
-    pi_h1: np.ndarray | None          # (1, D)
-    pi_h2: np.ndarray | None          # (1, D)
-    set_repr: np.ndarray | None       # (D,)
-    global_scores: np.ndarray | None  # (|E|,)
-    logits: np.ndarray                # (|E|,)
+    batch: Batch
+    z: np.ndarray                     # (R, K+D) concatenated input
+    pe_out: np.ndarray                # (R, D) after the equivariant layer
+    ee_hidden: np.ndarray | None      # (R, D) relu activations
+    elem_scores: np.ndarray | None    # (R,)
+    pooled: np.ndarray | None         # (B, D) per-user sums of pe_out
+    pi_h1: np.ndarray | None          # (B, D)
+    pi_h2: np.ndarray | None          # (B, D)
+    set_repr: np.ndarray | None       # (B, D)
+    global_scores: np.ndarray | None  # (B, |E|)
+    logits: np.ndarray                # (B, |E|); (|E|,) from ``forward``
 
 
-def sfi_concat(m_u: np.ndarray, membership: np.ndarray) -> np.ndarray:
-    """Row-wise concatenation [membership | embedding], fixed layout."""
-    if m_u.shape[0] != membership.shape[0]:
-        raise ShapeError(
-            f"sfi_concat: {membership.shape[0]} membership rows vs {m_u.shape[0]} embedding rows"
-        )
-    return np.hstack([membership, m_u])
+def sfi_concat(m_u: np.ndarray, membership) -> np.ndarray:
+    """Row-wise concatenation [membership | embedding], fixed layout.
+
+    ``membership`` is one (R, K) array or the users' (N_b, K) blocks in row order.
+    """
+    blocks = [membership] if isinstance(membership, np.ndarray) else membership
+    rows = sum(block.shape[0] for block in blocks)
+    if m_u.shape[0] != rows:
+        raise ShapeError(f"sfi_concat: {rows} membership rows vs {m_u.shape[0]} embedding rows")
+    k = blocks[0].shape[1]
+    z = np.empty((rows, k + m_u.shape[1]), dtype=m_u.dtype)
+    np.concatenate(blocks, out=z[:, :k])
+    z[:, k:] = m_u
+    return z
 
 
-def pe_forward(z: np.ndarray, params: ModelParams) -> np.ndarray:
-    """Equivariant layer: ELU(Z Wg + bg - mean_i(Z_i Wl)), one shared mean row."""
-    shared = z.mean(axis=0, keepdims=True) @ params.pe_w_local
-    pre = z @ params.pe_w_global + params.pe_bias - shared
+def pe_forward(z: np.ndarray, params: ModelParams, segs: Segments | None = None) -> np.ndarray:
+    """Equivariant layer: ELU(Z Wg + bg - mean_i(Z_i Wl)), one shared row per set.
+
+    ``segs`` splits the rows of ``z`` into sets; all rows form one set when omitted.
+    """
+    if segs is None:
+        segs = Segments.one(z.shape[0])
+    pre = z @ params.pe_w_global
+    pre += params.pe_bias
+    pre -= segs.spread(segs.mean(z) @ params.pe_w_local)
     check_finite(pre, "pe_forward")
-    return elu(pre)
+    return elu(pre, out=pre)
 
 
 def ee_forward(pe_out: np.ndarray, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
-    """Per-element scorer; returns (scores (N,), relu hidden (N, D))."""
-    pre = pe_out @ params.ee_w1 + params.ee_b1
-    check_finite(pre, "ee_forward")
-    hidden = relu(pre)
+    """Per-element scorer; returns (scores (R,), relu hidden (R, D))."""
+    hidden = pe_out @ params.ee_w1
+    hidden += params.ee_b1
+    check_finite(hidden, "ee_forward")
+    relu(hidden, out=hidden)
     scores = hidden @ params.ee_w2 + params.ee_b2
     check_finite(scores, "ee_forward")
     return scores, hidden
 
 
-def pi_forward(pe_out: np.ndarray, params: ModelParams):
-    """Invariant summary: sum rows, then a two-hidden-layer ELU MLP (linear out)."""
-    pooled = pe_out.sum(axis=0, keepdims=True)
-    pre1 = pooled @ params.pi_w1 + params.pi_b1
-    check_finite(pre1, "pi_forward")
-    h1 = elu(pre1)
-    pre2 = h1 @ params.pi_w2 + params.pi_b2
-    check_finite(pre2, "pi_forward")
-    h2 = elu(pre2)
-    set_repr = (h2 @ params.pi_w3 + params.pi_b3)[0]
+def pi_forward(pe_out: np.ndarray, params: ModelParams, segs: Segments | None = None):
+    """Invariant summary per set: sum its rows, then a two-hidden-layer ELU MLP (linear out).
+
+    Returns (set_repr, pooled, h1, h2), each (B, D); all rows form one set when ``segs`` is omitted.
+    """
+    if segs is None:
+        segs = Segments.one(pe_out.shape[0])
+    pooled = segs.sum(pe_out)
+    h1 = pooled @ params.pi_w1 + params.pi_b1
+    check_finite(h1, "pi_forward")
+    elu(h1, out=h1)
+    h2 = h1 @ params.pi_w2 + params.pi_b2
+    check_finite(h2, "pi_forward")
+    elu(h2, out=h2)
+    set_repr = h2 @ params.pi_w3 + params.pi_b3
     check_finite(set_repr, "pi_forward")
     return set_repr, pooled, h1, h2
 
 
 def ge_forward(set_repr: np.ndarray, emb: np.ndarray) -> np.ndarray:
-    """Score every vocabulary item against the set summary: M @ zbar."""
-    out = emb @ set_repr
+    """Score every vocabulary item against each set summary: (B, D) -> (B, |E|), or (D,) -> (|E|,)."""
+    out = set_repr @ emb.T
     check_finite(out, "ge_forward")
     return out
-
-
-def _check_universe(universe: np.ndarray, vocab_size: int) -> None:
-    if universe.ndim != 1 or universe.size == 0:
-        raise MappingError(f"universe must be a non-empty 1-D id array, got shape {universe.shape}")
-    if np.unique(universe).size != universe.size:
-        raise MappingError("universe contains duplicate ids")
-    if universe.min() < 0 or universe.max() >= vocab_size:
-        raise MappingError(f"universe ids outside [0, {vocab_size})")
 
 
 def fuse_scores(
@@ -239,22 +370,27 @@ def fuse_scores(
     universe: np.ndarray,
     fuse_global: np.ndarray,
     fuse_local: np.ndarray,
+    rows: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Blend: every item gets a_j * o_s[j]; universe items add b_j * o_e[i]."""
-    _check_universe(universe, global_scores.shape[0])
+    """Blend: every item gets a_j * o_s[j]; universe items add b_j * o_e[i].
+
+    ``rows`` gives the score row of each universe entry when ``global_scores``
+    is a (B, |E|) block; each (row, item) pair must occur once.
+    """
     logits = fuse_global * global_scores
-    logits[universe] += fuse_local[universe] * elem_scores
+    logits[universe if rows is None else (rows, universe)] += fuse_local[universe] * elem_scores
     check_finite(logits, "fuse_scores")
     return logits
 
 
-def forward(sample: PreparedSample, params: ModelParams, variant: str = "full") -> ForwardTrace:
+def forward_batch(batch: Batch, params: ModelParams, variant: str = "full") -> ForwardTrace:
+    """The forward pass of every user in ``batch`` at once; logits are (B, |E|)."""
     if variant not in VARIANTS:
         raise PietspError(f"unknown variant '{variant}', expected one of {VARIANTS}")
-    universe = sample.universe
-    _check_universe(universe, params.vocab_size)
-    z = sfi_concat(params.emb[universe], sample.membership.astype(params.emb.dtype, copy=False))
-    pe_out = pe_forward(z, params)
+    keep_freed_heap()
+    segs, ids = batch.segs, batch.ids
+    z = sfi_concat(params.emb[ids], batch.membership)
+    pe_out = pe_forward(z, params, segs)
 
     elem_scores = hidden = None
     if variant != "no-ee":
@@ -262,22 +398,22 @@ def forward(sample: PreparedSample, params: ModelParams, variant: str = "full") 
 
     set_repr = pooled = h1 = h2 = global_scores = None
     if variant != "no-ge":
-        set_repr, pooled, h1, h2 = pi_forward(pe_out, params)
+        set_repr, pooled, h1, h2 = pi_forward(pe_out, params, segs)
         global_scores = ge_forward(set_repr, params.emb)
 
     if variant == "full":
-        logits = fuse_scores(global_scores, elem_scores, universe, params.fuse_global, params.fuse_local)
+        logits = fuse_scores(global_scores, elem_scores, ids, params.fuse_global, params.fuse_local, segs.rows)
     elif variant == "no-ee":
         logits = params.fuse_global * global_scores
         check_finite(logits, "fuse_scores")
     else:  # no-ge
-        logits = np.zeros(params.vocab_size, dtype=pe_out.dtype)
-        logits[universe] = params.fuse_local[universe] * elem_scores
+        logits = np.zeros((batch.size, params.vocab_size), dtype=pe_out.dtype)
+        logits[segs.rows, ids] = params.fuse_local[ids] * elem_scores
         check_finite(logits, "fuse_scores")
 
     return ForwardTrace(
         variant=variant,
-        universe=universe,
+        batch=batch,
         z=z,
         pe_out=pe_out,
         ee_hidden=hidden,
@@ -291,47 +427,70 @@ def forward(sample: PreparedSample, params: ModelParams, variant: str = "full") 
     )
 
 
+def forward(sample: PreparedSample, params: ModelParams, variant: str = "full") -> ForwardTrace:
+    """One user's forward pass: the engine at B = 1, with 1-D logits (|E|,)."""
+    trace = forward_batch(make_batch([sample], params.vocab_size), params, variant)
+    trace.logits = trace.logits[0]
+    return trace
+
+
 def backward(trace: ForwardTrace, params: ModelParams, d_logits: np.ndarray, grads: ModelParams) -> None:
-    """Add the gradients of (logits . d_logits) for every parameter slot into ``grads``."""
+    """Add the gradients of sum(logits * d_logits) for every parameter slot into ``grads``."""
     if d_logits.shape != trace.logits.shape:
         raise ShapeError(f"backward: d_logits {d_logits.shape} vs logits {trace.logits.shape}")
-    u = trace.universe
-    d_pe = np.zeros_like(trace.pe_out)
+    segs, ids = trace.batch.segs, trace.batch.ids
+    d_logits = d_logits.reshape(segs.size, -1)
+
+    # score fusion and the element scoring branch; (rows, ids) are distinct pairs, ids may repeat
+    d_pe = None
+    if trace.variant != "no-ee":
+        d_at = d_logits[segs.rows, ids]
+        grads.fuse_local += np.bincount(ids, weights=d_at * trace.elem_scores, minlength=params.vocab_size)
+        d_elem = d_at * params.fuse_local[ids]
+        grads.ee_w2 += trace.ee_hidden.T @ d_elem
+        grads.ee_b2 += d_elem.sum(0)
+        d_hidden = np.multiply.outer(d_elem, params.ee_w2)
+        d_hidden *= relu_grad(trace.ee_hidden)
+        grads.ee_w1 += trace.pe_out.T @ d_hidden
+        grads.ee_b1 += d_hidden.sum(0)
+        d_pe = d_hidden @ params.ee_w1.T
+        del d_hidden
 
     # score fusion, global scoring and the invariant branch
     if trace.variant != "no-ge":
-        grads.fuse_global += d_logits * trace.global_scores
-        d_global = d_logits * params.fuse_global
-        grads.emb += np.outer(d_global, trace.set_repr)
-        d_repr = (params.emb.T @ d_global)[None, :]
+        # with d_global = d_logits * a (per item), d_global^T zbar = a * (d_logits^T zbar) and
+        # d_global M = d_logits (a * M): no B x |E| product is formed
+        grads.fuse_global += np.einsum("be,be->e", d_logits, trace.global_scores)
+        emb_global = d_logits.T @ trace.set_repr
+        emb_global *= params.fuse_global[:, None]
+        grads.emb += emb_global
+        del emb_global
+        d_repr = d_logits @ (params.fuse_global[:, None] * params.emb)
         grads.pi_w3 += trace.pi_h2.T @ d_repr
         grads.pi_b3 += d_repr.sum(0)
-        d_h2 = (d_repr @ params.pi_w3.T) * elu_grad(trace.pi_h2)
+        d_h2 = d_repr @ params.pi_w3.T
+        d_h2 *= elu_grad(trace.pi_h2)
         grads.pi_w2 += trace.pi_h1.T @ d_h2
         grads.pi_b2 += d_h2.sum(0)
-        d_h1 = (d_h2 @ params.pi_w2.T) * elu_grad(trace.pi_h1)
+        d_h1 = d_h2 @ params.pi_w2.T
+        d_h1 *= elu_grad(trace.pi_h1)
         grads.pi_w1 += trace.pooled.T @ d_h1
         grads.pi_b1 += d_h1.sum(0)
-        d_pe += d_h1 @ params.pi_w1.T  # sum pooling: every row receives the pooled gradient
+        if d_pe is None:
+            d_pe = np.zeros_like(trace.pe_out)
+        d_pe += segs.spread(d_h1 @ params.pi_w1.T)  # sum pooling: every row receives its set's gradient
 
-    # score fusion and the element scoring branch
-    if trace.variant != "no-ee":
-        grads.fuse_local[u] += d_logits[u] * trace.elem_scores
-        d_elem = d_logits[u] * params.fuse_local[u]
-        grads.ee_w2 += trace.ee_hidden.T @ d_elem
-        grads.ee_b2 += d_elem.sum(0)
-        d_hidden = np.outer(d_elem, params.ee_w2) * relu_grad(trace.ee_hidden)
-        grads.ee_w1 += trace.pe_out.T @ d_hidden
-        grads.ee_b1 += d_hidden.sum(0)
-        d_pe += d_hidden @ params.ee_w1.T
-
-    # equivariant layer; the shared row subtracts mean_i(Z_i) Wl, so its gradient is -d_pre.sum(0)
-    d_pre = d_pe * elu_grad(trace.pe_out)
-    d_sum = d_pre.sum(0, keepdims=True)
+    # equivariant layer; each set's shared row subtracts mean_i(Z_i) Wl, so its gradient is -d_pre summed over the set
+    d_pre = d_pe
+    d_pre *= elu_grad(trace.pe_out)
+    d_sum = segs.sum(d_pre)
     grads.pe_w_global += trace.z.T @ d_pre
-    grads.pe_bias += d_sum[0]
-    grads.pe_w_local -= trace.z.mean(axis=0, keepdims=True).T @ d_sum
+    grads.pe_bias += d_sum.sum(0)
+    grads.pe_w_local -= segs.mean(trace.z).T @ d_sum
 
     # concatenation split: only the trailing D columns of Z (the gathered embeddings) are parameters
     k_max = params.k_max
-    grads.emb[u] += d_pre @ params.pe_w_global[k_max:].T - (d_sum @ params.pe_w_local[k_max:].T) / u.size
+    d_rows = d_pre @ params.pe_w_global[k_max:].T
+    del d_pe, d_pre
+    d_rows -= segs.spread((d_sum @ params.pe_w_local[k_max:].T) / segs.counts[:, None])
+    np.add.at(grads.emb, ids, d_rows)

@@ -58,7 +58,12 @@ def adam_step(
     weight_decay: float = 0.0,
     decay_fusion: bool = False,
 ) -> None:
-    """One in-place update: bias-corrected Adam step plus decoupled decay."""
+    """One in-place update: bias-corrected Adam step plus decoupled decay.
+
+    Per slot, in this order: m = b1 m + (1 - b1) g; v = b2 v + (1 - b2) g g;
+    u = (m / bc1) / (sqrt(v / bc2) + eps); p = p - lr u [- lr wd p].  The
+    moments and parameters are updated in place through two scratch arrays.
+    """
     state.step += 1
     bc1 = 1.0 - BETA1 ** state.step
     bc2 = 1.0 - BETA2 ** state.step
@@ -68,11 +73,25 @@ def adam_step(
             raise OptimizerError(f"non-finite gradient for parameter '{name}'")
         m = getattr(state.m, name)
         v = getattr(state.v, name)
-        m[...] = BETA1 * m + (1.0 - BETA1) * g
-        v[...] = BETA2 * v + (1.0 - BETA2) * g * g
-        update = (m / bc1) / (np.sqrt(v / bc2) + EPS)
+        tmp = np.empty_like(p)
+        update = np.empty_like(p)
+        np.multiply(g, 1.0 - BETA1, out=tmp)
+        m *= BETA1
+        m += tmp
+        np.multiply(g, 1.0 - BETA2, out=tmp)
+        tmp *= g
+        v *= BETA2
+        v += tmp
+        np.divide(m, bc1, out=update)
+        np.divide(v, bc2, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += EPS
+        update /= tmp
+        update *= lr
         decayed = name in DECAYED_SLOTS or (decay_fusion and name in FUSION_SLOTS)
         if decayed and weight_decay != 0.0:
-            p[...] = p - lr * update - lr * weight_decay * p
+            np.multiply(p, lr * weight_decay, out=tmp)
+            p -= update
+            p -= tmp
         else:
-            p[...] = p - lr * update
+            p -= update

@@ -1,10 +1,13 @@
 """Training loop: multi-label loss, batched epochs, early stopping, evaluation.
 
-A batch is ``batch_size`` users processed one at a time (the universe size N
-varies per user, so there is no padding); each user's backward adds into one
-gradient buffer per batch, which is averaged and applied in a single
-optimizer step.  The per-epoch shuffle is keyed by
-(seed, epoch), so resuming from a checkpoint replays the identical stream.
+A minibatch is ``batch_size`` users of the shuffled order.  It runs through
+the model's ragged-batch engine (no padding: the users' universes are
+stacked), one call per ``batch_slices`` run of it, each call's backward
+adding into one gradient buffer per minibatch, which is averaged and
+applied in a single optimizer step.  The loss is evaluated on the B x |E|
+logit block with sparse targets.  Evaluation ranks the same engine's
+logits.  The per-epoch shuffle is keyed by (seed, epoch), so resuming from
+a checkpoint replays the identical stream.
 """
 
 from __future__ import annotations
@@ -19,8 +22,8 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .data import Corpus, PreparedSample, max_history_len, prepare_all
 from .errors import PietspError
 from .linalg import logistic, softplus
-from .metrics import MetricReport, ndcg_at_k, recall_at_k, top_k
-from .model import ModelParams, VARIANTS, backward, forward, init_params
+from .metrics import MetricReport, position_weights, top_k
+from .model import ModelParams, VARIANTS, backward, batch_slices, forward, forward_batch, init_params, make_batch  # noqa: F401  forward stays importable from here
 from .optim import DECAYED_SLOTS, AdamState, adam_step, cosine_lr
 
 
@@ -71,25 +74,51 @@ def l2_penalty(params: ModelParams) -> float:
 
 def bce_loss(
     logits: np.ndarray,
-    targets: np.ndarray,
+    targets,
     l2_coeff: float = 0.0,
     params: ModelParams | None = None,
-) -> tuple[float, np.ndarray]:
-    """Mean binary cross-entropy over the vocabulary, in stable logit form.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Mean binary cross-entropy over the vocabulary, per row of logits, in stable logit form.
 
+    ``targets`` indexes the positive entries, ``logits[targets]``: for a
+    (B, |E|) block the pair (user rows, item ids), or a boolean mask shaped
+    like ``logits``.  Per row,
     loss = mean_j [softplus(y_j) - t_j * y_j] (+ l2_coeff * ||W||^2), and
     d loss / d y_j = (sigmoid(y_j) - t_j) / |E|.
+    Returns (the loss of every row, d_logits).
     """
-    if logits.shape != targets.shape:
-        raise PietspError(f"bce_loss: logits {logits.shape} vs targets {targets.shape}")
-    n = logits.size
-    loss = float((softplus(logits) - targets * logits).sum() / n)
+    try:
+        positives = logits[targets]
+    except IndexError as exc:
+        raise PietspError(f"bce_loss: targets do not index logits of shape {logits.shape}: {exc}") from None
+    n = logits.shape[-1]
+    terms = softplus(logits)
+    terms[targets] -= positives
+    loss = terms.sum(axis=-1) / n
     if l2_coeff:
         if params is None:
             raise PietspError("bce_loss: l2_coeff set but no params given")
         loss += l2_coeff * l2_penalty(params)
-    d_logits = (logistic(logits) - targets) / n
+    d_logits = logistic(logits)
+    d_logits[targets] -= 1
+    d_logits /= n
     return loss, d_logits
+
+
+def add_gradients(samples: list[PreparedSample], params: ModelParams, variant: str, grads: ModelParams) -> list[float]:
+    """Add the BCE gradients of every sample, summed, into ``grads``; returns each sample's loss.
+
+    One engine call per ``batch_slices`` run of the samples.
+    """
+    losses = []
+    for part in batch_slices(samples):
+        batch = make_batch(part, params.vocab_size)
+        trace = forward_batch(batch, params, variant)
+        loss, d_logits = bce_loss(trace.logits, batch.targets)
+        backward(trace, params, d_logits, grads)
+        losses.extend(loss.tolist())
+        del trace, d_logits  # freed before the next slice's forward allocates its own
+    return losses
 
 
 def train_epoch(
@@ -106,13 +135,9 @@ def train_epoch(
     lr = cosine_lr(epoch, config.max_epochs, config.base_lr)
     total_loss = 0.0
     for start in range(0, len(order), config.batch_size):
-        chunk = order[start : start + config.batch_size]
+        chunk = [samples[i] for i in order[start : start + config.batch_size]]
         grads = params.zeros_like()
-        for idx in chunk:
-            sample = samples[idx]
-            trace = forward(sample, params, config.variant)
-            loss, d_logits = bce_loss(trace.logits, sample.target_multihot())
-            backward(trace, params, d_logits, grads)
+        for loss in add_gradients(chunk, params, config.variant, grads):
             total_loss += loss
         inv = 1.0 / len(chunk)
         for _, arr in grads.slots():
@@ -137,38 +162,48 @@ def evaluate(
 
     Read-only with respect to ``params``.  ``score_fn`` (sample -> scores)
     replaces the model forward when given; used for baselines and tests.
+    Users with an empty target are skipped.  Each row is ranked by
+    ``top_k``; recall, NDCG and PHR at every k then come from the matrix of
+    hits at each rank, with DCG summed in rank order over ``position_weights``.
     """
     k_list = tuple(int(k) for k in k_list)
     if not k_list:
         raise PietspError("evaluate: empty k_list")
-    k_top = max(k_list)
-    recall_acc = {k: 0.0 for k in k_list}
-    ndcg_acc = {k: 0.0 for k in k_list}
-    hit_acc = {k: 0 for k in k_list}
-    used = 0
-    skipped = 0
-    for sample in samples:
-        truth = set(int(t) for t in sample.target_ids)
-        if not truth:
-            skipped += 1
-            continue
-        scores = score_fn(sample) if score_fn is not None else forward(sample, params, variant).logits
-        ranked = top_k(scores, k_top)
-        used += 1
-        for k in k_list:
-            prefix = ranked[:k]
-            recall_acc[k] += recall_at_k(prefix, truth)
-            ndcg_acc[k] += ndcg_at_k(ranked, truth, k)
-            hit_acc[k] += int(any(int(i) in truth for i in prefix))
-    if used == 0:
+    scored = [s for s in samples if s.target_ids.size]
+    if not scored:
         raise PietspError("evaluate: no users with non-empty targets")
+    k_top = max(k_list)
+    weights = position_weights(k_top)
+    ideal = np.cumsum(weights)  # ideal[m - 1]: the DCG of m hits at the top
+    recall_acc = dict.fromkeys(k_list, 0.0)
+    ndcg_acc = dict.fromkeys(k_list, 0.0)
+    hit_acc = dict.fromkeys(k_list, 0)
+    for part in batch_slices(scored):
+        batch = make_batch(part, params.vocab_size)
+        if score_fn is None:
+            scores = forward_batch(batch, params, variant).logits
+        else:
+            scores = np.stack([np.asarray(score_fn(s)) for s in part])
+        ranked = np.stack([top_k(row, k_top) for row in scores])
+        truth = np.zeros(scores.shape, dtype=bool)
+        truth[batch.targets] = True
+        n_truth = np.count_nonzero(truth, axis=1)
+        hits = truth[np.arange(batch.size)[:, None], ranked]
+        found = np.cumsum(hits, axis=1)
+        gains = np.cumsum(hits * weights[: ranked.shape[1]], axis=1)
+        for k in k_list:
+            last = min(k, ranked.shape[1]) - 1
+            recall_acc[k] += float((found[:, last] / n_truth).sum())
+            ndcg_acc[k] += float((gains[:, last] / ideal[np.minimum(n_truth, last + 1) - 1]).sum())
+            hit_acc[k] += int(np.count_nonzero(found[:, last]))
+    used = len(scored)
     return MetricReport(
         k_list=k_list,
         recall={k: recall_acc[k] / used for k in k_list},
         ndcg={k: ndcg_acc[k] / used for k in k_list},
         phr={k: hit_acc[k] / used for k in k_list},
         users_evaluated=used,
-        users_skipped=skipped,
+        users_skipped=len(samples) - used,
     )
 
 

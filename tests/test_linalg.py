@@ -54,3 +54,24 @@ def test_activations_monotone(xs):
     for fn in (elu, relu, logistic):
         out = fn(row)[0]
         assert all(out[i] <= out[i + 1] + 1e-12 for i in range(len(out) - 1))
+
+
+def _two_branch_logistic(x):
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def test_logistic_is_bitwise_the_two_branch_formula():
+    grid = np.array([0.0, -0.0, 1e-300, -1e-300, 1.0, -1.0, 30.0, -30.0, 710.0, -710.0, 1e308, -1e308])
+    grid = np.concatenate([grid, np.linspace(-40.0, 40.0, 801)])
+    with np.errstate(over="ignore"):
+        assert np.array_equal(logistic(grid), _two_branch_logistic(grid))
+        assert np.array_equal(logistic(grid.reshape(-1, 3)), _two_branch_logistic(grid).reshape(-1, 3))
+        single = grid.astype(np.float32)
+        got = logistic(single)
+    assert got.dtype == np.float32
+    assert np.array_equal(got, _two_branch_logistic(single))

@@ -15,6 +15,7 @@ from pietsp.model import (
     fuse_scores,
     ge_forward,
     init_params,
+    make_batch,
     param_shapes,
     pe_forward,
     pi_forward,
@@ -197,9 +198,11 @@ def test_fuse_beta_zero_is_pure_global():
     assert np.allclose(out, alpha * o_s)
 
 
-def test_fuse_rejects_duplicate_mapping():
-    with pytest.raises(MappingError):
-        fuse_scores(np.zeros(5), np.zeros(2), np.array([1, 1]), np.ones(5), np.ones(5))
+def test_batch_rejects_duplicate_mapping_naming_the_user():
+    sample = synthetic_samples(3, 2, 10, 1, seed=22)[0]
+    dup = PreparedSample("dup-user", np.array([1, 1, 4]), sample.membership, sample.target_ids, 10)
+    with pytest.raises(MappingError, match="user 'dup-user'.*duplicate"):
+        make_batch([sample, dup], 10)
 
 
 def test_fuse_locality():
@@ -223,7 +226,7 @@ def test_forward_shape_law():
     trace = forward(sample, params)
     assert trace.pe_out.shape == (3, 32)
     assert trace.elem_scores.shape == (3,)
-    assert trace.global_scores.shape == (100,)
+    assert trace.global_scores.shape == (1, 100)  # one row per user of the engine call
     assert trace.logits.shape == (100,)
 
 

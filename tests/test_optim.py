@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from pietsp.model import init_params
 from pietsp.optim import (
+    BETA1,
+    BETA2,
     DECAYED_SLOTS,
     EPS,
     AdamState,
@@ -123,3 +125,29 @@ def test_velocity_nonnegative():
         adam_step(params, grads, state, lr=0.001)
     for name, arr in state.v.slots():
         assert np.all(arr >= 0.0), name
+
+
+def test_in_place_step_is_bitwise_the_textbook_formula():
+    """Decayed slots, undecayed slots and the 0-d ee_b2 all follow the written-out update bit for bit."""
+    rng = np.random.default_rng(4)
+    params = init_params(9, 4, 2, seed=2)
+    want = params.copy()
+    state = AdamState.init(params)
+    m, v = params.zeros_like(), params.zeros_like()
+    lr, decay = 0.003, 0.02
+    for step in range(1, 6):
+        grads = params.zeros_like()
+        for _, arr in grads.slots():
+            arr[...] = rng.normal(size=arr.shape)
+        adam_step(params, grads, state, lr=lr, weight_decay=decay)
+        bc1, bc2 = 1.0 - BETA1**step, 1.0 - BETA2**step
+        for name, p in want.slots():
+            g, mm, vv = getattr(grads, name), getattr(m, name), getattr(v, name)
+            mm[...] = BETA1 * mm + (1.0 - BETA1) * g
+            vv[...] = BETA2 * vv + (1.0 - BETA2) * g * g
+            update = (mm / bc1) / (np.sqrt(vv / bc2) + EPS)
+            p[...] = p - lr * update - lr * decay * p if name in DECAYED_SLOTS else p - lr * update
+    assert params.ee_b2.shape == () and "ee_b2" not in DECAYED_SLOTS and "emb" in DECAYED_SLOTS
+    for got, expected in ((params, want), (state.m, m), (state.v, v)):
+        for (name, a), (_, b) in zip(got.slots(), expected.slots()):
+            assert np.array_equal(a, b), name

@@ -30,18 +30,18 @@ def periodic_corpus(users=30, vocab=60, seed=0, history_len=4):
 # --- loss --------------------------------------------------------------------
 
 def test_bce_single_logit_zero_is_ln2():
-    loss, d = bce_loss(np.array([0.0]), np.array([1.0]))
+    loss, d = bce_loss(np.array([0.0]), np.array([0]))
     assert abs(loss - math.log(2.0)) < 1e-15
     assert abs(d[0] - (0.5 - 1.0)) < 1e-15
 
 
 def test_bce_saturated_positive_is_tiny_and_stable():
-    loss, _ = bce_loss(np.array([30.0]), np.array([1.0]))
+    loss, _ = bce_loss(np.array([30.0]), np.array([0]))
     assert 0.0 <= loss < 1e-12
 
 
 def test_bce_extreme_logits_do_not_overflow():
-    loss, d = bce_loss(np.array([1000.0, -1000.0]), np.array([0.0, 0.0]))
+    loss, d = bce_loss(np.array([1000.0, -1000.0]), np.array([], dtype=np.int64))
     assert np.isfinite(loss) and np.all(np.isfinite(d))
     assert abs(loss - 500.0) < 1e-12  # softplus(1000)/2
 
@@ -49,7 +49,7 @@ def test_bce_extreme_logits_do_not_overflow():
 def test_bce_gradient_matches_finite_differences():
     rng = np.random.default_rng(3)
     logits = rng.normal(size=40)
-    targets = (rng.random(40) < 0.2).astype(np.float64)
+    targets = rng.random(40) < 0.2
     _, d = bce_loss(logits, targets)
     h = 1e-6
     for i in range(40):
@@ -63,15 +63,18 @@ def test_bce_gradient_matches_finite_differences():
 
 def test_bce_l2_term():
     params = init_params(8, 3, 2, seed=0)
-    plain, _ = bce_loss(np.zeros(8), np.zeros(8))
-    with_l2, d = bce_loss(np.zeros(8), np.zeros(8), l2_coeff=0.5, params=params)
+    none = np.zeros(8, dtype=bool)
+    plain, _ = bce_loss(np.zeros(8), none)
+    with_l2, d = bce_loss(np.zeros(8), none, l2_coeff=0.5, params=params)
     assert abs(with_l2 - plain - 0.5 * l2_penalty(params)) < 1e-12
-    assert np.allclose(d, bce_loss(np.zeros(8), np.zeros(8))[1])  # penalty does not touch d_logits
+    assert np.allclose(d, bce_loss(np.zeros(8), none)[1])  # penalty does not touch d_logits
 
 
 def test_bce_shape_mismatch():
     with pytest.raises(PietspError):
-        bce_loss(np.zeros(3), np.zeros(4))
+        bce_loss(np.zeros(3), np.zeros(4, dtype=bool))
+    with pytest.raises(PietspError):
+        bce_loss(np.zeros((2, 3)), (np.array([0]), np.array([3])))
 
 
 # --- epoch mechanics -----------------------------------------------------------
