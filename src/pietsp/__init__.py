@@ -12,7 +12,7 @@ from .data import (
     split_users,
 )
 from .errors import PietspError
-from .metrics import MetricReport, ndcg_at_k, phr, recall_at_k, top_k
+from .metrics import MetricReport, ndcg_at_k, phr, recall_at_k, top_k, top_k_rows
 from .model import ForwardTrace, ModelParams, backward, forward, init_params
 from .optim import AdamState, adam_step, cosine_lr
 from .train import FitResult, TrainConfig, bce_loss, evaluate, fit
@@ -49,4 +49,5 @@ __all__ = [
     "recall_at_k",
     "split_users",
     "top_k",
+    "top_k_rows",
 ]

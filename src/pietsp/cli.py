@@ -163,18 +163,19 @@ def _cmd_eval(args) -> int:
 
 def _cmd_predict(args) -> int:
     from .data import prepare_all
-    from .metrics import top_k
-    from .model import forward
+    from .metrics import top_k_rows
+    from .model import batch_slices, forward_batch, make_batch
     from .train import TrainConfig
 
     ck, corpus = _load_matching(args.ckpt, args.data)
     config = TrainConfig.from_dict(ck.config or {})
     part = _pick_split(corpus, args.split, config.split_ratios, config.seed)
     lines = []
-    for sample in prepare_all(part, ck.params.k_max):
-        scores = forward(sample, ck.params, config.variant).logits
-        ids = top_k(scores, args.top)
-        lines.append(json.dumps({"user_id": sample.user_id, "items": [int(i) for i in ids]}))
+    for users in batch_slices(prepare_all(part, ck.params.k_max)):
+        batch = make_batch(users, ck.params.vocab_size)
+        ranked = top_k_rows(forward_batch(batch, ck.params, config.variant).logits, args.top)
+        for sample, ids in zip(users, ranked.tolist()):
+            lines.append(json.dumps({"user_id": sample.user_id, "items": ids}))
     text = "\n".join(lines) + "\n"
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")

@@ -71,11 +71,7 @@ def logistic(x: np.ndarray) -> np.ndarray:
     is max(e, x >= 0), since e <= 1, so no mask is gathered or scattered.
     """
     x = np.asarray(x)
-    e = _exp_neg_abs(x)
-    out = np.maximum(e, x >= 0)
-    e += 1
-    out /= e
-    return out
+    return _logistic_from(x, _exp_neg_abs(x))
 
 
 def softplus(x: np.ndarray) -> np.ndarray:
@@ -84,6 +80,23 @@ def softplus(x: np.ndarray) -> np.ndarray:
     out = _exp_neg_abs(x)
     np.log1p(out, out=out)
     out += np.maximum(x, 0)
+    return out
+
+
+def softplus_logistic(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(softplus(x), logistic(x)) from one shared exp(-|x|): the same bits, one exp instead of two."""
+    x = np.asarray(x)
+    e = _exp_neg_abs(x)
+    soft = np.log1p(e)
+    soft += np.maximum(x, 0)
+    return soft, _logistic_from(x, e)
+
+
+def _logistic_from(x: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """logistic(x) given e = exp(-|x|), which it overwrites."""
+    out = np.maximum(e, x >= 0)
+    e += 1
+    out /= e
     return out
 
 

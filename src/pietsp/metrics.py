@@ -1,4 +1,10 @@
-"""Top-k ranking metrics (recall, normalized DCG, per-user hit ratio)."""
+"""Top-k ranking metrics (recall, normalized DCG, per-user hit ratio).
+
+``top_k`` ranks one score vector (a single request: ``forward`` then
+``top_k``); ``top_k_rows`` ranks a whole (B, |E|) score block, as
+``evaluate`` and ``pietsp predict`` do once per engine call, with the same
+ids and the same tie-breaking (ascending id) row for row.
+"""
 
 from __future__ import annotations
 
@@ -38,6 +44,38 @@ def top_k(scores: np.ndarray, k: int) -> np.ndarray:
         idx = np.concatenate([above, tied[: k - above.size]])
     order = np.lexsort((idx, -scores[idx]))
     return idx[order]
+
+
+def top_k_rows(scores: np.ndarray, k: int) -> np.ndarray:
+    """(B, min(k, n)) ids: row b is exactly ``top_k(scores[b], k)``, for finite scores.
+
+    One argpartition picks every row's k candidates (partitioning at n - k
+    needs no negated copy of the block) and one lexsort orders them.  A
+    row's boundary is its lowest picked score; where more than k scores lie
+    at or above it, a tie crosses the pick and argpartition may have kept
+    the wrong tied ids, so that row alone is ranked by ``top_k``.
+    """
+    scores = np.asarray(scores)
+    if scores.ndim != 2:
+        raise MetricError(f"top_k_rows expects a 2-D score block, got shape {scores.shape}")
+    if k < 1:
+        raise MetricError(f"top_k_rows needs k >= 1, got {k}")
+    n = scores.shape[1]
+    k = min(k, n)
+    if k == n:
+        idx = np.broadcast_to(np.arange(n), scores.shape)
+        vals = scores
+        crossing = ()
+    else:
+        idx = np.argpartition(scores, n - k, axis=1)[:, n - k :]
+        vals = np.take_along_axis(scores, idx, axis=1)
+        at_or_above = np.count_nonzero(scores >= vals.min(axis=1, keepdims=True), axis=1)
+        crossing = np.flatnonzero(at_or_above > k)
+    order = np.lexsort((idx, -vals), axis=-1)
+    ranked = np.take_along_axis(idx, order, axis=1)
+    for row in crossing:
+        ranked[row] = top_k(scores[row], k)
+    return ranked
 
 
 def recall_at_k(topk_ids, truth) -> float:

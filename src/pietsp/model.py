@@ -27,8 +27,11 @@ scores are one (B x D)(D x |E|) product, and the logits a B x |E| block.
 ``forward`` is the B = 1 call and returns 1-D logits.  ``batch_slices``
 cuts a list of users into engine calls of bounded size (``MAX_BATCH_ROWS``
 universe rows, ``MAX_BATCH_USERS`` users), which keeps the memory of a call
-independent of the minibatch.  ``make_batch`` validates every universe once
-and names the user in the ``MappingError``.  The first call sets glibc's
+independent of the minibatch.  ``make_batch`` validates all the universes in
+one pass over the stacked ids (each must rise strictly, as prepared samples
+do, and lie in the vocabulary); only a user failing that pass is sorted on
+its own, which accepts a permuted universe and otherwise raises the
+``MappingError`` naming the user.  The first call sets glibc's
 malloc thresholds (``heap.keep_freed_heap``), so the memory one call frees
 serves the next instead of going back to the OS and being faulted in again.
 
@@ -42,8 +45,9 @@ program (``checkpoint.load_checkpoint``).
 The backward pass is derived by hand (no autodiff) and adds the gradients
 of the whole call into a caller-owned ``ModelParams`` buffer, so a
 minibatch sums into one table.  The embedding table receives gradient
-through two routes: the gather into Z (universe rows only, one
-``np.add.at``) and the global scoring o_s = M zbar (every row, one
+through two routes: the gather into Z (universe rows only, summed per
+distinct id by one ``np.add.reduceat`` over the ids in sorted order,
+``Batch.scatter_add``) and the global scoring o_s = M zbar (every row, one
 (|E| x B)(B x D) product).  Ablation variants drop one scoring branch:
 
     "no-ee": y = a * o_s          (element scores removed)
@@ -226,6 +230,21 @@ class Batch:
     def size(self) -> int:
         return self.segs.size
 
+    @cached_property
+    def scatter_plan(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(order, starts, uniq): a stable argsort of ``ids``, where each distinct id's run
+        starts in that order, and the distinct ids.  Built on first use, by ``backward``, so
+        forward-only calls (evaluate, predict) never pay for it."""
+        order = np.argsort(self.ids, kind="stable")
+        ordered = self.ids[order]
+        starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+        return order, starts, ordered[starts]
+
+    def scatter_add(self, table: np.ndarray, rows: np.ndarray) -> None:
+        """``table[ids[r]] += rows[r]`` for every row r; rows of an id repeated across users are summed."""
+        order, starts, uniq = self.scatter_plan
+        table[uniq] += np.add.reduceat(rows[order], starts, axis=0)
+
 
 def _check_universe(sample: PreparedSample, vocab_size: int) -> None:
     universe = sample.universe
@@ -239,23 +258,48 @@ def _check_universe(sample: PreparedSample, vocab_size: int) -> None:
         raise MappingError(f"{where}: universe ids outside [0, {vocab_size})")
 
 
+def _check_universes(samples: list[PreparedSample], ids: np.ndarray, offsets: np.ndarray, vocab_size: int) -> None:
+    """Raise ``MappingError`` for the first user whose universe has duplicate or out-of-range ids.
+
+    One pass over the stacked ids: every universe must rise strictly (sorted
+    and distinct, as ``PreparedSample`` builds it) and every id lie in
+    [0, vocab_size).  Only users failing either test go through the
+    sort-based ``_check_universe``, which accepts a distinct in-range
+    universe in any order and words the error.
+    """
+    falls = ids[1:] <= ids[:-1]
+    falls[offsets[1:] - 1] = False  # a user's first id may lie below the previous user's last
+    suspects = np.flatnonzero(falls) + 1
+    if ids.min() < 0 or ids.max() >= vocab_size:
+        suspects = np.concatenate((suspects, np.flatnonzero((ids < 0) | (ids >= vocab_size))))
+    if suspects.size:
+        for b in np.unique(np.searchsorted(offsets, suspects, side="right") - 1):
+            _check_universe(samples[b], vocab_size)
+
+
 def make_batch(samples: list[PreparedSample], vocab_size: int) -> Batch:
-    """Stack the samples for one engine call, validating each universe once."""
+    """Stack the samples for one engine call, validating all their universes in one pass."""
     for sample in samples:
-        _check_universe(sample, vocab_size)
-    if len(samples) == 1:  # predict's call: nothing to stack, and ~12 us less than the general path
+        if sample.universe.ndim != 1 or sample.universe.size == 0:
+            _check_universe(sample, vocab_size)
+    if len(samples) == 1:  # predict's call: nothing to stack, and a rising universe spans [u[0], u[-1]]
         (s,) = samples
+        u = s.universe
+        if u[0] < 0 or u[-1] >= vocab_size or not (u[1:] > u[:-1]).all():
+            _check_universe(s, vocab_size)
         return Batch(
-            ids=s.universe,
+            ids=u,
             membership=(s.membership,),
-            segs=Segments.one(s.universe.size),
+            segs=Segments.one(u.size),
             targets=(np.zeros(s.target_ids.size, dtype=np.intp), s.target_ids),
         )
     counts = np.array([s.universe.size for s in samples], dtype=np.intp)
     offsets = np.zeros_like(counts)
     np.cumsum(counts[:-1], out=offsets[1:])
+    ids = np.concatenate([s.universe for s in samples])
+    _check_universes(samples, ids, offsets, vocab_size)
     return Batch(
-        ids=np.concatenate([s.universe for s in samples]),
+        ids=ids,
         membership=tuple(s.membership for s in samples),
         segs=Segments(offsets, counts),
         targets=(
@@ -493,4 +537,4 @@ def backward(trace: ForwardTrace, params: ModelParams, d_logits: np.ndarray, gra
     d_rows = d_pre @ params.pe_w_global[k_max:].T
     del d_pe, d_pre
     d_rows -= segs.spread((d_sum @ params.pe_w_local[k_max:].T) / segs.counts[:, None])
-    np.add.at(grads.emb, ids, d_rows)
+    trace.batch.scatter_add(grads.emb, d_rows)

@@ -5,9 +5,10 @@ the model's ragged-batch engine (no padding: the users' universes are
 stacked), one call per ``batch_slices`` run of it, each call's backward
 adding into one gradient buffer per minibatch, which is averaged and
 applied in a single optimizer step.  The loss is evaluated on the B x |E|
-logit block with sparse targets.  Evaluation ranks the same engine's
-logits.  The per-epoch shuffle is keyed by (seed, epoch), so resuming from
-a checkpoint replays the identical stream.
+logit block with sparse targets, softplus and logistic sharing one exp.
+Evaluation ranks each engine call's logit block at once.  The per-epoch
+shuffle is keyed by (seed, epoch), so resuming from a checkpoint replays
+the identical stream.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from . import seeding
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import Corpus, PreparedSample, max_history_len, prepare_all
 from .errors import PietspError
-from .linalg import logistic, softplus
-from .metrics import MetricReport, position_weights, top_k
+from .linalg import NumericsError, softplus_logistic
+from .metrics import MetricReport, position_weights, top_k_rows
 from .model import ModelParams, VARIANTS, backward, batch_slices, forward, forward_batch, init_params, make_batch  # noqa: F401  forward stays importable from here
 from .optim import DECAYED_SLOTS, AdamState, adam_step, cosine_lr
 
@@ -92,14 +93,13 @@ def bce_loss(
     except IndexError as exc:
         raise PietspError(f"bce_loss: targets do not index logits of shape {logits.shape}: {exc}") from None
     n = logits.shape[-1]
-    terms = softplus(logits)
+    terms, d_logits = softplus_logistic(logits)  # one exp(-|y|) serves both
     terms[targets] -= positives
     loss = terms.sum(axis=-1) / n
     if l2_coeff:
         if params is None:
             raise PietspError("bce_loss: l2_coeff set but no params given")
         loss += l2_coeff * l2_penalty(params)
-    d_logits = logistic(logits)
     d_logits[targets] -= 1
     d_logits /= n
     return loss, d_logits
@@ -151,6 +151,17 @@ def train_epoch(
     return total_loss / len(samples)
 
 
+def _checked_scores(score_fn, sample: PreparedSample, vocab_size: int) -> np.ndarray:
+    scores = np.asarray(score_fn(sample))
+    if scores.shape != (vocab_size,):
+        raise PietspError(
+            f"evaluate: score_fn gave user '{sample.user_id}' scores of shape {scores.shape}, expected ({vocab_size},)"
+        )
+    if not np.isfinite(scores).all():
+        raise NumericsError(f"evaluate: score_fn gave user '{sample.user_id}' non-finite scores")
+    return scores
+
+
 def evaluate(
     samples: list[PreparedSample],
     params: ModelParams,
@@ -162,8 +173,11 @@ def evaluate(
 
     Read-only with respect to ``params``.  ``score_fn`` (sample -> scores)
     replaces the model forward when given; used for baselines and tests.
-    Users with an empty target are skipped.  Each row is ranked by
-    ``top_k``; recall, NDCG and PHR at every k then come from the matrix of
+    Each of its score vectors must be finite and shaped (|E|,), or the
+    ``PietspError`` (``NumericsError`` for a non-finite score) names the
+    user.  Users with an empty target are skipped.  Each engine call's score
+    block is ranked at once by ``top_k_rows`` (row for row the ids of
+    ``top_k``); recall, NDCG and PHR at every k then come from the matrix of
     hits at each rank, with DCG summed in rank order over ``position_weights``.
     """
     k_list = tuple(int(k) for k in k_list)
@@ -183,8 +197,8 @@ def evaluate(
         if score_fn is None:
             scores = forward_batch(batch, params, variant).logits
         else:
-            scores = np.stack([np.asarray(score_fn(s)) for s in part])
-        ranked = np.stack([top_k(row, k_top) for row in scores])
+            scores = np.stack([_checked_scores(score_fn, s, params.vocab_size) for s in part])
+        ranked = top_k_rows(scores, k_top)
         truth = np.zeros(scores.shape, dtype=bool)
         truth[batch.targets] = True
         n_truth = np.count_nonzero(truth, axis=1)

@@ -4,7 +4,11 @@ from dataclasses import dataclass
 import pytest
 
 import pietsp.train
+from pietsp.checkpoint import load_checkpoint
 from pietsp.cli import main
+from pietsp.data import load_corpus, prepare_all
+from pietsp.metrics import top_k
+from pietsp.model import forward
 
 
 def run_cli(*argv):
@@ -94,6 +98,30 @@ def test_predict_emits_jsonl(tmp_path, trained, synthetic_file):
     for record in lines:
         assert len(record["items"]) == 5
         assert len(set(record["items"])) == 5
+
+
+def _per_user_predictions(ckpt, data, top):
+    """The JSONL of ranking each user's own forward pass with ``top_k``, one user at a time."""
+    params = load_checkpoint(ckpt).params
+    corpus, _ = load_corpus(data)
+    lines = []
+    for sample in prepare_all(corpus, params.k_max):
+        ids = top_k(forward(sample, params).logits, top)
+        lines.append(json.dumps({"user_id": sample.user_id, "items": [int(i) for i in ids]}))
+    return "\n".join(lines) + "\n"
+
+
+def test_predict_matches_the_per_user_loop(tmp_path, trained, synthetic_file):
+    many = tmp_path / "many.json"  # 150 users: three engine calls of at most 64
+    assert run_cli("gen-synthetic", "--pattern", "repeat-biased", "--users", "150", "--vocab", "60",
+                   "--out", str(many), "--seed", "5") == 0
+    ckpt = trained / "checkpoint-best.json"
+    for data in (synthetic_file, many):
+        for top in (5, 60, 75):  # 75 > |E|: every item, ranked
+            out = tmp_path / f"{data.stem}-{top}.jsonl"
+            assert run_cli("predict", "--ckpt", str(ckpt), "--data", str(data), "--split", "all",
+                           "--top", str(top), "--out", str(out)) == 0
+            assert out.read_text() == _per_user_predictions(ckpt, data, top)
 
 
 def test_bench_grid_prints_reports(tmp_path, capsys):

@@ -7,6 +7,9 @@ from gradcheck import analytic_gradient, check_all_slots, make_batch_instance
 from oracle import oracle_backward, oracle_evaluate, oracle_forward, oracle_gradients
 from pietsp.bench import synthetic_samples
 from pietsp.data import PreparedSample
+from pietsp.errors import PietspError
+from pietsp.linalg import NumericsError
+from pietsp import model
 from pietsp.model import (
     MAX_BATCH_ROWS,
     MAX_BATCH_USERS,
@@ -118,6 +121,74 @@ def test_train_and_evaluate_name_the_user_with_a_bad_universe(bad_universe, mess
         train_epoch(samples, params, AdamState.init(params), cfg, epoch=0)
     with pytest.raises(MappingError, match=f"user 'bad-user'.*{message}"):
         evaluate(samples, params, (5,))
+
+
+check_universe = model._check_universe
+
+
+def _user(user_id, universe, vocab=40):
+    u = np.array(universe)
+    return PreparedSample(user_id, u, np.ones((u.size, 3)), np.array([0]), vocab)
+
+
+def test_sorted_scatter_matches_add_at():
+    rng = np.random.default_rng(8)
+    samples = [_user(f"u{i}", rng.choice(12, n, replace=False)) for i, n in enumerate((5, 12, 1, 9, 12))]
+    batch = make_batch(samples, 40)
+    assert np.unique(batch.ids).size < batch.ids.size  # ids repeat across users
+    rows = rng.normal(size=(batch.ids.size, 6))
+    table = rng.normal(size=(40, 6))
+    want = table.copy()
+    np.add.at(want, batch.ids, rows)
+    batch.scatter_add(table, rows)
+    assert np.abs(table - want).max() <= 1e-12
+
+
+def test_one_pass_validation_edge_cases(monkeypatch):
+    sorted_by_hand = []
+
+    def counted(sample, vocab):
+        sorted_by_hand.append(sample.user_id)
+        check_universe(sample, vocab)
+
+    monkeypatch.setattr(model, "_check_universe", counted)
+    ok = [
+        _user("unsorted", [7, 2, 9, 0]),        # distinct but permuted: accepted
+        _user("single-a", [5]),
+        _user("single-b", [3]),                 # adjacent N = 1 users
+        _user("starts-below", [1, 4, 39]),      # first id below the previous user's last
+        _user("sorted", [0, 39]),
+    ]
+    batch = make_batch(ok, 40)
+    assert batch.ids.tolist() == [7, 2, 9, 0, 5, 3, 1, 4, 39, 0, 39]
+    assert sorted_by_hand == ["unsorted"]  # every rising universe passes the one-pass check alone
+    for bad, message in ((_user("dup", [8, 3, 8]), "duplicate"), (_user("far", [2, 40]), "outside")):
+        with pytest.raises(MappingError, match=f"user '{bad.user_id}'.*{message}"):
+            make_batch([ok[0], bad, ok[2]], 40)
+    with pytest.raises(MappingError, match="user 'negative'.*outside"):
+        make_batch([ok[3], _user("negative", [-1, 3])], 40)
+
+
+@pytest.mark.parametrize(
+    "bad_scores,error,message",
+    [
+        (lambda v: np.where(np.arange(v) == 3, np.nan, 0.5), NumericsError, "non-finite"),
+        (lambda v: np.zeros(v - 1), PietspError, r"shape \(29,\)"),
+        (lambda v: np.zeros(v + 10), PietspError, r"shape \(40,\)"),
+    ],
+    ids=("nan", "short", "long"),
+)
+def test_evaluate_rejects_bad_score_fn_output_naming_the_user(bad_scores, error, message):
+    vocab = 30
+    samples = synthetic_samples(6, 3, vocab, 5, seed=4)
+    params = init_params(vocab, 4, 3, seed=6)
+    rng = np.random.default_rng(1)
+
+    def score_fn(sample):
+        return bad_scores(vocab) if sample is samples[3] else rng.normal(size=vocab)
+
+    with pytest.raises(error, match=f"user '{samples[3].user_id}'.*{message}"):
+        evaluate(samples, params, (10,), score_fn=score_fn)
 
 
 def test_evaluate_matches_per_user_oracle_with_ties():

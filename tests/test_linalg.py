@@ -2,7 +2,7 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pietsp.linalg import elu, elu_grad, logistic, relu, relu_grad, softplus
+from pietsp.linalg import elu, elu_grad, logistic, relu, relu_grad, softplus, softplus_logistic
 
 
 def test_elu_definition():
@@ -70,6 +70,8 @@ def test_logistic_is_bitwise_the_two_branch_formula():
     grid = np.concatenate([grid, np.linspace(-40.0, 40.0, 801)])
     with np.errstate(over="ignore"):
         assert np.array_equal(logistic(grid), _two_branch_logistic(grid))
+        soft, sig = softplus_logistic(grid)
+        assert np.array_equal(soft, softplus(grid)) and np.array_equal(sig, logistic(grid))
         assert np.array_equal(logistic(grid.reshape(-1, 3)), _two_branch_logistic(grid).reshape(-1, 3))
         single = grid.astype(np.float32)
         got = logistic(single)

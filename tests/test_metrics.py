@@ -2,10 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from pietsp.metrics import MetricError, MetricReport, ndcg_at_k, phr, recall_at_k, top_k
+from pietsp.metrics import MetricError, MetricReport, ndcg_at_k, phr, recall_at_k, top_k, top_k_rows
 from reference_metrics import ref_hit, ref_ndcg, ref_rank_all, ref_recall
 
 
@@ -40,6 +40,31 @@ def test_top_k_matches_full_sort_reference(seed, k):
     # quantized scores force plenty of exact ties
     scores = np.round(rng.normal(size=n), 1)
     assert list(top_k(scores, k)) == ref_rank_all(scores)[: min(k, n)]
+
+
+# few distinct values (both zeros among them) force ties across the pick boundary
+TIED_VALUES = np.array([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0])
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 40), st.integers(1, 50), st.booleans())
+@example(seed=0, users=3, n=1, k=1, tied=True)
+@example(seed=1, users=4, n=12, k=1, tied=True)
+@example(seed=2, users=2, n=12, k=12, tied=True)
+@example(seed=3, users=5, n=9, k=30, tied=False)
+def test_top_k_rows_equals_top_k_row_by_row(seed, users, n, k, tied):
+    rng = np.random.default_rng(seed)
+    block = rng.choice(TIED_VALUES, size=(users, n)) if tied else rng.normal(size=(users, n))
+    ranked = top_k_rows(block, k)
+    assert ranked.shape == (users, min(k, n))
+    for row, ids in zip(block, ranked):
+        assert list(ids) == list(top_k(row, k))
+
+
+def test_top_k_rows_rejects_bad_input():
+    with pytest.raises(MetricError):
+        top_k_rows(np.zeros(4), 2)
+    with pytest.raises(MetricError):
+        top_k_rows(np.zeros((2, 4)), 0)
 
 
 # --- spot values from closed forms -----------------------------------------

@@ -6,6 +6,7 @@ import pytest
 
 from pietsp.data import SyntheticSpec, gen_synthetic, prepare_all, split_users
 from pietsp.errors import PietspError
+from pietsp.linalg import logistic, softplus
 from pietsp.model import init_params
 from pietsp.optim import AdamState, cosine_lr
 from pietsp.train import TrainConfig, bce_loss, evaluate, fit, l2_penalty, train_epoch
@@ -59,6 +60,29 @@ def test_bce_gradient_matches_finite_differences():
         down[i] -= h
         fd = (bce_loss(up, targets)[0] - bce_loss(down, targets)[0]) / (2 * h)
         assert abs(fd - d[i]) / max(abs(fd) + abs(d[i]), 1e-8) < 1e-6
+
+
+def _two_exp_bce(logits, targets):
+    """bce_loss as two separate passes, softplus and logistic each taking its own exp."""
+    n = logits.shape[-1]
+    terms = softplus(logits)
+    terms[targets] -= logits[targets]
+    d_logits = logistic(logits)
+    d_logits[targets] -= 1
+    d_logits /= n
+    return terms.sum(axis=-1) / n, d_logits
+
+
+def test_bce_one_exp_is_bitwise_the_two_exp_form():
+    grid = np.array([0.0, -0.0, 1e-300, -1e-300, 1.0, -1.0, 30.0, -30.0, 700.0, -700.0, 1e308, -1e308])
+    logits = np.concatenate([grid, np.linspace(-40.0, 40.0, 588)]).reshape(6, 100)
+    rng = np.random.default_rng(2)
+    mask = rng.random(logits.shape) < 0.3
+    with np.errstate(over="ignore"):  # rows holding 1e308 sum to inf in both forms
+        for targets in (mask, np.nonzero(mask)):
+            loss, d_logits = bce_loss(logits, targets)
+            want_loss, want_d = _two_exp_bce(logits, targets)
+            assert np.array_equal(loss, want_loss) and np.array_equal(d_logits, want_d)
 
 
 def test_bce_l2_term():
