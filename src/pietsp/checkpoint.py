@@ -6,18 +6,32 @@ whitespace), so save -> load -> save is byte-identical.  The envelope
 records the model dimensions, the concatenation layout, and the run seed;
 optimizer and trainer state ride along for resumable training.
 
+The bytes are those of ``json.dumps(payload, sort_keys=True,
+separators=(",", ":"))`` with every base64 string in place, but
+``json.dumps`` never sees the base64: it runs over the envelope with a
+short marker in each array's ``"data"`` field, and each array's
+``binascii.b2a_base64`` bytes are spliced in where its marker stands.
+Base64 holds nothing JSON escapes, so the splice changes no byte; it saves
+the escape scan over the payloads and two full-size text copies.  The
+marker is ``@``; when user text in ``config`` or the trainer state holds
+an ``@`` too, the envelope is dumped once more with a run of ``@`` longer
+than any in that text, which then occurs only where the arrays stand.
+
 Loading is where parameter shapes enter from outside the program, so every
 slot of the parameters, both Adam moments and the best parameters is
-checked there against the shapes the envelope's dimensions give.  Saving
-writes a temporary file and renames it over the target, so an interrupted
-save leaves the previous checkpoint intact.
+checked there against the shapes the envelope's dimensions give, and each
+payload is decoded straight from its JSON string.  Saving writes a
+temporary file in one ``write_bytes`` call, so the spliced pieces are
+joined once (~5 ms at 17.7 MB), and renames it over the target, so an
+interrupted save leaves the previous checkpoint intact.
 """
 
 from __future__ import annotations
 
-import base64
+import binascii
 import json
 import os
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -34,22 +48,30 @@ class CheckpointError(PietspError):
     """Checkpoint file missing, corrupt, or inconsistent with its own metadata."""
 
 
+class _Payload:
+    """One array awaiting its base64 bytes; ``json.dumps`` writes a marker in its place."""
+
+    __slots__ = ("arr",)
+
+    def __init__(self, arr: np.ndarray):
+        self.arr = arr
+
+
 def _encode_array(arr: np.ndarray) -> dict:
     if arr.dtype != np.float64:
         raise CheckpointError(f"checkpoints store float64 arrays, got {arr.dtype}")
-    return {
-        "shape": list(arr.shape),
-        "data": base64.b64encode(np.ascontiguousarray(arr, dtype="<f8").tobytes()).decode("ascii"),
-    }
+    return {"shape": list(arr.shape), "data": _Payload(arr)}
 
 
 def _decode_array(slot: str, obj) -> np.ndarray:
     if not isinstance(obj, dict) or "shape" not in obj or "data" not in obj:
         raise CheckpointError(f"slot '{slot}': malformed array record")
     shape = tuple(int(s) for s in obj["shape"])
+    if not isinstance(obj["data"], str):
+        raise CheckpointError(f"slot '{slot}': corrupt base64 payload (not a string)")
     try:
-        raw = base64.b64decode(obj["data"], validate=True)
-    except Exception as exc:
+        raw = binascii.a2b_base64(obj["data"], strict_mode=True)
+    except ValueError as exc:  # not ASCII, bad alphabet or padding
         raise CheckpointError(f"slot '{slot}': corrupt base64 payload") from exc
     expected = int(np.prod(shape, dtype=np.int64)) * 8 if shape else 8
     if len(raw) != expected:
@@ -125,7 +147,39 @@ def checkpoint_bytes(
             else _encode_params(train_state["best_params"]),
         },
     }
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    return b"".join(_splice(payload))
+
+
+def _splice(payload: dict) -> list[bytes]:
+    """The canonical dump of ``payload`` in pieces: envelope text, base64, envelope text, ...
+
+    ``json.dumps`` calls ``placeholder`` for the ``_Payload`` records in the
+    order it writes them, and each writes the marker once, as a whole JSON
+    string.  Any further occurrence comes from user text; a run of ``@``
+    longer than every run in the first dump occurs in no user text.
+    """
+    arrays = []
+
+    def placeholder(obj):
+        if not isinstance(obj, _Payload):
+            raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+        arrays.append(obj.arr)
+        return marker
+
+    def dump():
+        arrays.clear()
+        return json.dumps(payload, sort_keys=True, separators=(",", ":"), default=placeholder)
+
+    marker = "@"
+    text = dump()
+    if text.count(marker) != len(arrays):
+        marker = "@" * (max(map(len, re.findall("@+", text))) + 1)
+        text = dump()
+    parts = text.encode("ascii").split(marker.encode("ascii"))
+    pieces = [parts[0]]
+    for arr, part in zip(arrays, parts[1:]):
+        pieces += (binascii.b2a_base64(np.ascontiguousarray(arr, dtype="<f8"), newline=False), part)
+    return pieces
 
 
 def write_atomic(path, data: bytes) -> None:

@@ -25,7 +25,10 @@ def top_k(scores: np.ndarray, k: int) -> np.ndarray:
     """Ids of the k highest scores, descending; ties broken by ascending id.
 
     Uses partial selection (argpartition + linear scans) so the full score
-    vector is never sorted; only the k winners are.
+    vector is never sorted; only the k winners are.  Partitioning at n - k
+    picks the k highest without a negated copy of the scores; it sorts NaN
+    above every number, so a NaN score is always picked, and raises
+    ``MetricError``.
     """
     scores = np.asarray(scores)
     if scores.ndim != 1:
@@ -34,11 +37,12 @@ def top_k(scores: np.ndarray, k: int) -> np.ndarray:
         raise MetricError(f"top_k needs k >= 1, got {k}")
     n = scores.shape[0]
     k = min(k, n)
-    if k == n:
-        idx = np.arange(n)
-    else:
-        candidates = np.argpartition(-scores, k - 1)[:k]
-        boundary = scores[candidates].min()
+    idx = np.arange(n) if k == n else np.argpartition(scores, n - k)[n - k :]
+    picked = scores[idx]
+    if np.isnan(picked).any():
+        raise MetricError("top_k: the scores hold NaN")
+    if k < n:  # the k-th place may fall inside a tie: keep the lowest tied ids
+        boundary = picked.min()
         above = np.flatnonzero(scores > boundary)
         tied = np.flatnonzero(scores == boundary)
         idx = np.concatenate([above, tied[: k - above.size]])
@@ -47,7 +51,7 @@ def top_k(scores: np.ndarray, k: int) -> np.ndarray:
 
 
 def top_k_rows(scores: np.ndarray, k: int) -> np.ndarray:
-    """(B, min(k, n)) ids: row b is exactly ``top_k(scores[b], k)``, for finite scores.
+    """(B, min(k, n)) ids: row b is exactly ``top_k(scores[b], k)``; NaN raises ``MetricError``.
 
     One argpartition picks every row's k candidates (partitioning at n - k
     needs no negated copy of the block) and one lexsort orders them.  A
@@ -71,6 +75,8 @@ def top_k_rows(scores: np.ndarray, k: int) -> np.ndarray:
         vals = np.take_along_axis(scores, idx, axis=1)
         at_or_above = np.count_nonzero(scores >= vals.min(axis=1, keepdims=True), axis=1)
         crossing = np.flatnonzero(at_or_above > k)
+    if np.isnan(vals).any():  # as in top_k, a row's NaN is among its picks
+        raise MetricError("top_k_rows: the scores hold NaN")
     order = np.lexsort((idx, -vals), axis=-1)
     ranked = np.take_along_axis(idx, order, axis=1)
     for row in crossing:

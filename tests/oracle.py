@@ -4,12 +4,19 @@ The program runs every user through the ragged-batch engine; these loops
 are what it must agree with.  ``oracle_forward``/``oracle_backward`` follow
 the model formulas for a single universe with plain row reductions, and
 ``oracle_evaluate`` scores users one by one with the scalar metric
-functions.
+functions.  ``oracle_checkpoint_bytes`` is the checkpoint format written
+the plain way, one ``json.dumps`` over the whole payload with the base64
+strings in place; the spliced writer must produce its bytes.
 """
+
+import base64
+import json
 
 import numpy as np
 
+from pietsp.checkpoint import FORMAT_VERSION
 from pietsp.metrics import ndcg_at_k, recall_at_k, top_k
+from pietsp.model import CONCAT_LAYOUT
 
 
 def _elu(x):
@@ -106,3 +113,38 @@ def oracle_evaluate(samples, scores, k_list):
             phr[k] += int(any(int(i) in truth for i in ranked[:k]))
     return {name: {k: acc[k] / used for k in k_list} for name, acc in
             (("recall", recall), ("ndcg", ndcg), ("phr", phr))}, used
+
+
+def _oracle_table(params):
+    return {
+        name: {"shape": list(arr.shape),
+               "data": base64.b64encode(np.ascontiguousarray(arr, dtype="<f8").tobytes()).decode("ascii")}
+        for name, arr in params.slots()
+    }
+
+
+def oracle_checkpoint_bytes(params, seed=None, config=None, opt_state=None, train_state=None):
+    """``checkpoint_bytes``'s output from one ``json.dumps`` of the full payload."""
+    payload = {
+        "format_version": FORMAT_VERSION,
+        "kind": "pietsp-checkpoint",
+        "vocab_size": params.vocab_size,
+        "dim": params.dim,
+        "k_max": params.k_max,
+        "concat_layout": CONCAT_LAYOUT,
+        "seed": seed,
+        "config": config,
+        "params": _oracle_table(params),
+        "optimizer": None
+        if opt_state is None
+        else {"step": opt_state.step, "m": _oracle_table(opt_state.m), "v": _oracle_table(opt_state.v)},
+        "trainer": None
+        if train_state is None
+        else {
+            **{k: v for k, v in train_state.items() if k != "best_params"},
+            "best_params": None
+            if train_state.get("best_params") is None
+            else _oracle_table(train_state["best_params"]),
+        },
+    }
+    return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")

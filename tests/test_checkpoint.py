@@ -4,7 +4,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from oracle import oracle_checkpoint_bytes
 from pietsp.checkpoint import (
     CheckpointError,
     checkpoint_bytes,
@@ -163,3 +166,91 @@ def test_interrupted_save_keeps_previous_checkpoint(tmp_path, monkeypatch):
     assert path.read_bytes() == before
     assert load_checkpoint(path).seed == 7
     assert [p.name for p in tmp_path.iterdir()] == ["ck.json"]
+
+
+# --- the spliced writer against the plain json.dumps encoder ------------------
+
+# text that JSON escapes, non-ASCII text, and the splice marker itself, alone and in runs
+AWKWARD = ['say "hi"', "back\\slash", "nul\x00byte", "gr\u00fc\u00dfe \u65e5\u672c \U0001f600",
+           "@", '"@"', "a@b.org", "@@@ and @@", "", "@" * 40]
+
+
+def _moved_params(vocab, dim, k_max, seed):
+    """Parameters plus Adam moments after one step, so every table differs."""
+    params = init_params(vocab, dim, k_max, seed=seed)
+    state = AdamState.init(params)
+    grads = params.zeros_like()
+    for _, arr in grads.slots():
+        arr[...] = np.random.default_rng(seed).normal(size=arr.shape)
+    adam_step(params, grads, state, lr=0.01)
+    return params, state
+
+
+def _train_state(best_params, history):
+    return {"epoch": 2, "best_metric": 0.25, "best_epoch": 1, "bad_epochs": 1,
+            "history": history, "best_params": best_params}
+
+
+def _fixtures():
+    params, state = _moved_params(9, 4, 2, seed=11)
+    history = [{"epoch": 0, "note": text} for text in AWKWARD]
+    config = {text: text for text in AWKWARD} | {"lr": 1e-3, "none": None, "list": AWKWARD}
+    return {
+        "params-only": dict(params=params),
+        "optimizer-only": dict(params=params, seed=3, opt_state=state),
+        "trainer-only": dict(params=params, train_state=_train_state(params.copy(), [])),
+        "no-best-params": dict(params=params, opt_state=state, train_state=_train_state(None, history)),
+        "awkward-strings": dict(params=params, seed=0, config=config, opt_state=state,
+                                train_state=_train_state(params.copy(), history)),
+        "marker-keys-only": dict(params=params, config={"@" * i: i for i in range(1, 40)}),
+    }
+
+
+@pytest.mark.parametrize("name", list(_fixtures()))
+def test_checkpoint_bytes_equal_the_json_dumps_oracle(name):
+    fixture = _fixtures()[name]
+    assert fixture["params"].ee_b2.shape == ()
+    assert checkpoint_bytes(**fixture) == oracle_checkpoint_bytes(**fixture)
+
+
+@given(vocab=st.integers(1, 12), dim=st.integers(1, 5), k_max=st.integers(1, 4), seed=st.integers(0, 2**16))
+def test_checkpoint_bytes_equal_the_oracle_on_small_shapes(vocab, dim, k_max, seed):
+    params, state = _moved_params(vocab, dim, k_max, seed)
+    kwargs = dict(seed=seed, config={"seed": seed}, opt_state=state,
+                  train_state=_train_state(params.copy(), [{"epoch": 0}]))
+    assert checkpoint_bytes(params, **kwargs) == oracle_checkpoint_bytes(params, **kwargs)
+
+
+def test_unserializable_user_state_still_raises_type_error():
+    with pytest.raises(TypeError, match="int64"):
+        checkpoint_bytes(init_params(9, 4, 2, seed=3), config={"epochs": np.int64(3)})
+
+
+def test_truncated_checkpoint_is_rejected(tmp_path):
+    params, state = _moved_params(9, 4, 2, seed=12)
+    whole = checkpoint_bytes(params, seed=1, opt_state=state, train_state=_train_state(params.copy(), []))
+    data_at = whole.index(b'"emb":{"data":"') + len(b'"emb":{"data":"')
+    cuts = {"envelope": whole.index(b'"concat_layout"') + 5, "payload": data_at + 40, "last-byte": len(whole) - 1}
+    for where, cut in cuts.items():
+        path = tmp_path / f"{where}.json"
+        path.write_bytes(whole[:cut])
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+
+@pytest.mark.parametrize(
+    "data",
+    # the last four would decode to the slot's 8 bytes if stray characters were skipped
+    ["AAAAAAAA\u00e9AAA", 12, ["AAAAAAAAAAA="], "AAAAAAAAAAA", "AAAAAAAAAA=A", "=AAAAAAAAAAA",
+     "AAAA-AAAAAAA=", "AAAA\nAAAAAAA=", "AAAAAAAAAAA=A", "AAAAAAAAAAA=="],
+    ids=["non-ascii", "int", "list", "no-padding", "padding-inside", "leading-padding",
+         "outside-alphabet", "newline", "data-after-padding", "excess-padding"],
+)
+def test_bad_payload_names_slot(tmp_path, data):
+    path = tmp_path / "ck.json"
+    save_checkpoint(path, init_params(9, 4, 2, seed=3))
+    payload = json.loads(path.read_text())
+    payload["params"]["ee_b2"]["data"] = data
+    path.write_text(json.dumps(payload))
+    with pytest.raises(CheckpointError, match="slot 'ee_b2': corrupt base64 payload"):
+        load_checkpoint(path)

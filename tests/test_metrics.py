@@ -33,6 +33,18 @@ def test_top_k_rejects_bad_k():
         rank([1.0], 0)
 
 
+@pytest.mark.parametrize("k", [1, 2, 6, 9])
+@pytest.mark.parametrize("where", [0, 3, 5])
+def test_both_rankers_reject_nan_scores_for_every_k(where, k):
+    scores = np.arange(6.0)
+    scores[where] = np.nan
+    with pytest.raises(MetricError, match="NaN"):
+        top_k(scores, k)
+    block = np.stack([np.arange(6.0), scores, -np.arange(6.0)])
+    with pytest.raises(MetricError, match="NaN"):
+        top_k_rows(block, k)
+
+
 @given(st.integers(0, 2**32 - 1), st.integers(1, 60))
 def test_top_k_matches_full_sort_reference(seed, k):
     rng = np.random.default_rng(seed)
