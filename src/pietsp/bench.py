@@ -1,9 +1,10 @@
 """Inference latency harness and empirical complexity checks.
 
 Times forward passes only (no metric computation) with a monotonic clock,
-one batch per run, discarding warmup runs.  Per-sample time is defined as
-batch wall time divided by batch size; the reported statistics are taken
-over the timed runs.  Scaling helpers fit runtime against one shape axis
+one batch per run, discarding warmup runs.  A batch is B separate one-user
+``forward`` calls, one request each, not one engine call, so the figures are
+request latency.  Per-sample time is batch wall time divided by B; the
+reported statistics are taken over the timed runs.  Scaling helpers fit runtime against one shape axis
 (universe size N, history length K, or vocabulary size) to verify the
 linear-cost design empirically, and a coarse memory probe checks that the
 footprint tracks the vocabulary size.  The harness runs with whatever BLAS
@@ -136,7 +137,7 @@ def bench_inference(
     warmup: int = WARMUP_RUNS,
     variant: str = "full",
 ) -> BenchReport:
-    """Run ``runs`` timed batches of forward passes and report latency stats."""
+    """Time ``runs`` batches of ``batch_size`` one-user ``forward`` calls and report per-request latency."""
     if not samples:
         raise PietspError("bench_inference: no samples")
     if runs <= warmup:

@@ -330,7 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", help="corpus to time (needs --ckpt); otherwise synthetic --grid shapes")
     p.add_argument("--ckpt")
     p.add_argument("--runs", type=int)
-    p.add_argument("--batch", type=int)
+    p.add_argument("--batch", type=int,
+                   help="one-user forward calls per timed run (request latency, not one engine call)")
     p.add_argument("--seed", type=int)
     p.add_argument("--dtype", choices=("float32", "float64"))
     p.add_argument("--config")

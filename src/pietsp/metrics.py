@@ -1,13 +1,16 @@
-"""Top-k ranking metrics (recall, normalized DCG, per-user hit ratio).
+"""Top-k ranking and its metrics (recall, normalized DCG, per-user hit ratio).
 
-``top_k`` ranks one score vector (a single request: ``forward`` then
-``top_k``); ``top_k_rows`` ranks a whole (B, |E|) score block, as
-``evaluate`` and ``pietsp predict`` do once per engine call, with the same
-ids and the same tie-breaking (ascending id) row for row.
+One ranker and one metric function.  ``top_k_rows`` ranks a (B, |E|) score
+block, as ``evaluate`` and ``pietsp predict`` do once per engine call;
+``top_k`` is its one-row call (a single request: ``forward`` then
+``top_k``).  ``hit_metrics`` scores a block of rankings from their hits in
+rank order: ``evaluate`` sums its rows, and ``recall_at_k`` and
+``ndcg_at_k`` are its one-row calls.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -24,40 +27,23 @@ class MetricError(PietspError):
 def top_k(scores: np.ndarray, k: int) -> np.ndarray:
     """Ids of the k highest scores, descending; ties broken by ascending id.
 
-    Uses partial selection (argpartition + linear scans) so the full score
-    vector is never sorted; only the k winners are.  Partitioning at n - k
-    picks the k highest without a negated copy of the scores; it sorts NaN
-    above every number, so a NaN score is always picked, and raises
-    ``MetricError``.
+    The one-row call of ``top_k_rows``: a NaN score raises ``MetricError``.
     """
     scores = np.asarray(scores)
     if scores.ndim != 1:
         raise MetricError(f"top_k expects a 1-D score vector, got shape {scores.shape}")
-    if k < 1:
-        raise MetricError(f"top_k needs k >= 1, got {k}")
-    n = scores.shape[0]
-    k = min(k, n)
-    idx = np.arange(n) if k == n else np.argpartition(scores, n - k)[n - k :]
-    picked = scores[idx]
-    if np.isnan(picked).any():
-        raise MetricError("top_k: the scores hold NaN")
-    if k < n:  # the k-th place may fall inside a tie: keep the lowest tied ids
-        boundary = picked.min()
-        above = np.flatnonzero(scores > boundary)
-        tied = np.flatnonzero(scores == boundary)
-        idx = np.concatenate([above, tied[: k - above.size]])
-    order = np.lexsort((idx, -scores[idx]))
-    return idx[order]
+    return top_k_rows(scores[None], k)[0]
 
 
 def top_k_rows(scores: np.ndarray, k: int) -> np.ndarray:
-    """(B, min(k, n)) ids: row b is exactly ``top_k(scores[b], k)``; NaN raises ``MetricError``.
+    """(B, min(k, n)) ids of each row's k highest scores, descending; ties by ascending id.
 
-    One argpartition picks every row's k candidates (partitioning at n - k
-    needs no negated copy of the block) and one lexsort orders them.  A
-    row's boundary is its lowest picked score; where more than k scores lie
-    at or above it, a tie crosses the pick and argpartition may have kept
-    the wrong tied ids, so that row alone is ranked by ``top_k``.
+    One argpartition at n - k picks every row's k candidates (NaN sorts
+    above every number, so a row's NaN is picked and raises ``MetricError``)
+    and one lexsort orders them.  Where more than k scores lie at or above a
+    row's lowest pick, a tie crosses the k-th place and argpartition may have
+    kept the wrong tied ids: that row alone lexsorts those scores' ids by
+    (-score, id) and keeps the first k.
     """
     scores = np.asarray(scores)
     if scores.ndim != 2:
@@ -66,50 +52,69 @@ def top_k_rows(scores: np.ndarray, k: int) -> np.ndarray:
         raise MetricError(f"top_k_rows needs k >= 1, got {k}")
     n = scores.shape[1]
     k = min(k, n)
+    rows = np.arange(scores.shape[0])[:, None]
     if k == n:
         idx = np.broadcast_to(np.arange(n), scores.shape)
         vals = scores
-        crossing = ()
     else:
-        idx = np.argpartition(scores, n - k, axis=1)[:, n - k :]
-        vals = np.take_along_axis(scores, idx, axis=1)
-        at_or_above = np.count_nonzero(scores >= vals.min(axis=1, keepdims=True), axis=1)
-        crossing = np.flatnonzero(at_or_above > k)
-    if np.isnan(vals).any():  # as in top_k, a row's NaN is among its picks
+        idx = scores.argpartition(n - k, axis=1)[:, n - k :]
+        vals = scores[rows, idx]
+    if np.isnan(vals).any():
         raise MetricError("top_k_rows: the scores hold NaN")
-    order = np.lexsort((idx, -vals), axis=-1)
-    ranked = np.take_along_axis(idx, order, axis=1)
-    for row in crossing:
-        ranked[row] = top_k(scores[row], k)
+    ranked = idx[rows, np.lexsort((idx, -vals), axis=-1)]
+    if k < n:
+        bound = vals.min(axis=1, keepdims=True)
+        for row in ((scores >= bound).sum(1) > k).nonzero()[0]:
+            ids = (scores[row] >= bound[row]).nonzero()[0]
+            ranked[row] = ids[np.lexsort((ids, -scores[row, ids]))[:k]]
     return ranked
 
 
-def recall_at_k(topk_ids, truth) -> float:
-    """|topk ∩ truth| / |truth|."""
+@functools.lru_cache(maxsize=256)
+def position_weights(k: int) -> np.ndarray:
+    """The DCG discount 1 / log2(pos + 2) of each rank pos < k (cached, read-only)."""
+    weights = np.array([1.0 / math.log2(pos + 2) for pos in range(k)])
+    weights.flags.writeable = False
+    return weights
+
+
+def hit_metrics(hits: np.ndarray, n_truth: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-row (recall, NDCG, hit) at k from the hits of a ranking.
+
+    ``hits`` (B, m) bool marks which of each row's m ranked ids are in its
+    ground truth, in rank order; ``n_truth`` (B,) is each truth set's size.
+    The ranking is cut at min(k, m).  DCG and the ideal DCG are cumulative
+    sums over ``position_weights``, added in rank order as a plain loop does.
+    An empty ranking or truth set, or k < 1, raises ``MetricError``.
+    """
+    if hits.shape[1] == 0:
+        raise MetricError("hit_metrics: the ranking is empty")
+    if k < 1:
+        raise MetricError(f"hit_metrics needs k >= 1, got {k}")
+    if (n_truth < 1).any():
+        raise MetricError("recall and ndcg are undefined for an empty ground-truth set")
+    hits = hits[:, :k]
+    weights = position_weights(hits.shape[1])
+    found = hits.sum(1)
+    dcg = np.cumsum(hits * weights, axis=1)[:, -1]
+    ideal = np.cumsum(weights)[np.minimum(n_truth, hits.shape[1]) - 1]
+    return found / n_truth, dcg / ideal, found > 0
+
+
+def _one_row(ranked_ids, truth, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     truth = set(int(t) for t in truth)
-    if not truth:
-        raise MetricError("recall is undefined for an empty ground-truth set")
-    hits = sum(1 for i in topk_ids if int(i) in truth)
-    return hits / len(truth)
+    hits = np.array([[int(i) in truth for i in ranked_ids]], dtype=bool)
+    return hit_metrics(hits, np.array([len(truth)]), k)
+
+
+def recall_at_k(topk_ids, truth) -> float:
+    """|topk ∩ truth| / |truth|: a one-row ``hit_metrics`` call."""
+    return float(_one_row(topk_ids, truth, len(topk_ids))[0][0])
 
 
 def ndcg_at_k(ranked_ids, truth, k: int) -> float:
-    """Binary-relevance DCG@k over the ranked list, normalized by the ideal DCG."""
-    truth = set(int(t) for t in truth)
-    if not truth:
-        raise MetricError("ndcg is undefined for an empty ground-truth set")
-    k = min(k, len(ranked_ids))
-    dcg = 0.0
-    for pos in range(k):
-        if int(ranked_ids[pos]) in truth:
-            dcg += 1.0 / math.log2(pos + 2)
-    ideal = sum(1.0 / math.log2(pos + 2) for pos in range(min(k, len(truth))))
-    return dcg / ideal
-
-
-def position_weights(k: int) -> np.ndarray:
-    """The DCG discount 1 / log2(pos + 2) of each rank pos < k."""
-    return np.array([1.0 / math.log2(pos + 2) for pos in range(k)])
+    """Binary-relevance DCG@k of the ranked list divided by the ideal DCG: a one-row ``hit_metrics`` call."""
+    return float(_one_row(ranked_ids, truth, k)[1][0])
 
 
 def phr(hits) -> float:

@@ -5,10 +5,11 @@ the model's ragged-batch engine (no padding: the users' universes are
 stacked), one call per ``batch_slices`` run of it, each call's backward
 adding into one gradient buffer per minibatch, which is averaged and
 applied in a single optimizer step.  The loss is evaluated on the B x |E|
-logit block with sparse targets, softplus and logistic sharing one exp.
-Evaluation ranks each engine call's logit block at once.  The per-epoch
-shuffle is keyed by (seed, epoch), so resuming from a checkpoint replays
-the identical stream.
+logit block with sparse targets, softplus and logistic sharing one exp;
+``train_epoch`` adds the explicit L2 penalty, if any, per minibatch.
+Evaluation ranks each engine call's logit block at once and scores its hits
+with ``metrics.hit_metrics``.  The per-epoch shuffle is keyed by (seed,
+epoch), so resuming from a checkpoint replays the identical stream.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .data import Corpus, PreparedSample, max_history_len, prepare_all
 from .errors import PietspError
 from .linalg import NumericsError, softplus_logistic
-from .metrics import MetricReport, position_weights, top_k_rows
+from .metrics import MetricReport, hit_metrics, top_k_rows
 from .model import ModelParams, VARIANTS, backward, batch_slices, forward, forward_batch, init_params, make_batch  # noqa: F401  forward stays importable from here
 from .optim import DECAYED_SLOTS, AdamState, adam_step, cosine_lr
 
@@ -54,6 +55,9 @@ class TrainConfig:
         if self.variant not in VARIANTS:
             raise PietspError(f"unknown variant '{self.variant}'")
         self.k_list = tuple(int(k) for k in self.k_list)
+        if not self.k_list or min(self.k_list) < 1 or self.early_stop_k < 1:
+            raise PietspError(f"k_list must be non-empty, its entries and early_stop_k at least 1: "
+                              f"got {list(self.k_list)}, {self.early_stop_k}")
         self.split_ratios = tuple(float(r) for r in self.split_ratios)
 
     def to_dict(self) -> dict:
@@ -73,18 +77,13 @@ def l2_penalty(params: ModelParams) -> float:
     return float(sum((arr * arr).sum() for name, arr in params.slots() if name in DECAYED_SLOTS))
 
 
-def bce_loss(
-    logits: np.ndarray,
-    targets,
-    l2_coeff: float = 0.0,
-    params: ModelParams | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+def bce_loss(logits: np.ndarray, targets) -> tuple[np.ndarray, np.ndarray]:
     """Mean binary cross-entropy over the vocabulary, per row of logits, in stable logit form.
 
     ``targets`` indexes the positive entries, ``logits[targets]``: for a
     (B, |E|) block the pair (user rows, item ids), or a boolean mask shaped
     like ``logits``.  Per row,
-    loss = mean_j [softplus(y_j) - t_j * y_j] (+ l2_coeff * ||W||^2), and
+    loss = mean_j [softplus(y_j) - t_j * y_j], and
     d loss / d y_j = (sigmoid(y_j) - t_j) / |E|.
     Returns (the loss of every row, d_logits).
     """
@@ -96,10 +95,6 @@ def bce_loss(
     terms, d_logits = softplus_logistic(logits)  # one exp(-|y|) serves both
     terms[targets] -= positives
     loss = terms.sum(axis=-1) / n
-    if l2_coeff:
-        if params is None:
-            raise PietspError("bce_loss: l2_coeff set but no params given")
-        loss += l2_coeff * l2_penalty(params)
     d_logits[targets] -= 1
     d_logits /= n
     return loss, d_logits
@@ -176,9 +171,9 @@ def evaluate(
     Each of its score vectors must be finite and shaped (|E|,), or the
     ``PietspError`` (``NumericsError`` for a non-finite score) names the
     user.  Users with an empty target are skipped.  Each engine call's score
-    block is ranked at once by ``top_k_rows`` (row for row the ids of
-    ``top_k``); recall, NDCG and PHR at every k then come from the matrix of
-    hits at each rank, with DCG summed in rank order over ``position_weights``.
+    block is ranked at once by ``top_k_rows``; ``hit_metrics`` scores its
+    hits in rank order at every k, and the report averages its rows.  A k
+    below 1 raises ``MetricError``.
     """
     k_list = tuple(int(k) for k in k_list)
     if not k_list:
@@ -187,8 +182,6 @@ def evaluate(
     if not scored:
         raise PietspError("evaluate: no users with non-empty targets")
     k_top = max(k_list)
-    weights = position_weights(k_top)
-    ideal = np.cumsum(weights)  # ideal[m - 1]: the DCG of m hits at the top
     recall_acc = dict.fromkeys(k_list, 0.0)
     ndcg_acc = dict.fromkeys(k_list, 0.0)
     hit_acc = dict.fromkeys(k_list, 0)
@@ -203,13 +196,11 @@ def evaluate(
         truth[batch.targets] = True
         n_truth = np.count_nonzero(truth, axis=1)
         hits = truth[np.arange(batch.size)[:, None], ranked]
-        found = np.cumsum(hits, axis=1)
-        gains = np.cumsum(hits * weights[: ranked.shape[1]], axis=1)
         for k in k_list:
-            last = min(k, ranked.shape[1]) - 1
-            recall_acc[k] += float((found[:, last] / n_truth).sum())
-            ndcg_acc[k] += float((gains[:, last] / ideal[np.minimum(n_truth, last + 1) - 1]).sum())
-            hit_acc[k] += int(np.count_nonzero(found[:, last]))
+            recall, ndcg, hit = hit_metrics(hits, n_truth, k)
+            recall_acc[k] += float(recall.sum())
+            ndcg_acc[k] += float(ndcg.sum())
+            hit_acc[k] += int(np.count_nonzero(hit))
     used = len(scored)
     return MetricReport(
         k_list=k_list,

@@ -3,10 +3,11 @@
 The program runs every user through the ragged-batch engine; these loops
 are what it must agree with.  ``oracle_forward``/``oracle_backward`` follow
 the model formulas for a single universe with plain row reductions, and
-``oracle_evaluate`` scores users one by one with the scalar metric
-functions.  ``oracle_checkpoint_bytes`` is the checkpoint format written
-the plain way, one ``json.dumps`` over the whole payload with the base64
-strings in place; the spliced writer must produce its bytes.
+``oracle_evaluate`` ranks and scores users one by one with the brute-force
+references of ``reference_metrics``.  ``oracle_checkpoint_bytes`` is the
+checkpoint format written the plain way, one ``json.dumps`` over the whole
+payload with the base64 strings in place; the spliced writer must produce
+its bytes.
 """
 
 import base64
@@ -15,8 +16,8 @@ import json
 import numpy as np
 
 from pietsp.checkpoint import FORMAT_VERSION
-from pietsp.metrics import ndcg_at_k, recall_at_k, top_k
 from pietsp.model import CONCAT_LAYOUT
+from reference_metrics import ref_hit, ref_ndcg, ref_recall
 
 
 def _elu(x):
@@ -106,11 +107,10 @@ def oracle_evaluate(samples, scores, k_list):
         if not truth:
             continue
         used += 1
-        ranked = top_k(row, max(k_list))
         for k in k_list:
-            recall[k] += recall_at_k(ranked[:k], truth)
-            ndcg[k] += ndcg_at_k(ranked, truth, k)
-            phr[k] += int(any(int(i) in truth for i in ranked[:k]))
+            recall[k] += ref_recall(row, truth, k)
+            ndcg[k] += ref_ndcg(row, truth, k)
+            phr[k] += int(ref_hit(row, truth, k))
     return {name: {k: acc[k] / used for k in k_list} for name, acc in
             (("recall", recall), ("ndcg", ndcg), ("phr", phr))}, used
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from pietsp.metrics import MetricError, MetricReport, ndcg_at_k, phr, recall_at_k, top_k, top_k_rows
+from pietsp.metrics import MetricError, MetricReport, hit_metrics, ndcg_at_k, phr, recall_at_k, top_k, top_k_rows
 from reference_metrics import ref_hit, ref_ndcg, ref_rank_all, ref_recall
 
 
@@ -69,7 +69,9 @@ def test_top_k_rows_equals_top_k_row_by_row(seed, users, n, k, tied):
     ranked = top_k_rows(block, k)
     assert ranked.shape == (users, min(k, n))
     for row, ids in zip(block, ranked):
-        assert list(ids) == list(top_k(row, k))
+        want = ref_rank_all(row)[:k]
+        assert list(ids) == want
+        assert list(top_k(row, k)) == want
 
 
 def test_top_k_rows_rejects_bad_input():
@@ -102,6 +104,24 @@ def test_ndcg_rank2_single_truth_closed_form():
     assert round(value, 5) == 0.63093
 
 
+def test_ndcg_rejects_k_below_one_and_an_empty_ranking():
+    with pytest.raises(MetricError, match="k >= 1"):
+        ndcg_at_k([3], {3}, 0)
+    with pytest.raises(MetricError, match="k >= 1"):
+        ndcg_at_k([3, 1], {3}, -3)
+    with pytest.raises(MetricError, match="empty"):
+        ndcg_at_k([], {3}, 5)
+
+
+def test_hit_metrics_rejects_bad_k_and_empty_truth():
+    hits = np.array([[True, False], [False, True]])
+    for k in (0, -3):
+        with pytest.raises(MetricError, match="k >= 1"):
+            hit_metrics(hits, np.array([1, 2]), k)
+    with pytest.raises(MetricError, match="empty ground-truth"):
+        hit_metrics(hits, np.array([1, 0]), 2)
+
+
 def test_phr_examples():
     assert phr([True, True]) == 1.0
     assert phr([True, False, False, False]) == 0.25
@@ -126,6 +146,22 @@ def test_metrics_match_bruteforce_reference(seed):
     assert abs(ndcg_at_k(ranked, truth, k) - ref_ndcg(scores, truth, k)) < 1e-12
     hit = any(int(i) in truth for i in ranked)
     assert hit == ref_hit(scores, truth, k)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(1, 60))
+def test_hit_metrics_rows_match_bruteforce_reference(seed, users, k):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(5, 80))
+    block = np.round(rng.normal(size=(users, n)), 1)
+    truths = [set(int(t) for t in rng.choice(n, int(rng.integers(1, min(6, n) + 1)), replace=False))
+              for _ in range(users)]
+    ranked = top_k_rows(block, k)
+    hits = np.array([[int(i) in truth for i in ids] for ids, truth in zip(ranked, truths)])
+    recall, ndcg, hit = hit_metrics(hits, np.array([len(t) for t in truths]), k)
+    for b, (row, truth) in enumerate(zip(block, truths)):
+        assert abs(recall[b] - ref_recall(row, truth, k)) < 1e-12
+        assert abs(ndcg[b] - ref_ndcg(row, truth, k)) < 1e-12
+        assert hit[b] == ref_hit(row, truth, k)
 
 
 # --- invariants -------------------------------------------------------------

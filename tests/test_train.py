@@ -4,11 +4,13 @@ import math
 import numpy as np
 import pytest
 
+from pietsp import train
 from pietsp.data import SyntheticSpec, gen_synthetic, prepare_all, split_users
 from pietsp.errors import PietspError
 from pietsp.linalg import logistic, softplus
+from pietsp.metrics import MetricError
 from pietsp.model import init_params
-from pietsp.optim import AdamState, cosine_lr
+from pietsp.optim import DECAYED_SLOTS, AdamState, cosine_lr
 from pietsp.train import TrainConfig, bce_loss, evaluate, fit, l2_penalty, train_epoch
 from pietsp.bench import synthetic_samples
 
@@ -85,15 +87,6 @@ def test_bce_one_exp_is_bitwise_the_two_exp_form():
             assert np.array_equal(loss, want_loss) and np.array_equal(d_logits, want_d)
 
 
-def test_bce_l2_term():
-    params = init_params(8, 3, 2, seed=0)
-    none = np.zeros(8, dtype=bool)
-    plain, _ = bce_loss(np.zeros(8), none)
-    with_l2, d = bce_loss(np.zeros(8), none, l2_coeff=0.5, params=params)
-    assert abs(with_l2 - plain - 0.5 * l2_penalty(params)) < 1e-12
-    assert np.allclose(d, bce_loss(np.zeros(8), none)[1])  # penalty does not touch d_logits
-
-
 def test_bce_shape_mismatch():
     with pytest.raises(PietspError):
         bce_loss(np.zeros(3), np.zeros(4, dtype=bool))
@@ -123,6 +116,24 @@ def test_130_samples_make_three_steps():
     cfg = TrainConfig(batch_size=64, dim=8, max_epochs=5, patience=5, seed=1)
     train_epoch(samples, params, state, cfg, epoch=0)
     assert state.step == 3
+
+
+def test_train_epoch_l2_adds_penalty_to_loss_and_decayed_gradients(monkeypatch):
+    samples, params = _samples_and_model(20)
+    sent = []
+    monkeypatch.setattr(train, "adam_step", lambda p, grads, *rest: sent.append(grads.copy()))
+    losses = [
+        train_epoch(samples, params.copy(), AdamState.init(params),
+                    TrainConfig(batch_size=64, dim=8, max_epochs=5, patience=5, seed=1, l2_coeff=coeff), epoch=0)
+        for coeff in (0.0, 0.5)
+    ]
+    plain, with_l2 = sent  # one minibatch, one step each
+    assert abs(losses[1] - losses[0] - 0.5 * l2_penalty(params)) <= 1e-12
+    for (name, g0), (_, g1) in zip(plain.slots(), with_l2.slots()):
+        if name in DECAYED_SLOTS:
+            assert np.abs(g1 - g0 - 2 * 0.5 * getattr(params, name)).max() <= 1e-12, name
+        else:
+            assert np.array_equal(g1, g0), name
 
 
 def test_train_epoch_deterministic():
@@ -188,6 +199,19 @@ def test_evaluate_is_read_only_and_deterministic():
     b = evaluate(samples, params, (10, 20))
     assert params_digest(params) == digest
     assert a == b
+
+
+@pytest.mark.parametrize("k_list", [(0, 10), (-3, 10), (0,)])
+def test_evaluate_rejects_k_below_one(k_list):
+    samples, params = _samples_and_model(6)
+    with pytest.raises(MetricError, match="k >= 1"):
+        evaluate(samples, params, k_list)
+
+
+@pytest.mark.parametrize("field", [{"k_list": (0, 10)}, {"k_list": (10, -3)}, {"early_stop_k": 0}, {"k_list": ()}])
+def test_config_rejects_k_below_one_or_no_k(field):
+    with pytest.raises(PietspError, match="k_list must be non-empty"):
+        TrainConfig(**field)
 
 
 def test_evaluate_skips_empty_targets():
