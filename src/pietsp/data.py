@@ -6,6 +6,8 @@ target; everything before it is history.  ``prepare_sample`` turns one
 user into the model's input: the sorted universe of distinct history items,
 an N x K binary membership matrix (columns are time steps, left-padded with
 zeros when the history is shorter than K), and the target ids.
+``prepare_all`` prepares a whole corpus in one pass, and its samples are
+slices of corpus-wide arrays.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -88,31 +91,23 @@ class PreparedSample:
 # loading
 # ---------------------------------------------------------------------------
 
-def parse_corpus(obj) -> tuple[Corpus, LoadReport]:
-    """Validate a raw dict (the corpus JSON schema) into a Corpus.
+def _check_in_order(raw_users: list, vocab_size: int) -> None:
+    """Walk the users, their sets and their ids in order; raise ``DataError`` for the first fault.
 
-    Within-set duplicates are removed, empty sets dropped, and users left
-    with fewer than two sets dropped; all three are counted in the report.
-    Out-of-range ids are hard errors naming the user and offset.
+    ``parse_corpus`` runs this only when one of its whole-corpus checks fails,
+    so the error it raises is the one this walk meets first.  It returns only
+    for a valid corpus whose sets or ids are subclasses of list or int.
     """
-    if not isinstance(obj, dict):
-        raise DataError("corpus root must be an object")
-    vocab_size = obj.get("vocab_size")
-    if not isinstance(vocab_size, int) or vocab_size < 1:
-        raise DataError(f"vocab_size must be a positive integer, got {vocab_size!r}")
-    raw_users = obj.get("users")
-    if not isinstance(raw_users, list):
-        raise DataError("'users' must be a list")
-
-    users: list[UserRecord] = []
-    dropped_users = 0
-    empty_sets = 0
-    duplicates = 0
+    first_seen: dict[str, int] = {}
     for u_idx, raw in enumerate(raw_users):
         if not isinstance(raw, dict) or "user_id" not in raw or "sets" not in raw:
             raise DataError(f"users[{u_idx}]: expected an object with 'user_id' and 'sets'")
         uid = str(raw["user_id"])
-        sets: list[tuple[int, ...]] = []
+        if uid in first_seen:
+            raise DataError(f"users[{u_idx}]: user_id '{uid}' repeats users[{first_seen[uid]}]")
+        first_seen[uid] = u_idx
+        if not isinstance(raw["sets"], list):
+            raise DataError(f"user '{uid}': 'sets' is not a list")
         for s_idx, raw_set in enumerate(raw["sets"]):
             if not isinstance(raw_set, list):
                 raise DataError(f"user '{uid}': sets[{s_idx}] is not a list")
@@ -123,21 +118,79 @@ def parse_corpus(obj) -> tuple[Corpus, LoadReport]:
                     raise DataError(
                         f"user '{uid}': sets[{s_idx}][{e_idx}]: id {item} outside [0, {vocab_size})"
                     )
-            unique = sorted(set(raw_set))
-            duplicates += len(raw_set) - len(unique)
-            if not unique:
-                empty_sets += 1
-                continue
-            sets.append(tuple(unique))
-        if len(sets) < 2:
-            dropped_users += 1
-            continue
-        users.append(UserRecord(user_id=uid, sets=tuple(sets)))
+
+
+def parse_corpus(obj) -> tuple[Corpus, LoadReport]:
+    """Validate a raw dict (the corpus JSON schema) into a Corpus.
+
+    Within-set duplicates are removed, empty sets dropped, and users left
+    with fewer than two sets dropped; all three are counted in the report.
+    Out-of-range ids are hard errors naming the user and offset; so are two
+    users with the same ``user_id`` (after ``str``).
+
+    Every id is checked at once, over the flattened corpus; only when a check
+    fails does ``_check_in_order`` walk the corpus to find and word the first
+    fault.  Sets that already rise strictly (as ``save_corpus`` writes them)
+    are kept as they are; only the others are sorted and deduplicated.
+    """
+    if not isinstance(obj, dict):
+        raise DataError("corpus root must be an object")
+    vocab_size = obj.get("vocab_size")
+    if not isinstance(vocab_size, int) or isinstance(vocab_size, bool) or vocab_size < 1:
+        raise DataError(f"vocab_size must be a positive integer, got {vocab_size!r}")
+    raw_users = obj.get("users")
+    if not isinstance(raw_users, list):
+        raise DataError("'users' must be a list")
+
+    if not all(isinstance(raw, dict) and "user_id" in raw and isinstance(raw.get("sets"), list) for raw in raw_users):
+        _check_in_order(raw_users, vocab_size)
+    uids = [str(raw["user_id"]) for raw in raw_users]
+    if len(set(uids)) < len(uids):
+        _check_in_order(raw_users, vocab_size)
+    user_sets = [raw["sets"] for raw in raw_users]
+    raw_sets = list(chain.from_iterable(user_sets))
+    if not set(map(type, raw_sets)) <= {list}:
+        _check_in_order(raw_users, vocab_size)
+    flat = list(chain.from_iterable(raw_sets))
+    if not set(map(type, flat)) <= {int}:  # bool is not int here
+        _check_in_order(raw_users, vocab_size)
+    try:
+        ids = np.fromiter(flat, dtype=np.int64, count=len(flat))
+    except OverflowError:  # an id beyond int64: out of range, unless vocab_size is as wide
+        _check_in_order(raw_users, vocab_size)
+        ids = np.array(flat, dtype=object)
+    del flat
+    if ids.size and (ids.min() < 0 or int(ids.max()) >= vocab_size):
+        _check_in_order(raw_users, vocab_size)
+
+    # the sets whose ids do not rise strictly: one pass over the pairs of neighbouring ids
+    sizes = np.fromiter(map(len, raw_sets), dtype=np.intp, count=len(raw_sets))
+    ends = np.cumsum(sizes)
+    falls = ids[1:] <= ids[:-1]
+    boundaries = ends[:-1]
+    falls[boundaries[(boundaries > 0) & (boundaries < ids.size)] - 1] = False  # pairs that span two sets
+    unsorted = np.unique(np.searchsorted(ends, np.flatnonzero(falls), side="right"))
+    del ids, falls
+
+    clean = list(map(tuple, raw_sets))
+    duplicates = 0
+    for i in unsorted.tolist():
+        clean[i] = tuple(sorted(set(raw_sets[i])))
+        duplicates += len(raw_sets[i]) - len(clean[i])
+
+    users: list[UserRecord] = []
+    start = 0
+    for uid, sets in zip(uids, user_sets):
+        stop = start + len(sets)
+        kept = tuple(filter(None, clean[start:stop]))  # drops the empty sets
+        start = stop
+        if len(kept) >= 2:
+            users.append(UserRecord(user_id=uid, sets=kept))
 
     report = LoadReport(
         users_kept=len(users),
-        users_dropped=dropped_users,
-        empty_sets_dropped=empty_sets,
+        users_dropped=len(uids) - len(users),
+        empty_sets_dropped=int(np.count_nonzero(sizes == 0)),
         duplicate_ids_removed=duplicates,
     )
     return Corpus(vocab_size=vocab_size, users=tuple(users)), report
@@ -192,6 +245,76 @@ def split_users(
 # sample preparation
 # ---------------------------------------------------------------------------
 
+def _prepare(users, k_max: int, vocab_size: int) -> list[PreparedSample]:
+    """Prepare every user in one pass over the flattened histories; each sample is a slice.
+
+    Every kept history id is flattened with its user and membership column.
+    One sort of the (user, id, column) triples gives every user's sorted
+    universe, one after the other, and every id's row; one assignment fills
+    the stacked membership matrix.  The user is the first sort key, so each
+    universe holds only its own user's ids, whatever the ids are.
+    """
+    if k_max < 1:
+        raise SampleError(f"k_max must be >= 1, got {k_max}")
+    for user in users:
+        if len(user.sets) < 2:
+            raise SampleError(f"user '{user.user_id}' has no history sets")
+    n_users = len(users)
+    histories = [user.sets[-k_max - 1 : -1] for user in users]  # the k_max most recent history sets
+    hist_lens = np.fromiter(map(len, histories), dtype=np.intp, count=n_users)
+    set_sizes = np.fromiter(map(len, chain.from_iterable(histories)), dtype=np.intp, count=int(hist_lens.sum()))
+    ids = np.fromiter(chain.from_iterable(chain.from_iterable(histories)), dtype=np.int64, count=int(set_sizes.sum()))
+
+    # a history of T sets fills columns k_max - T .. k_max - 1
+    set_user = np.repeat(np.arange(n_users), hist_lens)
+    set_col = np.arange(set_user.size) + np.repeat(k_max - np.cumsum(hist_lens), hist_lens)
+    owner = np.repeat(set_user, set_sizes)
+    col = np.repeat(set_col, set_sizes)
+
+    lo = int(ids.min()) if ids.size else 0
+    span = int(ids.max()) - lo + 1 if ids.size else 1
+    if n_users * span * k_max < 2**63:  # the triple fits one int64 key: sort the keys themselves
+        ids -= lo
+        key = owner * span
+        key += ids
+        key *= k_max
+        key += col
+        key.sort()
+        np.divmod(key, k_max, out=(key, col))  # decoded into the arrays it was built from
+        np.divmod(key, span, out=(owner, ids))
+        ids += lo
+    else:  # ids too far apart for one key
+        order = np.lexsort((col, ids, owner))
+        ids, owner, col = ids[order], owner[order], col[order]
+        key = order
+    first = np.ones(ids.size, dtype=bool)  # the first row of each (user, id)
+    np.not_equal(ids[1:], ids[:-1], out=first[1:])
+    first[1:] |= owner[1:] != owner[:-1]
+    universes = ids[first]
+    row_ends = np.cumsum(np.bincount(owner[first], minlength=n_users)).tolist()
+    rows = np.cumsum(first, out=key)
+    rows -= 1
+    del ids, owner, first  # the per-id temporaries go before the membership matrix is allocated
+    membership = np.zeros((universes.size, k_max), dtype=np.float64)
+    membership[rows, col] = 1.0
+    del rows, key, col
+
+    targets = np.fromiter(chain.from_iterable(user.sets[-1] for user in users), dtype=np.int64)
+    target_ends = np.cumsum([len(user.sets[-1]) for user in users]).tolist()
+    samples = []
+    row, t = 0, 0
+    for user, row_end, t_end in zip(users, row_ends, target_ends):
+        samples.append(PreparedSample(
+            user_id=user.user_id,
+            universe=universes[row:row_end],
+            membership=membership[row:row_end],
+            target_ids=targets[t:t_end],
+            vocab_size=vocab_size,
+        ))
+        row, t = row_end, t_end
+    return samples
+
+
 def prepare_sample(user: UserRecord, k_max: int, vocab_size: int) -> PreparedSample:
     """Build the universe, membership matrix, and target for one user.
 
@@ -199,27 +322,7 @@ def prepare_sample(user: UserRecord, k_max: int, vocab_size: int) -> PreparedSam
     k_max most recent sets; shorter ones occupy the trailing columns of the
     membership matrix, with all-zero padding columns on the left.
     """
-    if k_max < 1:
-        raise SampleError(f"k_max must be >= 1, got {k_max}")
-    history = user.sets[:-1]
-    if not history:
-        raise SampleError(f"user '{user.user_id}' has no history sets")
-    if len(history) > k_max:
-        history = history[-k_max:]
-    universe = np.array(sorted(set().union(*history)), dtype=np.int64)
-    row_of = {int(e): i for i, e in enumerate(universe)}
-    membership = np.zeros((universe.size, k_max), dtype=np.float64)
-    pad = k_max - len(history)
-    for j, s in enumerate(history):
-        for e in s:
-            membership[row_of[e], pad + j] = 1.0
-    return PreparedSample(
-        user_id=user.user_id,
-        universe=universe,
-        membership=membership,
-        target_ids=np.array(user.target, dtype=np.int64),
-        vocab_size=vocab_size,
-    )
+    return _prepare((user,), k_max, vocab_size)[0]
 
 
 def max_history_len(corpus: Corpus) -> int:
@@ -227,7 +330,8 @@ def max_history_len(corpus: Corpus) -> int:
 
 
 def prepare_all(corpus: Corpus, k_max: int) -> list[PreparedSample]:
-    return [prepare_sample(u, k_max, corpus.vocab_size) for u in corpus.users]
+    """``prepare_sample`` for every user, in one pass; the samples are slices of corpus-wide arrays."""
+    return _prepare(corpus.users, k_max, corpus.vocab_size)
 
 
 # ---------------------------------------------------------------------------

@@ -330,6 +330,7 @@ class ForwardTrace:
     variant: str
     batch: Batch
     z: np.ndarray                     # (R, K+D) concatenated input
+    z_mean: np.ndarray                # (B, K+D) per-user means of z's rows
     pe_out: np.ndarray                # (R, D) after the equivariant layer
     ee_hidden: np.ndarray | None      # (R, D) relu activations
     elem_scores: np.ndarray | None    # (R,)
@@ -357,16 +358,21 @@ def sfi_concat(m_u: np.ndarray, membership) -> np.ndarray:
     return z
 
 
-def pe_forward(z: np.ndarray, params: ModelParams, segs: Segments | None = None) -> np.ndarray:
+def pe_forward(
+    z: np.ndarray, params: ModelParams, segs: Segments | None = None, z_mean: np.ndarray | None = None
+) -> np.ndarray:
     """Equivariant layer: ELU(Z Wg + bg - mean_i(Z_i Wl)), one shared row per set.
 
     ``segs`` splits the rows of ``z`` into sets; all rows form one set when omitted.
+    ``z_mean`` is ``segs.mean(z)`` when the caller already has it.
     """
     if segs is None:
         segs = Segments.one(z.shape[0])
+    if z_mean is None:
+        z_mean = segs.mean(z)
     pre = z @ params.pe_w_global
     pre += params.pe_bias
-    pre -= segs.spread(segs.mean(z) @ params.pe_w_local)
+    pre -= segs.spread(z_mean @ params.pe_w_local)
     check_finite(pre, "pe_forward")
     return elu(pre, out=pre)
 
@@ -434,7 +440,8 @@ def forward_batch(batch: Batch, params: ModelParams, variant: str = "full") -> F
     keep_freed_heap()
     segs, ids = batch.segs, batch.ids
     z = sfi_concat(params.emb[ids], batch.membership)
-    pe_out = pe_forward(z, params, segs)
+    z_mean = segs.mean(z)  # kept for backward's Wl gradient
+    pe_out = pe_forward(z, params, segs, z_mean)
 
     elem_scores = hidden = None
     if variant != "no-ee":
@@ -459,6 +466,7 @@ def forward_batch(batch: Batch, params: ModelParams, variant: str = "full") -> F
         variant=variant,
         batch=batch,
         z=z,
+        z_mean=z_mean,
         pe_out=pe_out,
         ee_hidden=hidden,
         elem_scores=elem_scores,
@@ -530,7 +538,7 @@ def backward(trace: ForwardTrace, params: ModelParams, d_logits: np.ndarray, gra
     d_sum = segs.sum(d_pre)
     grads.pe_w_global += trace.z.T @ d_pre
     grads.pe_bias += d_sum.sum(0)
-    grads.pe_w_local -= segs.mean(trace.z).T @ d_sum
+    grads.pe_w_local -= trace.z_mean.T @ d_sum
 
     # concatenation split: only the trailing D columns of Z (the gathered embeddings) are parameters
     k_max = params.k_max

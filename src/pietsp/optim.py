@@ -63,14 +63,17 @@ def adam_step(
     Per slot, in this order: m = b1 m + (1 - b1) g; v = b2 v + (1 - b2) g g;
     u = (m / bc1) / (sqrt(v / bc2) + eps); p = p - lr u [- lr wd p].  The
     moments and parameters are updated in place through two scratch arrays.
+    Every gradient is checked before anything is updated, so a non-finite one
+    raises ``OptimizerError`` with the parameters, moments and step untouched.
     """
+    for name, g in grads.slots():
+        if not np.all(np.isfinite(g)):
+            raise OptimizerError(f"non-finite gradient for parameter '{name}'")
     state.step += 1
     bc1 = 1.0 - BETA1 ** state.step
     bc2 = 1.0 - BETA2 ** state.step
     for name, p in params.slots():
         g = getattr(grads, name)
-        if not np.all(np.isfinite(g)):
-            raise OptimizerError(f"non-finite gradient for parameter '{name}'")
         m = getattr(state.m, name)
         v = getattr(state.v, name)
         tmp = np.empty_like(p)

@@ -7,7 +7,10 @@ the model formulas for a single universe with plain row reductions, and
 references of ``reference_metrics``.  ``oracle_checkpoint_bytes`` is the
 checkpoint format written the plain way, one ``json.dumps`` over the whole
 payload with the base64 strings in place; the spliced writer must produce
-its bytes.
+its bytes.  ``oracle_parse_corpus`` and ``oracle_prepare_sample`` load and
+prepare a corpus one user, one set and one id at a time; the whole-corpus
+passes of ``parse_corpus`` and ``prepare_all`` must give the same corpus,
+report, errors and arrays.
 """
 
 import base64
@@ -16,6 +19,7 @@ import json
 import numpy as np
 
 from pietsp.checkpoint import FORMAT_VERSION
+from pietsp.data import Corpus, DataError, LoadReport, PreparedSample, SampleError, UserRecord
 from pietsp.model import CONCAT_LAYOUT
 from reference_metrics import ref_hit, ref_ndcg, ref_recall
 
@@ -148,3 +152,84 @@ def oracle_checkpoint_bytes(params, seed=None, config=None, opt_state=None, trai
         },
     }
     return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
+
+
+def oracle_parse_corpus(obj):
+    """``parse_corpus`` as a walk over users, sets and ids, validating and deduplicating as it goes."""
+    if not isinstance(obj, dict):
+        raise DataError("corpus root must be an object")
+    vocab_size = obj.get("vocab_size")
+    if not isinstance(vocab_size, int) or isinstance(vocab_size, bool) or vocab_size < 1:
+        raise DataError(f"vocab_size must be a positive integer, got {vocab_size!r}")
+    raw_users = obj.get("users")
+    if not isinstance(raw_users, list):
+        raise DataError("'users' must be a list")
+
+    users = []
+    first_seen = {}
+    dropped_users = 0
+    empty_sets = 0
+    duplicates = 0
+    for u_idx, raw in enumerate(raw_users):
+        if not isinstance(raw, dict) or "user_id" not in raw or "sets" not in raw:
+            raise DataError(f"users[{u_idx}]: expected an object with 'user_id' and 'sets'")
+        uid = str(raw["user_id"])
+        if uid in first_seen:
+            raise DataError(f"users[{u_idx}]: user_id '{uid}' repeats users[{first_seen[uid]}]")
+        first_seen[uid] = u_idx
+        if not isinstance(raw["sets"], list):
+            raise DataError(f"user '{uid}': 'sets' is not a list")
+        sets = []
+        for s_idx, raw_set in enumerate(raw["sets"]):
+            if not isinstance(raw_set, list):
+                raise DataError(f"user '{uid}': sets[{s_idx}] is not a list")
+            for e_idx, item in enumerate(raw_set):
+                if not isinstance(item, int) or isinstance(item, bool):
+                    raise DataError(f"user '{uid}': sets[{s_idx}][{e_idx}]: id {item!r} is not an integer")
+                if item < 0 or item >= vocab_size:
+                    raise DataError(
+                        f"user '{uid}': sets[{s_idx}][{e_idx}]: id {item} outside [0, {vocab_size})"
+                    )
+            unique = sorted(set(raw_set))
+            duplicates += len(raw_set) - len(unique)
+            if not unique:
+                empty_sets += 1
+                continue
+            sets.append(tuple(unique))
+        if len(sets) < 2:
+            dropped_users += 1
+            continue
+        users.append(UserRecord(user_id=uid, sets=tuple(sets)))
+
+    report = LoadReport(
+        users_kept=len(users),
+        users_dropped=dropped_users,
+        empty_sets_dropped=empty_sets,
+        duplicate_ids_removed=duplicates,
+    )
+    return Corpus(vocab_size=vocab_size, users=tuple(users)), report
+
+
+def oracle_prepare_sample(user, k_max, vocab_size):
+    """``prepare_sample`` for one user: a set union for the universe, a dict for the rows, a loop for the ones."""
+    if k_max < 1:
+        raise SampleError(f"k_max must be >= 1, got {k_max}")
+    history = user.sets[:-1]
+    if not history:
+        raise SampleError(f"user '{user.user_id}' has no history sets")
+    if len(history) > k_max:
+        history = history[-k_max:]
+    universe = np.array(sorted(set().union(*history)), dtype=np.int64)
+    row_of = {int(e): i for i, e in enumerate(universe)}
+    membership = np.zeros((universe.size, k_max), dtype=np.float64)
+    pad = k_max - len(history)
+    for j, s in enumerate(history):
+        for e in s:
+            membership[row_of[e], pad + j] = 1.0
+    return PreparedSample(
+        user_id=user.user_id,
+        universe=universe,
+        membership=membership,
+        target_ids=np.array(user.target, dtype=np.int64),
+        vocab_size=vocab_size,
+    )

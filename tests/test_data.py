@@ -1,10 +1,12 @@
+import copy
 import json
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracle import oracle_parse_corpus, oracle_prepare_sample
 from pietsp.data import (
     Corpus,
     DataError,
@@ -19,10 +21,12 @@ from pietsp.data import (
     load_corpus,
     max_history_len,
     parse_corpus,
+    prepare_all,
     prepare_sample,
     save_corpus,
     split_users,
 )
+from pietsp.model import MappingError, make_batch
 
 
 # --- loading -----------------------------------------------------------------
@@ -87,6 +91,190 @@ def test_corpus_roundtrip(tmp_path):
     save_corpus(corpus, path)
     back, _ = load_corpus(path)
     assert back == corpus
+
+
+def test_load_rejects_bool_vocab_size():
+    for flag in (True, False):
+        with pytest.raises(DataError, match=f"vocab_size must be a positive integer, got {flag}"):
+            parse_corpus({"vocab_size": flag, "users": [{"user_id": "a", "sets": [[0], [0]]}]})
+
+
+@pytest.mark.parametrize("first, second", [("a", "a"), (7, "7")])
+def test_load_rejects_duplicate_user_ids(first, second):
+    raw = {"vocab_size": 3, "users": [{"user_id": first, "sets": [[0], [1]]},
+                                      {"user_id": "b", "sets": [[0], [1]]},
+                                      {"user_id": second, "sets": [[2], [1]]}]}
+    with pytest.raises(DataError, match=rf"users\[2\]: user_id '{first}' repeats users\[0\]"):
+        parse_corpus(raw)
+
+
+@pytest.mark.parametrize("sets", [{}, "", 3, None], ids=["dict", "empty-string", "int", "null"])
+def test_load_rejects_sets_that_are_not_a_list(sets):
+    with pytest.raises(DataError, match="user 'a': 'sets' is not a list"):
+        parse_corpus({"vocab_size": 3, "users": [{"user_id": "a", "sets": sets}]})
+
+
+def test_load_reports_the_first_fault_in_file_order():
+    # an id fault in users[0] comes before the malformed users[1]
+    raw = {"vocab_size": 3, "users": [{"user_id": "a", "sets": [[0], [1, 2.0]]}, "not a user"]}
+    with pytest.raises(DataError, match=r"user 'a': sets\[1\]\[1\]: id 2.0 is not an integer"):
+        parse_corpus(raw)
+
+
+# --- loading and preparation against the one-at-a-time oracles -----------------
+
+def _raw_set(vocab):
+    ids = st.integers(0, vocab - 1)
+    return st.one_of(
+        st.lists(ids, max_size=6),                           # any order, repeats, empty
+        st.lists(ids, max_size=6, unique=True).map(sorted),  # strictly rising, as save_corpus writes them
+    )
+
+
+@st.composite
+def raw_corpora(draw, min_users=0):
+    vocab = draw(st.integers(1, 12))
+    users = [
+        {"user_id": draw(st.sampled_from([i, f"u{i}"])), "sets": draw(st.lists(_raw_set(vocab), max_size=7))}
+        for i in range(draw(st.integers(min_users, 6)))
+    ]
+    return {"vocab_size": vocab, "users": users}
+
+
+def _assert_samples_equal(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert (g.user_id, g.vocab_size) == (w.user_id, w.vocab_size)
+        for name in ("universe", "membership", "target_ids"):
+            a, b = getattr(g, name), getattr(w, name)
+            assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+            assert a.tobytes() == b.tobytes(), name
+
+
+def _outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except (DataError, SampleError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=100)
+@given(raw_corpora(), st.integers(1, 9))
+@example({"vocab_size": 1, "users": [{"user_id": "a", "sets": [[0], [0, 0], []]}]}, 1)
+def test_parse_and_prepare_match_the_oracles(raw, k_max):
+    before = copy.deepcopy(raw)
+    corpus, report = parse_corpus(raw)
+    assert raw == before
+    assert (corpus, report) == oracle_parse_corpus(raw)
+    assert all(type(e) is int for u in corpus.users for s in u.sets for e in s)
+    want = [oracle_prepare_sample(u, k_max, corpus.vocab_size) for u in corpus.users]
+    _assert_samples_equal(prepare_all(corpus, k_max), want)
+    for user, w in zip(corpus.users, want):
+        _assert_samples_equal([prepare_sample(user, k_max, corpus.vocab_size)], [w])
+
+
+def test_load_and_prepare_match_the_oracles_on_a_saved_corpus(tmp_path):
+    spec = SyntheticSpec(users=60, vocab_size=300, pattern="repeat-biased", seed=2, history_len=16,
+                         basket_min=2, basket_max=9, pool_size=12, repeat_prob=0.5)
+    save_corpus(gen_synthetic(spec), tmp_path / "c.json")
+    got = load_corpus(tmp_path / "c.json")
+    corpus, _ = want = oracle_parse_corpus(json.loads((tmp_path / "c.json").read_text()))
+    assert got == want
+    for k_max in (1, 7, 16, 20):
+        _assert_samples_equal(prepare_all(corpus, k_max),
+                              [oracle_prepare_sample(u, k_max, corpus.vocab_size) for u in corpus.users])
+
+
+_BAD_IDS = [True, False, 1.0, 0.5, "1", None, -1, -(2**64), 2**63, 2**64, [0], "vocab", "vocab+5"]
+_BAD_SETS = [{}, {"0": 1}, "ab", (0,), 3, None]
+_BAD_USERS = [[], "u", None, 5, {"user_id": "x"}, {"sets": [[0], [0]]}]
+_BAD_SETS_FIELDS = [{}, "", "ab", 3, None, ([0], [0])]
+_BAD_VOCAB = [True, False, 0, -1, 2.0, "5", None]
+
+
+@st.composite
+def bad_corpora(draw):
+    """A valid raw corpus with one to three faults put in at drawn places."""
+    raw = draw(raw_corpora(min_users=1))
+    users = raw["users"]
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["id", "set", "user", "sets", "duplicate", "vocab"]))
+        u = draw(st.integers(0, len(users) - 1))
+        if not isinstance(users[u], dict) or not isinstance(users[u].get("sets"), list):
+            kind = "user"  # an earlier fault replaced this user's structure
+        if kind == "id":
+            sets = users[u]["sets"] or [[]]
+            users[u]["sets"] = sets
+            target = draw(st.sampled_from(sets))
+            if not isinstance(target, list):
+                continue
+            bad = draw(st.sampled_from(_BAD_IDS))
+            if isinstance(bad, str) and bad.startswith("vocab"):
+                bad = raw["vocab_size"] + (5 if bad.endswith("+5") else 0)
+            target.insert(draw(st.integers(0, len(target))), bad)
+        elif kind == "set":
+            users[u]["sets"].insert(draw(st.integers(0, len(users[u]["sets"]))), draw(st.sampled_from(_BAD_SETS)))
+        elif kind == "user":
+            users[u] = draw(st.sampled_from(_BAD_USERS))
+        elif kind == "sets":
+            users[u]["sets"] = draw(st.sampled_from(_BAD_SETS_FIELDS))
+        elif kind == "duplicate":
+            uid = users[u]["user_id"]
+            clash = draw(st.sampled_from([uid, str(uid)]))
+            users.insert(draw(st.integers(u + 1, len(users))), {"user_id": clash, "sets": [[0], [0]]})
+        else:
+            raw["vocab_size"] = draw(st.sampled_from(_BAD_VOCAB))
+    return raw
+
+
+@settings(max_examples=120)
+@given(bad_corpora())
+@example({"vocab_size": 4, "users": [{"user_id": "a", "sets": [[1, 0], [3, 2**64]]}]})
+@example({"vocab_size": 4, "users": [{"user_id": "a", "sets": [[0], [1]]}, {"user_id": "a", "sets": [[9]]}]})
+@example({"vocab_size": 4, "users": [{"user_id": "a", "sets": [[0], [5]]}, {"user_id": "a", "sets": [[0]]}]})
+def test_bad_corpora_raise_the_oracles_error(raw):
+    want = _outcome(oracle_parse_corpus, copy.deepcopy(raw))
+    assert want[0] is DataError
+    assert _outcome(parse_corpus, raw) == want
+
+
+@st.composite
+def hand_built_users(draw):
+    """UserRecords that never went through parse_corpus: ids in any order, repeated, negative,
+    out of range or far apart enough that (user, id, column) no longer fits one int64 key."""
+    small = st.integers(-3, 14)
+    ids = draw(st.sampled_from([small, st.one_of(small, st.integers(-(2**62), 2**62))]))
+    return tuple(
+        UserRecord(f"u{i}", tuple(tuple(draw(st.lists(ids, max_size=5))) for _ in range(draw(st.integers(1, 6)))))
+        for i in range(draw(st.integers(1, 5)))
+    )
+
+
+@settings(max_examples=100)
+@given(hand_built_users(), st.integers(0, 8))
+@example((UserRecord("a", ((2**62, -(2**62)), (0,))), UserRecord("b", ((1, 1), (0,)))), 2)
+def test_prepare_matches_the_oracle_on_hand_built_users(users, k_max):
+    corpus = Corpus(vocab_size=10, users=users)
+    want = [_outcome(oracle_prepare_sample, u, k_max, 10) for u in users]
+    first_error = next((w for w in want if w[0] != "ok"), None)
+    if first_error is not None:
+        assert _outcome(prepare_all, corpus, k_max) == first_error
+    else:
+        _assert_samples_equal(prepare_all(corpus, k_max), [w[1] for w in want])
+    for user, w in zip(users, want):
+        got = _outcome(prepare_sample, user, k_max, 10)
+        if w[0] == "ok":
+            _assert_samples_equal([got[1]], [w[1]])
+        else:
+            assert got == w
+
+
+def test_out_of_range_id_stays_in_its_users_universe():
+    users = (UserRecord("a", ((1, 2), (0,))), UserRecord("b", ((2, 13), (1,))), UserRecord("c", ((0,), (2,))))
+    samples = prepare_all(Corpus(vocab_size=12, users=users), 2)
+    assert [s.universe.tolist() for s in samples] == [[1, 2], [2, 13], [0]]
+    with pytest.raises(MappingError, match="user 'b'"):
+        make_batch(samples, 12)
 
 
 # --- splitting ---------------------------------------------------------------

@@ -94,6 +94,24 @@ def test_nonfinite_gradient_names_slot():
         adam_step(params, grads, AdamState.init(params), lr=0.001)
 
 
+def test_nonfinite_gradient_leaves_every_slot_and_the_step_untouched():
+    params = _tiny_params()
+    state = AdamState.init(params)
+    rng = np.random.default_rng(4)
+    grads = params.zeros_like()
+    for _, g in grads.slots():
+        g[...] = rng.normal(size=g.shape)
+    adam_step(params, grads, state, lr=0.001, weight_decay=0.01)  # non-zero moments to preserve
+    before = (params.copy(), state.m.copy(), state.v.copy(), state.step)
+    grads.fuse_local[-1] = np.nan  # the last slot: every other slot's update would run before it
+    with pytest.raises(OptimizerError, match="fuse_local"):
+        adam_step(params, grads, state, lr=0.001, weight_decay=0.01)
+    for kept, now in zip(before[:3], (params, state.m, state.v)):
+        for (name, a), (_, b) in zip(kept.slots(), now.slots()):
+            assert np.array_equal(a, b), name
+    assert state.step == before[3]
+
+
 @given(st.integers(0, 2**32 - 1), st.integers(1, 30))
 def test_update_magnitude_bounded_by_lr_and_decay(seed, steps):
     rng = np.random.default_rng(seed)
