@@ -1,4 +1,4 @@
-"""Command-line entry point: train / eval / predict / bench / gen-synthetic / convert.
+"""Command-line entry point: train / eval / predict / inspect / bench / gen-synthetic / convert.
 
 Every run that produces artifacts writes an ``effective-config.json``
 capturing all resolved settings; passing it back via ``--config`` reproduces
@@ -184,6 +184,13 @@ def _cmd_predict(args) -> int:
     return 0
 
 
+def _cmd_inspect(args) -> int:
+    from .checkpoint import inspect_checkpoint
+
+    print(json.dumps(inspect_checkpoint(args.ckpt), sort_keys=True, indent=2))
+    return 0
+
+
 def _parse_grid(text: str) -> dict[str, list[int]]:
     grid: dict[str, list[int]] = {}
     for clause in text.replace(";", " ").split():
@@ -324,6 +331,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--top", type=int, default=10)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_predict)
+
+    p = sub.add_parser("inspect", help="print a checkpoint's header with each array's shape and L2 norm")
+    p.add_argument("--ckpt", required=True)
+    p.set_defaults(func=_cmd_inspect)
 
     p = sub.add_parser("bench", help="inference latency/throughput harness")
     p.add_argument("--grid")

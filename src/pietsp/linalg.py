@@ -21,6 +21,8 @@ import numpy as np
 
 from .errors import PietspError
 
+SOFTPLUS_RUN = 1 << 16  # elements per max(x, 0) temporary in ``softplus_from`` (512 KB in float64)
+
 
 class ShapeError(PietspError):
     """Operand shapes do not satisfy the operation's contract."""
@@ -71,37 +73,44 @@ def logistic(x: np.ndarray) -> np.ndarray:
     is max(e, x >= 0), since e <= 1, so no mask is gathered or scattered.
     """
     x = np.asarray(x)
-    return _logistic_from(x, _exp_neg_abs(x))
+    return logistic_from(x, exp_neg_abs(x))
 
 
 def softplus(x: np.ndarray) -> np.ndarray:
     """log(1 + exp(x)) computed as max(x, 0) + log1p(exp(-|x|))."""
     x = np.asarray(x)
-    out = _exp_neg_abs(x)
-    np.log1p(out, out=out)
-    out += np.maximum(x, 0)
-    return out
+    return softplus_from(x, exp_neg_abs(x))
 
 
-def softplus_logistic(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(softplus(x), logistic(x)) from one shared exp(-|x|): the same bits, one exp instead of two."""
-    x = np.asarray(x)
-    e = _exp_neg_abs(x)
-    soft = np.log1p(e)
-    soft += np.maximum(x, 0)
-    return soft, _logistic_from(x, e)
-
-
-def _logistic_from(x: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """logistic(x) given e = exp(-|x|), which it overwrites."""
-    out = np.maximum(e, x >= 0)
-    e += 1
-    out /= e
-    return out
-
-
-def _exp_neg_abs(x: np.ndarray) -> np.ndarray:
-    """exp(-|x|) in one new array."""
+def exp_neg_abs(x: np.ndarray) -> np.ndarray:
+    """exp(-|x|) in one new array: one exp serves ``softplus_from`` and then ``logistic_from``."""
     out = np.abs(x, out=np.empty_like(x))
     np.negative(out, out=out)
     return np.exp(out, out=out)
+
+
+def softplus_from(x: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """softplus(x) in a new array, given e = exp(-|x|), which it leaves intact.
+
+    max(x, 0) is added in runs of ``SOFTPLUS_RUN`` elements, so its
+    temporary stays small beside the two full-size arrays.  (A masked
+    ``np.add(..., where=x > 0)`` also avoids it, but runs ~6x slower.)
+    """
+    out = np.log1p(e, out=np.empty(e.shape, e.dtype))  # C order, so ``flat`` is a view
+    flat, xs = out.reshape(-1), x.reshape(-1)
+    for i in range(0, flat.size, SOFTPLUS_RUN):
+        flat[i : i + SOFTPLUS_RUN] += np.maximum(xs[i : i + SOFTPLUS_RUN], 0)
+    return out
+
+
+def logistic_from(x: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """logistic(x) in a new array, given e = exp(-|x|), which it overwrites.
+
+    The numerator max(e, x >= 0) is built in the output array, with no
+    boolean temporary for x >= 0.
+    """
+    out = np.greater_equal(x, 0, out=np.empty_like(e))
+    np.maximum(out, e, out=out)
+    e += 1
+    out /= e
+    return out

@@ -339,7 +339,7 @@ class ForwardTrace:
     pi_h2: np.ndarray | None          # (B, D)
     set_repr: np.ndarray | None       # (B, D)
     global_scores: np.ndarray | None  # (B, |E|)
-    logits: np.ndarray                # (B, |E|); (|E|,) from ``forward``
+    logits: np.ndarray | None         # (B, |E|); (|E|,) from ``forward``; training drops it before backward
 
 
 def sfi_concat(m_u: np.ndarray, membership) -> np.ndarray:
@@ -488,9 +488,10 @@ def forward(sample: PreparedSample, params: ModelParams, variant: str = "full") 
 
 def backward(trace: ForwardTrace, params: ModelParams, d_logits: np.ndarray, grads: ModelParams) -> None:
     """Add the gradients of sum(logits * d_logits) for every parameter slot into ``grads``."""
-    if d_logits.shape != trace.logits.shape:
-        raise ShapeError(f"backward: d_logits {d_logits.shape} vs logits {trace.logits.shape}")
     segs, ids = trace.batch.segs, trace.batch.ids
+    shape = (segs.size, params.vocab_size)
+    if d_logits.shape != shape and not (segs.size == 1 and d_logits.shape == shape[1:]):
+        raise ShapeError(f"backward: d_logits {d_logits.shape} vs logits {shape}")
     d_logits = d_logits.reshape(segs.size, -1)
 
     # score fusion and the element scoring branch; (rows, ids) are distinct pairs, ids may repeat

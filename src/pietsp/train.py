@@ -23,7 +23,7 @@ from . import seeding
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import Corpus, PreparedSample, max_history_len, prepare_all
 from .errors import PietspError
-from .linalg import NumericsError, softplus_logistic
+from .linalg import NumericsError, exp_neg_abs, logistic_from, softplus_from
 from .metrics import MetricReport, hit_metrics, top_k_rows
 from .model import ModelParams, VARIANTS, backward, batch_slices, forward, forward_batch, init_params, make_batch  # noqa: F401  forward stays importable from here
 from .optim import DECAYED_SLOTS, AdamState, adam_step, cosine_lr
@@ -92,9 +92,12 @@ def bce_loss(logits: np.ndarray, targets) -> tuple[np.ndarray, np.ndarray]:
     except IndexError as exc:
         raise PietspError(f"bce_loss: targets do not index logits of shape {logits.shape}: {exc}") from None
     n = logits.shape[-1]
-    terms, d_logits = softplus_logistic(logits)  # one exp(-|y|) serves both
+    e = exp_neg_abs(logits)  # one exp(-|y|) serves both terms
+    terms = softplus_from(logits, e)
     terms[targets] -= positives
     loss = terms.sum(axis=-1) / n
+    del terms  # freed before the logistic allocates its block
+    d_logits = logistic_from(logits, e)
     d_logits[targets] -= 1
     d_logits /= n
     return loss, d_logits
@@ -110,6 +113,7 @@ def add_gradients(samples: list[PreparedSample], params: ModelParams, variant: s
         batch = make_batch(part, params.vocab_size)
         trace = forward_batch(batch, params, variant)
         loss, d_logits = bce_loss(trace.logits, batch.targets)
+        trace.logits = None  # backward never reads the logits: one (B, |E|) block less at its peak
         backward(trace, params, d_logits, grads)
         losses.extend(loss.tolist())
         del trace, d_logits  # freed before the next slice's forward allocates its own

@@ -4,10 +4,11 @@ The program runs every user through the ragged-batch engine; these loops
 are what it must agree with.  ``oracle_forward``/``oracle_backward`` follow
 the model formulas for a single universe with plain row reductions, and
 ``oracle_evaluate`` ranks and scores users one by one with the brute-force
-references of ``reference_metrics``.  ``oracle_checkpoint_bytes`` is the
-checkpoint format written the plain way, one ``json.dumps`` over the whole
-payload with the base64 strings in place; the spliced writer must produce
-its bytes.  ``oracle_parse_corpus`` and ``oracle_prepare_sample`` load and
+references of ``reference_metrics``.  ``oracle_checkpoint_bytes`` writes
+checkpoint format 1, one ``json.dumps`` over the whole payload with each
+array as a base64 string; the program only reads that format, and a file
+written here must load to the same checkpoint as format 2.
+``oracle_parse_corpus`` and ``oracle_prepare_sample`` load and
 prepare a corpus one user, one set and one id at a time; the whole-corpus
 passes of ``parse_corpus`` and ``prepare_all`` must give the same corpus,
 report, errors and arrays.
@@ -18,7 +19,6 @@ import json
 
 import numpy as np
 
-from pietsp.checkpoint import FORMAT_VERSION
 from pietsp.data import Corpus, DataError, LoadReport, PreparedSample, SampleError, UserRecord
 from pietsp.model import CONCAT_LAYOUT
 from reference_metrics import ref_hit, ref_ndcg, ref_recall
@@ -128,9 +128,9 @@ def _oracle_table(params):
 
 
 def oracle_checkpoint_bytes(params, seed=None, config=None, opt_state=None, train_state=None):
-    """``checkpoint_bytes``'s output from one ``json.dumps`` of the full payload."""
+    """A format-1 checkpoint: one ``json.dumps`` of the full payload, arrays as base64."""
     payload = {
-        "format_version": FORMAT_VERSION,
+        "format_version": 1,
         "kind": "pietsp-checkpoint",
         "vocab_size": params.vocab_size,
         "dim": params.dim,

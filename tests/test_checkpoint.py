@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from oracle import oracle_checkpoint_bytes
 from pietsp.checkpoint import (
+    MAGIC,
     CheckpointError,
     checkpoint_bytes,
     load_checkpoint,
@@ -56,7 +57,7 @@ def test_optimizer_state_roundtrip_bit_exact(tmp_path):
 def test_tampered_shape_names_slot(tmp_path):
     params = init_params(9, 4, 2, seed=3)
     path = tmp_path / "ck.json"
-    save_checkpoint(path, params)
+    path.write_bytes(oracle_checkpoint_bytes(params))
     payload = json.loads(path.read_text())
     payload["params"]["pi_w2"]["shape"] = [4, 5]
     path.write_text(json.dumps(payload))
@@ -67,7 +68,7 @@ def test_tampered_shape_names_slot(tmp_path):
 def test_corrupt_base64_names_slot(tmp_path):
     params = init_params(9, 4, 2, seed=3)
     path = tmp_path / "ck.json"
-    save_checkpoint(path, params)
+    path.write_bytes(oracle_checkpoint_bytes(params))
     payload = json.loads(path.read_text())
     payload["params"]["emb"]["data"] = "!!!not base64!!!"
     path.write_text(json.dumps(payload))
@@ -78,7 +79,7 @@ def test_corrupt_base64_names_slot(tmp_path):
 def test_version_mismatch_rejected(tmp_path):
     params = init_params(9, 4, 2, seed=3)
     path = tmp_path / "ck.json"
-    save_checkpoint(path, params)
+    path.write_bytes(oracle_checkpoint_bytes(params))
     payload = json.loads(path.read_text())
     payload["format_version"] = 99
     path.write_text(json.dumps(payload))
@@ -89,7 +90,7 @@ def test_version_mismatch_rejected(tmp_path):
 def test_envelope_dim_mismatch_rejected(tmp_path):
     params = init_params(9, 4, 2, seed=3)
     path = tmp_path / "ck.json"
-    save_checkpoint(path, params)
+    path.write_bytes(oracle_checkpoint_bytes(params))
     payload = json.loads(path.read_text())
     payload["vocab_size"] = 10
     path.write_text(json.dumps(payload))
@@ -131,13 +132,12 @@ def test_train_state_with_best_params_roundtrip(tmp_path):
 def test_wrong_shaped_slot_rejected_naming_it(tmp_path, table):
     params = init_params(9, 4, 2, seed=6)
     path = tmp_path / "ck.json"
-    save_checkpoint(
-        path,
+    path.write_bytes(oracle_checkpoint_bytes(
         params,
         opt_state=AdamState.init(params),
         train_state={"epoch": 0, "best_metric": 0.0, "best_epoch": 0, "bad_epochs": 0,
                      "history": [], "best_params": params.copy()},
-    )
+    ))
     payload = json.loads(path.read_text())
     slots = payload
     for key in table:
@@ -168,11 +168,12 @@ def test_interrupted_save_keeps_previous_checkpoint(tmp_path, monkeypatch):
     assert [p.name for p in tmp_path.iterdir()] == ["ck.json"]
 
 
-# --- the spliced writer against the plain json.dumps encoder ------------------
+# --- format 2 against format 1 from the plain json.dumps oracle ---------------
 
-# text that JSON escapes, non-ASCII text, and the splice marker itself, alone and in runs
+# text that JSON escapes (a newline among it, which must not end format 2's header
+# line), non-ASCII text, and runs of "@", the earlier spliced writer's marker
 AWKWARD = ['say "hi"', "back\\slash", "nul\x00byte", "gr\u00fc\u00dfe \u65e5\u672c \U0001f600",
-           "@", '"@"', "a@b.org", "@@@ and @@", "", "@" * 40]
+           "@", '"@"', "a@b.org", "@@@ and @@", "", "@" * 40, "line\nbreak"]
 
 
 def _moved_params(vocab, dim, k_max, seed):
@@ -206,19 +207,59 @@ def _fixtures():
     }
 
 
+def _tables(ck):
+    """Every parameter table a loaded checkpoint holds, by name."""
+    tables = {"params": ck.params}
+    if ck.opt_state is not None:
+        tables |= {"m": ck.opt_state.m, "v": ck.opt_state.v}
+    if ck.train_state is not None and ck.train_state["best_params"] is not None:
+        tables["best_params"] = ck.train_state["best_params"]
+    return tables
+
+
+def _assert_formats_agree(directory, kwargs):
+    """The oracle's format-1 bytes and format-2 bytes load to the same checkpoint, which re-saves identically."""
+    v1, v2 = directory / "v1.json", directory / "v2.json"
+    v1.write_bytes(oracle_checkpoint_bytes(**kwargs))
+    v2.write_bytes(checkpoint_bytes(**kwargs))
+    assert v1.read_bytes().startswith(b"{") and v2.read_bytes().startswith(MAGIC)
+    a, b = load_checkpoint(v1), load_checkpoint(v2)
+    assert a.seed == b.seed == kwargs.get("seed")
+    assert a.config == b.config == kwargs.get("config")
+    assert (a.opt_state is None) == (b.opt_state is None) == (kwargs.get("opt_state") is None)
+    if a.opt_state is not None:
+        assert a.opt_state.step == b.opt_state.step == kwargs["opt_state"].step
+    if a.train_state is not None or b.train_state is not None:
+        strip = lambda ts: {k: v for k, v in ts.items() if k != "best_params"}  # noqa: E731
+        assert strip(a.train_state) == strip(b.train_state) == strip(kwargs["train_state"])
+    ta, tb = _tables(a), _tables(b)
+    assert ta.keys() == tb.keys()
+    for table in ta:
+        for (name, x), (_, y) in zip(ta[table].slots(), tb[table].slots()):
+            assert x.dtype == y.dtype == np.float64 and x.shape == y.shape, (table, name)
+            assert x.tobytes() == y.tobytes(), (table, name)
+            assert y.flags.c_contiguous and y.flags.aligned and y.flags.writeable, (table, name)
+    want = v2.read_bytes()
+    for ck in (a, b):
+        again = checkpoint_bytes(ck.params, seed=ck.seed, config=ck.config, opt_state=ck.opt_state,
+                                 train_state=ck.train_state)
+        assert again == want
+
+
 @pytest.mark.parametrize("name", list(_fixtures()))
-def test_checkpoint_bytes_equal_the_json_dumps_oracle(name):
+def test_checkpoint_bytes_equal_the_json_dumps_oracle(tmp_path, name):
+    """Format 2 holds what the oracle's format-1 document holds, bit for bit."""
     fixture = _fixtures()[name]
     assert fixture["params"].ee_b2.shape == ()
-    assert checkpoint_bytes(**fixture) == oracle_checkpoint_bytes(**fixture)
+    _assert_formats_agree(tmp_path, fixture)
 
 
 @given(vocab=st.integers(1, 12), dim=st.integers(1, 5), k_max=st.integers(1, 4), seed=st.integers(0, 2**16))
-def test_checkpoint_bytes_equal_the_oracle_on_small_shapes(vocab, dim, k_max, seed):
+def test_checkpoint_bytes_equal_the_oracle_on_small_shapes(tmp_path_factory, vocab, dim, k_max, seed):
     params, state = _moved_params(vocab, dim, k_max, seed)
-    kwargs = dict(seed=seed, config={"seed": seed}, opt_state=state,
+    kwargs = dict(params=params, seed=seed, config={"seed": seed}, opt_state=state,
                   train_state=_train_state(params.copy(), [{"epoch": 0}]))
-    assert checkpoint_bytes(params, **kwargs) == oracle_checkpoint_bytes(params, **kwargs)
+    _assert_formats_agree(tmp_path_factory.mktemp("formats"), kwargs)
 
 
 def test_unserializable_user_state_still_raises_type_error():
@@ -228,7 +269,7 @@ def test_unserializable_user_state_still_raises_type_error():
 
 def test_truncated_checkpoint_is_rejected(tmp_path):
     params, state = _moved_params(9, 4, 2, seed=12)
-    whole = checkpoint_bytes(params, seed=1, opt_state=state, train_state=_train_state(params.copy(), []))
+    whole = oracle_checkpoint_bytes(params, seed=1, opt_state=state, train_state=_train_state(params.copy(), []))
     data_at = whole.index(b'"emb":{"data":"') + len(b'"emb":{"data":"')
     cuts = {"envelope": whole.index(b'"concat_layout"') + 5, "payload": data_at + 40, "last-byte": len(whole) - 1}
     for where, cut in cuts.items():
@@ -248,9 +289,209 @@ def test_truncated_checkpoint_is_rejected(tmp_path):
 )
 def test_bad_payload_names_slot(tmp_path, data):
     path = tmp_path / "ck.json"
-    save_checkpoint(path, init_params(9, 4, 2, seed=3))
+    path.write_bytes(oracle_checkpoint_bytes(init_params(9, 4, 2, seed=3)))
     payload = json.loads(path.read_text())
     payload["params"]["ee_b2"]["data"] = data
     path.write_text(json.dumps(payload))
     with pytest.raises(CheckpointError, match="slot 'ee_b2': corrupt base64 payload"):
+        load_checkpoint(path)
+
+
+# --- format 2's header and raw section ----------------------------------------
+
+def _split_v2(blob):
+    """(header, raw section) of format-2 bytes."""
+    assert blob.startswith(MAGIC)
+    line, raw = blob[len(MAGIC):].split(b"\n", 1)
+    return json.loads(line), raw
+
+
+def _join_v2(header, raw):
+    return MAGIC + json.dumps(header).encode("ascii") + b"\n" + raw
+
+
+def _rewrite_v2(path, edit):
+    """Apply ``edit`` to the header of the format-2 file at ``path``, keeping its raw section."""
+    header, raw = _split_v2(path.read_bytes())
+    edit(header)
+    path.write_bytes(_join_v2(header, raw))
+
+
+def test_v2_tampered_shape_names_slot(tmp_path):
+    path = tmp_path / "ck.json"
+    save_checkpoint(path, init_params(9, 4, 2, seed=3))
+    _rewrite_v2(path, lambda h: h["params"]["pi_w2"].update(shape=[4, 5]))
+    with pytest.raises(CheckpointError, match="pi_w2"):
+        load_checkpoint(path)
+
+
+def test_v2_corrupt_record_names_slot(tmp_path):
+    path = tmp_path / "ck.json"
+    save_checkpoint(path, init_params(9, 4, 2, seed=3))
+    _rewrite_v2(path, lambda h: h["params"]["emb"].update(offset="!!!not an offset!!!"))
+    with pytest.raises(CheckpointError, match="emb"):
+        load_checkpoint(path)
+
+
+def test_v2_version_mismatch_rejected(tmp_path):
+    path = tmp_path / "ck.json"
+    save_checkpoint(path, init_params(9, 4, 2, seed=3))
+    _rewrite_v2(path, lambda h: h.update(format_version=99))
+    with pytest.raises(CheckpointError, match="version"):
+        load_checkpoint(path)
+
+
+def test_v2_envelope_dim_mismatch_rejected(tmp_path):
+    path = tmp_path / "ck.json"
+    save_checkpoint(path, init_params(9, 4, 2, seed=3))
+    _rewrite_v2(path, lambda h: h.update(vocab_size=10))
+    with pytest.raises(CheckpointError, match="vocab_size"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize(
+    "table",
+    [("params",), ("optimizer", "m"), ("optimizer", "v"), ("trainer", "best_params")],
+    ids=lambda t: "-".join(t),
+)
+def test_v2_wrong_shaped_slot_rejected_naming_it(tmp_path, table):
+    params = init_params(9, 4, 2, seed=6)
+    path = tmp_path / "ck.json"
+    save_checkpoint(
+        path,
+        params,
+        opt_state=AdamState.init(params),
+        train_state={"epoch": 0, "best_metric": 0.0, "best_epoch": 0, "bad_epochs": 0,
+                     "history": [], "best_params": params.copy()},
+    )
+
+    def edit(header):
+        slots = header
+        for key in table:
+            slots = slots[key]
+        # a record inside the raw section, of the wrong shape: one entry instead of vocab_size
+        slots["fuse_global"] = {"offset": 0, "shape": [1]}
+
+    _rewrite_v2(path, edit)
+    with pytest.raises(CheckpointError, match=rf"{table[-1]} slot 'fuse_global'.*\(9,\)"):
+        load_checkpoint(path)
+
+
+def test_v2_truncated_checkpoint_is_rejected(tmp_path):
+    params, state = _moved_params(9, 4, 2, seed=12)
+    whole = checkpoint_bytes(params, seed=1, opt_state=state, train_state=_train_state(params.copy(), []))
+    raw_at = whole.index(b"\n", len(MAGIC)) + 1
+    cuts = {"magic": len(MAGIC) - 3, "header": whole.index(b'"concat_layout"') + 5,
+            "header-newline": raw_at - 1, "raw": raw_at + 40, "last-byte": len(whole) - 1}
+    for where, cut in cuts.items():
+        path = tmp_path / f"{where}.json"
+        path.write_bytes(whole[:cut])
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+
+@pytest.mark.parametrize("extra", [b"\x00", b"\x00" * 8, b"\n"], ids=["one-byte", "one-float", "newline"])
+def test_v2_trailing_bytes_are_rejected(tmp_path, extra):
+    path = tmp_path / "ck.json"
+    path.write_bytes(checkpoint_bytes(init_params(9, 4, 2, seed=3)) + extra)
+    with pytest.raises(CheckpointError, match="raw section holds"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize(
+    "record",
+    [{"offset": -8, "shape": []}, {"offset": 0.0, "shape": []}, {"offset": "0", "shape": []},
+     {"offset": None, "shape": []}, {"offset": True, "shape": []}, {"offset": [0], "shape": []},
+     {"shape": []}, {"offset": 0}, [0, []], "AAAAAAAAAAA="],
+    ids=["negative", "float", "string", "null", "bool", "list", "no-offset", "no-shape", "list-record",
+         "string-record"],
+)
+def test_v2_bad_record_names_slot(tmp_path, record):
+    path = tmp_path / "ck.json"
+    save_checkpoint(path, init_params(9, 4, 2, seed=3))
+    _rewrite_v2(path, lambda h: h["params"].update(ee_b2=record))
+    with pytest.raises(CheckpointError, match="params slot 'ee_b2': (offset|malformed)"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("past", [1, 8, 10**6], ids=["one-byte", "one-float", "far"])
+def test_v2_offset_out_of_range_names_slot(tmp_path, past):
+    path = tmp_path / "ck.json"
+    save_checkpoint(path, init_params(9, 4, 2, seed=3))
+    # the scalar slot's 8 bytes would end ``past`` bytes beyond the raw section
+    _rewrite_v2(path, lambda h: h["params"]["ee_b2"].update(offset=h["data_bytes"] - 8 + past))
+    with pytest.raises(CheckpointError, match="params slot 'ee_b2': bytes .* fall outside"):
+        load_checkpoint(path)
+
+
+def test_v2_header_without_terminator_is_rejected(tmp_path):
+    path = tmp_path / "ck.json"
+    header, _ = _split_v2(checkpoint_bytes(init_params(9, 4, 2, seed=3)))
+    path.write_bytes(MAGIC + json.dumps(header).encode("ascii"))
+    with pytest.raises(CheckpointError, match="terminating newline"):
+        load_checkpoint(path)
+
+
+def test_v2_header_is_one_line_of_canonical_json():
+    fixture = _fixtures()["awkward-strings"]
+    blob = checkpoint_bytes(**fixture)
+    line, raw = blob[len(MAGIC):].split(b"\n", 1)
+    header = json.loads(line)
+    assert line == json.dumps(header, sort_keys=True, separators=(",", ":")).encode("ascii")
+    assert header["format_version"] == 2 and header["data_bytes"] == len(raw)
+    assert header["config"] == fixture["config"] and header["trainer"]["history"][-1]["note"] == "line\nbreak"
+
+
+# --- malformed envelope fields, in both formats --------------------------------
+
+def _drop_step(payload):
+    del payload["optimizer"]["step"]
+    return payload
+
+
+def _set(*keys, value):
+    def edit(payload):
+        node = payload
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = value
+        return payload
+    return edit
+
+
+# each edit takes the parsed envelope (format 1) or header (format 2) and returns the new root
+ENVELOPE_FAULTS = {
+    "root-list": (lambda payload: [payload], "not a checkpoint file"),
+    "optimizer-list": (_set("optimizer", value=[1]), "optimizer is list"),
+    "optimizer-no-step": (_drop_step, "optimizer step None"),
+    "step-float": (_set("optimizer", "step", value=2.7), "optimizer step 2.7"),
+    "step-bool": (_set("optimizer", "step", value=True), "optimizer step True"),
+    "step-negative": (_set("optimizer", "step", value=-1), "optimizer step -1"),
+    "trainer-list": (_set("trainer", value=[1, 2]), "trainer is list"),
+    "trainer-epoch-string": (_set("trainer", "epoch", value="2"), "trainer epoch '2'"),
+    "trainer-best-epoch-float": (_set("trainer", "best_epoch", value=1.0), "trainer best_epoch 1.0"),
+    "trainer-no-bad-epochs": (_set("trainer", "bad_epochs", value=None), "trainer bad_epochs None"),
+    "trainer-best-metric-string": (_set("trainer", "best_metric", value="0.25"), "trainer best_metric '0.25'"),
+    "trainer-best-metric-bool": (_set("trainer", "best_metric", value=False), "trainer best_metric False"),
+    "trainer-history-object": (_set("trainer", "history", value={}), "trainer history is dict"),
+    "config-list": (_set("config", value=[1]), "config is list"),
+    "shape-float": (_set("params", "emb", "shape", value=3.5), r"params slot 'emb': shape 3\.5"),
+    "shape-negative": (_set("params", "emb", "shape", value=[-9, -4]), r"params slot 'emb': shape \[-9, -4\]"),
+    "shape-bool": (_set("params", "ee_w2", "shape", value=[True] * 4), r"params slot 'ee_w2': shape \[True"),
+}
+
+
+@pytest.mark.parametrize("fmt", [1, 2], ids=["v1", "v2"])
+@pytest.mark.parametrize("fault", list(ENVELOPE_FAULTS))
+def test_malformed_envelope_field_is_rejected_naming_it(tmp_path, fault, fmt):
+    edit, message = ENVELOPE_FAULTS[fault]
+    params, state = _moved_params(9, 4, 2, seed=13)
+    kwargs = dict(seed=1, config={"lr": 0.01}, opt_state=state, train_state=_train_state(params.copy(), []))
+    path = tmp_path / "ck.json"
+    if fmt == 1:
+        path.write_text(json.dumps(edit(json.loads(oracle_checkpoint_bytes(params, **kwargs)))))
+    else:
+        header, raw = _split_v2(checkpoint_bytes(params, **kwargs))
+        path.write_bytes(_join_v2(edit(header), raw))
+    with pytest.raises(CheckpointError, match=message):
         load_checkpoint(path)

@@ -1,10 +1,12 @@
 import json
 from dataclasses import dataclass
 
+import numpy as np
 import pytest
 
 import pietsp.train
-from pietsp.checkpoint import load_checkpoint
+from oracle import oracle_checkpoint_bytes
+from pietsp.checkpoint import MAGIC, load_checkpoint
 from pietsp.cli import main
 from pietsp.data import load_corpus, prepare_all
 from pietsp.metrics import top_k
@@ -174,8 +176,7 @@ def test_variant_flag_trains(tmp_path, synthetic_file):
                    "--seed", "7", "--epochs", "2", "--dim", "8", "--patience", "2",
                    "--variant", "no-ee")
     assert code == 0
-    ck = json.loads((out / "checkpoint-best.json").read_text())
-    assert ck["config"]["variant"] == "no-ee"
+    assert load_checkpoint(out / "checkpoint-best.json").config["variant"] == "no-ee"
 
 
 @pytest.fixture(scope="module")
@@ -228,3 +229,39 @@ def test_train_defaults_come_from_trainconfig(tmp_path, synthetic_file, monkeypa
             "k": "k_list", "variant": "variant", "split_ratios": "split_ratios"}
     assert {key: written[key] for key in keys} == {key: expected[field] for key, field in keys.items()}
     assert len((out / "history.jsonl").read_text().splitlines()) == 3
+
+
+@pytest.mark.parametrize("fmt", [1, 2], ids=["v1", "v2"])
+def test_inspect_prints_header_shapes_and_norms(tmp_path, trained, capsys, fmt):
+    ck = load_checkpoint(trained / "checkpoint-latest.json")
+    path = tmp_path / "ck.json"
+    if fmt == 1:
+        path.write_bytes(oracle_checkpoint_bytes(ck.params, seed=ck.seed, config=ck.config,
+                                                 opt_state=ck.opt_state, train_state=ck.train_state))
+    else:
+        path.write_bytes((trained / "checkpoint-latest.json").read_bytes())
+        assert path.read_bytes().startswith(MAGIC)
+    assert run_cli("inspect", "--ckpt", str(path)) == 0
+    header = json.loads(capsys.readouterr().out)
+    assert header["format_version"] == fmt
+    assert header["config"] == ck.config and header["seed"] == 7
+    assert header["trainer"]["history"] == ck.train_state["history"]
+    assert header["optimizer"]["step"] == ck.opt_state.step
+    tables = {"params": (header["params"], ck.params),
+              "m": (header["optimizer"]["m"], ck.opt_state.m),
+              "v": (header["optimizer"]["v"], ck.opt_state.v),
+              "best_params": (header["trainer"]["best_params"], ck.train_state["best_params"])}
+    for table, (shown, params) in tables.items():
+        assert shown == {name: {"shape": list(arr.shape), "l2_norm": float(np.linalg.norm(arr))}
+                         for name, arr in params.slots()}, table
+
+
+@pytest.mark.parametrize("content", [b"", b"{not json", MAGIC + b'{"kind": "pietsp-checkpoint"}'],
+                         ids=["empty", "not-json", "no-terminator"])
+def test_inspect_bad_file_is_single_line_error(tmp_path, capsys, content):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    assert run_cli("inspect", "--ckpt", str(path)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("pietsp inspect: ") and captured.err.strip().count("\n") == 0

@@ -2,7 +2,18 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pietsp.linalg import elu, elu_grad, logistic, relu, relu_grad, softplus, softplus_logistic
+from pietsp.linalg import (
+    SOFTPLUS_RUN,
+    elu,
+    elu_grad,
+    exp_neg_abs,
+    logistic,
+    logistic_from,
+    relu,
+    relu_grad,
+    softplus,
+    softplus_from,
+)
 
 
 def test_elu_definition():
@@ -48,6 +59,16 @@ def test_softplus_stable():
     assert softplus(np.array([-1000.0]))[0] == 0.0
 
 
+def test_softplus_is_bitwise_the_whole_array_formula_across_runs_and_layouts():
+    """max(x, 0) is added run by run; every run boundary, layout and a 0-d input give the formula's bits."""
+    x = np.random.default_rng(4).normal(scale=20.0, size=(3, SOFTPLUS_RUN + 7))
+    want = np.log1p(np.exp(-np.abs(x))) + np.maximum(x, 0)
+    assert np.array_equal(softplus(x), want)
+    assert np.array_equal(softplus(x.T), want.T)  # Fortran-ordered input
+    assert np.array_equal(softplus(x[:, ::3]), want[:, ::3])  # strided input
+    assert softplus(np.float64(-2.5)) == want.dtype.type(np.log1p(np.exp(-2.5)))
+
+
 @given(st.lists(st.floats(-30, 30), min_size=2, max_size=30).map(sorted))
 def test_activations_monotone(xs):
     row = np.array([xs])
@@ -70,7 +91,9 @@ def test_logistic_is_bitwise_the_two_branch_formula():
     grid = np.concatenate([grid, np.linspace(-40.0, 40.0, 801)])
     with np.errstate(over="ignore"):
         assert np.array_equal(logistic(grid), _two_branch_logistic(grid))
-        soft, sig = softplus_logistic(grid)
+        e = exp_neg_abs(grid)
+        soft = softplus_from(grid, e)
+        sig = logistic_from(grid, e)
         assert np.array_equal(soft, softplus(grid)) and np.array_equal(sig, logistic(grid))
         assert np.array_equal(logistic(grid.reshape(-1, 3)), _two_branch_logistic(grid).reshape(-1, 3))
         single = grid.astype(np.float32)

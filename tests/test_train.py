@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from oracle import oracle_checkpoint_bytes
 from pietsp import train
+from pietsp.checkpoint import load_checkpoint
 from pietsp.data import SyntheticSpec, gen_synthetic, prepare_all, split_users
 from pietsp.errors import PietspError
 from pietsp.linalg import logistic, softplus
@@ -325,3 +327,19 @@ def test_resume_matches_uninterrupted_run(tmp_path):
     for (name, a), (_, b) in zip(straight.params.slots(), resumed.params.slots()):
         assert np.abs(a - b).max() < 1e-12, name
     assert params_digest(straight.params) == params_digest(resumed.params)  # in fact bit-exact
+
+
+def test_resume_from_a_format_1_checkpoint_matches_uninterrupted_run(tmp_path):
+    """A run directory written before format 2 still resumes, to the same parameters."""
+    train_c, val_c, _ = _split_periodic(users=24, vocab=50, seed=8)
+    cfg = TrainConfig(dim=8, max_epochs=6, patience=6, seed=11)
+    straight = fit(train_c, val_c, cfg)
+
+    latest = tmp_path / "checkpoint-latest.json"
+    fit(train_c, val_c, cfg, stop_after_epoch=2, latest_path=latest)
+    ck = load_checkpoint(latest)
+    latest.write_bytes(oracle_checkpoint_bytes(ck.params, seed=ck.seed, config=ck.config,
+                                               opt_state=ck.opt_state, train_state=ck.train_state))
+    resumed = fit(train_c, val_c, cfg, resume_from=latest)
+    assert resumed.history == straight.history
+    assert params_digest(straight.params) == params_digest(resumed.params)
