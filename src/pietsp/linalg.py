@@ -83,9 +83,12 @@ def softplus(x: np.ndarray) -> np.ndarray:
 
 
 def exp_neg_abs(x: np.ndarray) -> np.ndarray:
-    """exp(-|x|) in one new array: one exp serves ``softplus_from`` and then ``logistic_from``."""
-    out = np.abs(x, out=np.empty_like(x))
-    np.negative(out, out=out)
+    """exp(-|x|) in one new array: one exp serves ``softplus_from`` and then ``logistic_from``.
+
+    -|x| is formed in one pass as ``copysign(x, -1)``, the same bits as
+    ``negative(abs(x))`` (zeros and NaNs included).
+    """
+    out = np.copysign(x, -1.0, out=np.empty_like(x))
     return np.exp(out, out=out)
 
 

@@ -23,7 +23,8 @@ Their universes and membership rows are stacked into R = sum(N) rows, so
 the row-wise layers are single products over all R rows; the per-user mean
 in the equivariant layer and the sum pooling are segment reductions
 (``np.add.reduceat`` over each user's rows, ``Segments``); the global
-scores are one (B x D)(D x |E|) product, and the logits a B x |E| block.
+scores are one (B x D)(D x |E|) product, a B x |E| block that the fusion
+turns into the logits in place (``fuse_scores(..., out=)``).
 ``forward`` is the B = 1 call and returns 1-D logits.  ``batch_slices``
 cuts a list of users into engine calls of bounded size (``MAX_BATCH_ROWS``
 universe rows, ``MAX_BATCH_USERS`` users), which keeps the memory of a call
@@ -46,9 +47,11 @@ The backward pass is derived by hand (no autodiff) and adds the gradients
 of the whole call into a caller-owned ``ModelParams`` buffer, so a
 minibatch sums into one table.  The embedding table receives gradient
 through two routes: the gather into Z (universe rows only, summed per
-distinct id by one ``np.add.reduceat`` over the ids in sorted order,
-``Batch.scatter_add``) and the global scoring o_s = M zbar (every row, one
-(|E| x B)(B x D) product).  Ablation variants drop one scoring branch:
+(id, column) cell by one ``np.bincount``, ``Batch.scatter_add``) and the
+global scoring o_s = M zbar (every row, one (|E| x B)(B x D) product P).
+The global scores are not kept for backward: the gradient of the fusion
+weights a is sum_b d_logits[b] o_s[b], the row sums of P * M.  Ablation
+variants drop one scoring branch:
 
     "no-ee": y = a * o_s          (element scores removed)
     "no-ge": y = b * o_e on universe ids, 0 elsewhere (global scores removed)
@@ -230,20 +233,16 @@ class Batch:
     def size(self) -> int:
         return self.segs.size
 
-    @cached_property
-    def scatter_plan(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(order, starts, uniq): a stable argsort of ``ids``, where each distinct id's run
-        starts in that order, and the distinct ids.  Built on first use, by ``backward``, so
-        forward-only calls (evaluate, predict) never pay for it."""
-        order = np.argsort(self.ids, kind="stable")
-        ordered = self.ids[order]
-        starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
-        return order, starts, ordered[starts]
-
     def scatter_add(self, table: np.ndarray, rows: np.ndarray) -> None:
-        """``table[ids[r]] += rows[r]`` for every row r; rows of an id repeated across users are summed."""
-        order, starts, uniq = self.scatter_plan
-        table[uniq] += np.add.reduceat(rows[order], starts, axis=0)
+        """``table[ids[r]] += rows[r]`` for every row r; rows of an id repeated across users are summed.
+
+        One ``np.bincount`` over the flat cell index ids[r] * D + column of
+        every entry of ``rows`` sums them into a (|E| x D) table, which is
+        then added in: no sort, gather or ``np.add.at``.
+        """
+        vocab, dim = table.shape
+        cells = (self.ids[:, None] * dim + np.arange(dim)).reshape(-1)
+        table += np.bincount(cells, weights=rows.reshape(-1), minlength=vocab * dim).reshape(vocab, dim)
 
 
 def _check_universe(sample: PreparedSample, vocab_size: int) -> None:
@@ -338,7 +337,6 @@ class ForwardTrace:
     pi_h1: np.ndarray | None          # (B, D)
     pi_h2: np.ndarray | None          # (B, D)
     set_repr: np.ndarray | None       # (B, D)
-    global_scores: np.ndarray | None  # (B, |E|)
     logits: np.ndarray | None         # (B, |E|); (|E|,) from ``forward``; training drops it before backward
 
 
@@ -421,13 +419,15 @@ def fuse_scores(
     fuse_global: np.ndarray,
     fuse_local: np.ndarray,
     rows: np.ndarray | None = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Blend: every item gets a_j * o_s[j]; universe items add b_j * o_e[i].
 
     ``rows`` gives the score row of each universe entry when ``global_scores``
     is a (B, |E|) block; each (row, item) pair must occur once.
+    ``out=global_scores`` works in place.
     """
-    logits = fuse_global * global_scores
+    logits = np.multiply(fuse_global, global_scores, out=out)
     logits[universe if rows is None else (rows, universe)] += fuse_local[universe] * elem_scores
     check_finite(logits, "fuse_scores")
     return logits
@@ -447,15 +447,15 @@ def forward_batch(batch: Batch, params: ModelParams, variant: str = "full") -> F
     if variant != "no-ee":
         elem_scores, hidden = ee_forward(pe_out, params)
 
-    set_repr = pooled = h1 = h2 = global_scores = None
+    set_repr = pooled = h1 = h2 = None
     if variant != "no-ge":
         set_repr, pooled, h1, h2 = pi_forward(pe_out, params, segs)
-        global_scores = ge_forward(set_repr, params.emb)
+        logits = ge_forward(set_repr, params.emb)  # fused in place below; backward does not read it
 
     if variant == "full":
-        logits = fuse_scores(global_scores, elem_scores, ids, params.fuse_global, params.fuse_local, segs.rows)
+        fuse_scores(logits, elem_scores, ids, params.fuse_global, params.fuse_local, segs.rows, out=logits)
     elif variant == "no-ee":
-        logits = params.fuse_global * global_scores
+        logits *= params.fuse_global
         check_finite(logits, "fuse_scores")
     else:  # no-ge
         logits = np.zeros((batch.size, params.vocab_size), dtype=pe_out.dtype)
@@ -474,7 +474,6 @@ def forward_batch(batch: Batch, params: ModelParams, variant: str = "full") -> F
         pi_h1=h1,
         pi_h2=h2,
         set_repr=set_repr,
-        global_scores=global_scores,
         logits=logits,
     )
 
@@ -511,10 +510,11 @@ def backward(trace: ForwardTrace, params: ModelParams, d_logits: np.ndarray, gra
 
     # score fusion, global scoring and the invariant branch
     if trace.variant != "no-ge":
-        # with d_global = d_logits * a (per item), d_global^T zbar = a * (d_logits^T zbar) and
-        # d_global M = d_logits (a * M): no B x |E| product is formed
-        grads.fuse_global += np.einsum("be,be->e", d_logits, trace.global_scores)
+        # with P = d_logits^T zbar (|E| x D) and o_s = M zbar, the fusion gradient sum_b d_logits o_s
+        # is the row sums of P * M; with d_global = d_logits * a (per item), d_global^T zbar = a * P
+        # and d_global M = d_logits (a * M): no B x |E| product is formed
         emb_global = d_logits.T @ trace.set_repr
+        grads.fuse_global += np.einsum("ed,ed->e", emb_global, params.emb)
         emb_global *= params.fuse_global[:, None]
         grads.emb += emb_global
         del emb_global

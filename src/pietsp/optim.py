@@ -19,6 +19,7 @@ from .model import ModelParams
 BETA1 = 0.9
 BETA2 = 0.999
 EPS = 1e-8
+ADAM_RUN = 32_768  # elements per run of ``adam_step``; its two float64 scratch buffers stay under 1 MB
 
 DECAYED_SLOTS = frozenset(
     {"emb", "pe_w_global", "pe_w_local", "ee_w1", "ee_w2", "pi_w1", "pi_w2", "pi_w3"}
@@ -61,40 +62,50 @@ def adam_step(
     """One in-place update: bias-corrected Adam step plus decoupled decay.
 
     Per slot, in this order: m = b1 m + (1 - b1) g; v = b2 v + (1 - b2) g g;
-    u = (m / bc1) / (sqrt(v / bc2) + eps); p = p - lr u [- lr wd p].  The
-    moments and parameters are updated in place through two scratch arrays.
-    Every gradient is checked before anything is updated, so a non-finite one
-    raises ``OptimizerError`` with the parameters, moments and step untouched.
+    u = (m / bc1) / (sqrt(v / bc2) + eps); p = p - lr u [- lr wd p].  Each
+    slot is viewed as 1-D and updated in runs of ``ADAM_RUN`` elements: the
+    moments and parameters change in place through two run-sized scratch
+    buffers, and each run stays in cache from one pass to the next.  Every
+    operation is element-wise, so the result is bit-identical to updating
+    the whole slot at once.  Every slot is checked before anything is
+    updated, so a non-finite gradient, or a parameter or moment that is not
+    C-contiguous, raises ``OptimizerError`` with the parameters, moments and
+    step untouched.
     """
     for name, g in grads.slots():
         if not np.all(np.isfinite(g)):
             raise OptimizerError(f"non-finite gradient for parameter '{name}'")
+        # p, m and v are flattened to views below: an update made in a copy would be lost.
+        if not all(getattr(t, name).flags.c_contiguous for t in (params, state.m, state.v)):
+            raise OptimizerError(f"parameter '{name}' or its moments are not C-contiguous")
     state.step += 1
     bc1 = 1.0 - BETA1 ** state.step
     bc2 = 1.0 - BETA2 ** state.step
+    size = min(ADAM_RUN, max(p.size for _, p in params.slots()))
+    tmp_buf, update_buf = np.empty(size, params.emb.dtype), np.empty(size, params.emb.dtype)
     for name, p in params.slots():
-        g = getattr(grads, name)
-        m = getattr(state.m, name)
-        v = getattr(state.v, name)
-        tmp = np.empty_like(p)
-        update = np.empty_like(p)
-        np.multiply(g, 1.0 - BETA1, out=tmp)
-        m *= BETA1
-        m += tmp
-        np.multiply(g, 1.0 - BETA2, out=tmp)
-        tmp *= g
-        v *= BETA2
-        v += tmp
-        np.divide(m, bc1, out=update)
-        np.divide(v, bc2, out=tmp)
-        np.sqrt(tmp, out=tmp)
-        tmp += EPS
-        update /= tmp
-        update *= lr
         decayed = name in DECAYED_SLOTS or (decay_fusion and name in FUSION_SLOTS)
-        if decayed and weight_decay != 0.0:
-            np.multiply(p, lr * weight_decay, out=tmp)
-            p -= update
-            p -= tmp
-        else:
-            p -= update
+        slots = (p, getattr(grads, name), getattr(state.m, name), getattr(state.v, name))
+        flat = [a.reshape(-1) for a in slots]
+        for i in range(0, p.size, ADAM_RUN):
+            p_run, g, m, v = (a[i : i + ADAM_RUN] for a in flat)
+            tmp, update = tmp_buf[: p_run.size], update_buf[: p_run.size]
+            np.multiply(g, 1.0 - BETA1, out=tmp)
+            m *= BETA1
+            m += tmp
+            np.multiply(g, 1.0 - BETA2, out=tmp)
+            tmp *= g
+            v *= BETA2
+            v += tmp
+            np.divide(m, bc1, out=update)
+            np.divide(v, bc2, out=tmp)
+            np.sqrt(tmp, out=tmp)
+            tmp += EPS
+            update /= tmp
+            update *= lr
+            if decayed and weight_decay != 0.0:
+                np.multiply(p_run, lr * weight_decay, out=tmp)
+                p_run -= update
+                p_run -= tmp
+            else:
+                p_run -= update

@@ -15,6 +15,7 @@ epoch), so resuming from a checkpoint replays the identical stream.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -25,8 +26,8 @@ from .data import Corpus, PreparedSample, max_history_len, prepare_all
 from .errors import PietspError
 from .linalg import NumericsError, exp_neg_abs, logistic_from, softplus_from
 from .metrics import MetricReport, hit_metrics, top_k_rows
-from .model import ModelParams, VARIANTS, backward, batch_slices, forward, forward_batch, init_params, make_batch  # noqa: F401  forward stays importable from here
-from .optim import DECAYED_SLOTS, AdamState, adam_step, cosine_lr
+from .model import MappingError, ModelParams, VARIANTS, backward, batch_slices, forward, forward_batch, init_params, make_batch  # noqa: F401  forward stays importable from here
+from .optim import DECAYED_SLOTS, AdamState, OptimizerError, adam_step, cosine_lr
 
 
 @dataclass
@@ -46,10 +47,23 @@ class TrainConfig:
     split_ratios: tuple[float, float, float] = (0.7, 0.1, 0.2)
 
     def __post_init__(self):
-        if self.batch_size < 1 or self.dim < 1 or self.max_epochs < 1:
-            raise PietspError("batch_size, dim, and max_epochs must be positive")
-        if self.base_lr <= 0:
-            raise PietspError("base_lr must be positive")
+        for name in ("batch_size", "dim", "max_epochs", "patience"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise PietspError(f"{name} must be an integer, got {value!r}")
+        for name in ("batch_size", "dim", "max_epochs"):
+            if getattr(self, name) < 1:
+                raise PietspError(f"{name} must be positive, got {getattr(self, name)}")
+        for name in ("base_lr", "weight_decay", "l2_coeff"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+                raise PietspError(f"{name} must be a number, got {value!r}")
+        if not (math.isfinite(self.base_lr) and self.base_lr > 0):
+            raise PietspError(f"base_lr must be positive and finite, got {self.base_lr}")
+        for name in ("weight_decay", "l2_coeff"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise PietspError(f"{name} must be finite and non-negative, got {value}")
         if not 1 <= self.patience <= self.max_epochs:
             raise PietspError("patience must lie in [1, max_epochs]")
         if self.variant not in VARIANTS:
@@ -127,26 +141,35 @@ def train_epoch(
     config: TrainConfig,
     epoch: int,
 ) -> float:
-    """One pass over the samples; returns the mean training loss."""
+    """One pass over the samples; returns the mean training loss.
+
+    A ``NumericsError``, ``MappingError`` or ``OptimizerError`` raised by a
+    minibatch keeps its type and message and gains "epoch E, step S", S
+    counting the epoch's optimizer steps from 0.
+    """
     if not samples:
         raise PietspError("train_epoch: no samples")
     order = seeding.rng(config.seed, "shuffle", epoch).permutation(len(samples))
     lr = cosine_lr(epoch, config.max_epochs, config.base_lr)
     total_loss = 0.0
-    for start in range(0, len(order), config.batch_size):
-        chunk = [samples[i] for i in order[start : start + config.batch_size]]
-        grads = params.zeros_like()
-        for loss in add_gradients(chunk, params, config.variant, grads):
-            total_loss += loss
-        inv = 1.0 / len(chunk)
-        for _, arr in grads.slots():
-            arr *= inv
-        if config.l2_coeff:
-            total_loss += config.l2_coeff * l2_penalty(params) * len(chunk)
-            for name, arr in grads.slots():
-                if name in DECAYED_SLOTS:
-                    arr += 2.0 * config.l2_coeff * getattr(params, name)
-        adam_step(params, grads, opt_state, lr, config.weight_decay, config.decay_fusion)
+    for step, start in enumerate(range(0, len(order), config.batch_size)):
+        try:
+            chunk = [samples[i] for i in order[start : start + config.batch_size]]
+            grads = params.zeros_like()
+            for loss in add_gradients(chunk, params, config.variant, grads):
+                total_loss += loss
+            inv = 1.0 / len(chunk)
+            for _, arr in grads.slots():
+                arr *= inv
+            if config.l2_coeff:
+                total_loss += config.l2_coeff * l2_penalty(params) * len(chunk)
+                for name, arr in grads.slots():
+                    if name in DECAYED_SLOTS:
+                        arr += 2.0 * config.l2_coeff * getattr(params, name)
+            adam_step(params, grads, opt_state, lr, config.weight_decay, config.decay_fusion)
+        except (NumericsError, MappingError, OptimizerError) as exc:
+            exc.args = (f"{exc} (epoch {epoch}, step {step})",)
+            raise
     return total_loss / len(samples)
 
 

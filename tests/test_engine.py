@@ -1,5 +1,7 @@
 """The ragged-batch engine against finite differences and the per-user oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -142,6 +144,41 @@ def test_sorted_scatter_matches_add_at():
     np.add.at(want, batch.ids, rows)
     batch.scatter_add(table, rows)
     assert np.abs(table - want).max() <= 1e-12
+
+
+def test_scatter_on_a_wide_batch_matches_add_at():
+    vocab, rng = 2048, np.random.default_rng(12)
+    universes = [rng.choice(vocab, n, replace=False) for n in rng.integers(150, 250, size=22)]
+    universes[0][:2] = (0, vocab - 1)
+    universes.append(np.array([0]))  # a one-row user
+    samples = [_user(f"u{i}", np.sort(u), vocab) for i, u in enumerate(universes)]
+    batch = make_batch(samples, vocab)
+    counts = np.bincount(batch.ids, minlength=vocab)
+    assert all((counts[u] > 1).any() for u in universes)  # every user shares ids with another
+    assert batch.size >= 20 and 180 <= batch.ids.size / batch.size <= 220
+    rows = rng.normal(size=(batch.ids.size, 32))
+    table = rng.normal(size=(vocab, 32))
+    want = table.copy()
+    np.add.at(want, batch.ids, rows)
+    batch.scatter_add(table, rows)
+    assert np.abs(table - want).max() <= 1e-12
+
+
+def test_training_slice_peak_memory_in_score_blocks():
+    """One 64-user slice at |E| = 12,000 peaks at 3.6 (B, |E|) blocks of float64."""
+    vocab, users = 12000, MAX_BATCH_USERS
+    params = init_params(vocab, 32, 16, seed=0)
+    samples = synthetic_samples(30, 16, vocab, users, seed=1)
+    assert len(list(batch_slices(samples))) == 1
+    grads = params.zeros_like()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        add_gradients(samples, params, "full", grads)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.6 * users * vocab * 8, peak / (users * vocab * 8)
 
 
 def test_one_pass_validation_edge_cases(monkeypatch):

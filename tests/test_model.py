@@ -226,7 +226,7 @@ def test_forward_shape_law():
     trace = forward(sample, params)
     assert trace.pe_out.shape == (3, 32)
     assert trace.elem_scores.shape == (3,)
-    assert trace.global_scores.shape == (1, 100)  # one row per user of the engine call
+    assert trace.set_repr.shape == (1, 32)  # one row per user of the engine call
     assert trace.logits.shape == (100,)
 
 

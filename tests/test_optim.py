@@ -1,10 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from pietsp.linalg import SOFTPLUS_RUN
 from pietsp.model import init_params
 from pietsp.optim import (
+    ADAM_RUN,
     BETA1,
     BETA2,
     DECAYED_SLOTS,
@@ -112,6 +116,21 @@ def test_nonfinite_gradient_leaves_every_slot_and_the_step_untouched():
     assert state.step == before[3]
 
 
+def test_non_contiguous_slot_is_rejected_with_every_slot_and_the_step_untouched():
+    params = _tiny_params()
+    state = AdamState.init(params)
+    state.v.emb = np.asfortranarray(state.v.emb)  # flattening it would copy, and the update would be lost
+    before = (params.copy(), state.m.copy(), state.v.copy())
+    grads = params.zeros_like()
+    grads.emb[...] = 1.0
+    with pytest.raises(OptimizerError, match="'emb'.*not C-contiguous"):
+        adam_step(params, grads, state, lr=0.001)
+    for kept, now in zip(before, (params, state.m, state.v)):
+        for (name, a), (_, b) in zip(kept.slots(), now.slots()):
+            assert np.array_equal(a, b), name
+    assert state.step == 0
+
+
 @given(st.integers(0, 2**32 - 1), st.integers(1, 30))
 def test_update_magnitude_bounded_by_lr_and_decay(seed, steps):
     rng = np.random.default_rng(seed)
@@ -169,3 +188,49 @@ def test_in_place_step_is_bitwise_the_textbook_formula():
     for got, expected in ((params, want), (state.m, m), (state.v, v)):
         for (name, a), (_, b) in zip(got.slots(), expected.slots()):
             assert np.array_equal(a, b), name
+
+
+def test_step_across_run_boundaries_is_bitwise_the_textbook_formula():
+    """A slot spanning several runs, its last one partial, updates exactly as if taken whole."""
+    rng = np.random.default_rng(6)
+    params = init_params(2100, 32, 2, seed=5)
+    assert params.emb.size > SOFTPLUS_RUN and params.emb.size % ADAM_RUN != 0
+    assert params.fuse_local.size < ADAM_RUN  # a slot within one run
+    assert params.ee_b2.shape == () and "ee_b2" not in DECAYED_SLOTS and "pe_bias" not in DECAYED_SLOTS
+    want = params.copy()
+    state = AdamState.init(params)
+    m, v = params.zeros_like(), params.zeros_like()
+    lr, decay = 0.003, 0.02
+    for step in range(1, 4):
+        grads = params.zeros_like()
+        for _, arr in grads.slots():
+            arr[...] = rng.normal(size=arr.shape)
+        adam_step(params, grads, state, lr=lr, weight_decay=decay)
+        bc1, bc2 = 1.0 - BETA1**step, 1.0 - BETA2**step
+        for name, p in want.slots():
+            g, mm, vv = getattr(grads, name), getattr(m, name), getattr(v, name)
+            mm[...] = BETA1 * mm + (1.0 - BETA1) * g
+            vv[...] = BETA2 * vv + (1.0 - BETA2) * g * g
+            update = (mm / bc1) / (np.sqrt(vv / bc2) + EPS)
+            p[...] = p - lr * update - lr * decay * p if name in DECAYED_SLOTS else p - lr * update
+    for got, expected in ((params, want), (state.m, m), (state.v, v)):
+        for (name, a), (_, b) in zip(got.slots(), expected.slots()):
+            assert np.array_equal(a, b), name
+
+
+def test_step_temporaries_stay_under_one_megabyte():
+    params = init_params(12000, 32, 16, seed=0)
+    grads = params.zeros_like()
+    rng = np.random.default_rng(2)
+    for _, g in grads.slots():
+        g[...] = rng.normal(size=g.shape)
+    state = AdamState.init(params)
+    adam_step(params, grads, state, lr=0.001, weight_decay=0.01)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        adam_step(params, grads, state, lr=0.001, weight_decay=0.01)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, peak  # whole-slot temporaries took 6.2 MB

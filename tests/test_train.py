@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 
 from oracle import oracle_checkpoint_bytes
-from pietsp import train
+from pietsp import seeding, train
 from pietsp.checkpoint import load_checkpoint
-from pietsp.data import SyntheticSpec, gen_synthetic, prepare_all, split_users
+from pietsp.data import PreparedSample, SyntheticSpec, gen_synthetic, prepare_all, split_users
 from pietsp.errors import PietspError
-from pietsp.linalg import logistic, softplus
+from pietsp.linalg import NumericsError, logistic, softplus
 from pietsp.metrics import MetricError
-from pietsp.model import init_params
+from pietsp.model import MappingError, init_params
 from pietsp.optim import DECAYED_SLOTS, AdamState, cosine_lr
 from pietsp.train import TrainConfig, bce_loss, evaluate, fit, l2_penalty, train_epoch
 from pietsp.bench import synthetic_samples
@@ -214,6 +214,51 @@ def test_evaluate_rejects_k_below_one(k_list):
 def test_config_rejects_k_below_one_or_no_k(field):
     with pytest.raises(PietspError, match="k_list must be non-empty"):
         TrainConfig(**field)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), 0.0, -0.001, "0.01", None, True])
+def test_config_rejects_a_bad_base_lr(value):
+    with pytest.raises(PietspError, match="base_lr"):
+        TrainConfig(base_lr=value)
+
+
+@pytest.mark.parametrize("value", [-5.0, float("nan"), float("inf"), "0.01", None, False])
+def test_config_rejects_a_bad_weight_decay(value):
+    with pytest.raises(PietspError, match="weight_decay"):
+        TrainConfig(weight_decay=value)
+
+
+@pytest.mark.parametrize("value", [-1.0, float("inf"), float("nan"), "0", None])
+def test_config_rejects_a_bad_l2_coeff(value):
+    with pytest.raises(PietspError, match="l2_coeff"):
+        TrainConfig(l2_coeff=value)
+
+
+@pytest.mark.parametrize("value", [True, 0, -4, 8.0])
+def test_config_rejects_a_bad_batch_size(value):
+    with pytest.raises(PietspError, match="batch_size"):
+        TrainConfig(batch_size=value)
+
+
+def test_train_epoch_names_the_epoch_and_step_of_an_overflowing_parameter():
+    samples = synthetic_samples(5, 3, 40, 12, seed=2)
+    params = init_params(40, 4, 3, seed=1)
+    cfg = TrainConfig(batch_size=4, dim=4, max_epochs=5, patience=1, base_lr=1e300)  # step 0 sends weights to ~1e300
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+        NumericsError, match=r"non-finite values produced by pe_forward \(epoch 2, step 1\)$"
+    ):
+        train_epoch(samples, params, AdamState.init(params), cfg, epoch=2)
+
+
+def test_train_epoch_names_the_epoch_and_step_of_a_bad_universe():
+    samples = synthetic_samples(5, 3, 40, 12, seed=2)
+    params = init_params(40, 4, 3, seed=1)
+    cfg = TrainConfig(batch_size=4, dim=4, max_epochs=5, patience=1)
+    bad = seeding.rng(cfg.seed, "shuffle", 1).permutation(len(samples))[9]  # in the third minibatch
+    u = np.array([2, 5, 2])
+    samples[bad] = PreparedSample("bad-user", u, np.ones((u.size, 3)), np.array([1]), 40)
+    with pytest.raises(MappingError, match=r"user 'bad-user': universe contains duplicate ids \(epoch 1, step 2\)$"):
+        train_epoch(samples, params, AdamState.init(params), cfg, epoch=1)
 
 
 def test_evaluate_skips_empty_targets():
