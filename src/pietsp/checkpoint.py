@@ -30,8 +30,9 @@ Loading is where parameter shapes enter from outside the program, so both
 formats share one check of the envelope (kind, version, layout, dimensions,
 optimizer and trainer fields) and of every slot of the parameters, both
 Adam moments and the best parameters against the shapes the dimensions
-give.  A format-2 file is read once and each slot is copied once out of a
-``memoryview`` of it.  Saving writes a temporary file in one
+give.  A file is read once; each slot of a table that passes is copied
+once, straight from the file's bytes into its view of a fresh
+``ModelParams`` buffer.  Saving writes a temporary file in one
 ``write_bytes`` call and renames it over the target, so an interrupted save
 leaves the previous checkpoint intact.
 """
@@ -187,7 +188,7 @@ def _load(path) -> tuple[dict, Checkpoint]:
 
 
 def _open_v2(path, blob: bytes):
-    """Format 2's header and a decoder that copies each array out of the raw section."""
+    """Format 2's header and a decoder that returns each array's bytes in the raw section."""
     end = blob.find(b"\n", len(MAGIC))
     if end < 0:
         raise CheckpointError(f"{path}: the header has no terminating newline")
@@ -204,7 +205,7 @@ def _open_v2(path, blob: bytes):
     if len(data) != size:
         raise CheckpointError(f"{path}: the raw section holds {len(data)} bytes, but data_bytes is {size}")
 
-    def decode(where: str, record: dict, shape: tuple[int, ...]) -> np.ndarray:
+    def decode(where: str, record: dict, shape: tuple[int, ...]) -> memoryview:
         if "offset" not in record:
             raise CheckpointError(f"{where}: malformed array record")
         offset = record["offset"]
@@ -215,13 +216,13 @@ def _open_v2(path, blob: bytes):
             raise CheckpointError(
                 f"{where}: bytes {offset} to {offset + 8 * count} fall outside the {size}-byte raw section"
             )
-        return np.frombuffer(data, dtype="<f8", count=count, offset=offset).reshape(shape).copy()
+        return data[offset : offset + 8 * count]
 
     return header, decode
 
 
-def _decode_base64(where: str, record: dict, shape: tuple[int, ...]) -> np.ndarray:
-    """Format 1: one array from its base64 string."""
+def _decode_base64(where: str, record: dict, shape: tuple[int, ...]) -> bytes:
+    """Format 1: one array's bytes, from its base64 string."""
     if "data" not in record:
         raise CheckpointError(f"{where}: malformed array record")
     if not isinstance(record["data"], str):
@@ -233,7 +234,7 @@ def _decode_base64(where: str, record: dict, shape: tuple[int, ...]) -> np.ndarr
     expected = 8 * math.prod(shape)
     if len(raw) != expected:
         raise CheckpointError(f"{where}: payload holds {len(raw)} bytes but shape {shape} needs {expected}")
-    return np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+    return raw
 
 
 def _decode_params(obj, table: str, dims: dict[str, int], decode) -> ModelParams:
@@ -244,7 +245,7 @@ def _decode_params(obj, table: str, dims: dict[str, int], decode) -> ModelParams
     if missing:
         raise CheckpointError(f"{table}: parameter table missing slots: {missing}")
     shapes = param_shapes(**dims)
-    arrays = {}
+    raw = {}
     for slot in PARAM_SLOTS:
         where = f"{table} slot '{slot}'"
         record = obj[slot]
@@ -258,8 +259,11 @@ def _decode_params(obj, table: str, dims: dict[str, int], decode) -> ModelParams
                 f"{where}: shape {tuple(shape)}, but the envelope's"
                 f" {', '.join(f'{k}={v}' for k, v in dims.items())} need {shapes[slot]}"
             )
-        arrays[slot] = decode(where, record, shapes[slot])
-    return ModelParams(**arrays)
+        raw[slot] = decode(where, record, shapes[slot])
+    params = ModelParams(**dims, dtype="<f8", empty=True)  # the file's byte order: its bytes copy as they are
+    for slot, out in params.slots():
+        out.data.cast("B")[:] = raw[slot]
+    return params
 
 
 def _checkpoint(path, header, version: int, decode) -> Checkpoint:

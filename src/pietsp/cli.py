@@ -2,8 +2,8 @@
 
 Every run that produces artifacts writes an ``effective-config.json``
 capturing all resolved settings; passing it back via ``--config`` reproduces
-the run (explicit flags still win).  Set PIETSP_THREADS to pin the BLAS
-thread count (must be set before numpy is first imported).
+the run at the same BLAS thread count (explicit flags still win).  Set
+PIETSP_THREADS to pin that count (before numpy is first imported).
 """
 
 from __future__ import annotations
@@ -94,7 +94,6 @@ TRAIN_SETTINGS = {
     "dim": "dim",
     "lr": "base_lr",
     "weight_decay": "weight_decay",
-    "l2": "l2_coeff",
     "patience": "patience",
     "k": "k_list",
     "variant": "variant",
@@ -104,9 +103,10 @@ TRAIN_SETTINGS = {
 
 def _cmd_train(args) -> int:
     from .data import load_corpus, prepare_all
-    from .train import TrainConfig, evaluate, fit, write_history
+    from .train import TrainConfig, evaluate, fit, reject_removed_settings, write_history
 
     cfg_file = _load_config_arg(args)
+    reject_removed_settings(cfg_file, args.config)
     defaults = TrainConfig().to_dict()
     settings = {"command": "train", "data": _resolve(args, cfg_file, "data", None)}
     for key, field in TRAIN_SETTINGS.items():
@@ -308,7 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int)
     p.add_argument("--lr", type=float)
     p.add_argument("--weight-decay", type=float)
-    p.add_argument("--l2", type=float)
     p.add_argument("--patience", type=int)
     p.add_argument("--k", type=_int_list)
     p.add_argument("--variant", choices=("full", "no-ee", "no-ge"))

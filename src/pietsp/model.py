@@ -59,8 +59,9 @@ variants drop one scoring branch:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from functools import cached_property
+import math
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -77,27 +78,67 @@ class MappingError(PietspError):
     """Universe-to-vocabulary index map is invalid (duplicates or out of range)."""
 
 
-@dataclass
-class ModelParams:
-    """All learnable arrays.  Also reused as the container for gradients and
-    optimizer moments, which share shapes slot for slot."""
+# the weight slots; biases and the two fusion weight vectors are never decayed
+DECAYED_SLOTS = frozenset({"emb", "pe_w_global", "pe_w_local", "ee_w1", "ee_w2", "pi_w1", "pi_w2", "pi_w3"})
 
-    emb: np.ndarray          # (|E|, D) item embeddings, shared with global scoring
-    pe_w_global: np.ndarray  # (K+D, D)
-    pe_w_local: np.ndarray   # (K+D, D)
-    pe_bias: np.ndarray      # (D,)
-    ee_w1: np.ndarray        # (D, D)
-    ee_b1: np.ndarray        # (D,)
-    ee_w2: np.ndarray        # (D,)
-    ee_b2: np.ndarray        # () scalar
-    pi_w1: np.ndarray        # (D, D)
-    pi_b1: np.ndarray        # (D,)
-    pi_w2: np.ndarray        # (D, D)
-    pi_b2: np.ndarray        # (D,)
-    pi_w3: np.ndarray        # (D, D)
-    pi_b3: np.ndarray        # (D,)
-    fuse_global: np.ndarray  # (|E|,) per-item weight on the global score
-    fuse_local: np.ndarray   # (|E|,) per-item weight on the element score
+
+def param_shapes(vocab_size: int, dim: int, k_max: int) -> dict[str, tuple[int, ...]]:
+    """The shape of every slot for a model of the given dimensions, in ``PARAM_SLOTS`` order."""
+    width = k_max + dim
+    return {
+        "emb": (vocab_size, dim),        # item embeddings, shared with global scoring
+        "pe_w_global": (width, dim),
+        "pe_w_local": (width, dim),
+        "pe_bias": (dim,),
+        "ee_w1": (dim, dim),
+        "ee_b1": (dim,),
+        "ee_w2": (dim,),
+        "ee_b2": (),
+        "pi_w1": (dim, dim),
+        "pi_b1": (dim,),
+        "pi_w2": (dim, dim),
+        "pi_b2": (dim,),
+        "pi_w3": (dim, dim),
+        "pi_b3": (dim,),
+        "fuse_global": (vocab_size,),    # per-item weight on the global score
+        "fuse_local": (vocab_size,),     # per-item weight on the element score
+    }
+
+
+PARAM_SLOTS = tuple(param_shapes(1, 1, 1))
+
+
+@lru_cache(maxsize=32)
+def _layout(vocab_size: int, dim: int, k_max: int) -> tuple[int, int, tuple]:
+    """(buffer size, decayed prefix size, each slot's (name, start, stop, shape)): decayed slots first."""
+    shapes = param_shapes(vocab_size, dim, k_max)
+    spans, start = [], 0
+    for name in sorted(PARAM_SLOTS, key=lambda s: s not in DECAYED_SLOTS):
+        spans.append((name, start, start + math.prod(shapes[name]), shapes[name]))
+        start = spans[-1][2]
+    return start, spans[len(DECAYED_SLOTS)][1], tuple(spans)
+
+
+class ModelParams:
+    """All learnable arrays, as C-contiguous views of one buffer, ``flat``: the decayed slots first
+    (the prefix ``decayed``), then the rest.  Gradients and optimizer moments use the same container.
+    Assigning a slot writes into its view; a wrong shape raises ``ShapeError``."""
+
+    def __init__(self, vocab_size: int, dim: int, k_max: int, dtype=np.float64, empty: bool = False):
+        """A zeroed (with ``empty``, uninitialised) parameter set of the given dimensions."""
+        size, decayed, spans = _layout(vocab_size, dim, k_max)
+        flat = (np.empty if empty else np.zeros)(size, dtype)
+        vars(self).update(flat=flat, decayed=flat[:decayed], **{n: flat[a:b].reshape(s) for n, a, b, s in spans})
+
+    def __setattr__(self, name, value):
+        view = vars(self).get(name)
+        if value is view:  # ``grads.emb += x`` assigns the slot's own view back
+            return
+        if view is None:
+            raise AttributeError(f"ModelParams has no slot '{name}'")
+        if np.shape(value) != view.shape:
+            raise ShapeError(f"slot '{name}': shape {np.shape(value)}, expected {view.shape}")
+        view[...] = value
 
     @property
     def vocab_size(self) -> int:
@@ -112,43 +153,19 @@ class ModelParams:
         return int(self.pe_w_global.shape[0] - self.emb.shape[1])
 
     def slots(self):
-        for f in fields(self):
-            yield f.name, getattr(self, f.name)
+        for name in PARAM_SLOTS:
+            yield name, getattr(self, name)
 
     def copy(self) -> "ModelParams":
-        return ModelParams(**{name: arr.copy() for name, arr in self.slots()})
+        return self.astype(self.flat.dtype)
 
     def zeros_like(self) -> "ModelParams":
-        return ModelParams(**{name: np.zeros_like(arr) for name, arr in self.slots()})
+        return ModelParams(self.vocab_size, self.dim, self.k_max, self.flat.dtype)
 
     def astype(self, dtype) -> "ModelParams":
-        return ModelParams(**{name: arr.astype(dtype) for name, arr in self.slots()})
-
-
-PARAM_SLOTS = tuple(f.name for f in fields(ModelParams))
-
-
-def param_shapes(vocab_size: int, dim: int, k_max: int) -> dict[str, tuple[int, ...]]:
-    """The shape of every slot for a model of the given dimensions, as ``init_params`` builds it."""
-    width = k_max + dim
-    return {
-        "emb": (vocab_size, dim),
-        "pe_w_global": (width, dim),
-        "pe_w_local": (width, dim),
-        "pe_bias": (dim,),
-        "ee_w1": (dim, dim),
-        "ee_b1": (dim,),
-        "ee_w2": (dim,),
-        "ee_b2": (),
-        "pi_w1": (dim, dim),
-        "pi_b1": (dim,),
-        "pi_w2": (dim, dim),
-        "pi_b2": (dim,),
-        "pi_w3": (dim, dim),
-        "pi_b3": (dim,),
-        "fuse_global": (vocab_size,),
-        "fuse_local": (vocab_size,),
-    }
+        out = ModelParams(self.vocab_size, self.dim, self.k_max, dtype, empty=True)
+        out.flat[...] = self.flat
+        return out
 
 
 def init_params(vocab_size: int, dim: int, k_max: int, seed: int) -> ModelParams:
@@ -156,30 +173,17 @@ def init_params(vocab_size: int, dim: int, k_max: int, seed: int) -> ModelParams
     if dim < 1 or k_max < 1 or vocab_size < 1:
         raise PietspError(f"bad model dims: vocab={vocab_size} dim={dim} k_max={k_max}")
     rng = np.random.default_rng(seed)
-
-    def glorot(fan_in, fan_out, shape):
-        bound = np.sqrt(6.0 / (fan_in + fan_out))
-        return rng.uniform(-bound, bound, size=shape)
-
+    params = ModelParams(vocab_size, dim, k_max)
     width = k_max + dim
-    return ModelParams(
-        emb=rng.normal(0.0, 0.1, size=(vocab_size, dim)),
-        pe_w_global=glorot(width, dim, (width, dim)),
-        pe_w_local=glorot(width, dim, (width, dim)),
-        pe_bias=np.zeros(dim),
-        ee_w1=glorot(dim, dim, (dim, dim)),
-        ee_b1=np.zeros(dim),
-        ee_w2=glorot(dim, 1, (dim,)),
-        ee_b2=np.zeros(()),
-        pi_w1=glorot(dim, dim, (dim, dim)),
-        pi_b1=np.zeros(dim),
-        pi_w2=glorot(dim, dim, (dim, dim)),
-        pi_b2=np.zeros(dim),
-        pi_w3=glorot(dim, dim, (dim, dim)),
-        pi_b3=np.zeros(dim),
-        fuse_global=np.ones(vocab_size),
-        fuse_local=np.ones(vocab_size),
-    )
+    rng.standard_normal(out=params.emb)  # drawn in place: rng.normal(0.0, 0.1) is 0.0 + 0.1 z of the same z
+    params.emb *= 0.1
+    for name, fan_in, fan_out in (("pe_w_global", width, dim), ("pe_w_local", width, dim), ("ee_w1", dim, dim),
+                                  ("ee_w2", dim, 1), ("pi_w1", dim, dim), ("pi_w2", dim, dim), ("pi_w3", dim, dim)):
+        bound = np.sqrt(6.0 / (fan_in + fan_out))
+        setattr(params, name, rng.uniform(-bound, bound, size=getattr(params, name).shape))
+    params.fuse_global[...] = 1.0
+    params.fuse_local[...] = 1.0
+    return params
 
 
 MAX_BATCH_ROWS = 4096   # universe rows per engine call: bounds the R x (K+D) and R x D arrays

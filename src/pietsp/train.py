@@ -4,9 +4,9 @@ A minibatch is ``batch_size`` users of the shuffled order.  It runs through
 the model's ragged-batch engine (no padding: the users' universes are
 stacked), one call per ``batch_slices`` run of it, each call's backward
 adding into one gradient buffer per minibatch, which is averaged and
-applied in a single optimizer step.  The loss is evaluated on the B x |E|
-logit block with sparse targets, softplus and logistic sharing one exp;
-``train_epoch`` adds the explicit L2 penalty, if any, per minibatch.
+applied in a single optimizer step; the one gradient buffer of an epoch is
+zeroed and averaged in one pass each.  The loss is evaluated on the B x |E|
+logit block with sparse targets, softplus and logistic sharing one exp.
 Evaluation ranks each engine call's logit block at once and scores its hits
 with ``metrics.hit_metrics``.  The per-epoch shuffle is keyed by (seed,
 epoch), so resuming from a checkpoint replays the identical stream.
@@ -27,7 +27,9 @@ from .errors import PietspError
 from .linalg import NumericsError, exp_neg_abs, logistic_from, softplus_from
 from .metrics import MetricReport, hit_metrics, top_k_rows
 from .model import MappingError, ModelParams, VARIANTS, backward, batch_slices, forward, forward_batch, init_params, make_batch  # noqa: F401  forward stays importable from here
-from .optim import DECAYED_SLOTS, AdamState, OptimizerError, adam_step, cosine_lr
+from .optim import AdamState, OptimizerError, adam_step, cosine_lr
+
+REMOVED_SETTINGS = {"l2": 0.0, "l2_coeff": 0.0, "decay_fusion": False}  # removed setting -> the one value runs used
 
 
 @dataclass
@@ -35,15 +37,13 @@ class TrainConfig:
     batch_size: int = 64
     dim: int = 32
     base_lr: float = 0.001
-    weight_decay: float = 0.01
-    l2_coeff: float = 0.0          # explicit penalty added to the loss; decay above is decoupled
+    weight_decay: float = 0.01     # decoupled, on the weight slots only
     max_epochs: int = 100
     patience: int = 10
     seed: int = 0
     k_list: tuple[int, ...] = (10, 20, 30, 40)
     early_stop_k: int = 10         # early stopping watches validation NDCG at this k
     variant: str = "full"
-    decay_fusion: bool = False
     split_ratios: tuple[float, float, float] = (0.7, 0.1, 0.2)
 
     def __post_init__(self):
@@ -54,18 +54,17 @@ class TrainConfig:
         for name in ("batch_size", "dim", "max_epochs"):
             if getattr(self, name) < 1:
                 raise PietspError(f"{name} must be positive, got {getattr(self, name)}")
-        for name in ("base_lr", "weight_decay", "l2_coeff"):
+        for name in ("base_lr", "weight_decay"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
                 raise PietspError(f"{name} must be a number, got {value!r}")
         if not (math.isfinite(self.base_lr) and self.base_lr > 0):
             raise PietspError(f"base_lr must be positive and finite, got {self.base_lr}")
-        for name in ("weight_decay", "l2_coeff"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise PietspError(f"{name} must be finite and non-negative, got {value}")
+        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
+            raise PietspError(f"weight_decay must be finite and non-negative, got {self.weight_decay}")
         if not 1 <= self.patience <= self.max_epochs:
-            raise PietspError("patience must lie in [1, max_epochs]")
+            raise PietspError(f"patience must lie in [1, max_epochs], got patience {self.patience} with max_epochs"
+                              f" {self.max_epochs}: lower --patience or raise --epochs")
         if self.variant not in VARIANTS:
             raise PietspError(f"unknown variant '{self.variant}'")
         self.k_list = tuple(int(k) for k in self.k_list)
@@ -86,9 +85,11 @@ class TrainConfig:
         return cls(**{k: v for k, v in d.items() if k in known})
 
 
-def l2_penalty(params: ModelParams) -> float:
-    """Sum of squared entries over the decayed weight slots."""
-    return float(sum((arr * arr).sum() for name, arr in params.slots() if name in DECAYED_SLOTS))
+def reject_removed_settings(saved: dict, where) -> None:
+    """Raise naming the key if ``saved`` gives a removed setting anything but the value runs used."""
+    for key, value in REMOVED_SETTINGS.items():
+        if key in saved and saved[key] != value:
+            raise PietspError(f"{where}: setting '{key}' = {saved[key]!r} was removed; only {value!r} is accepted")
 
 
 def bce_loss(logits: np.ndarray, targets) -> tuple[np.ndarray, np.ndarray]:
@@ -152,21 +153,15 @@ def train_epoch(
     order = seeding.rng(config.seed, "shuffle", epoch).permutation(len(samples))
     lr = cosine_lr(epoch, config.max_epochs, config.base_lr)
     total_loss = 0.0
+    grads = params.zeros_like()
     for step, start in enumerate(range(0, len(order), config.batch_size)):
         try:
             chunk = [samples[i] for i in order[start : start + config.batch_size]]
-            grads = params.zeros_like()
+            grads.flat.fill(0)
             for loss in add_gradients(chunk, params, config.variant, grads):
                 total_loss += loss
-            inv = 1.0 / len(chunk)
-            for _, arr in grads.slots():
-                arr *= inv
-            if config.l2_coeff:
-                total_loss += config.l2_coeff * l2_penalty(params) * len(chunk)
-                for name, arr in grads.slots():
-                    if name in DECAYED_SLOTS:
-                        arr += 2.0 * config.l2_coeff * getattr(params, name)
-            adam_step(params, grads, opt_state, lr, config.weight_decay, config.decay_fusion)
+            grads.flat *= 1.0 / len(chunk)
+            adam_step(params, grads, opt_state, lr, config.weight_decay)
         except (NumericsError, MappingError, OptimizerError) as exc:
             exc.args = (f"{exc} (epoch {epoch}, step {step})",)
             raise
@@ -266,7 +261,7 @@ def fit(
     checkpoint after every epoch; ``resume_from`` restores one and continues
     the same run.  ``stop_after_epoch`` ends the loop early after that epoch
     completes (used to exercise resume).  ``eval_fn(params, epoch) -> float``
-    overrides the validation metric (tests).
+    overrides the validation metric (tests); a ``PietspError`` it raises gains "(epoch E, validation)".
     """
     if not train_corpus.users or not val_corpus.users:
         raise PietspError("fit: train and validation corpora must be non-empty")
@@ -279,6 +274,7 @@ def fit(
         if ck.opt_state is None or ck.train_state is None:
             raise PietspError(f"{resume_from}: checkpoint has no training state to resume")
         if ck.config is not None:
+            reject_removed_settings(ck.config, resume_from)
             current = config.to_dict()
             mismatched = [
                 key
@@ -312,15 +308,18 @@ def fit(
     train_samples = prepare_all(train_corpus, k_max)
     val_samples = prepare_all(val_corpus, k_max)
 
+    if eval_fn is None:
+        def eval_fn(params, epoch):
+            return evaluate(val_samples, params, (config.early_stop_k,), config.variant).ndcg[config.early_stop_k]
+
     epochs_run = start_epoch
     for epoch in range(start_epoch, config.max_epochs):
         mean_loss = train_epoch(train_samples, params, opt_state, config, epoch)
-        if eval_fn is not None:
+        try:
             metric = float(eval_fn(params, epoch))
-        else:
-            metric = evaluate(val_samples, params, (config.early_stop_k,), config.variant).ndcg[
-                config.early_stop_k
-            ]
+        except PietspError as exc:
+            exc.args = (f"{exc} (epoch {epoch}, validation)",)
+            raise
         history.append(
             {
                 "epoch": epoch,

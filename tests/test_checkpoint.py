@@ -15,7 +15,7 @@ from pietsp.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
-from pietsp.model import init_params
+from pietsp.model import PARAM_SLOTS, init_params
 from pietsp.optim import AdamState, adam_step
 
 
@@ -315,6 +315,27 @@ def _rewrite_v2(path, edit):
     header, raw = _split_v2(path.read_bytes())
     edit(header)
     path.write_bytes(_join_v2(header, raw))
+
+
+def test_v2_layout_is_every_slot_in_slot_order_table_by_table():
+    """Offsets run over params, m, v and best_params, each in PARAM_SLOTS order, and the raw
+    section is those slots' bytes back to back, whatever order the arrays sit in memory."""
+    params, state = _moved_params(9, 4, 2, seed=14)
+    best = params.copy()
+    best.emb[...] = -best.emb  # every table holds different bytes
+    header, raw = _split_v2(checkpoint_bytes(params, seed=1, opt_state=state, train_state=_train_state(best, [])))
+    tables = [(header["params"], params), (header["optimizer"]["m"], state.m),
+              (header["optimizer"]["v"], state.v), (header["trainer"]["best_params"], best)]
+    offset, want = 0, []
+    for records, container in tables:
+        assert list(records) == sorted(PARAM_SLOTS)  # canonical JSON sorts the keys
+        for name in PARAM_SLOTS:
+            arr = getattr(container, name)
+            assert records[name] == {"offset": offset, "shape": list(arr.shape)}, name
+            want.append(arr.tobytes())
+            offset += arr.nbytes
+    assert header["data_bytes"] == offset
+    assert raw == b"".join(want)
 
 
 def test_v2_tampered_shape_names_slot(tmp_path):

@@ -6,7 +6,7 @@ import pytest
 
 import pietsp.train
 from oracle import oracle_checkpoint_bytes
-from pietsp.checkpoint import MAGIC, load_checkpoint
+from pietsp.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from pietsp.cli import main
 from pietsp.data import load_corpus, prepare_all
 from pietsp.metrics import top_k
@@ -70,6 +70,49 @@ def test_rerun_from_effective_config_bit_exact(tmp_path, trained, synthetic_file
     )
     assert code == 0
     assert (out2 / "checkpoint-best.json").read_bytes() == (trained / "checkpoint-best.json").read_bytes()
+
+
+@pytest.mark.parametrize("extra", [{"l2": 0.5}, {"decay_fusion": True}, {"l2": 0.0, "decay_fusion": False}],
+                         ids=["l2", "decay_fusion", "old-defaults"])
+def test_train_config_with_a_removed_setting(tmp_path, trained, synthetic_file, capsys, extra):
+    """A --config that sets a removed setting is refused by name; one at the old defaults replays exactly."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(json.loads((trained / "effective-config.json").read_text()) | extra))
+    out = tmp_path / "rerun"
+    code = run_cli("train", "--config", str(config), "--data", str(synthetic_file), "--out", str(out))
+    err = capsys.readouterr().err
+    if extra == {"l2": 0.0, "decay_fusion": False}:
+        assert code == 0
+        assert (out / "checkpoint-best.json").read_bytes() == (trained / "checkpoint-best.json").read_bytes()
+    else:
+        (key,) = extra
+        assert code == 1 and not out.exists()
+        assert err.startswith(f"pietsp train: {config}: setting '{key}'") and err.count("\n") == 1
+
+
+def test_resume_refuses_a_removed_setting_that_eval_and_predict_still_load(tmp_path, trained, synthetic_file, capsys):
+    run = tmp_path / "run"
+    run.mkdir()
+    for name in ("effective-config.json", "checkpoint-latest.json"):
+        (run / name).write_bytes((trained / name).read_bytes())
+    ck = load_checkpoint(run / "checkpoint-latest.json")
+    ckpt = run / "checkpoint-latest.json"
+    save_checkpoint(ckpt, ck.params, seed=ck.seed, config=ck.config | {"l2_coeff": 0.5},
+                    opt_state=ck.opt_state, train_state=ck.train_state)
+    code = run_cli("train", "--config", str(run / "effective-config.json"), "--data", str(synthetic_file),
+                   "--out", str(run), "--resume")
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"pietsp train: {ckpt}: setting 'l2_coeff' = 0.5 was removed")
+    assert run_cli("eval", "--ckpt", str(ckpt), "--data", str(synthetic_file)) == 0
+    assert run_cli("predict", "--ckpt", str(ckpt), "--data", str(synthetic_file), "--top", "3") == 0
+
+
+def test_patience_above_epochs_names_both_values_and_the_flag(tmp_path, synthetic_file, capsys):
+    code = run_cli("train", "--data", str(synthetic_file), "--out", str(tmp_path / "run"), "--epochs", "3")
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("pietsp train: patience must lie in [1, max_epochs], got patience 10 with max_epochs 3")
+    assert "--patience" in err and err.count("\n") == 1
 
 
 def test_eval_prints_table(trained, synthetic_file, capsys):
@@ -225,7 +268,7 @@ def test_train_defaults_come_from_trainconfig(tmp_path, synthetic_file, monkeypa
     expected = Quick().to_dict()
     # effective-config.json key -> TrainConfig field; the key names stay so old --config files replay
     keys = {"seed": "seed", "epochs": "max_epochs", "batch_size": "batch_size", "dim": "dim",
-            "lr": "base_lr", "weight_decay": "weight_decay", "l2": "l2_coeff", "patience": "patience",
+            "lr": "base_lr", "weight_decay": "weight_decay", "patience": "patience",
             "k": "k_list", "variant": "variant", "split_ratios": "split_ratios"}
     assert {key: written[key] for key in keys} == {key: expected[field] for key, field in keys.items()}
     assert len((out / "history.jsonl").read_text().splitlines()) == 3

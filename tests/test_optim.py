@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pietsp.linalg import SOFTPLUS_RUN
+from oracle import oracle_checkpoint_bytes
+from pietsp.checkpoint import checkpoint_bytes, load_checkpoint
+from pietsp.linalg import SOFTPLUS_RUN, ShapeError
 from pietsp.model import init_params
 from pietsp.optim import (
     ADAM_RUN,
@@ -82,14 +84,6 @@ def test_biases_and_fusion_weights_not_decayed():
     assert params.ee_b2 == 1.0
 
 
-def test_decay_fusion_knob():
-    params = _tiny_params()
-    params.fuse_global[:] = 1.0
-    state = AdamState.init(params)
-    adam_step(params, params.zeros_like(), state, lr=0.001, weight_decay=0.01, decay_fusion=True)
-    assert np.allclose(params.fuse_global, 1.0 - 1e-5)
-
-
 def test_nonfinite_gradient_names_slot():
     params = _tiny_params()
     grads = params.zeros_like()
@@ -116,19 +110,69 @@ def test_nonfinite_gradient_leaves_every_slot_and_the_step_untouched():
     assert state.step == before[3]
 
 
-def test_non_contiguous_slot_is_rejected_with_every_slot_and_the_step_untouched():
-    params = _tiny_params()
+def _assert_views_of_flat(params, how):
+    """Every slot is a C-contiguous view of the one buffer, in the decayed-first layout."""
+    flat = params.flat
+    assert flat.ndim == 1 and flat.flags.c_contiguous and flat.flags.owndata
+    addr = flat.__array_interface__["data"][0]
+    spans = []
+    for name, arr in params.slots():
+        assert arr.base is flat and arr.flags.c_contiguous and arr.flags.writeable, (how, name)
+        start = (arr.__array_interface__["data"][0] - addr) // flat.itemsize
+        spans.append((start, start + arr.size, name))
+    spans.sort()
+    assert [s[0] for s in spans] == [0] + [s[1] for s in spans[:-1]] and spans[-1][1] == flat.size, how
+    assert {s[2] for s in spans if s[1] <= params.decayed.size} == DECAYED_SLOTS, how
+
+
+def test_every_slot_is_a_contiguous_view_of_one_buffer(tmp_path):
+    params, state = _moved(init_params(9, 4, 2, seed=3))
+    made = {"init_params": params, "zeros_like": params.zeros_like(), "copy": params.copy(),
+            "astype": params.astype(np.float32)}
+    assert made["astype"].flat.dtype == np.float32 and np.array_equal(made["copy"].flat, params.flat)
+    kwargs = dict(opt_state=state, train_state={"epoch": 0, "best_metric": 0.0, "best_epoch": 0, "bad_epochs": 0,
+                                                "history": [], "best_params": params.copy()})
+    for fmt, blob in (("v1", oracle_checkpoint_bytes(params, **kwargs)), ("v2", checkpoint_bytes(params, **kwargs))):
+        (tmp_path / fmt).write_bytes(blob)
+        ck = load_checkpoint(tmp_path / fmt)
+        made |= {f"{fmt} params": ck.params, f"{fmt} m": ck.opt_state.m, f"{fmt} v": ck.opt_state.v,
+                 f"{fmt} best_params": ck.train_state["best_params"]}
+        assert np.array_equal(ck.opt_state.v.flat, state.v.flat) and np.array_equal(ck.params.flat, params.flat)
+    for how, container in made.items():
+        _assert_views_of_flat(container, how)
+
+
+def _moved(params):
     state = AdamState.init(params)
-    state.v.emb = np.asfortranarray(state.v.emb)  # flattening it would copy, and the update would be lost
-    before = (params.copy(), state.m.copy(), state.v.copy())
+    grads = params.zeros_like()
+    grads.flat[...] = np.random.default_rng(0).normal(size=grads.flat.size)
+    adam_step(params, grads, state, lr=0.01, weight_decay=0.01)
+    return params, state
+
+
+def test_fortran_ordered_assignment_writes_through_and_the_next_step_updates_it():
+    params, state = _moved(_tiny_params())
+    view = state.v.emb
+    doubled = np.asfortranarray(view * 2.0)
+    state.v.emb = doubled
+    assert state.v.emb is view and view.flags.c_contiguous and np.array_equal(view, doubled)
+    before = state.v.emb.copy()
     grads = params.zeros_like()
     grads.emb[...] = 1.0
-    with pytest.raises(OptimizerError, match="'emb'.*not C-contiguous"):
-        adam_step(params, grads, state, lr=0.001)
-    for kept, now in zip(before, (params, state.m, state.v)):
-        for (name, a), (_, b) in zip(kept.slots(), now.slots()):
-            assert np.array_equal(a, b), name
-    assert state.step == 0
+    adam_step(params, grads, state, lr=0.001)
+    assert np.array_equal(state.v.emb, BETA2 * before + (1.0 - BETA2) * 1.0)  # the update reached the buffer
+
+
+@pytest.mark.parametrize("value", [np.zeros((4, 3)), np.zeros(6), np.zeros(()), [0.0, 1.0]],
+                         ids=["transposed", "flattened", "scalar", "list"])
+def test_wrong_shaped_assignment_raises_shape_error(value):
+    params = _tiny_params()
+    before = params.flat.copy()
+    with pytest.raises(ShapeError, match=r"slot 'pe_w_local': shape .*, expected \(5, 3\)"):
+        params.pe_w_local = value
+    with pytest.raises(AttributeError, match="no slot 'pe_w_locl'"):
+        params.pe_w_locl = np.zeros((5, 3))
+    assert np.array_equal(params.flat, before)
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 30))

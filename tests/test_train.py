@@ -6,14 +6,14 @@ import pytest
 
 from oracle import oracle_checkpoint_bytes
 from pietsp import seeding, train
-from pietsp.checkpoint import load_checkpoint
+from pietsp.checkpoint import load_checkpoint, save_checkpoint
 from pietsp.data import PreparedSample, SyntheticSpec, gen_synthetic, prepare_all, split_users
 from pietsp.errors import PietspError
 from pietsp.linalg import NumericsError, logistic, softplus
 from pietsp.metrics import MetricError
 from pietsp.model import MappingError, init_params
-from pietsp.optim import DECAYED_SLOTS, AdamState, cosine_lr
-from pietsp.train import TrainConfig, bce_loss, evaluate, fit, l2_penalty, train_epoch
+from pietsp.optim import AdamState, cosine_lr
+from pietsp.train import TrainConfig, bce_loss, evaluate, fit, reject_removed_settings, train_epoch
 from pietsp.bench import synthetic_samples
 
 
@@ -120,22 +120,19 @@ def test_130_samples_make_three_steps():
     assert state.step == 3
 
 
-def test_train_epoch_l2_adds_penalty_to_loss_and_decayed_gradients(monkeypatch):
+def test_train_epoch_reuses_one_gradient_buffer_zeroed_and_averaged_per_step(monkeypatch):
     samples, params = _samples_and_model(20)
     sent = []
-    monkeypatch.setattr(train, "adam_step", lambda p, grads, *rest: sent.append(grads.copy()))
-    losses = [
-        train_epoch(samples, params.copy(), AdamState.init(params),
-                    TrainConfig(batch_size=64, dim=8, max_epochs=5, patience=5, seed=1, l2_coeff=coeff), epoch=0)
-        for coeff in (0.0, 0.5)
-    ]
-    plain, with_l2 = sent  # one minibatch, one step each
-    assert abs(losses[1] - losses[0] - 0.5 * l2_penalty(params)) <= 1e-12
-    for (name, g0), (_, g1) in zip(plain.slots(), with_l2.slots()):
-        if name in DECAYED_SLOTS:
-            assert np.abs(g1 - g0 - 2 * 0.5 * getattr(params, name)).max() <= 1e-12, name
-        else:
-            assert np.array_equal(g1, g0), name
+    monkeypatch.setattr(train, "adam_step", lambda p, grads, *rest: sent.append((grads, grads.flat.copy())))
+    train_epoch(samples, params, AdamState.init(params), TrainConfig(batch_size=8, dim=8, seed=1), epoch=0)
+    assert len(sent) == 3 and all(grads is sent[0][0] for grads, _ in sent)
+    order = seeding.rng(1, "shuffle", 0).permutation(20)
+    for step, (_, got) in enumerate(sent):
+        chunk = [samples[i] for i in order[8 * step : 8 * step + 8]]
+        want = params.zeros_like()
+        train.add_gradients(chunk, params, "full", want)
+        want.flat *= 1.0 / len(chunk)
+        assert np.array_equal(got, want.flat), step
 
 
 def test_train_epoch_deterministic():
@@ -230,8 +227,9 @@ def test_config_rejects_a_bad_weight_decay(value):
 
 @pytest.mark.parametrize("value", [-1.0, float("inf"), float("nan"), "0", None])
 def test_config_rejects_a_bad_l2_coeff(value):
-    with pytest.raises(PietspError, match="l2_coeff"):
-        TrainConfig(l2_coeff=value)
+    # l2_coeff is no longer a setting: a saved config that gives it anything but 0 is refused by name
+    with pytest.raises(PietspError, match="'l2_coeff'"):
+        reject_removed_settings({"l2_coeff": value}, "saved.json")
 
 
 @pytest.mark.parametrize("value", [True, 0, -4, 8.0])
@@ -355,6 +353,44 @@ def test_resume_rejects_mismatched_config(tmp_path):
     other = TrainConfig(dim=8, max_epochs=6, patience=6, seed=11, base_lr=0.002)
     with pytest.raises(PietspError, match="different settings"):
         fit(train_c, val_c, other, resume_from=latest)
+
+
+@pytest.mark.parametrize("removed", [{"l2_coeff": 0.5}, {"decay_fusion": True}], ids=lambda d: next(iter(d)))
+def test_resume_refuses_a_checkpoint_that_set_a_removed_setting(tmp_path, removed):
+    train_c, val_c, _ = _split_periodic()
+    cfg = TrainConfig(dim=8, max_epochs=4, patience=4, seed=11)
+    latest = tmp_path / "latest.json"
+    fit(train_c, val_c, cfg, stop_after_epoch=0, latest_path=latest)
+    ck = load_checkpoint(latest)
+    save_checkpoint(latest, ck.params, seed=ck.seed, config=ck.config | removed, opt_state=ck.opt_state,
+                    train_state=ck.train_state)
+    with pytest.raises(PietspError, match=f"setting '{next(iter(removed))}'"):
+        fit(train_c, val_c, cfg, resume_from=latest)
+
+
+def test_resume_accepts_the_removed_settings_at_the_values_runs_used(tmp_path):
+    """Checkpoints written while l2_coeff and decay_fusion existed carry 0.0 and false: they still resume."""
+    train_c, val_c, _ = _split_periodic(users=24, vocab=50, seed=8)
+    cfg = TrainConfig(dim=8, max_epochs=5, patience=5, seed=11)
+    straight = fit(train_c, val_c, cfg)
+    latest = tmp_path / "latest.json"
+    fit(train_c, val_c, cfg, stop_after_epoch=1, latest_path=latest)
+    ck = load_checkpoint(latest)
+    save_checkpoint(latest, ck.params, seed=ck.seed, config=ck.config | {"l2_coeff": 0.0, "decay_fusion": False},
+                    opt_state=ck.opt_state, train_state=ck.train_state)
+    resumed = fit(train_c, val_c, cfg, resume_from=latest)
+    assert resumed.history == straight.history
+    assert params_digest(resumed.params) == params_digest(straight.params)
+
+
+def test_fit_names_the_epoch_of_a_validation_error():
+    train_c, val_c, _ = _split_periodic()
+    assert len(train_c.users) < 64  # one optimizer step per epoch
+    cfg = TrainConfig(dim=4, max_epochs=5, patience=5, base_lr=1e300)  # that step sends the weights to ~1e300
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+        NumericsError, match=r"non-finite values produced by pe_forward \(epoch 0, validation\)$"
+    ):
+        fit(train_c, val_c, cfg)
 
 
 def test_resume_matches_uninterrupted_run(tmp_path):
