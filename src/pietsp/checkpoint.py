@@ -30,9 +30,16 @@ Loading is where parameter shapes enter from outside the program, so both
 formats share one check of the envelope (kind, version, layout, dimensions,
 optimizer and trainer fields) and of every slot of the parameters, both
 Adam moments and the best parameters against the shapes the dimensions
-give.  A file is read once; each slot of a table that passes is copied
-once, straight from the file's bytes into its view of a fresh
-``ModelParams`` buffer.  Saving writes a temporary file in one
+give.  A format-2 load reads the magic line and the header from the
+file's first ``HEAD_BYTES`` (reading on only for a longer header), checks
+the file's size against ``data_bytes`` and every table and slot, and only
+then reads the raw section, straight into the slot views of fresh
+``ModelParams`` buffers: one ``os.preadv`` per run of records that lie back
+to back, so one call for a file this module wrote, and ``readinto`` per
+slot where the platform has no ``os.preadv``.  No copy of the file is held.
+A read that finds the file ended inside a slot, and a path that cannot be
+read (a directory, no permission), are ``CheckpointError``s naming the slot
+or the path.  Saving writes a temporary file in one
 ``write_bytes`` call and renames it over the target, so an interrupted save
 leaves the previous checkpoint intact.
 """
@@ -165,6 +172,9 @@ def inspect_checkpoint(path) -> dict:
 
 # --- reading -----------------------------------------------------------------
 
+HEAD_BYTES = 1 << 14  # the first read: the magic line and a header with about a hundred epochs of history
+
+
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
@@ -172,72 +182,139 @@ def _is_int(value) -> bool:
 def _load(path) -> tuple[dict, Checkpoint]:
     """The file's header (format 1: the whole envelope) and the checkpoint it holds."""
     try:
-        blob = Path(path).read_bytes()
+        with open(path, "rb", buffering=0) as f:
+            head = f.read(HEAD_BYTES)
+            if not head.startswith(MAGIC):
+                try:
+                    header = json.loads(head + f.readall())
+                except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+                    raise CheckpointError(f"{path}: not valid JSON ({exc})") from exc
+                return header, _checkpoint(path, header, 1, _Base64Payloads)
+            header, raw_at = _read_header(path, f, head)
+            section = _RawSection(path, header, os.fstat(f.fileno()).st_size - raw_at)
+            ck = _checkpoint(path, header, FORMAT_VERSION, section)
+            section.read(f, raw_at)
+            return header, ck
     except FileNotFoundError:
-        raise CheckpointError(f"checkpoint not found: {path}")
-    if blob.startswith(MAGIC):
-        header, decode = _open_v2(path, blob)
-        version = FORMAT_VERSION
-    else:
-        try:
-            header = json.loads(blob)
-        except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
-            raise CheckpointError(f"{path}: not valid JSON ({exc})") from exc
-        decode, version = _decode_base64, 1
-    return header, _checkpoint(path, header, version, decode)
+        raise CheckpointError(f"checkpoint not found: {path}") from None
+    except OSError as exc:  # a directory, no permission, a failing disk
+        raise CheckpointError(f"{path}: cannot read the checkpoint ({exc.strerror or exc})") from exc
 
 
-def _open_v2(path, blob: bytes):
-    """Format 2's header and a decoder that returns each array's bytes in the raw section."""
-    end = blob.find(b"\n", len(MAGIC))
-    if end < 0:
-        raise CheckpointError(f"{path}: the header has no terminating newline")
+def _read_header(path, f, head: bytes) -> tuple[dict, int]:
+    """Format 2's header, reading on from ``head``, the file's first bytes, until its newline,
+    and the file offset of the raw section."""
+    end = head.find(b"\n", len(MAGIC))
+    while end < 0:
+        more = f.read(len(head))
+        if not more:
+            raise CheckpointError(f"{path}: the header has no terminating newline")
+        searched, head = len(head), head + more
+        end = head.find(b"\n", searched)
     try:
-        header = json.loads(blob[len(MAGIC) : end])
+        header = json.loads(head[len(MAGIC) : end])
     except ValueError as exc:
         raise CheckpointError(f"{path}: header is not valid JSON ({exc})") from exc
     if not isinstance(header, dict):
         raise CheckpointError(f"{path}: not a checkpoint file")
-    data = memoryview(blob)[end + 1 :]
-    size = header.get("data_bytes")
-    if not _is_int(size) or size < 0:
-        raise CheckpointError(f"{path}: header data_bytes {size!r} is not a non-negative integer")
-    if len(data) != size:
-        raise CheckpointError(f"{path}: the raw section holds {len(data)} bytes, but data_bytes is {size}")
+    return header, end + 1
 
-    def decode(where: str, record: dict, shape: tuple[int, ...]) -> memoryview:
+
+class _Base64Payloads:
+    """Format 1: each array's bytes sit in its record as a base64 string."""
+
+    @staticmethod
+    def decode(where: str, record: dict, shape: tuple[int, ...]) -> bytes:
+        if "data" not in record:
+            raise CheckpointError(f"{where}: malformed array record")
+        if not isinstance(record["data"], str):
+            raise CheckpointError(f"{where}: corrupt base64 payload (not a string)")
+        try:
+            raw = binascii.a2b_base64(record["data"], strict_mode=True)
+        except ValueError as exc:  # not ASCII, bad alphabet or padding
+            raise CheckpointError(f"{where}: corrupt base64 payload") from exc
+        expected = 8 * math.prod(shape)
+        if len(raw) != expected:
+            raise CheckpointError(f"{where}: payload holds {len(raw)} bytes but shape {shape} needs {expected}")
+        return raw
+
+    @staticmethod
+    def place(where: str, out: np.ndarray, raw: bytes) -> None:
+        out.data.cast("B")[:] = raw
+
+
+class _RawSection:
+    """Format 2: each array's bytes sit in the raw section, of ``size`` bytes, at its record's offset.
+
+    ``decode`` checks a record, ``place`` notes the array its bytes go to, and ``read``
+    then fills every noted array straight from the file."""
+
+    def __init__(self, path, header: dict, size: int):
+        data_bytes = header.get("data_bytes")
+        if not _is_int(data_bytes) or data_bytes < 0:
+            raise CheckpointError(f"{path}: header data_bytes {data_bytes!r} is not a non-negative integer")
+        if size != data_bytes:
+            raise CheckpointError(f"{path}: the raw section holds {size} bytes, but data_bytes is {data_bytes}")
+        self.size = size
+        self.fills = []  # (offset, array, where)
+
+    def decode(self, where: str, record: dict, shape: tuple[int, ...]) -> int:
         if "offset" not in record:
             raise CheckpointError(f"{where}: malformed array record")
         offset = record["offset"]
         if not _is_int(offset) or offset < 0:
             raise CheckpointError(f"{where}: offset {offset!r} is not a non-negative integer")
-        count = math.prod(shape)
-        if offset + 8 * count > size:
-            raise CheckpointError(
-                f"{where}: bytes {offset} to {offset + 8 * count} fall outside the {size}-byte raw section"
-            )
-        return data[offset : offset + 8 * count]
+        end = offset + 8 * math.prod(shape)
+        if end > self.size:
+            raise CheckpointError(f"{where}: bytes {offset} to {end} fall outside the {self.size}-byte raw section")
+        return offset
 
-    return header, decode
+    def place(self, where: str, out: np.ndarray, offset: int) -> None:
+        self.fills.append((offset, out, where))
 
-
-def _decode_base64(where: str, record: dict, shape: tuple[int, ...]) -> bytes:
-    """Format 1: one array's bytes, from its base64 string."""
-    if "data" not in record:
-        raise CheckpointError(f"{where}: malformed array record")
-    if not isinstance(record["data"], str):
-        raise CheckpointError(f"{where}: corrupt base64 payload (not a string)")
-    try:
-        raw = binascii.a2b_base64(record["data"], strict_mode=True)
-    except ValueError as exc:  # not ASCII, bad alphabet or padding
-        raise CheckpointError(f"{where}: corrupt base64 payload") from exc
-    expected = 8 * math.prod(shape)
-    if len(raw) != expected:
-        raise CheckpointError(f"{where}: payload holds {len(raw)} bytes but shape {shape} needs {expected}")
-    return raw
+    def read(self, f, raw_at: int) -> None:
+        """Read the raw section, which starts at file offset ``raw_at``, into the placed arrays:
+        one read per run of records that lie back to back, so one for a file ``checkpoint_bytes`` wrote."""
+        runs, end = [], None
+        for offset, out, where in sorted(self.fills, key=lambda fill: fill[0]):
+            if offset != end:
+                runs.append((raw_at + offset, []))
+            runs[-1][1].append([out, where])
+            end = offset + out.nbytes
+        for pos, run in runs:
+            _read_run(f, pos, run)
 
 
-def _decode_params(obj, table: str, dims: dict[str, int], decode) -> ModelParams:
+def _read_run(f, pos: int, run: list) -> None:
+    """Read the file from ``pos`` into each ``[buffer, where]`` of ``run`` in turn.
+
+    A read may stop short; the next resumes where it stopped, and one that reads
+    nothing means the file ended inside the slot ``where`` names."""
+    while run:
+        bufs = [buf for buf, _ in run]
+        n = os.preadv(f.fileno(), bufs, pos) if hasattr(os, "preadv") else _readinto(f, bufs, pos)
+        if n == 0:
+            raise CheckpointError(f"{run[0][1]}: short read, the file ends at byte {pos}")
+        pos += n
+        while run and n >= run[0][0].nbytes:
+            n -= run.pop(0)[0].nbytes
+        if n:
+            run[0][0] = memoryview(run[0][0]).cast("B")[n:]
+
+
+def _readinto(f, bufs: list, pos: int) -> int:
+    """``os.preadv`` where the platform lacks it (Windows): ``readinto`` each buffer in turn from ``pos``."""
+    f.seek(pos)
+    total = 0
+    for buf in bufs:
+        n = f.readinto(buf)
+        total += n
+        if n < buf.nbytes:
+            break
+    return total
+
+
+def _decode_params(obj, table: str, dims: dict[str, int], fmt) -> ModelParams:
     """Decode one parameter table, each slot checked against the shape ``dims`` give it."""
     if not isinstance(obj, dict):
         raise CheckpointError(f"{table}: parameter table missing")
@@ -245,7 +322,7 @@ def _decode_params(obj, table: str, dims: dict[str, int], decode) -> ModelParams
     if missing:
         raise CheckpointError(f"{table}: parameter table missing slots: {missing}")
     shapes = param_shapes(**dims)
-    raw = {}
+    sources = {}
     for slot in PARAM_SLOTS:
         where = f"{table} slot '{slot}'"
         record = obj[slot]
@@ -259,14 +336,14 @@ def _decode_params(obj, table: str, dims: dict[str, int], decode) -> ModelParams
                 f"{where}: shape {tuple(shape)}, but the envelope's"
                 f" {', '.join(f'{k}={v}' for k, v in dims.items())} need {shapes[slot]}"
             )
-        raw[slot] = decode(where, record, shapes[slot])
+        sources[slot] = fmt.decode(where, record, shapes[slot])
     params = ModelParams(**dims, dtype="<f8", empty=True)  # the file's byte order: its bytes copy as they are
     for slot, out in params.slots():
-        out.data.cast("B")[:] = raw[slot]
+        fmt.place(f"{table} slot '{slot}'", out, sources[slot])
     return params
 
 
-def _checkpoint(path, header, version: int, decode) -> Checkpoint:
+def _checkpoint(path, header, version: int, fmt) -> Checkpoint:
     """The envelope checks both formats share, then every table decoded."""
     if not isinstance(header, dict) or header.get("kind") != "pietsp-checkpoint":
         raise CheckpointError(f"{path}: not a checkpoint file")
@@ -282,7 +359,7 @@ def _checkpoint(path, header, version: int, decode) -> Checkpoint:
     config = header.get("config")
     if config is not None and not isinstance(config, dict):
         raise CheckpointError(f"{path}: config is {type(config).__name__}, not an object")
-    params = _decode_params(header.get("params"), "params", dims, decode)
+    params = _decode_params(header.get("params"), "params", dims, fmt)
 
     opt_state = None
     opt = header.get("optimizer")
@@ -294,8 +371,8 @@ def _checkpoint(path, header, version: int, decode) -> Checkpoint:
             raise CheckpointError(f"{path}: optimizer step {step!r} is not a non-negative integer")
         opt_state = AdamState(
             step=step,
-            m=_decode_params(opt.get("m"), "optimizer m", dims, decode),
-            v=_decode_params(opt.get("v"), "optimizer v", dims, decode),
+            m=_decode_params(opt.get("m"), "optimizer m", dims, fmt),
+            v=_decode_params(opt.get("v"), "optimizer v", dims, fmt),
         )
 
     train_state = None
@@ -313,7 +390,7 @@ def _checkpoint(path, header, version: int, decode) -> Checkpoint:
             raise CheckpointError(f"{path}: trainer history is {type(trainer.get('history')).__name__}, not a list")
         train_state = dict(trainer)
         if train_state.get("best_params") is not None:
-            train_state["best_params"] = _decode_params(train_state["best_params"], "best_params", dims, decode)
+            train_state["best_params"] = _decode_params(train_state["best_params"], "best_params", dims, fmt)
     return Checkpoint(
         params=params,
         seed=header.get("seed"),

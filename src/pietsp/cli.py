@@ -103,7 +103,7 @@ TRAIN_SETTINGS = {
 
 def _cmd_train(args) -> int:
     from .data import load_corpus, prepare_all
-    from .train import TrainConfig, evaluate, fit, reject_removed_settings, write_history
+    from .train import TrainConfig, evaluate, fit, reject_removed_settings, resumable_checkpoint, write_history
 
     cfg_file = _load_config_arg(args)
     reject_removed_settings(cfg_file, args.config)
@@ -124,12 +124,14 @@ def _cmd_train(args) -> int:
             f" {report.duplicate_ids_removed} duplicate ids)"
         )
     train_c, val_c, _ = _split_corpus(corpus, config.split_ratios, config.seed)
+    # a refused resume leaves the run directory's settings as they were
+    resume = resumable_checkpoint(out_dir / "checkpoint-latest.json", config) if args.resume else None
     _write_effective(out_dir, settings)
     result = fit(
         train_c,
         val_c,
         config,
-        resume_from=(out_dir / "checkpoint-latest.json") if args.resume else None,
+        resume_from=resume,
         latest_path=out_dir / "checkpoint-latest.json",
         best_path=out_dir / "checkpoint-best.json",
     )

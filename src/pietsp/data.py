@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -413,9 +414,9 @@ def convert_table(
     """Convert a tab/CSV export (one row per user/set-key/item) to a corpus.
 
     Rows are grouped by user, then by set key (ordering numerically when
-    every key parses as a number, lexicographically otherwise).  Item ids
-    are remapped to a dense 0-based vocabulary; the mapping is returned so
-    it can be written alongside the corpus.
+    every key parses as a number other than NaN, lexicographically
+    otherwise).  Item ids are remapped to a dense 0-based vocabulary; the
+    mapping is returned so it can be written alongside the corpus.
     """
     path = Path(path)
     if delimiter is None:
@@ -438,9 +439,11 @@ def convert_table(
 
     def _set_order(keys):
         try:
-            return sorted(keys, key=float)
+            if not any(math.isnan(float(key)) for key in keys):  # NaN has no place in a numeric order
+                return sorted(keys, key=float)
         except ValueError:
-            return sorted(keys)
+            pass
+        return sorted(keys)
 
     all_items = sorted({item for sets in grouped.values() for items in sets.values() for item in items})
     item_to_id = {item: i for i, item in enumerate(all_items)}
@@ -465,8 +468,10 @@ def convert_json_dump(path) -> tuple[Corpus, LoadReport, dict]:
     Accepts either a flat {user_id: [[item, ...], ...]} object or one whose
     top-level keys are split names ("train"/"validate"/"valid"/"test") with
     such objects beneath; splits are merged since this package re-splits by
-    user.  Item ids may be arbitrary strings or ints and are remapped to a
-    dense 0-based vocabulary.
+    user.  A user id already taken by an earlier split becomes
+    "<split>:<id>", and an error if that name is taken too.  Item ids may
+    be arbitrary strings or ints and are remapped to a dense 0-based
+    vocabulary.
     """
     with open(path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
@@ -475,9 +480,15 @@ def convert_json_dump(path) -> tuple[Corpus, LoadReport, dict]:
     split_names = ("train", "validate", "valid", "validation", "test")
     if all(k in split_names for k in obj):
         merged: dict[str, list] = {}
-        for split in obj:
-            for uid, seq in obj[split].items():
+        for split, users in obj.items():
+            if not isinstance(users, dict):
+                raise DataError(f"{path}: split '{split}' is a {type(users).__name__}, not an object of users")
+            for uid, seq in users.items():
                 key = uid if uid not in merged else f"{split}:{uid}"
+                if key in merged:
+                    raise DataError(
+                        f"{path}: split '{split}' repeats user '{uid}', and its merged name '{key}' is another user's"
+                    )
                 merged[key] = seq
     else:
         merged = obj

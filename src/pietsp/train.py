@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import seeding
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .data import Corpus, PreparedSample, max_history_len, prepare_all
 from .errors import PietspError
 from .linalg import NumericsError, exp_neg_abs, logistic_from, softplus_from
@@ -244,6 +244,25 @@ class FitResult:
     k_max: int = 1
 
 
+def resumable_checkpoint(path, config: TrainConfig) -> Checkpoint:
+    """The checkpoint at ``path``, checked to continue a run of ``config``: it holds the optimizer and
+    trainer state, sets no removed setting, and was trained with the same settings."""
+    ck = load_checkpoint(path)
+    if ck.opt_state is None or ck.train_state is None:
+        raise PietspError(f"{path}: checkpoint has no training state to resume")
+    if ck.config is not None:
+        reject_removed_settings(ck.config, path)
+        current = config.to_dict()
+        mismatched = [
+            key
+            for key in ("seed", "dim", "batch_size", "base_lr", "weight_decay", "max_epochs", "variant")
+            if ck.config.get(key) != current.get(key)
+        ]
+        if mismatched:
+            raise PietspError(f"{path}: checkpoint was trained with different settings: {mismatched}")
+    return ck
+
+
 def fit(
     train_corpus: Corpus,
     val_corpus: Corpus,
@@ -258,9 +277,10 @@ def fit(
 
     Keeps the best-so-far parameters and stops after ``patience`` epochs
     without improvement.  ``latest_path``, when given, receives a resumable
-    checkpoint after every epoch; ``resume_from`` restores one and continues
-    the same run.  ``stop_after_epoch`` ends the loop early after that epoch
-    completes (used to exercise resume).  ``eval_fn(params, epoch) -> float``
+    checkpoint after every epoch; ``resume_from`` (its path, or the
+    ``Checkpoint`` that ``resumable_checkpoint`` returned for that path)
+    restores one and continues the same run.  ``stop_after_epoch`` ends the
+    loop early after that epoch completes (used to exercise resume).  ``eval_fn(params, epoch) -> float``
     overrides the validation metric (tests); a ``PietspError`` it raises gains "(epoch E, validation)".
     """
     if not train_corpus.users or not val_corpus.users:
@@ -270,21 +290,7 @@ def fit(
     vocab = train_corpus.vocab_size
 
     if resume_from is not None:
-        ck = load_checkpoint(resume_from)
-        if ck.opt_state is None or ck.train_state is None:
-            raise PietspError(f"{resume_from}: checkpoint has no training state to resume")
-        if ck.config is not None:
-            reject_removed_settings(ck.config, resume_from)
-            current = config.to_dict()
-            mismatched = [
-                key
-                for key in ("seed", "dim", "batch_size", "base_lr", "weight_decay", "max_epochs", "variant")
-                if ck.config.get(key) != current.get(key)
-            ]
-            if mismatched:
-                raise PietspError(
-                    f"{resume_from}: checkpoint was trained with different settings: {mismatched}"
-                )
+        ck = resume_from if isinstance(resume_from, Checkpoint) else resumable_checkpoint(resume_from, config)
         params = ck.params
         opt_state = ck.opt_state
         k_max = params.k_max

@@ -11,11 +11,16 @@ written here must load to the same checkpoint as format 2.
 ``oracle_parse_corpus`` and ``oracle_prepare_sample`` load and
 prepare a corpus one user, one set and one id at a time; the whole-corpus
 passes of ``parse_corpus`` and ``prepare_all`` must give the same corpus,
-report, errors and arrays.
+report, errors and arrays.  ``oracle_convert_table`` and
+``oracle_convert_json_dump`` convert raw dumps one row, one user and one
+item at a time, each placed into sorted lists as it arrives.
 """
 
 import base64
+import csv
 import json
+from bisect import bisect_right, insort
+from pathlib import Path
 
 import numpy as np
 
@@ -233,3 +238,109 @@ def oracle_prepare_sample(user, k_max, vocab_size):
         target_ids=np.array(user.target, dtype=np.int64),
         vocab_size=vocab_size,
     )
+
+
+def _insert_sorted(ordered, value, key=lambda v: v):
+    """Insert ``value`` after every element whose key is not greater than its own."""
+    keys = [key(v) for v in ordered]
+    ordered.insert(bisect_right(keys, key(value)), value)
+
+
+def _oracle_set_order(keys):
+    """Set keys in numeric order, equal numbers in order of first appearance, when every key is a
+    number other than NaN; otherwise in string order."""
+    numbered = []
+    for key in keys:
+        try:
+            number = float(key)
+        except ValueError:
+            number = float("nan")
+        if number != number:
+            return sorted(keys)
+        _insert_sorted(numbered, (number, key), key=lambda pair: pair[0])
+    return [key for _, key in numbered]
+
+
+def oracle_convert_table(path, user_col, set_col, item_col, delimiter):
+    """``convert_table`` as a walk over ``csv.reader`` rows: a blank line or a row without one of the
+    three cells is skipped, every other row adds its item to its user's set, and the vocabulary and
+    the users are sorted lists built one insertion at a time."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        rows = csv.reader(fh, delimiter=delimiter)
+        header = next(rows, None)
+        if header is None:
+            raise DataError(f"{path}: empty file")
+        for col in (user_col, set_col, item_col):
+            if col not in header:
+                raise DataError(f"{path}: missing column '{col}' (found {header})")
+        cells = [header.index(col) for col in (user_col, set_col, item_col)]
+        grouped = {}
+        for row in rows:
+            if max(cells) >= len(row):
+                continue
+            user, key, item = (row[i] for i in cells)
+            grouped.setdefault(user, {}).setdefault(key, []).append(item)
+    if not grouped:
+        raise DataError(f"{path}: no rows")
+    items, user_ids = [], []
+    for user, sets in grouped.items():
+        insort(user_ids, user)
+        for key in sets:
+            for item in sets[key]:
+                if item not in items:
+                    insort(items, item)
+    raw = {
+        "vocab_size": len(items),
+        "users": [
+            {"user_id": user, "sets": [[items.index(i) for i in grouped[user][key]]
+                                       for key in _oracle_set_order(list(grouped[user]))]}
+            for user in user_ids
+        ],
+    }
+    corpus, report = oracle_parse_corpus(raw)
+    return corpus, report, {"items": items}
+
+
+JSON_SPLITS = ("train", "validate", "valid", "validation", "test")
+
+
+def oracle_convert_json_dump(path):
+    """``convert_json_dump`` one split, one user and one item at a time: a user id an earlier split
+    took is renamed "<split>:<id>", which must be free; items are compared as strings and ordered by
+    length, then text."""
+    obj = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(obj, dict) or not obj:
+        raise DataError(f"{path}: expected a non-empty JSON object")
+    if all(key in JSON_SPLITS for key in obj):
+        merged = {}
+        for split, users in obj.items():
+            if not isinstance(users, dict):
+                raise DataError(f"{path}: split '{split}' is a {type(users).__name__}, not an object of users")
+            for uid, seq in users.items():
+                name = f"{split}:{uid}" if uid in merged else uid
+                if name in merged:
+                    raise DataError(
+                        f"{path}: split '{split}' repeats user '{uid}', and its merged name '{name}' is another user's"
+                    )
+                merged[name] = seq
+    else:
+        merged = obj
+    items, user_ids = [], []
+    for uid, seq in merged.items():
+        if not isinstance(seq, list):
+            raise DataError(f"{path}: user '{uid}' is not a list of item lists")
+        for basket in seq:
+            if not isinstance(basket, list):
+                raise DataError(f"{path}: user '{uid}' is not a list of item lists")
+        _insert_sorted(user_ids, uid)
+        for basket in seq:
+            for item in basket:
+                if str(item) not in items:
+                    _insert_sorted(items, str(item), key=lambda text: (len(text), text))
+    raw = {
+        "vocab_size": len(items),
+        "users": [{"user_id": uid, "sets": [[items.index(str(i)) for i in basket] for basket in merged[uid]]}
+                  for uid in user_ids],
+    }
+    corpus, report = oracle_parse_corpus(raw)
+    return corpus, report, {"items": items}

@@ -1,5 +1,8 @@
 import base64
 import json
+import math
+import os
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +12,7 @@ from hypothesis import strategies as st
 
 from oracle import oracle_checkpoint_bytes
 from pietsp.checkpoint import (
+    HEAD_BYTES,
     MAGIC,
     CheckpointError,
     checkpoint_bytes,
@@ -101,6 +105,11 @@ def test_envelope_dim_mismatch_rejected(tmp_path):
 def test_missing_file():
     with pytest.raises(CheckpointError, match="not found"):
         load_checkpoint("/nonexistent/ck.json")
+
+
+def test_a_directory_is_rejected_naming_the_path_and_the_reason(tmp_path):
+    with pytest.raises(CheckpointError, match=rf"{tmp_path}: cannot read the checkpoint \(Is a directory\)"):
+        load_checkpoint(tmp_path)
 
 
 def test_float32_params_rejected():
@@ -516,3 +525,151 @@ def test_malformed_envelope_field_is_rejected_naming_it(tmp_path, fault, fmt):
         path.write_bytes(_join_v2(edit(header), raw))
     with pytest.raises(CheckpointError, match=message):
         load_checkpoint(path)
+
+
+# --- format 2's reader: the raw section read straight into the tables ---------
+
+def _full_state(vocab=9, dim=4, k_max=2, seed=15):
+    """Every table of a resumable checkpoint, each holding different bytes."""
+    params, state = _moved_params(vocab, dim, k_max, seed)
+    best = params.copy()
+    best.emb[...] = -best.emb
+    return dict(params=params, seed=1, config={"lr": 0.01}, opt_state=state,
+                train_state=_train_state(best, [{"epoch": 0}]))
+
+
+def _assert_loads_bit_for_bit(path, kwargs):
+    ck = load_checkpoint(path)
+    assert checkpoint_bytes(ck.params, seed=ck.seed, config=ck.config, opt_state=ck.opt_state,
+                            train_state=ck.train_state) == checkpoint_bytes(**kwargs)
+
+
+def _permuted_v2(blob, seed):
+    """The same checkpoint with its slots' bytes in shuffled order, a few unused bytes between some
+    of them, and the offsets rewritten to match."""
+    header, raw = _split_v2(blob)
+    tables = [header["params"], header["optimizer"]["m"], header["optimizer"]["v"],
+              header["trainer"]["best_params"]]
+    records = [record for table in tables for record in table.values()]
+    chunks = [raw[r["offset"] : r["offset"] + 8 * math.prod(r["shape"])] for r in records]
+    rng = np.random.default_rng(seed)
+    parts = []
+    for i in rng.permutation(len(records)):
+        if rng.random() < 0.25:
+            parts.append(b"\xff" * int(rng.integers(1, 9)))  # ends a run of back-to-back records
+        records[i]["offset"] = sum(map(len, parts))
+        parts.append(chunks[i])
+    header["data_bytes"] = sum(map(len, parts))
+    return _join_v2(header, b"".join(parts))
+
+
+def _counting_preadv(monkeypatch):
+    calls, real = [], os.preadv
+
+    def preadv(fd, bufs, pos):
+        calls.append(pos)
+        return real(fd, bufs, pos)
+
+    monkeypatch.setattr(os, "preadv", preadv)
+    return calls
+
+
+def test_v2_written_by_checkpoint_bytes_is_read_in_one_call(tmp_path, monkeypatch):
+    kwargs = _full_state()
+    path = tmp_path / "ck.json"
+    save_checkpoint(path, **kwargs)
+    calls = _counting_preadv(monkeypatch)
+    _assert_loads_bit_for_bit(path, kwargs)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_v2_slots_out_of_slot_order_load_bit_for_bit(tmp_path, monkeypatch, seed):
+    kwargs = _full_state()
+    path = tmp_path / "ck.json"
+    path.write_bytes(_permuted_v2(checkpoint_bytes(**kwargs), seed))
+    calls = _counting_preadv(monkeypatch)
+    _assert_loads_bit_for_bit(path, kwargs)
+    assert len(calls) > 1  # one read per run of records that lie back to back
+    assert calls == sorted(calls)
+
+
+def _slot_at(path, table, slot):
+    """The file offset of the first byte of one slot."""
+    blob = path.read_bytes()
+    header, _ = _split_v2(blob)
+    records = header
+    for key in table:
+        records = records[key]
+    return blob.index(b"\n", len(MAGIC)) + 1 + records[slot]["offset"]
+
+
+def test_v2_header_longer_than_the_first_read_loads(tmp_path):
+    kwargs = _full_state()
+    kwargs["train_state"]["history"] = [{"epoch": i, "note": "x" * 100} for i in range(500)]
+    path = tmp_path / "ck.json"
+    save_checkpoint(path, **kwargs)
+    assert path.read_bytes().index(b"\n", len(MAGIC)) > 3 * HEAD_BYTES
+    _assert_loads_bit_for_bit(path, kwargs)
+
+
+def test_v2_reads_that_stop_short_resume(tmp_path, monkeypatch):
+    """A read may return fewer bytes than asked: the next one resumes mid-slot."""
+    kwargs = _full_state()
+    path = tmp_path / "ck.json"
+    save_checkpoint(path, **kwargs)
+    real = os.preadv
+
+    def at_most_100_bytes(fd, bufs, pos):
+        views, room = [], 100
+        for buf in bufs:
+            views.append(memoryview(buf).cast("B")[:room])
+            room -= len(views[-1])
+            if not room:
+                break
+        return real(fd, views, pos)
+
+    monkeypatch.setattr(os, "preadv", at_most_100_bytes)
+    _assert_loads_bit_for_bit(path, kwargs)
+
+
+@pytest.mark.parametrize("table", [("params",), ("optimizer", "v"), ("trainer", "best_params")],
+                         ids=lambda t: "-".join(t))
+def test_v2_short_read_names_the_slot(tmp_path, monkeypatch, table):
+    """A file that ends, while it is read, inside a slot (truncated after its size was checked)."""
+    path = tmp_path / "ck.json"
+    save_checkpoint(path, **_full_state())
+    end = _slot_at(path, table, "pi_w2") + 12
+    real = os.preadv
+
+    def truncated(fd, bufs, pos):
+        return max(0, min(real(fd, bufs, pos), end - pos))
+
+    monkeypatch.setattr(os, "preadv", truncated)
+    with pytest.raises(CheckpointError, match=rf"{table[-1]} slot 'pi_w2': short read, the file ends at byte {end}"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("permuted", [False, True], ids=["slot-order", "permuted"])
+def test_v2_loads_where_the_platform_has_no_preadv(tmp_path, monkeypatch, permuted):
+    kwargs = _full_state()
+    blob = checkpoint_bytes(**kwargs)
+    path = tmp_path / "ck.json"
+    path.write_bytes(_permuted_v2(blob, 3) if permuted else blob)
+    monkeypatch.delattr(os, "preadv", raising=False)
+    _assert_loads_bit_for_bit(path, kwargs)
+
+
+def test_v2_load_holds_no_copy_of_the_file(tmp_path):
+    """The traced peak of a load stays near the four tables it returns: no buffer of the whole file."""
+    kwargs = _full_state(vocab=2000, dim=16, k_max=4)
+    path = tmp_path / "ck.json"
+    save_checkpoint(path, **kwargs)
+    data_bytes = _split_v2(path.read_bytes())[0]["data_bytes"]
+    tracemalloc.start()
+    try:
+        ck = load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ck.opt_state is not None and peak < 1.25 * data_bytes, (peak, data_bytes)

@@ -107,6 +107,25 @@ def test_resume_refuses_a_removed_setting_that_eval_and_predict_still_load(tmp_p
     assert run_cli("predict", "--ckpt", str(ckpt), "--data", str(synthetic_file), "--top", "3") == 0
 
 
+@pytest.mark.parametrize("refusal", ["changed-setting", "removed-setting"])
+def test_refused_resume_leaves_the_effective_config_as_it_was(tmp_path, synthetic_file, capsys, refusal):
+    run = tmp_path / "run"
+    flags = ("--data", str(synthetic_file), "--out", str(run), "--epochs", "3", "--patience", "3", "--dim", "8")
+    assert run_cli("train", *flags) == 0
+    ckpt = run / "checkpoint-latest.json"
+    if refusal == "removed-setting":
+        ck = load_checkpoint(ckpt)
+        save_checkpoint(ckpt, ck.params, seed=ck.seed, config=ck.config | {"l2_coeff": 0.5},
+                        opt_state=ck.opt_state, train_state=ck.train_state)
+    before = (run / "effective-config.json").read_bytes()
+    capsys.readouterr()
+    assert run_cli("train", *flags, "--lr", "0.5", "--resume") == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"pietsp train: {ckpt}: ") and err.count("\n") == 1
+    assert ("['base_lr']" if refusal == "changed-setting" else "'l2_coeff' = 0.5 was removed") in err
+    assert (run / "effective-config.json").read_bytes() == before
+
+
 def test_patience_above_epochs_names_both_values_and_the_flag(tmp_path, synthetic_file, capsys):
     code = run_cli("train", "--data", str(synthetic_file), "--out", str(tmp_path / "run"), "--epochs", "3")
     err = capsys.readouterr().err
@@ -299,11 +318,14 @@ def test_inspect_prints_header_shapes_and_norms(tmp_path, trained, capsys, fmt):
                          for name, arr in params.slots()}, table
 
 
-@pytest.mark.parametrize("content", [b"", b"{not json", MAGIC + b'{"kind": "pietsp-checkpoint"}'],
-                         ids=["empty", "not-json", "no-terminator"])
+@pytest.mark.parametrize("content", [b"", b"{not json", MAGIC + b'{"kind": "pietsp-checkpoint"}', None],
+                         ids=["empty", "not-json", "no-terminator", "directory"])
 def test_inspect_bad_file_is_single_line_error(tmp_path, capsys, content):
     path = tmp_path / "bad.json"
-    path.write_bytes(content)
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
     assert run_cli("inspect", "--ckpt", str(path)) == 1
     captured = capsys.readouterr()
     assert captured.out == ""

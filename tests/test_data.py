@@ -1,4 +1,5 @@
 import copy
+import csv
 import json
 
 import numpy as np
@@ -6,7 +7,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracle import oracle_parse_corpus, oracle_prepare_sample
+from oracle import (
+    JSON_SPLITS,
+    oracle_convert_json_dump,
+    oracle_convert_table,
+    oracle_parse_corpus,
+    oracle_prepare_sample,
+)
 from pietsp.data import (
     Corpus,
     DataError,
@@ -459,3 +466,75 @@ def test_convert_json_dump_with_splits(tmp_path):
     assert corpus.vocab_size == 3
     assert {u.user_id for u in corpus.users} == {"u1", "u2"}
     assert max_history_len(corpus) == 2
+
+
+_TABLE_USERS = ["a", "b", "10", "9", "é"]
+_TABLE_KEYS = ["1", "2", "10", "1.0", " 3", "-2", "1e1", "inf", "nan", "x", ""]
+_TABLE_ITEMS = ["p", "q", "10", "9", "p q", "", "é"]
+
+
+@st.composite
+def raw_tables(draw):
+    """A header naming the three columns and one more, in any order, then rows of drawn cells;
+    some rows are cut short and some lines are blank."""
+    header = draw(st.permutations(["user", "order", "item", "note"]))
+    cells = {"user": st.sampled_from(_TABLE_USERS), "order": st.sampled_from(_TABLE_KEYS),
+             "item": st.sampled_from(_TABLE_ITEMS), "note": st.just("n")}
+    rows = []
+    for _ in range(draw(st.integers(0, 14))):
+        row = [draw(cells[col]) for col in header]
+        rows.append(row[: draw(st.sampled_from([len(row)] * 6 + [0, 1, 2, 3]))])
+    return header, rows
+
+
+@settings(max_examples=150)
+@given(raw_tables(), st.sampled_from([",", "\t"]))
+@example((["user", "order", "item", "note"], [["a", "2", "p", "n"], ["a", "nan", "q", "n"], ["a", "1", "p", "n"]]),
+         ",")
+def test_convert_table_matches_the_one_row_at_a_time_oracle(tmp_path_factory, table, delimiter):
+    header, rows = table
+    path = tmp_path_factory.mktemp("table") / "raw.csv"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, delimiter=delimiter).writerows([header, *rows])
+    want = _outcome(oracle_convert_table, path, "user", "order", "item", delimiter)
+    assert _outcome(convert_table, path, "user", "order", "item", delimiter) == want
+
+
+_JSON_UIDS = ["u", "v", "7", "test:u", "train:v", "valid:u", "test:test:u"]
+_JSON_ITEMS = st.one_of(st.integers(-2, 12), st.sampled_from(["5", "07", "a", "b:c", "", "10"]))
+_JSON_SEQS = st.one_of(st.lists(st.lists(_JSON_ITEMS, max_size=4), max_size=4),
+                       st.sampled_from([5, "u", None, [[1], 2], {"a": [1]}]))
+_JSON_USERS = st.dictionaries(st.sampled_from(_JSON_UIDS), _JSON_SEQS, max_size=5)
+
+
+def json_dumps():
+    """A flat object of users, an object of splits (some of them not objects of users), or no object."""
+    splits = st.dictionaries(st.sampled_from(JSON_SPLITS), st.one_of(_JSON_USERS, _JSON_USERS,
+                             st.sampled_from([[[1, 2]], "u", None, 3])), min_size=1, max_size=3)
+    return st.one_of(_JSON_USERS, splits, splits, st.sampled_from([[], [{"u": [[1]]}], 5, None, "u"]))
+
+
+@settings(max_examples=200)
+@given(json_dumps())
+@example({"train": [[1, 2]], "test": {"u": [[1], [2]]}})
+@example({"train": {"u": [[1], [2]], "test:u": [[2], [3]]}, "test": {"u": [[3], [4]]}})
+def test_convert_json_dump_matches_the_one_user_at_a_time_oracle(tmp_path_factory, dump):
+    path = tmp_path_factory.mktemp("dump") / "dump.json"
+    path.write_text(json.dumps(dump), encoding="utf-8")
+    want = _outcome(oracle_convert_json_dump, path)
+    assert _outcome(convert_json_dump, path) == want
+
+
+def test_convert_json_dump_names_a_split_that_is_not_an_object(tmp_path):
+    path = tmp_path / "dump.json"
+    path.write_text(json.dumps({"train": [[1, 2]], "test": {"u": [[1], [2]]}}))
+    with pytest.raises(DataError, match="split 'train' is a list, not an object of users"):
+        convert_json_dump(path)
+
+
+def test_convert_json_dump_refuses_a_merged_name_another_user_has(tmp_path):
+    """Renaming the test split's 'u' to 'test:u' would silently replace the train user of that name."""
+    path = tmp_path / "dump.json"
+    path.write_text(json.dumps({"train": {"u": [[1], [2]], "test:u": [[2], [3]]}, "test": {"u": [[3], [4]]}}))
+    with pytest.raises(DataError, match="split 'test' repeats user 'u', and its merged name 'test:u' is another"):
+        convert_json_dump(path)
