@@ -13,9 +13,15 @@ The header records the model dimensions, the concatenation layout and the
 run seed; optimizer and trainer state ride along for resumable training.
 Each array appears in it as ``{"offset": o, "shape": [...]}``, ``o``
 counted from the start of the raw section, whose length is the header's
-``data_bytes``.  Saving is one ``json.dumps`` over the header and one join
-of the magic line, the header and the arrays' own buffers, so save -> load
--> save is byte-identical.
+``data_bytes``.  When the trainer's ``best_params`` hold the same bytes as
+``params`` (compared as bytes, so a ``-0.0`` for a ``0.0`` or another NaN
+payload counts as a difference), its records are the ``params`` records
+themselves and its bytes are not written again; a resumable checkpoint
+written in an epoch that improved the validation metric is then three
+tables long instead of four.  Saving is one ``json.dumps`` over the header,
+then one buffered ``write`` of the magic line and header and one of each
+array's own buffer, so no copy of the file is held; ``checkpoint_bytes``
+is the join of the same parts.  Save -> load -> save is byte-identical.
 
 Format 1, the one written before, is read only: one canonical JSON
 document with each array as ``{"data": base64, "shape": [...]}``.  A file
@@ -36,12 +42,13 @@ the file's size against ``data_bytes`` and every table and slot, and only
 then reads the raw section, straight into the slot views of fresh
 ``ModelParams`` buffers: one ``os.preadv`` per run of records that lie back
 to back, so one call for a file this module wrote, and ``readinto`` per
-slot where the platform has no ``os.preadv``.  No copy of the file is held.
-A read that finds the file ended inside a slot, and a path that cannot be
-read (a directory, no permission), are ``CheckpointError``s naming the slot
-or the path.  Saving writes a temporary file in one
-``write_bytes`` call and renames it over the target, so an interrupted save
-leaves the previous checkpoint intact.
+slot where the platform has no ``os.preadv``.  A record whose offset and
+shape repeat an earlier one's is copied from the array read for that one, so an aliased ``best_params`` loads as its own buffer and costs no
+read.  No copy of the file is held.  A read that finds the file ended
+inside a slot, and a path that cannot be read (a directory, no
+permission), are ``CheckpointError``s naming the slot or the path.  Saving
+writes a temporary file and renames it over the target, so an interrupted
+save leaves the previous checkpoint intact.
 """
 
 from __future__ import annotations
@@ -83,7 +90,12 @@ def checkpoint_bytes(
     opt_state: AdamState | None = None,
     train_state: dict | None = None,
 ) -> bytes:
-    arrays = []
+    return b"".join(_parts(params, seed, config, opt_state, train_state))
+
+
+def _parts(params, seed=None, config=None, opt_state=None, train_state=None) -> list:
+    """The file's bytes in order: the magic line, the header line and each slot's own buffer."""
+    parts = []
     offset = 0
 
     def table(container: ModelParams) -> dict:
@@ -93,10 +105,12 @@ def checkpoint_bytes(
             if arr.dtype != np.float64:
                 raise CheckpointError(f"checkpoints store float64 arrays, got {arr.dtype}")
             records[name] = {"offset": offset, "shape": list(arr.shape)}
-            arrays.append(np.ascontiguousarray(arr, dtype="<f8"))
+            parts.append(memoryview(np.ascontiguousarray(arr, dtype="<f8")))
             offset += arr.nbytes
         return records
 
+    records = table(params)
+    best = None if train_state is None else train_state.get("best_params")
     header = {
         "format_version": FORMAT_VERSION,
         "kind": "pietsp-checkpoint",
@@ -106,7 +120,7 @@ def checkpoint_bytes(
         "concat_layout": CONCAT_LAYOUT,
         "seed": seed,
         "config": config,
-        "params": table(params),
+        "params": records,
         "optimizer": None
         if opt_state is None
         else {"step": opt_state.step, "m": table(opt_state.m), "v": table(opt_state.v)},
@@ -114,25 +128,39 @@ def checkpoint_bytes(
         if train_state is None
         else {
             **{k: v for k, v in train_state.items() if k != "best_params"},
-            "best_params": None
-            if train_state.get("best_params") is None
-            else table(train_state["best_params"]),
+            "best_params": None if best is None else records if _same_bytes(best, params) else table(best),
         },
     }
     header["data_bytes"] = offset
     text = json.dumps(header, sort_keys=True, separators=(",", ":"))
-    return b"".join([MAGIC, text.encode("ascii"), b"\n", *map(memoryview, arrays)])
+    return [MAGIC + text.encode("ascii") + b"\n", *parts]
 
 
-def write_atomic(path, data: bytes) -> None:
-    """Write ``data`` to a temporary file beside ``path``, then rename it over ``path``.
+def _same_bytes(a: ModelParams, b: ModelParams) -> bool:
+    """Whether two float64 parameter sets of the same dimensions hold the same bytes (so ``-0.0``
+    differs from ``0.0``, and NaNs with different payloads differ)."""
+    return (
+        a.flat.dtype == b.flat.dtype == np.float64
+        and (a.vocab_size, a.dim, a.k_max) == (b.vocab_size, b.dim, b.k_max)
+        and np.array_equal(a.flat.view(np.uint64), b.flat.view(np.uint64))
+    )
+
+
+WRITE_BUFFER = 1 << 16  # gathers the small slots into fewer write calls; a larger slot is written from its own buffer
+
+
+def write_atomic(path, *parts) -> None:
+    """Write ``parts`` (bytes-like) one after another to a temporary file beside ``path``,
+    then rename it over ``path``.
 
     A write interrupted part-way leaves the previous file intact.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_bytes(data)
+        with open(tmp, "wb", buffering=WRITE_BUFFER) as fh:
+            for part in parts:
+                fh.write(part)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -140,7 +168,7 @@ def write_atomic(path, data: bytes) -> None:
 
 
 def save_checkpoint(path, params: ModelParams, **kwargs) -> None:
-    write_atomic(path, checkpoint_bytes(params, **kwargs))
+    write_atomic(path, *_parts(params, **kwargs))
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -274,15 +302,23 @@ class _RawSection:
 
     def read(self, f, raw_at: int) -> None:
         """Read the raw section, which starts at file offset ``raw_at``, into the placed arrays:
-        one read per run of records that lie back to back, so one for a file ``checkpoint_bytes`` wrote."""
-        runs, end = [], None
+        one read per run of records that lie back to back, so one for a file ``checkpoint_bytes``
+        wrote.  A record whose offset and shape repeat an earlier one's (a table stored as
+        another) is copied from the array read for that one."""
+        runs, end, first, copies = [], None, {}, []
         for offset, out, where in sorted(self.fills, key=lambda fill: fill[0]):
+            src = first.setdefault((offset, out.shape), out)
+            if src is not out:
+                copies.append((out, src))
+                continue
             if offset != end:
                 runs.append((raw_at + offset, []))
             runs[-1][1].append([out, where])
             end = offset + out.nbytes
         for pos, run in runs:
             _read_run(f, pos, run)
+        for out, src in copies:
+            out[...] = src
 
 
 def _read_run(f, pos: int, run: list) -> None:

@@ -291,7 +291,8 @@ def _cmd_convert(args) -> int:
     Path(vocab_out).write_text(json.dumps(vocab_map), encoding="utf-8")
     print(
         f"converted {report.users_kept} users, vocabulary {corpus.vocab_size}"
-        f" (dropped {report.users_dropped} users, {report.empty_sets_dropped} empty sets)"
+        f" (dropped {report.users_dropped} users, {report.empty_sets_dropped} empty sets;"
+        f" {report.rows_skipped} rows skipped)"
     )
     return 0
 

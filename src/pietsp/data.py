@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain
 from pathlib import Path
 
@@ -62,6 +62,7 @@ class LoadReport:
     users_dropped: int = 0      # fewer than 2 usable sets
     empty_sets_dropped: int = 0
     duplicate_ids_removed: int = 0
+    rows_skipped: int = 0       # table rows with a missing or empty user, set-key or item cell
 
 
 @dataclass(frozen=True)
@@ -415,13 +416,16 @@ def convert_table(
 
     Rows are grouped by user, then by set key (ordering numerically when
     every key parses as a number other than NaN, lexicographically
-    otherwise).  Item ids are remapped to a dense 0-based vocabulary; the
-    mapping is returned so it can be written alongside the corpus.
+    otherwise).  A row whose user, set-key or item cell is missing or empty
+    is skipped and counted in ``LoadReport.rows_skipped``.  Item ids are
+    remapped to a dense 0-based vocabulary; the mapping is returned so it
+    can be written alongside the corpus.
     """
     path = Path(path)
     if delimiter is None:
         delimiter = "\t" if path.suffix.lower() in (".tsv", ".dat", ".txt") else ","
     grouped: dict[str, dict[str, list[str]]] = {}
+    skipped = 0
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh, delimiter=delimiter)
         if reader.fieldnames is None:
@@ -431,7 +435,8 @@ def convert_table(
                 raise DataError(f"{path}: missing column '{col}' (found {reader.fieldnames})")
         for row in reader:
             user, key, item = row[user_col], row[set_col], row[item_col]
-            if user is None or key is None or item is None:
+            if not (user and key and item):  # a cell the row lacks is None
+                skipped += 1
                 continue
             grouped.setdefault(user, {}).setdefault(key, []).append(item)
     if not grouped:
@@ -458,8 +463,23 @@ def convert_table(
         ],
     }
     corpus, report = parse_corpus(raw)
-    vocab_map = {"items": all_items}
-    return corpus, report, vocab_map
+    return corpus, replace(report, rows_skipped=skipped), {"items": all_items}
+
+
+class _JsonObject(dict):
+    """A decoded JSON object that notes ``repeat``, the first key it holds twice (the dict keeps
+    the last value), or None."""
+
+    def __init__(self, pairs):
+        super().__init__(pairs)
+        self.repeat = None
+        if len(self) < len(pairs):  # some key came twice
+            seen = set()
+            for key, _ in pairs:
+                if key in seen:
+                    self.repeat = key
+                    break
+                seen.add(key)
 
 
 def convert_json_dump(path) -> tuple[Corpus, LoadReport, dict]:
@@ -469,20 +489,26 @@ def convert_json_dump(path) -> tuple[Corpus, LoadReport, dict]:
     top-level keys are split names ("train"/"validate"/"valid"/"test") with
     such objects beneath; splits are merged since this package re-splits by
     user.  A user id already taken by an earlier split becomes
-    "<split>:<id>", and an error if that name is taken too.  Item ids may
-    be arbitrary strings or ints and are remapped to a dense 0-based
-    vocabulary.
+    "<split>:<id>", and an error if that name is taken too.  A user or split
+    that appears twice in one object is an error.  Item ids may be strings
+    or integers (not floats, booleans, nulls or lists) and are remapped to a
+    dense 0-based vocabulary.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
+        obj = json.load(fh, object_pairs_hook=_JsonObject)
     if not isinstance(obj, dict) or not obj:
         raise DataError(f"{path}: expected a non-empty JSON object")
     split_names = ("train", "validate", "valid", "validation", "test")
     if all(k in split_names for k in obj):
+        if obj.repeat is not None:
+            raise DataError(f"{path}: split '{obj.repeat}' appears twice")
         merged: dict[str, list] = {}
+        origin: dict[str, str] = {}
         for split, users in obj.items():
             if not isinstance(users, dict):
                 raise DataError(f"{path}: split '{split}' is a {type(users).__name__}, not an object of users")
+            if users.repeat is not None:
+                raise DataError(f"{path}: user '{users.repeat}' appears twice in split '{split}'")
             for uid, seq in users.items():
                 key = uid if uid not in merged else f"{split}:{uid}"
                 if key in merged:
@@ -490,11 +516,18 @@ def convert_json_dump(path) -> tuple[Corpus, LoadReport, dict]:
                         f"{path}: split '{split}' repeats user '{uid}', and its merged name '{key}' is another user's"
                     )
                 merged[key] = seq
+                origin[key] = f"user '{uid}' in split '{split}'"
     else:
-        merged = obj
+        if obj.repeat is not None:
+            raise DataError(f"{path}: user '{obj.repeat}' appears twice")
+        merged, origin = obj, {}
     for uid, seq in merged.items():
         if not isinstance(seq, list) or any(not isinstance(s, list) for s in seq):
             raise DataError(f"{path}: user '{uid}' is not a list of item lists")
+        if not {type(i) for s in seq for i in s} <= {str, int}:  # type(True) is bool, not int
+            item = next(i for s in seq for i in s if type(i) not in (str, int))
+            who = origin.get(uid) or f"user '{uid}'"
+            raise DataError(f"{path}: {who} has the item {json.dumps(item)}, which is neither a string nor an integer")
     all_items = sorted(
         {str(i) for seq in merged.values() for s in seq for i in s},
         key=lambda s: (len(s), s),

@@ -38,8 +38,11 @@ serves the next instead of going back to the OS and being faulted in again.
 
 Each layer is plain numpy.  A layer checks each value that can first turn
 non-finite (every affine pre-activation before its ELU or ReLU, which would
-map -inf to a finite value, and the element scores, the summary, the global
-scores and the fused logits) and raises ``NumericsError`` naming itself.
+map -inf to a finite value, the element scores and the summary) and raises
+``NumericsError`` naming itself.  The B x |E| block is checked once, as
+fused logits: a non-finite global score stays non-finite through the
+fusion, so only a failed check recomputes the global scores to tell
+whether ``ge_forward`` or ``fuse_scores`` is named.
 Parameter shapes are checked once, where they enter from outside the
 program (``checkpoint.load_checkpoint``).
 
@@ -68,7 +71,7 @@ import numpy as np
 from .data import PreparedSample
 from .errors import PietspError
 from .heap import keep_freed_heap
-from .linalg import ShapeError, check_finite, elu, elu_grad, relu, relu_grad
+from .linalg import NumericsError, ShapeError, check_finite, elu, elu_grad, relu, relu_grad
 
 CONCAT_LAYOUT = "membership-then-embedding"
 VARIANTS = ("full", "no-ee", "no-ge")
@@ -410,10 +413,10 @@ def pi_forward(pe_out: np.ndarray, params: ModelParams, segs: Segments | None = 
 
 
 def ge_forward(set_repr: np.ndarray, emb: np.ndarray) -> np.ndarray:
-    """Score every vocabulary item against each set summary: (B, D) -> (B, |E|), or (D,) -> (|E|,)."""
-    out = set_repr @ emb.T
-    check_finite(out, "ge_forward")
-    return out
+    """Score every vocabulary item against each set summary: (B, D) -> (B, |E|), or (D,) -> (|E|,).
+
+    Not checked here: ``forward_batch`` checks the fused logits (``_check_logits``)."""
+    return set_repr @ emb.T
 
 
 def fuse_scores(
@@ -429,12 +432,23 @@ def fuse_scores(
 
     ``rows`` gives the score row of each universe entry when ``global_scores``
     is a (B, |E|) block; each (row, item) pair must occur once.
-    ``out=global_scores`` works in place.
+    ``out=global_scores`` works in place.  Not checked here: ``forward_batch`` checks the
+    result (``_check_logits``).
     """
     logits = np.multiply(fuse_global, global_scores, out=out)
     logits[universe if rows is None else (rows, universe)] += fuse_local[universe] * elem_scores
-    check_finite(logits, "fuse_scores")
     return logits
+
+
+def _check_logits(logits: np.ndarray, set_repr: np.ndarray | None, emb: np.ndarray) -> None:
+    """One finiteness check of the fused logits, naming ``fuse_scores`` or, when the global
+    scores ``set_repr @ emb.T`` (recomputed only then) are already non-finite, ``ge_forward``."""
+    try:
+        check_finite(logits, "fuse_scores")
+    except NumericsError:
+        if set_repr is not None:
+            check_finite(ge_forward(set_repr, emb), "ge_forward")
+        raise
 
 
 def forward_batch(batch: Batch, params: ModelParams, variant: str = "full") -> ForwardTrace:
@@ -460,11 +474,10 @@ def forward_batch(batch: Batch, params: ModelParams, variant: str = "full") -> F
         fuse_scores(logits, elem_scores, ids, params.fuse_global, params.fuse_local, segs.rows, out=logits)
     elif variant == "no-ee":
         logits *= params.fuse_global
-        check_finite(logits, "fuse_scores")
     else:  # no-ge
         logits = np.zeros((batch.size, params.vocab_size), dtype=pe_out.dtype)
         logits[segs.rows, ids] = params.fuse_local[ids] * elem_scores
-        check_finite(logits, "fuse_scores")
+    _check_logits(logits, set_repr, params.emb)
 
     return ForwardTrace(
         variant=variant,

@@ -20,6 +20,7 @@ import base64
 import csv
 import json
 from bisect import bisect_right, insort
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -262,9 +263,10 @@ def _oracle_set_order(keys):
 
 
 def oracle_convert_table(path, user_col, set_col, item_col, delimiter):
-    """``convert_table`` as a walk over ``csv.reader`` rows: a blank line or a row without one of the
-    three cells is skipped, every other row adds its item to its user's set, and the vocabulary and
-    the users are sorted lists built one insertion at a time."""
+    """``convert_table`` as a walk over ``csv.reader`` rows: a blank line is passed over, a row without
+    one of the three cells or with one of them empty is skipped and counted, every other row adds its
+    item to its user's set, and the vocabulary and the users are sorted lists built one insertion at
+    a time."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         rows = csv.reader(fh, delimiter=delimiter)
         header = next(rows, None)
@@ -274,9 +276,12 @@ def oracle_convert_table(path, user_col, set_col, item_col, delimiter):
             if col not in header:
                 raise DataError(f"{path}: missing column '{col}' (found {header})")
         cells = [header.index(col) for col in (user_col, set_col, item_col)]
-        grouped = {}
+        grouped, skipped = {}, 0
         for row in rows:
-            if max(cells) >= len(row):
+            if not row:
+                continue
+            if max(cells) >= len(row) or "" in (row[i] for i in cells):
+                skipped += 1
                 continue
             user, key, item = (row[i] for i in cells)
             grouped.setdefault(user, {}).setdefault(key, []).append(item)
@@ -298,7 +303,7 @@ def oracle_convert_table(path, user_col, set_col, item_col, delimiter):
         ],
     }
     corpus, report = oracle_parse_corpus(raw)
-    return corpus, report, {"items": items}
+    return corpus, replace(report, rows_skipped=skipped), {"items": items}
 
 
 JSON_SPLITS = ("train", "validate", "valid", "validation", "test")
@@ -306,11 +311,13 @@ JSON_SPLITS = ("train", "validate", "valid", "validation", "test")
 
 def oracle_convert_json_dump(path):
     """``convert_json_dump`` one split, one user and one item at a time: a user id an earlier split
-    took is renamed "<split>:<id>", which must be free; items are compared as strings and ordered by
-    length, then text."""
+    took is renamed "<split>:<id>", which must be free; an item that is not a string or an integer is
+    an error naming its user (and split); items are compared as strings and ordered by length, then
+    text."""
     obj = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(obj, dict) or not obj:
         raise DataError(f"{path}: expected a non-empty JSON object")
+    who = {}
     if all(key in JSON_SPLITS for key in obj):
         merged = {}
         for split, users in obj.items():
@@ -323,6 +330,7 @@ def oracle_convert_json_dump(path):
                         f"{path}: split '{split}' repeats user '{uid}', and its merged name '{name}' is another user's"
                     )
                 merged[name] = seq
+                who[name] = f"user '{uid}' in split '{split}'"
     else:
         merged = obj
     items, user_ids = [], []
@@ -335,6 +343,10 @@ def oracle_convert_json_dump(path):
         _insert_sorted(user_ids, uid)
         for basket in seq:
             for item in basket:
+                if isinstance(item, bool) or not isinstance(item, (str, int)):
+                    owner = who.get(uid) or f"user '{uid}'"
+                    raise DataError(f"{path}: {owner} has the item {json.dumps(item)},"
+                                    " which is neither a string nor an integer")
                 if str(item) not in items:
                     _insert_sorted(items, str(item), key=lambda text: (len(text), text))
     raw = {

@@ -3,7 +3,6 @@ import json
 import math
 import os
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracle import oracle_checkpoint_bytes
+from pietsp import checkpoint
 from pietsp.checkpoint import (
     HEAD_BYTES,
     MAGIC,
@@ -162,16 +162,34 @@ def test_interrupted_save_keeps_previous_checkpoint(tmp_path, monkeypatch):
     path = tmp_path / "ck.json"
     save_checkpoint(path, init_params(9, 4, 2, seed=7), seed=7)
     before = path.read_bytes()
+    reached = []  # bytes in the file being written when the disk filled up
 
-    def fail_part_way(self, data):
-        with open(self, "wb") as fh:
-            fh.write(bytes(data)[: len(data) // 2])
-        raise OSError("no space left on device")
+    class FailPartWay:
+        """The file save writes to: the second write stores half its bytes, then the disk is full."""
 
-    monkeypatch.setattr(Path, "write_bytes", fail_part_way)
+        def __init__(self, fh):
+            self.fh, self.writes = fh, 0
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            self.writes += 1
+            if self.writes < 2:
+                return self.fh.write(data)
+            self.fh.write(bytes(data)[: len(data) // 2])
+            self.fh.flush()
+            reached.append(os.path.getsize(self.fh.name))
+            raise OSError("no space left on device")
+
+    monkeypatch.setattr(checkpoint, "open", lambda *args, **kwargs: FailPartWay(open(*args, **kwargs)), raising=False)
     with pytest.raises(OSError):
         save_checkpoint(path, init_params(9, 4, 2, seed=8), seed=8)
     monkeypatch.undo()
+    assert reached and reached[0] > 0
     assert path.read_bytes() == before
     assert load_checkpoint(path).seed == 7
     assert [p.name for p in tmp_path.iterdir()] == ["ck.json"]
@@ -673,3 +691,73 @@ def test_v2_load_holds_no_copy_of_the_file(tmp_path):
     finally:
         tracemalloc.stop()
     assert ck.opt_state is not None and peak < 1.25 * data_bytes, (peak, data_bytes)
+
+
+# --- best_params stored as the params records when the two hold the same bytes -
+
+def _aliased_state(vocab=9, dim=4, k_max=2, seed=16):
+    """A resumable state saved in an epoch that improved the metric: best_params is a copy of params."""
+    params, state = _moved_params(vocab, dim, k_max, seed)
+    return dict(params=params, seed=1, config={"lr": 0.01}, opt_state=state,
+                train_state=_train_state(params.copy(), [{"epoch": 0}]))
+
+
+def test_best_params_equal_to_params_are_stored_as_the_params_records():
+    kwargs = _aliased_state()
+    params, state = kwargs["params"], kwargs["opt_state"]
+    header, raw = _split_v2(checkpoint_bytes(**kwargs))
+    assert header["trainer"]["best_params"] == header["params"]
+    assert header["data_bytes"] == 3 * params.flat.nbytes == len(raw)
+    assert raw == b"".join(arr.tobytes() for table in (params, state.m, state.v) for _, arr in table.slots())
+
+
+@pytest.mark.parametrize(
+    "bits",
+    [(0.0, -0.0), (np.float64(np.nan), np.uint64(0x7FF8000000000001).view(np.float64))],
+    ids=["signed-zero", "nan-payload"],
+)
+def test_best_params_that_differ_only_in_the_bits_of_one_entry_are_written(tmp_path, bits):
+    """Equal as numbers (or both NaN) is not equal as bytes: such a best table is written in full."""
+    kwargs = _aliased_state()
+    params, best = kwargs["params"], kwargs["train_state"]["best_params"]
+    params.pi_b2[1], best.pi_b2[1] = bits
+    assert params.pi_b2.tobytes() != best.pi_b2.tobytes()
+    path = tmp_path / "ck.json"
+    save_checkpoint(path, **kwargs)
+    header, raw = _split_v2(path.read_bytes())
+    records = header["trainer"]["best_params"]
+    assert records["emb"]["offset"] == header["data_bytes"] - params.flat.nbytes == 3 * params.flat.nbytes
+    at = records["pi_b2"]["offset"]
+    assert raw[at : at + best.pi_b2.nbytes] == best.pi_b2.tobytes()
+    loaded = load_checkpoint(path).train_state["best_params"]
+    assert loaded.pi_b2.tobytes() == best.pi_b2.tobytes()
+
+
+def test_an_aliased_file_loads_two_unshared_tables_in_one_read(tmp_path, monkeypatch):
+    kwargs = _aliased_state()
+    path = tmp_path / "ck.json"
+    save_checkpoint(path, **kwargs)
+    assert _split_v2(path.read_bytes())[0]["data_bytes"] == 3 * kwargs["params"].flat.nbytes
+    calls = _counting_preadv(monkeypatch)
+    ck = load_checkpoint(path)
+    assert len(calls) == 1
+    best = ck.train_state["best_params"]
+    assert not np.shares_memory(ck.params.flat, best.flat)
+    assert best.flat.tobytes() == ck.params.flat.tobytes() == kwargs["params"].flat.tobytes()
+    best.emb[0, 0] += 1.0  # fit keeps training params while best_params holds the best epoch
+    assert ck.params.emb[0, 0] == kwargs["params"].emb[0, 0]
+    assert checkpoint_bytes(**kwargs) == path.read_bytes()
+
+
+def test_save_holds_no_copy_of_the_file(tmp_path):
+    """The traced peak of a save stays far below the bytes it writes: no join of the whole file."""
+    kwargs = _full_state(vocab=2000, dim=16, k_max=4)
+    path = tmp_path / "ck.json"
+    tracemalloc.start()
+    try:
+        save_checkpoint(path, **kwargs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    data_bytes = _split_v2(path.read_bytes())[0]["data_bytes"]
+    assert peak < 0.25 * data_bytes, (peak, data_bytes)

@@ -219,6 +219,13 @@ def test_convert_csv_roundtrip(tmp_path, capsys):
     assert vocab["items"] == ["a", "b", "c"]
 
 
+def test_convert_prints_the_skipped_rows(tmp_path, capsys):
+    raw = tmp_path / "raw.csv"
+    raw.write_text("user,order,item\nu,1,p\nu,2,\nu,2,q\nu,3\n")
+    assert run_cli("convert", "--input", str(raw), "--out", str(tmp_path / "corpus.json")) == 0
+    assert "2 rows skipped" in capsys.readouterr().out
+
+
 def test_missing_data_file_is_single_line_error(tmp_path, capsys):
     code = run_cli("eval", "--ckpt", str(tmp_path / "nope.json"), "--data", str(tmp_path / "x.json"))
     assert code == 1

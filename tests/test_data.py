@@ -1,6 +1,7 @@
 import copy
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
@@ -468,7 +469,7 @@ def test_convert_json_dump_with_splits(tmp_path):
     assert max_history_len(corpus) == 2
 
 
-_TABLE_USERS = ["a", "b", "10", "9", "é"]
+_TABLE_USERS = ["a", "b", "10", "9", "é", ""]
 _TABLE_KEYS = ["1", "2", "10", "1.0", " 3", "-2", "1e1", "inf", "nan", "x", ""]
 _TABLE_ITEMS = ["p", "q", "10", "9", "p q", "", "é"]
 
@@ -518,6 +519,8 @@ def json_dumps():
 @given(json_dumps())
 @example({"train": [[1, 2]], "test": {"u": [[1], [2]]}})
 @example({"train": {"u": [[1], [2]], "test:u": [[2], [3]]}, "test": {"u": [[3], [4]]}})
+@example({"train": {"u": [[1], [2]], "v": [[1, 5.0]]}, "test": {"u": [[True], [None]]}})
+@example({"u": [["a"], [[1]]], "v": "u"})
 def test_convert_json_dump_matches_the_one_user_at_a_time_oracle(tmp_path_factory, dump):
     path = tmp_path_factory.mktemp("dump") / "dump.json"
     path.write_text(json.dumps(dump), encoding="utf-8")
@@ -537,4 +540,42 @@ def test_convert_json_dump_refuses_a_merged_name_another_user_has(tmp_path):
     path = tmp_path / "dump.json"
     path.write_text(json.dumps({"train": {"u": [[1], [2]], "test:u": [[2], [3]]}, "test": {"u": [[3], [4]]}}))
     with pytest.raises(DataError, match="split 'test' repeats user 'u', and its merged name 'test:u' is another"):
+        convert_json_dump(path)
+
+
+def test_convert_table_treats_an_empty_cell_as_missing_and_counts_skipped_rows(tmp_path):
+    """An empty item was the item "" and a row without the cell was dropped uncounted."""
+    raw = tmp_path / "raw.csv"
+    raw.write_text("user,order,item\nu,1,\nu,2,p\nu,3,q\nv,1\n,1,p\nw,,p\nw,1,p\nw,2,q\n\n")
+    corpus, report, vocab_map = convert_table(raw, "user", "order", "item")
+    assert vocab_map["items"] == ["p", "q"]
+    assert [(u.user_id, u.sets) for u in corpus.users] == [("u", ((0,), (1,))), ("w", ((0,), (1,)))]
+    assert report.rows_skipped == 4
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [('{"u": [[1], [2]], "u": [[3], [4]]}', "user 'u' appears twice"),
+     ('{"train": {"u": [[1], [2]]}, "test": {"w": [[1], [2]], "w": [[2], [1]]}}',
+      "user 'w' appears twice in split 'test'"),
+     ('{"train": {"u": [[1], [2]]}, "train": {"w": [[1], [2]]}}', "split 'train' appears twice")],
+    ids=["flat", "in-a-split", "split"],
+)
+def test_convert_json_dump_refuses_a_repeated_key(tmp_path, text, message):
+    """``json.load`` keeps the last of repeated keys, which silently dropped the earlier user."""
+    path = tmp_path / "dump.json"
+    path.write_text(text)
+    with pytest.raises(DataError, match=message):
+        convert_json_dump(path)
+
+
+@pytest.mark.parametrize("item", [5.0, True, None, [1], {"a": 1}], ids=["float", "bool", "null", "list", "object"])
+@pytest.mark.parametrize("split", [None, "test"])
+def test_convert_json_dump_refuses_an_item_that_is_not_a_string_or_an_integer(tmp_path, item, split):
+    """``str()`` made 5.0, True and None vocabulary entries beside 5."""
+    users = {"u": [["a"], [5]], "v": [[5], [item, "a"]]}
+    path = tmp_path / "dump.json"
+    path.write_text(json.dumps(users if split is None else {"train": {"w": [[1], [2]]}, split: users}))
+    owner = "user 'v'" if split is None else f"user 'v' in split '{split}'"
+    with pytest.raises(DataError, match=re.escape(f"{owner} has the item {json.dumps(item)}, which is neither")):
         convert_json_dump(path)

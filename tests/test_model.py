@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradcheck import analytic_gradient, check_all_slots, fd_gradient_slot, make_instance, relative_error
+from pietsp import model
 from pietsp.bench import synthetic_samples
 from pietsp.data import PreparedSample
 from pietsp.linalg import NumericsError, ShapeError, elu
@@ -12,6 +13,7 @@ from pietsp.model import (
     backward,
     ee_forward,
     forward,
+    forward_batch,
     fuse_scores,
     ge_forward,
     init_params,
@@ -292,6 +294,37 @@ def test_nonfinite_values_name_their_layer():
             getattr(params, slot)[...] = value
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericsError, match=layer):
             forward(sample, params)
+
+
+@pytest.mark.parametrize("variant", ["full", "no-ee", "no-ge"])
+def test_the_score_block_is_checked_once_per_call(monkeypatch, variant):
+    """Of the finiteness checks of one engine call, exactly one covers a B x |E| block."""
+    samples = synthetic_samples(5, 3, 30, 3, seed=31)
+    params = init_params(30, 4, 3, seed=32)
+    shapes, real = [], model.check_finite
+
+    def check_finite(a, where):
+        shapes.append(np.shape(a))
+        return real(a, where)
+
+    monkeypatch.setattr(model, "check_finite", check_finite)
+    forward_batch(make_batch(samples, 30), params, variant)
+    assert shapes.count((3, 30)) == 1
+
+
+@pytest.mark.parametrize(
+    "variant, values, layer",
+    [("no-ee", {"emb": 1.0, "pi_b3": 1e308}, "ge_forward"),
+     ("no-ee", {"emb": 1.0, "pi_b3": 10.0, "fuse_global": 1e308}, "fuse_scores"),
+     ("no-ge", {"emb": 1.0, "ee_b2": 1e200, "fuse_local": 1e200}, "fuse_scores")],
+)
+def test_nonfinite_scores_name_their_layer_in_each_variant(variant, values, layer):
+    sample = synthetic_samples(4, 2, 10, 1, seed=29)[0]
+    params = init_params(10, 4, 2, seed=30)
+    for slot, value in values.items():
+        getattr(params, slot)[...] = value
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericsError, match=layer):
+        forward(sample, params, variant)
 
 
 # --- ablation variants -------------------------------------------------------------
