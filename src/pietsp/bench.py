@@ -4,18 +4,21 @@ Times forward passes only (no metric computation) with a monotonic clock,
 one batch per run, discarding warmup runs.  A batch is B separate one-user
 ``forward`` calls, one request each, not one engine call, so the figures are
 request latency.  Per-sample time is batch wall time divided by B; the
-reported statistics are taken over the timed runs.  Scaling helpers fit runtime against one shape axis
-(universe size N, history length K, or vocabulary size) to verify the
-linear-cost design empirically, and a coarse memory probe checks that the
-footprint tracks the vocabulary size.  The harness runs with whatever BLAS
-thread count the process started with; for single-thread numbers, set
-``OPENBLAS_NUM_THREADS=1`` (or ``PIETSP_THREADS=1`` for the CLI) before
-launching.
+reported statistics are taken over the timed runs.  ``time_cases``, the one
+timing loop, times (params, batch) cases in turns (run r of every case, then
+run r + 1), so a change in machine speed spreads over every case instead of
+skewing some; ``bench_inference``, ``measure_axis`` and ``pietsp bench`` all
+time through it, with the defaults ``RUNS``, ``BATCH`` and ``SHAPE``.
+Scaling helpers fit runtime against one shape axis (universe size N, history
+length K, or vocabulary size) to verify the linear-cost design empirically,
+and a coarse memory probe checks that the footprint tracks the vocabulary size.
+The harness runs with whatever BLAS thread count the process started with;
+for single-thread numbers, set ``OPENBLAS_NUM_THREADS=1`` (or
+``PIETSP_THREADS=1`` for the CLI) before launching.
 """
 
 from __future__ import annotations
 
-import json
 import time
 import tracemalloc
 from dataclasses import dataclass
@@ -27,6 +30,9 @@ from .errors import PietspError
 from .model import ModelParams, forward, init_params
 
 WARMUP_RUNS = 3
+RUNS = 100   # timed batches per case, warmup included
+BATCH = 64   # one-user forward calls per batch
+SHAPE = {"N": 256, "K": 8, "E": 1024, "D": 32}  # universe size, history length, vocabulary, embedding dim
 
 
 @dataclass
@@ -49,9 +55,6 @@ class BenchReport:
     def to_dict(self) -> dict:
         return dict(self.__dict__)
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
 
 def format_table(reports: list[BenchReport], labels: list[str] | None = None) -> str:
     """Aligned text table: one row per report, latency and throughput columns."""
@@ -72,9 +75,8 @@ def synthetic_samples(
     count: int,
     seed: int,
     dtype=np.float64,
-    density: float = 0.3,
 ) -> list[PreparedSample]:
-    """Random samples of a fixed shape: N distinct ids, Bernoulli membership
+    """Random samples of a fixed shape: N distinct ids, Bernoulli(0.3) membership
     (every row forced non-empty), small random target."""
     if n_elements > vocab_size:
         raise PietspError(f"cannot draw {n_elements} distinct ids from a vocabulary of {vocab_size}")
@@ -82,7 +84,7 @@ def synthetic_samples(
     samples = []
     for i in range(count):
         universe = np.sort(rng.choice(vocab_size, n_elements, replace=False)).astype(np.int64)
-        membership = (rng.random((n_elements, k_max)) < density).astype(dtype)
+        membership = (rng.random((n_elements, k_max)) < 0.3).astype(dtype)
         forced = rng.integers(0, k_max, size=n_elements)
         membership[np.arange(n_elements), forced] = 1
         target = np.sort(rng.choice(vocab_size, min(5, vocab_size), replace=False)).astype(np.int64)
@@ -98,16 +100,16 @@ def synthetic_samples(
     return samples
 
 
-def _time_batch(batch: list[PreparedSample], params: ModelParams, variant: str) -> float:
-    """Wall time of one batch of forward passes, per sample."""
-    t0 = time.perf_counter()
-    for sample in batch:
-        forward(sample, params, variant)
-    return (time.perf_counter() - t0) / len(batch)
+def shape_case(n: int, k: int, vocab: int, dim: int, batch_size: int, seed: int, sample_seed: int,
+               dtype=np.float64) -> tuple[ModelParams, list[PreparedSample]]:
+    """One synthetic case: parameters drawn from ``seed`` and ``batch_size`` samples drawn from
+    ``sample_seed``, the vocabulary raised to ``n`` when smaller (a universe must fit)."""
+    vocab = max(vocab, n)
+    params = init_params(vocab, dim, k, seed=seed).astype(dtype)
+    return params, synthetic_samples(n, k, vocab, batch_size, seed=sample_seed, dtype=dtype)
 
 
-def _report(per_sample: np.ndarray, warmup: int, batch: list[PreparedSample], params: ModelParams) -> BenchReport:
-    timed = per_sample[warmup:]
+def _report(timed: np.ndarray, batch: list[PreparedSample], params: ModelParams) -> BenchReport:
     batch_size = len(batch)
     total_time = float(timed.sum() * batch_size)
     n_sizes = np.array([s.n_elements for s in batch])
@@ -129,22 +131,37 @@ def _report(per_sample: np.ndarray, warmup: int, batch: list[PreparedSample], pa
     )
 
 
+def time_cases(cases: list[tuple[ModelParams, list[PreparedSample]]], runs: int,
+               warmup: int = WARMUP_RUNS) -> list[BenchReport]:
+    """One BenchReport per (params, batch) case, its first ``warmup`` of ``runs`` batches discarded.
+
+    The cases take turns: run r of every case, then run r + 1.
+    """
+    if runs <= warmup:
+        raise PietspError(f"runs={runs} must exceed warmup={warmup}")
+    per_sample = np.empty((len(cases), runs))
+    for r in range(runs):
+        for i, (params, batch) in enumerate(cases):
+            t0 = time.perf_counter()
+            for sample in batch:
+                forward(sample, params)
+            per_sample[i, r] = (time.perf_counter() - t0) / len(batch)
+    return [_report(per_sample[i, warmup:], batch, params) for i, (params, batch) in enumerate(cases)]
+
+
 def bench_inference(
     samples: list[PreparedSample],
     params: ModelParams,
-    runs: int = 100,
-    batch_size: int = 64,
+    runs: int = RUNS,
+    batch_size: int = BATCH,
     warmup: int = WARMUP_RUNS,
-    variant: str = "full",
 ) -> BenchReport:
-    """Time ``runs`` batches of ``batch_size`` one-user ``forward`` calls and report per-request latency."""
+    """Time ``runs`` batches of ``batch_size`` one-user ``forward`` calls, cycling through ``samples``,
+    and report per-request latency."""
     if not samples:
         raise PietspError("bench_inference: no samples")
-    if runs <= warmup:
-        raise PietspError(f"bench_inference: runs={runs} must exceed warmup={warmup}")
     batch = [samples[i % len(samples)] for i in range(batch_size)]
-    per_sample = np.array([_time_batch(batch, params, variant) for _ in range(runs)])
-    return _report(per_sample, warmup, batch, params)
+    return time_cases([(params, batch)], runs, warmup)[0]
 
 
 def linear_fit_r2(x, y) -> tuple[float, float, float]:
@@ -164,38 +181,22 @@ def linear_fit_r2(x, y) -> tuple[float, float, float]:
 def measure_axis(
     axis: str,
     values: list[int],
-    n_elements: int = 256,
-    k_max: int = 8,
-    vocab_size: int = 1024,
-    dim: int = 32,
+    n_elements: int = SHAPE["N"],
+    k_max: int = SHAPE["K"],
+    vocab_size: int = SHAPE["E"],
+    dim: int = SHAPE["D"],
     runs: int = 12,
     batch_size: int = 16,
     seed: int = 0,
-    dtype=np.float64,
 ) -> list[BenchReport]:
-    """One BenchReport per value of the swept axis ('n', 'k', or 'vocab').
-
-    The timed batches run round-robin across the values (run r of every
-    value, then run r + 1), so a change in machine speed during the sweep
-    spreads over every value instead of skewing the ones timed during it.
-    """
+    """One BenchReport per value of the swept axis ('n', 'k', or 'vocab'), timed in turns by
+    ``time_cases``.  Every value's parameters are drawn from ``seed``, its samples from ``seed + value``."""
     if axis not in ("n", "k", "vocab"):
         raise PietspError(f"unknown axis '{axis}'")
-    if runs <= WARMUP_RUNS:
-        raise PietspError(f"measure_axis: runs={runs} must exceed warmup={WARMUP_RUNS}")
-    cases = []
-    for value in values:
-        n = value if axis == "n" else n_elements
-        k = value if axis == "k" else k_max
-        vocab = value if axis == "vocab" else vocab_size
-        vocab = max(vocab, n)  # universe must fit
-        params = init_params(vocab, dim, k, seed=seed).astype(dtype)
-        cases.append((params, synthetic_samples(n, k, vocab, batch_size, seed=seed + value, dtype=dtype)))
-    per_sample = np.empty((len(cases), runs))
-    for r in range(runs):
-        for i, (params, batch) in enumerate(cases):
-            per_sample[i, r] = _time_batch(batch, params, "full")
-    return [_report(per_sample[i], WARMUP_RUNS, batch, params) for i, (params, batch) in enumerate(cases)]
+    shape = {"n": n_elements, "k": k_max, "vocab": vocab_size}
+    cases = [shape_case(**(shape | {axis: value}), dim=dim, batch_size=batch_size, seed=seed, sample_seed=seed + value)
+             for value in values]
+    return time_cases(cases, runs)
 
 
 def memory_highwater_bytes(vocab_size: int, dim: int, k_max: int, n_elements: int, seed: int = 0) -> int:

@@ -2,8 +2,12 @@
 
 Every run that produces artifacts writes an ``effective-config.json``
 capturing all resolved settings; passing it back via ``--config`` reproduces
-the run at the same BLAS thread count (explicit flags still win).  Set
-PIETSP_THREADS to pin that count (before numpy is first imported).
+the run at the same BLAS thread count (explicit flags still win); a key the
+command never writes is refused.  Defaults come from the library
+(``TrainConfig``, ``SyntheticSpec``, ``VARIANTS``, ``bench.RUNS``/``BATCH``/
+``SHAPE``), never restated here.  Set PIETSP_THREADS to pin the thread count
+(before numpy is first imported).  An error, ``OSError`` included, is one
+``pietsp <command>: ...`` line on stderr and exit status 1.
 """
 
 from __future__ import annotations
@@ -39,11 +43,19 @@ def _resolve(args, config: dict, key: str, default):
     return default
 
 
-def _load_config_arg(args) -> dict:
-    if getattr(args, "config", None):
-        with open(args.config, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    return {}
+def _load_config_arg(args, known) -> dict:
+    """The ``--config`` file's settings, every key of which must be in ``known``."""
+    if not args.config:
+        return {}
+    with open(args.config, "r", encoding="utf-8") as fh:
+        config = json.load(fh)
+    if not isinstance(config, dict):
+        raise ValueError(f"{args.config}: settings must be a JSON object")
+    unknown = sorted(set(config) - set(known))
+    if unknown:
+        raise ValueError(f"{args.config}: unknown setting {', '.join(map(repr, unknown))}"
+                         f" (known: {', '.join(sorted(known))})")
+    return config
 
 
 def _write_effective(out_dir: Path, settings: dict) -> None:
@@ -54,21 +66,6 @@ def _write_effective(out_dir: Path, settings: dict) -> None:
     write_atomic(out_dir / "effective-config.json", text.encode("utf-8"))
 
 
-def _load_matching(ckpt: str, data: str):
-    """The checkpoint and the corpus, which must share the checkpoint's vocabulary."""
-    from .checkpoint import load_checkpoint
-    from .data import load_corpus
-    from .errors import PietspError
-
-    ck = load_checkpoint(ckpt)
-    corpus, _ = load_corpus(data)
-    if corpus.vocab_size != ck.params.vocab_size:
-        raise PietspError(
-            f"{data} has vocab_size {corpus.vocab_size} but {ckpt} was trained on vocab_size {ck.params.vocab_size}"
-        )
-    return ck, corpus
-
-
 def _split_corpus(corpus, ratios, seed):
     from . import seeding
     from .data import split_users
@@ -76,14 +73,28 @@ def _split_corpus(corpus, ratios, seed):
     return split_users(corpus, tuple(ratios), seeding.spawn_seed(seed, "split"))
 
 
-def _pick_split(corpus, name: str, ratios, seed):
-    if name == "all":
-        return corpus
-    train, val, test = _split_corpus(corpus, ratios, seed)
-    try:
-        return {"train": train, "val": val, "test": test}[name]
-    except KeyError:
-        raise ValueError(f"unknown split '{name}' (train/val/test/all)")
+SPLITS = ("train", "val", "test", "all")
+
+
+def _load_users(args, split: str = "all"):
+    """The ``--ckpt`` checkpoint, its training config and the prepared users of ``split`` of the
+    ``--data`` corpus, which must share the checkpoint's vocabulary."""
+    from .checkpoint import load_checkpoint
+    from .data import load_corpus, prepare_all
+    from .errors import PietspError
+    from .train import TrainConfig
+
+    ck = load_checkpoint(args.ckpt)
+    corpus, _ = load_corpus(args.data)
+    if corpus.vocab_size != ck.params.vocab_size:
+        raise PietspError(
+            f"{args.data} has vocab_size {corpus.vocab_size} but {args.ckpt} was trained on"
+            f" vocab_size {ck.params.vocab_size}"
+        )
+    config = TrainConfig.from_dict(ck.config or {})
+    if split != "all":
+        corpus = _split_corpus(corpus, config.split_ratios, config.seed)[SPLITS.index(split)]
+    return ck, config, prepare_all(corpus, ck.params.k_max)
 
 
 # train flag and effective-config.json key -> the TrainConfig field it sets
@@ -103,9 +114,11 @@ TRAIN_SETTINGS = {
 
 def _cmd_train(args) -> int:
     from .data import load_corpus, prepare_all
-    from .train import TrainConfig, evaluate, fit, reject_removed_settings, resumable_checkpoint, write_history
+    from .train import (EARLY_STOP_K, REMOVED_SETTINGS, TrainConfig, evaluate, fit, reject_removed_settings,
+                        resumable_checkpoint, write_history)
 
-    cfg_file = _load_config_arg(args)
+    # every key an effective-config.json of train wrote; the removed settings are judged by their value
+    cfg_file = _load_config_arg(args, {"command", "data", *TRAIN_SETTINGS, *REMOVED_SETTINGS})
     reject_removed_settings(cfg_file, args.config)
     defaults = TrainConfig().to_dict()
     settings = {"command": "train", "data": _resolve(args, cfg_file, "data", None)}
@@ -138,7 +151,7 @@ def _cmd_train(args) -> int:
     write_history(result.history, out_dir / "history.jsonl")
     val_report = evaluate(prepare_all(val_c, result.k_max), result.params, config.k_list, config.variant)
     print(
-        f"trained {result.epochs_run} epochs; best validation ndcg@{config.early_stop_k}"
+        f"trained {result.epochs_run} epochs; best validation ndcg@{EARLY_STOP_K}"
         f" {result.best_metric:.4f} at epoch {result.best_epoch + 1}"
     )
     print(val_report.format_table())
@@ -146,14 +159,10 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    from .data import prepare_all
-    from .train import TrainConfig, evaluate
+    from .train import evaluate
 
-    ck, corpus = _load_matching(args.ckpt, args.data)
-    config = TrainConfig.from_dict(ck.config or {})
-    part = _pick_split(corpus, args.split, config.split_ratios, config.seed)
+    ck, config, samples = _load_users(args, args.split)
     k_list = tuple(args.k) if args.k else config.k_list
-    samples = prepare_all(part, ck.params.k_max)
     report = evaluate(samples, ck.params, k_list, config.variant)
     print(report.format_table())
     if args.out:
@@ -164,16 +173,12 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_predict(args) -> int:
-    from .data import prepare_all
     from .metrics import top_k_rows
     from .model import batch_slices, forward_batch, make_batch
-    from .train import TrainConfig
 
-    ck, corpus = _load_matching(args.ckpt, args.data)
-    config = TrainConfig.from_dict(ck.config or {})
-    part = _pick_split(corpus, args.split, config.split_ratios, config.seed)
+    ck, config, samples = _load_users(args, args.split)
     lines = []
-    for users in batch_slices(prepare_all(part, ck.params.k_max)):
+    for users in batch_slices(samples):
         batch = make_batch(users, ck.params.vocab_size)
         ranked = top_k_rows(forward_batch(batch, ck.params, config.variant).logits, args.top)
         for sample, ids in zip(users, ranked.tolist()):
@@ -203,51 +208,42 @@ def _parse_grid(text: str) -> dict[str, list[int]]:
         if key not in ("N", "K", "E", "D"):
             raise ValueError(f"unknown grid key '{key}' (N, K, E, D)")
         grid[key] = _int_list(values)
+        if not grid[key]:
+            raise ValueError(f"grid axis '{key}' has no values")
     return grid
 
 
 def _cmd_bench(args) -> int:
-    import numpy as np
+    import itertools
 
-    from .bench import bench_inference, format_table, synthetic_samples
-    from .model import init_params
+    from . import bench
 
-    cfg_file = _load_config_arg(args)
-    grid_text = _resolve(args, cfg_file, "grid", "N=256")
-    runs = _resolve(args, cfg_file, "runs", 100)
-    batch = _resolve(args, cfg_file, "batch", 64)
+    if bool(args.data) != bool(args.ckpt):
+        print("bench: --data needs --ckpt" if args.data else "bench: --ckpt needs --data", file=sys.stderr)
+        return 2
+    cfg_file = _load_config_arg(args, {"command", "grid", "runs", "batch", "seed", "dtype"})
+    grid_text = str(_resolve(args, cfg_file, "grid", " ".join(f"{key}={n}" for key, n in bench.SHAPE.items())))
+    runs = _resolve(args, cfg_file, "runs", bench.RUNS)
+    batch = _resolve(args, cfg_file, "batch", bench.BATCH)
     seed = _resolve(args, cfg_file, "seed", 0)
-    dtype = np.float32 if _resolve(args, cfg_file, "dtype", "float64") == "float32" else np.float64
+    dtype = "float32" if _resolve(args, cfg_file, "dtype", None) == "float32" else "float64"
 
-    reports, labels = [], []
-    if args.data and args.ckpt:
+    if args.data:
         # time inference over a real corpus with a trained checkpoint
-        from .data import prepare_all
-
-        ck, corpus = _load_matching(args.ckpt, args.data)
-        samples = prepare_all(corpus, ck.params.k_max)
-        params = ck.params.astype(dtype)
-        reports.append(bench_inference(samples, params, runs=runs, batch_size=batch))
-        labels.append(f"{Path(args.data).name} ({len(samples)} users)")
+        ck, _, samples = _load_users(args)
+        reports = [bench.bench_inference(samples, ck.params.astype(dtype), runs, batch)]
+        labels = [f"{Path(args.data).name} ({len(samples)} users)"]
     else:
-        grid = _parse_grid(grid_text if isinstance(grid_text, str) else str(grid_text))
-        axes = {"N": grid.get("N", [256]), "K": grid.get("K", [8]), "E": grid.get("E", [1024]), "D": grid.get("D", [32])}
-        for n in axes["N"]:
-            for k in axes["K"]:
-                for e in axes["E"]:
-                    for d in axes["D"]:
-                        vocab = max(e, n)
-                        params = init_params(vocab, d, k, seed=seed).astype(dtype)
-                        samples = synthetic_samples(n, k, vocab, batch, seed=seed, dtype=dtype)
-                        reports.append(bench_inference(samples, params, runs=runs, batch_size=batch))
-                        labels.append(f"N={n} K={k} E={vocab} D={d}")
-    print(format_table(reports, labels))
+        grid = {key: [n] for key, n in bench.SHAPE.items()} | _parse_grid(grid_text)
+        shapes = list(itertools.product(grid["N"], grid["K"], grid["E"], grid["D"]))
+        cases = [bench.shape_case(n, k, e, d, batch, seed, seed, dtype) for n, k, e, d in shapes]
+        reports = bench.time_cases(cases, runs)
+        labels = [f"N={n} K={k} E={params.vocab_size} D={d}" for (n, k, _, d), (params, _) in zip(shapes, cases)]
+    print(bench.format_table(reports, labels))
     if args.out:
         out_dir = Path(args.out)
         _write_effective(
-            out_dir,
-            {"command": "bench", "grid": grid_text, "runs": runs, "batch": batch, "seed": seed,
-             "dtype": "float32" if dtype is np.float32 else "float64"},
+            out_dir, {"command": "bench", "grid": grid_text, "runs": runs, "batch": batch, "seed": seed, "dtype": dtype}
         )
         (out_dir / "bench.json").write_text(
             json.dumps([r.to_dict() for r in reports], sort_keys=True, indent=2) + "\n", encoding="utf-8"
@@ -255,20 +251,15 @@ def _cmd_bench(args) -> int:
     return 0
 
 
+# the optional gen-synthetic flags: each sets the SyntheticSpec field of its name, which has the default
+SYNTHETIC_OPTIONS = ("seed", "history_len", "basket_min", "basket_max", "pool_size", "repeat_prob")
+
+
 def _cmd_gen_synthetic(args) -> int:
     from .data import SyntheticSpec, gen_synthetic, save_corpus
 
-    spec = SyntheticSpec(
-        users=args.users,
-        vocab_size=args.vocab,
-        pattern=args.pattern,
-        seed=args.seed or 0,
-        history_len=args.history_len,
-        basket_min=args.basket_min,
-        basket_max=args.basket_max,
-        pool_size=args.pool_size,
-        repeat_prob=args.repeat_prob,
-    )
+    options = {name: getattr(args, name) for name in SYNTHETIC_OPTIONS if getattr(args, name) is not None}
+    spec = SyntheticSpec(users=args.users, vocab_size=args.vocab, pattern=args.pattern, **options)
     corpus = gen_synthetic(spec)
     save_corpus(corpus, args.out)
     print(f"wrote {len(corpus.users)} users over {corpus.vocab_size} items to {args.out}")
@@ -298,6 +289,10 @@ def _cmd_convert(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # imported here, not at the top: PIETSP_THREADS must reach the environment before numpy loads
+    from .data import SyntheticSpec
+    from .model import VARIANTS
+
     parser = argparse.ArgumentParser(prog="pietsp", description="Temporal set prediction toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -313,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weight-decay", type=float)
     p.add_argument("--patience", type=int)
     p.add_argument("--k", type=_int_list)
-    p.add_argument("--variant", choices=("full", "no-ee", "no-ge"))
+    p.add_argument("--variant", choices=VARIANTS)
     p.add_argument("--split-ratios", type=_float_list)
     p.add_argument("--resume", action="store_true")
     p.set_defaults(func=_cmd_train)
@@ -321,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="score a checkpoint on a corpus split")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--split", default="test")
+    p.add_argument("--split", default="test", choices=SPLITS)
     p.add_argument("--k", type=_int_list)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_eval)
@@ -329,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("predict", help="emit top-k item ids per user as JSON lines")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--split", default="test")
+    p.add_argument("--split", default="test", choices=SPLITS)
     p.add_argument("--top", type=int, default=10)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_predict)
@@ -341,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="inference latency/throughput harness")
     p.add_argument("--grid")
     p.add_argument("--data", help="corpus to time (needs --ckpt); otherwise synthetic --grid shapes")
-    p.add_argument("--ckpt")
+    p.add_argument("--ckpt", help="checkpoint to time (needs --data)")
     p.add_argument("--runs", type=int)
     p.add_argument("--batch", type=int,
                    help="one-user forward calls per timed run (request latency, not one engine call)")
@@ -356,12 +351,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--users", type=int, required=True)
     p.add_argument("--vocab", type=int, required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--history-len", type=int, default=4)
-    p.add_argument("--basket-min", type=int, default=3)
-    p.add_argument("--basket-max", type=int, default=5)
-    p.add_argument("--pool-size", type=int, default=10)
-    p.add_argument("--repeat-prob", type=float, default=0.8)
+    for name in SYNTHETIC_OPTIONS:
+        default = getattr(SyntheticSpec, name)
+        p.add_argument(f"--{name.replace('_', '-')}", type=type(default), help=f"default {default}")
     p.set_defaults(func=_cmd_gen_synthetic)
 
     p = sub.add_parser("convert", help="convert a raw dump (CSV/TSV or JSON) to a corpus")
@@ -385,7 +377,7 @@ def main(argv=None) -> int:
 
     try:
         return args.func(args)
-    except (PietspError, FileNotFoundError, ValueError) as exc:
+    except (PietspError, OSError, ValueError) as exc:
         print(f"pietsp {args.command}: {exc}", file=sys.stderr)
         return 1
 

@@ -345,7 +345,7 @@ class SyntheticSpec:
     users: int
     vocab_size: int
     pattern: str                # "periodic" or "repeat-biased"
-    seed: int
+    seed: int = 0
     history_len: int = 4        # sets per user = history_len + 1 (last one is the target)
     basket_min: int = 3
     basket_max: int = 5

@@ -12,8 +12,9 @@ corpus and with the machine's load from one run to the next.
 
 ``keep_freed_heap`` sets the two thresholds, once per process, to the
 ceiling glibc's own heuristic climbs to (32 MiB mapped, 64 MiB kept free at
-the top).  The engine's arrays then come from heap memory that stays
-mapped.  The settings are process-wide.  Elsewhere than glibc it does nothing.
+the top).  ``ModelParams`` calls it before it allocates, so the engine's
+arrays and loaded checkpoints come from heap memory that stays mapped.
+The settings are process-wide.  Elsewhere than glibc it does nothing.
 """
 
 from __future__ import annotations

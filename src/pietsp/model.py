@@ -32,9 +32,10 @@ independent of the minibatch.  ``make_batch`` validates all the universes in
 one pass over the stacked ids (each must rise strictly, as prepared samples
 do, and lie in the vocabulary); only a user failing that pass is sorted on
 its own, which accepts a permuted universe and otherwise raises the
-``MappingError`` naming the user.  The first call sets glibc's
-malloc thresholds (``heap.keep_freed_heap``), so the memory one call frees
-serves the next instead of going back to the OS and being faulted in again.
+``MappingError`` naming the user.  The first ``ModelParams`` a process
+allocates sets glibc's malloc thresholds (``heap.keep_freed_heap``), so the
+memory one engine call or one checkpoint load frees serves the next instead
+of going back to the OS and being faulted in again.
 
 Each layer is plain numpy.  A layer checks each value that can first turn
 non-finite (every affine pre-activation before its ELU or ReLU, which would
@@ -129,6 +130,7 @@ class ModelParams:
 
     def __init__(self, vocab_size: int, dim: int, k_max: int, dtype=np.float64, empty: bool = False):
         """A zeroed (with ``empty``, uninitialised) parameter set of the given dimensions."""
+        keep_freed_heap()  # before the first table: a process's parameter sets all come from a kept heap
         size, decayed, spans = _layout(vocab_size, dim, k_max)
         flat = (np.empty if empty else np.zeros)(size, dtype)
         vars(self).update(flat=flat, decayed=flat[:decayed], **{n: flat[a:b].reshape(s) for n, a, b, s in spans})
@@ -455,7 +457,6 @@ def forward_batch(batch: Batch, params: ModelParams, variant: str = "full") -> F
     """The forward pass of every user in ``batch`` at once; logits are (B, |E|)."""
     if variant not in VARIANTS:
         raise PietspError(f"unknown variant '{variant}', expected one of {VARIANTS}")
-    keep_freed_heap()
     segs, ids = batch.segs, batch.ids
     z = sfi_concat(params.emb[ids], batch.membership)
     z_mean = segs.mean(z)  # kept for backward's Wl gradient

@@ -29,7 +29,9 @@ from .metrics import MetricReport, hit_metrics, top_k_rows
 from .model import MappingError, ModelParams, VARIANTS, backward, batch_slices, forward, forward_batch, init_params, make_batch  # noqa: F401  forward stays importable from here
 from .optim import AdamState, OptimizerError, adam_step, cosine_lr
 
-REMOVED_SETTINGS = {"l2": 0.0, "l2_coeff": 0.0, "decay_fusion": False}  # removed setting -> the one value runs used
+EARLY_STOP_K = 10  # early stopping watches validation NDCG at this k
+# removed setting -> the one value runs used
+REMOVED_SETTINGS = {"l2": 0.0, "l2_coeff": 0.0, "decay_fusion": False, "early_stop_k": EARLY_STOP_K}
 
 
 @dataclass
@@ -42,7 +44,6 @@ class TrainConfig:
     patience: int = 10
     seed: int = 0
     k_list: tuple[int, ...] = (10, 20, 30, 40)
-    early_stop_k: int = 10         # early stopping watches validation NDCG at this k
     variant: str = "full"
     split_ratios: tuple[float, float, float] = (0.7, 0.1, 0.2)
 
@@ -68,9 +69,8 @@ class TrainConfig:
         if self.variant not in VARIANTS:
             raise PietspError(f"unknown variant '{self.variant}'")
         self.k_list = tuple(int(k) for k in self.k_list)
-        if not self.k_list or min(self.k_list) < 1 or self.early_stop_k < 1:
-            raise PietspError(f"k_list must be non-empty, its entries and early_stop_k at least 1: "
-                              f"got {list(self.k_list)}, {self.early_stop_k}")
+        if not self.k_list or min(self.k_list) < 1:
+            raise PietspError(f"k_list must be non-empty and its entries at least 1: got {list(self.k_list)}")
         self.split_ratios = tuple(float(r) for r in self.split_ratios)
 
     def to_dict(self) -> dict:
@@ -182,7 +182,7 @@ def _checked_scores(score_fn, sample: PreparedSample, vocab_size: int) -> np.nda
 def evaluate(
     samples: list[PreparedSample],
     params: ModelParams,
-    k_list: tuple[int, ...] = (10, 20, 30, 40),
+    k_list: tuple[int, ...] = TrainConfig.k_list,
     variant: str = "full",
     score_fn=None,
 ) -> MetricReport:
@@ -273,7 +273,7 @@ def fit(
     latest_path=None,
     best_path=None,
 ) -> FitResult:
-    """Train with early stopping on validation NDCG@early_stop_k.
+    """Train with early stopping on validation NDCG@EARLY_STOP_K.
 
     Keeps the best-so-far parameters and stops after ``patience`` epochs
     without improvement.  ``latest_path``, when given, receives a resumable
@@ -316,7 +316,7 @@ def fit(
 
     if eval_fn is None:
         def eval_fn(params, epoch):
-            return evaluate(val_samples, params, (config.early_stop_k,), config.variant).ndcg[config.early_stop_k]
+            return evaluate(val_samples, params, (EARLY_STOP_K,), config.variant).ndcg[EARLY_STOP_K]
 
     epochs_run = start_epoch
     for epoch in range(start_epoch, config.max_epochs):
@@ -331,7 +331,7 @@ def fit(
                 "epoch": epoch,
                 "lr": cosine_lr(epoch, config.max_epochs, config.base_lr),
                 "train_loss": mean_loss,
-                f"val_ndcg@{config.early_stop_k}": metric,
+                f"val_ndcg@{EARLY_STOP_K}": metric,
             }
         )
         epochs_run = epoch + 1

@@ -72,16 +72,18 @@ def test_rerun_from_effective_config_bit_exact(tmp_path, trained, synthetic_file
     assert (out2 / "checkpoint-best.json").read_bytes() == (trained / "checkpoint-best.json").read_bytes()
 
 
-@pytest.mark.parametrize("extra", [{"l2": 0.5}, {"decay_fusion": True}, {"l2": 0.0, "decay_fusion": False}],
-                         ids=["l2", "decay_fusion", "old-defaults"])
+@pytest.mark.parametrize("extra",
+                         [{"l2": 0.5}, {"decay_fusion": True}, {"l2": 0.0, "decay_fusion": False}, {"l2": 0.0}],
+                         ids=["l2", "decay_fusion", "old-defaults", "seed-era-l2"])
 def test_train_config_with_a_removed_setting(tmp_path, trained, synthetic_file, capsys, extra):
-    """A --config that sets a removed setting is refused by name; one at the old defaults replays exactly."""
+    """A --config that sets a removed setting is refused by name; one at the old defaults replays exactly
+    (the first effective-config.json files wrote "l2": 0.0)."""
     config = tmp_path / "config.json"
     config.write_text(json.dumps(json.loads((trained / "effective-config.json").read_text()) | extra))
     out = tmp_path / "rerun"
     code = run_cli("train", "--config", str(config), "--data", str(synthetic_file), "--out", str(out))
     err = capsys.readouterr().err
-    if extra == {"l2": 0.0, "decay_fusion": False}:
+    if not any(extra.values()):
         assert code == 0
         assert (out / "checkpoint-best.json").read_bytes() == (trained / "checkpoint-best.json").read_bytes()
     else:
@@ -337,3 +339,86 @@ def test_inspect_bad_file_is_single_line_error(tmp_path, capsys, content):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("pietsp inspect: ") and captured.err.strip().count("\n") == 0
+
+
+@pytest.mark.parametrize("command", ["eval", "train", "config"])
+def test_a_directory_for_a_file_is_a_single_line_error(tmp_path, trained, synthetic_file, capsys, command):
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    argv = {
+        "eval": ["eval", "--ckpt", str(trained / "checkpoint-best.json"), "--data", str(folder)],
+        "train": ["train", "--data", str(folder), "--out", str(tmp_path / "run")],
+        "config": ["train", "--config", str(folder), "--data", str(synthetic_file), "--out", str(tmp_path / "run")],
+    }[command]
+    assert run_cli(*argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not (tmp_path / "run").exists()
+    assert captured.err.startswith(f"pietsp {argv[0]}: ") and str(folder) in captured.err
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["train", "bench"])
+def test_config_key_that_no_setting_reads_is_refused_by_name(tmp_path, synthetic_file, capsys, command):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"epoch": 1, "dim": 8, "patience": 1} if command == "train" else {"run": 5}))
+    out = tmp_path / "run"
+    assert run_cli(command, "--config", str(config), "--data", str(synthetic_file), "--out", str(out),
+                   *(["--ckpt", str(config)] if command == "bench" else [])) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"pietsp {command}: {config}: unknown setting ") and err.count("\n") == 1
+    assert ("'epoch'" if command == "train" else "'run'") in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("saved", [10, 5])
+def test_resume_accepts_early_stop_k_only_at_ten(tmp_path, trained, synthetic_file, capsys, saved):
+    run = tmp_path / "run"
+    run.mkdir()
+    (run / "effective-config.json").write_bytes((trained / "effective-config.json").read_bytes())
+    ck = load_checkpoint(trained / "checkpoint-latest.json")
+    ckpt = run / "checkpoint-latest.json"
+    save_checkpoint(ckpt, ck.params, seed=ck.seed, config=ck.config | {"early_stop_k": saved},
+                    opt_state=ck.opt_state, train_state=ck.train_state)
+    code = run_cli("train", "--config", str(run / "effective-config.json"), "--data", str(synthetic_file),
+                   "--out", str(run), "--resume")
+    if saved == 10:
+        assert code == 0
+        assert (run / "checkpoint-best.json").read_bytes() == (trained / "checkpoint-best.json").read_bytes()
+    else:
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"pietsp train: {ckpt}: setting 'early_stop_k' = 5 was removed")
+    assert run_cli("eval", "--ckpt", str(ckpt), "--data", str(synthetic_file)) == 0
+
+
+@pytest.mark.parametrize("given", ["--data", "--ckpt"])
+def test_bench_data_and_ckpt_come_as_a_pair(trained, synthetic_file, capsys, given):
+    path = synthetic_file if given == "--data" else trained / "checkpoint-best.json"
+    assert run_cli("bench", given, str(path), "--runs", "5", "--batch", "4") == 2
+    captured = capsys.readouterr()
+    missing = "--ckpt" if given == "--data" else "--data"
+    assert captured.out == "" and captured.err == f"bench: {given} needs {missing}\n"
+
+
+def test_bench_grid_axis_without_values_is_an_error(capsys):
+    assert run_cli("bench", "--grid", "N=", "--runs", "5", "--batch", "4") == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "pietsp bench: grid axis 'N' has no values\n"
+
+
+def test_bench_grid_shapes_take_turns(monkeypatch, capsys):
+    import pietsp.bench
+
+    seen = []
+    real_forward = pietsp.bench.forward
+
+    def recording_forward(sample, params, variant="full"):
+        seen.append((sample.n_elements, params.dim))
+        return real_forward(sample, params, variant)
+
+    monkeypatch.setattr(pietsp.bench, "forward", recording_forward)
+    assert run_cli("bench", "--grid", "N=4,6 D=4,8", "--runs", "4", "--batch", "1") == 0
+    # one forward per timed batch; the four shapes take turns, run by run, in the table's order
+    assert seen == [(4, 4), (4, 8), (6, 4), (6, 8)] * 4
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [row.split()[:4] for row in rows] == [["N=4", "K=8", "E=1024", "D=4"], ["N=4", "K=8", "E=1024", "D=8"],
+                                                 ["N=6", "K=8", "E=1024", "D=4"], ["N=6", "K=8", "E=1024", "D=8"]]

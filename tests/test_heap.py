@@ -1,10 +1,14 @@
+import os
 import platform
 import resource
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pietsp
 from pietsp.heap import keep_freed_heap
 
 GLIBC = sys.platform.startswith("linux") and platform.libc_ver()[0] == "glibc"
@@ -29,3 +33,35 @@ def test_freed_engine_sized_arrays_are_reused_without_page_faults():
     assert keep_freed_heap()
     rounds()  # the first round may grow the heap
     assert _minor_faults_of(rounds) < 100
+
+
+@pytest.mark.skipif(not GLIBC, reason="the thresholds are glibc malloc's")
+def test_checkpoint_loads_in_a_fresh_process_reuse_their_tables_without_page_faults(tmp_path):
+    # A process that loads before any engine call (eval, predict, inspect): each load of a full
+    # state at |E| = 12,000 mapped its four 3 MB tables afresh, ~3,200 faults a load, unless the
+    # thresholds were set where the tables are allocated.
+    script = """
+import resource, sys
+from pietsp.checkpoint import load_checkpoint, save_checkpoint
+from pietsp.model import init_params
+from pietsp.optim import AdamState
+
+params = init_params(12000, 32, 4, seed=0)
+opt = AdamState.init(params)
+train_state = {"epoch": 0, "best_metric": 0.0, "best_epoch": 0, "bad_epochs": 0, "history": [],
+               "best_params": params.copy()}
+save_checkpoint(sys.argv[1], params, seed=0, config={}, opt_state=opt, train_state=train_state)
+del params, opt, train_state
+load_checkpoint(sys.argv[1])
+faults = []
+for _ in range(5):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    load_checkpoint(sys.argv[1])
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(max(faults))
+"""
+    src = str(Path(pietsp.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script, str(tmp_path / "ck.json")], env=env,
+                          capture_output=True, text=True, check=True)
+    assert int(done.stdout) < 50

@@ -207,7 +207,7 @@ def test_evaluate_rejects_k_below_one(k_list):
         evaluate(samples, params, k_list)
 
 
-@pytest.mark.parametrize("field", [{"k_list": (0, 10)}, {"k_list": (10, -3)}, {"early_stop_k": 0}, {"k_list": ()}])
+@pytest.mark.parametrize("field", [{"k_list": (0, 10)}, {"k_list": (10, -3)}, {"k_list": ()}])
 def test_config_rejects_k_below_one_or_no_k(field):
     with pytest.raises(PietspError, match="k_list must be non-empty"):
         TrainConfig(**field)
@@ -230,6 +230,14 @@ def test_config_rejects_a_bad_l2_coeff(value):
     # l2_coeff is no longer a setting: a saved config that gives it anything but 0 is refused by name
     with pytest.raises(PietspError, match="'l2_coeff'"):
         reject_removed_settings({"l2_coeff": value}, "saved.json")
+
+
+def test_early_stop_k_is_a_removed_setting_that_accepts_only_ten():
+    # early stopping always watched NDCG@10: a saved config at 10 is accepted, any other value refused
+    reject_removed_settings({"early_stop_k": 10}, "saved.json")
+    with pytest.raises(PietspError, match="'early_stop_k' = 5 was removed"):
+        reject_removed_settings({"early_stop_k": 5}, "saved.json")
+    assert "early_stop_k" not in TrainConfig().to_dict()
 
 
 @pytest.mark.parametrize("value", [True, 0, -4, 8.0])
