@@ -207,7 +207,7 @@ def test_evaluate_rejects_k_below_one(k_list):
         evaluate(samples, params, k_list)
 
 
-@pytest.mark.parametrize("field", [{"k_list": (0, 10)}, {"k_list": (10, -3)}, {"k_list": ()}])
+@pytest.mark.parametrize("field", [{"k_list": (0, 10)}, {"k_list": (10, -3)}, {"k_list": (20, 10, 0)}, {"k_list": ()}])
 def test_config_rejects_k_below_one_or_no_k(field):
     with pytest.raises(PietspError, match="k_list must be non-empty"):
         TrainConfig(**field)
