@@ -1,9 +1,11 @@
 """Command-line entry point: train / eval / predict / inspect / bench / gen-synthetic / convert.
 
 Every run that produces artifacts writes an ``effective-config.json``
-capturing all resolved settings; passing it back via ``--config`` reproduces
-the run at the same BLAS thread count (explicit flags still win); a key the
-command never writes is refused.  Defaults come from the library
+capturing all resolved settings.  ``train`` and ``bench`` take it back via
+``--config``, which reproduces the run at the same BLAS thread count
+(explicit flags still win); a key the command never writes is refused, and
+so is a value of the wrong type.  ``eval``'s file records its settings but
+has no ``--config``.  Defaults come from the library
 (``TrainConfig``, ``SyntheticSpec``, ``VARIANTS``, ``bench.RUNS``/``BATCH``/
 ``SHAPE``), never restated here.  Set PIETSP_THREADS to pin the thread count
 (before numpy is first imported).  An error, ``OSError`` included, is one
@@ -70,7 +72,7 @@ def _split_corpus(corpus, ratios, seed):
     from . import seeding
     from .data import split_users
 
-    return split_users(corpus, tuple(ratios), seeding.spawn_seed(seed, "split"))
+    return split_users(corpus, ratios, seeding.spawn_seed(seed, "split"))
 
 
 SPLITS = ("train", "val", "test", "all")
@@ -222,11 +224,19 @@ def _cmd_bench(args) -> int:
         print("bench: --data needs --ckpt" if args.data else "bench: --ckpt needs --data", file=sys.stderr)
         return 2
     cfg_file = _load_config_arg(args, {"command", "grid", "runs", "batch", "seed", "dtype"})
-    grid_text = str(_resolve(args, cfg_file, "grid", " ".join(f"{key}={n}" for key, n in bench.SHAPE.items())))
+    grid_text = _resolve(args, cfg_file, "grid", " ".join(f"{key}={n}" for key, n in bench.SHAPE.items()))
     runs = _resolve(args, cfg_file, "runs", bench.RUNS)
     batch = _resolve(args, cfg_file, "batch", bench.BATCH)
     seed = _resolve(args, cfg_file, "seed", 0)
-    dtype = "float32" if _resolve(args, cfg_file, "dtype", None) == "float32" else "float64"
+    dtype = _resolve(args, cfg_file, "dtype", "float64")
+    # flags arrive typed; a --config value is checked here
+    for key, value in (("runs", runs), ("batch", batch), ("seed", seed)):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValueError(f"{key} must be an integer, got {value!r}")
+    if dtype not in ("float32", "float64"):
+        raise ValueError(f"dtype must be float32 or float64, got {dtype!r}")
+    if not isinstance(grid_text, str):
+        raise ValueError(f"grid must be a string, got {grid_text!r}")
 
     if args.data:
         # time inference over a real corpus with a trained checkpoint

@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -32,6 +33,14 @@ from .optim import AdamState, OptimizerError, adam_step, cosine_lr
 EARLY_STOP_K = 10  # early stopping watches validation NDCG at this k
 # removed setting -> the one value runs used
 REMOVED_SETTINGS = {"l2": 0.0, "l2_coeff": 0.0, "decay_fusion": False, "early_stop_k": EARLY_STOP_K}
+# the TrainConfig fields a resume may change: neither changes any epoch's update; every other field must match
+RESUME_MAY_CHANGE = ("patience", "k_list")
+SEQUENCES = (list, tuple, np.ndarray)  # what k_list and split_ratios may be given as
+
+
+def _is_a(value, kind) -> bool:
+    """``isinstance(value, kind)`` for a ``numbers`` class (numpy scalars included), never true of a bool."""
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 @dataclass
@@ -48,17 +57,15 @@ class TrainConfig:
     split_ratios: tuple[float, float, float] = (0.7, 0.1, 0.2)
 
     def __post_init__(self):
-        for name in ("batch_size", "dim", "max_epochs", "patience"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise PietspError(f"{name} must be an integer, got {value!r}")
+        for name in ("batch_size", "dim", "max_epochs", "patience", "seed"):
+            if not _is_a(getattr(self, name), Integral):
+                raise PietspError(f"{name} must be an integer, got {getattr(self, name)!r}")
         for name in ("batch_size", "dim", "max_epochs"):
             if getattr(self, name) < 1:
                 raise PietspError(f"{name} must be positive, got {getattr(self, name)}")
         for name in ("base_lr", "weight_decay"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
-                raise PietspError(f"{name} must be a number, got {value!r}")
+            if not _is_a(getattr(self, name), Real):
+                raise PietspError(f"{name} must be a number, got {getattr(self, name)!r}")
         if not (math.isfinite(self.base_lr) and self.base_lr > 0):
             raise PietspError(f"base_lr must be positive and finite, got {self.base_lr}")
         if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
@@ -68,21 +75,20 @@ class TrainConfig:
                               f" {self.max_epochs}: lower --patience or raise --epochs")
         if self.variant not in VARIANTS:
             raise PietspError(f"unknown variant '{self.variant}'")
-        self.k_list = tuple(int(k) for k in self.k_list)
-        if not self.k_list or min(self.k_list) < 1:
-            raise PietspError(f"k_list must be non-empty and its entries at least 1: got {list(self.k_list)}")
-        self.split_ratios = tuple(float(r) for r in self.split_ratios)
+        k_list, ratios = self.k_list, self.split_ratios
+        if not (isinstance(k_list, SEQUENCES) and len(k_list) and all(_is_a(k, Integral) and k >= 1 for k in k_list)):
+            raise PietspError(f"k_list must be non-empty and its entries integers of at least 1: got {k_list!r}")
+        if not (isinstance(ratios, SEQUENCES) and len(ratios) == 3 and all(_is_a(r, Real) for r in ratios)):
+            raise PietspError(f"split_ratios must be three numbers, got {ratios!r}")
+        self.k_list = tuple(int(k) for k in k_list)
+        self.split_ratios = tuple(float(r) for r in ratios)
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["k_list"] = list(self.k_list)
-        d["split_ratios"] = list(self.split_ratios)
-        return d
+        return asdict(self) | {"k_list": list(self.k_list), "split_ratios": list(self.split_ratios)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        return cls(**{k: v for k, v in d.items() if k in known})
+        return cls(**{k: v for k, v in d.items() if k in cls.__dataclass_fields__})
 
 
 def reject_removed_settings(saved: dict, where) -> None:
@@ -246,18 +252,14 @@ class FitResult:
 
 def resumable_checkpoint(path, config: TrainConfig) -> Checkpoint:
     """The checkpoint at ``path``, checked to continue a run of ``config``: it holds the optimizer and
-    trainer state, sets no removed setting, and was trained with the same settings."""
+    trainer state, sets no removed setting, and matches every setting but ``RESUME_MAY_CHANGE``."""
     ck = load_checkpoint(path)
     if ck.opt_state is None or ck.train_state is None:
         raise PietspError(f"{path}: checkpoint has no training state to resume")
     if ck.config is not None:
         reject_removed_settings(ck.config, path)
-        current = config.to_dict()
-        mismatched = [
-            key
-            for key in ("seed", "dim", "batch_size", "base_lr", "weight_decay", "max_epochs", "variant")
-            if ck.config.get(key) != current.get(key)
-        ]
+        mismatched = [key for key, value in config.to_dict().items()
+                      if key not in RESUME_MAY_CHANGE and ck.config.get(key) != value]
         if mismatched:
             raise PietspError(f"{path}: checkpoint was trained with different settings: {mismatched}")
     return ck
@@ -279,54 +281,45 @@ def fit(
     without improvement.  ``latest_path``, when given, receives a resumable
     checkpoint after every epoch; ``resume_from`` (its path, or the
     ``Checkpoint`` that ``resumable_checkpoint`` returned for that path)
-    restores one and continues the same run.  ``stop_after_epoch`` ends the
-    loop early after that epoch completes (used to exercise resume).  ``eval_fn(params, epoch) -> float``
-    overrides the validation metric (tests); a ``PietspError`` it raises gains "(epoch E, validation)".
+    restores one and continues the same run: its trainer-state dict is the
+    run's state, updated in place and saved as it is, every key carried
+    forward.  ``stop_after_epoch`` ends the loop early after that epoch
+    completes (used to exercise resume).  ``eval_fn(params, epoch) -> float``
+    overrides the validation metric (tests); a ``PietspError`` it raises
+    gains "(epoch E, validation)".
     """
     if not train_corpus.users or not val_corpus.users:
         raise PietspError("fit: train and validation corpora must be non-empty")
     if train_corpus.vocab_size != val_corpus.vocab_size:
         raise PietspError("fit: train/validation vocabularies disagree")
-    vocab = train_corpus.vocab_size
 
     if resume_from is not None:
         ck = resume_from if isinstance(resume_from, Checkpoint) else resumable_checkpoint(resume_from, config)
-        params = ck.params
-        opt_state = ck.opt_state
-        k_max = params.k_max
-        start_epoch = int(ck.train_state["epoch"]) + 1
-        best_metric = ck.train_state["best_metric"]
-        best_epoch = int(ck.train_state["best_epoch"])
-        bad_epochs = int(ck.train_state["bad_epochs"])
-        best_params = ck.train_state["best_params"] or params.copy()
-        history = list(ck.train_state.get("history", []))
+        params, opt_state, state = ck.params, ck.opt_state, ck.train_state
+        if state.get("best_params") is None:
+            state["best_params"] = params.copy()
     else:
-        k_max = max_history_len(train_corpus)
-        params = init_params(vocab, config.dim, k_max, seeding.spawn_seed(config.seed, "init"))
+        params = init_params(train_corpus.vocab_size, config.dim, max_history_len(train_corpus),
+                             seeding.spawn_seed(config.seed, "init"))
         opt_state = AdamState.init(params)
-        start_epoch = 0
-        best_metric = None
-        best_epoch = -1
-        bad_epochs = 0
-        best_params = params.copy()
-        history = []
+        state = {"epoch": -1, "best_metric": None, "best_epoch": -1, "bad_epochs": 0, "history": [],
+                 "best_params": params.copy()}
 
-    train_samples = prepare_all(train_corpus, k_max)
-    val_samples = prepare_all(val_corpus, k_max)
+    train_samples = prepare_all(train_corpus, params.k_max)
+    val_samples = prepare_all(val_corpus, params.k_max)
 
     if eval_fn is None:
         def eval_fn(params, epoch):
             return evaluate(val_samples, params, (EARLY_STOP_K,), config.variant).ndcg[EARLY_STOP_K]
 
-    epochs_run = start_epoch
-    for epoch in range(start_epoch, config.max_epochs):
+    for epoch in range(state["epoch"] + 1, config.max_epochs):
         mean_loss = train_epoch(train_samples, params, opt_state, config, epoch)
         try:
             metric = float(eval_fn(params, epoch))
         except PietspError as exc:
             exc.args = (f"{exc} (epoch {epoch}, validation)",)
             raise
-        history.append(
+        state["history"].append(
             {
                 "epoch": epoch,
                 "lr": cosine_lr(epoch, config.max_epochs, config.base_lr),
@@ -334,44 +327,26 @@ def fit(
                 f"val_ndcg@{EARLY_STOP_K}": metric,
             }
         )
-        epochs_run = epoch + 1
-        if best_metric is None or metric > best_metric:
-            best_metric = metric
-            best_epoch = epoch
-            best_params = params.copy()
-            bad_epochs = 0
+        state["epoch"] = epoch
+        if state["best_metric"] is None or metric > state["best_metric"]:
+            state.update(best_metric=metric, best_epoch=epoch, best_params=params.copy(), bad_epochs=0)
         else:
-            bad_epochs += 1
+            state["bad_epochs"] += 1
         if latest_path is not None:
-            save_checkpoint(
-                latest_path,
-                params,
-                seed=config.seed,
-                config=config.to_dict(),
-                opt_state=opt_state,
-                train_state={
-                    "epoch": epoch,
-                    "best_metric": best_metric,
-                    "best_epoch": best_epoch,
-                    "bad_epochs": bad_epochs,
-                    "history": history,
-                    "best_params": best_params,
-                },
-            )
-        if bad_epochs >= config.patience:
-            break
-        if stop_after_epoch is not None and epoch >= stop_after_epoch:
+            save_checkpoint(latest_path, params, seed=config.seed, config=config.to_dict(), opt_state=opt_state,
+                            train_state=state)
+        if state["bad_epochs"] >= config.patience or (stop_after_epoch is not None and epoch >= stop_after_epoch):
             break
 
     if best_path is not None:
-        save_checkpoint(best_path, best_params, seed=config.seed, config=config.to_dict())
+        save_checkpoint(best_path, state["best_params"], seed=config.seed, config=config.to_dict())
     return FitResult(
-        params=best_params,
-        history=history,
-        best_epoch=best_epoch,
-        best_metric=float(best_metric),
-        epochs_run=epochs_run,
-        k_max=k_max,
+        params=state["best_params"],
+        history=state["history"],
+        best_epoch=state["best_epoch"],
+        best_metric=float(state["best_metric"]),
+        epochs_run=state["epoch"] + 1,
+        k_max=params.k_max,
     )
 
 

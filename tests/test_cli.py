@@ -7,10 +7,11 @@ import pytest
 import pietsp.train
 from oracle import oracle_checkpoint_bytes
 from pietsp.checkpoint import MAGIC, load_checkpoint, save_checkpoint
-from pietsp.cli import main
+from pietsp.cli import TRAIN_SETTINGS, main
 from pietsp.data import load_corpus, prepare_all
 from pietsp.metrics import top_k
 from pietsp.model import forward
+from test_train import BAD_SETTING_ERRORS, BAD_SETTINGS
 
 
 def run_cli(*argv):
@@ -126,6 +127,52 @@ def test_refused_resume_leaves_the_effective_config_as_it_was(tmp_path, syntheti
     assert err.startswith(f"pietsp train: {ckpt}: ") and err.count("\n") == 1
     assert ("['base_lr']" if refusal == "changed-setting" else "'l2_coeff' = 0.5 was removed") in err
     assert (run / "effective-config.json").read_bytes() == before
+
+
+def test_resume_with_other_split_ratios_is_refused(tmp_path, synthetic_file, capsys):
+    run = tmp_path / "run"
+    flags = ("--data", str(synthetic_file), "--out", str(run), "--epochs", "3", "--patience", "3", "--dim", "8")
+    assert run_cli("train", *flags, "--split-ratios", "0.7,0.1,0.2") == 0
+    before = (run / "effective-config.json").read_bytes()
+    capsys.readouterr()
+    assert run_cli("train", *flags, "--split-ratios", "0.5,0.3,0.2", "--resume") == 1
+    err = capsys.readouterr().err
+    assert err == f"pietsp train: {run / 'checkpoint-latest.json'}: checkpoint was trained with different settings:" \
+                  f" ['split_ratios']\n"
+    assert (run / "effective-config.json").read_bytes() == before
+
+
+@pytest.mark.parametrize("field,value", BAD_SETTINGS, ids=[f"{f}={v!r}" for f, v in BAD_SETTINGS])
+def test_train_config_value_of_the_wrong_type_is_one_line(tmp_path, synthetic_file, capsys, field, value):
+    (key,) = [key for key, name in TRAIN_SETTINGS.items() if name == field]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({key: value}))
+    out = tmp_path / "run"
+    assert run_cli("train", "--config", str(config), "--data", str(synthetic_file), "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"pietsp train: {BAD_SETTING_ERRORS[field]} ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+BAD_BENCH_SETTINGS = [
+    ({"batch": "3"}, "batch must be an integer, got '3'"),
+    ({"seed": "x"}, "seed must be an integer, got 'x'"),
+    ({"runs": 4.5}, "runs must be an integer, got 4.5"),
+    ({"runs": True}, "runs must be an integer, got True"),
+    ({"dtype": "float16"}, "dtype must be float32 or float64, got 'float16'"),
+    ({"grid": 5}, "grid must be a string, got 5"),
+]
+
+
+@pytest.mark.parametrize("setting,error", BAD_BENCH_SETTINGS, ids=[json.dumps(s) for s, _ in BAD_BENCH_SETTINGS])
+def test_bench_config_value_of_the_wrong_type_is_one_line(tmp_path, capsys, setting, error):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"runs": 5, "batch": 2, "grid": "N=4"} | setting))
+    out = tmp_path / "run"
+    assert run_cli("bench", "--config", str(config), "--out", str(out)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"pietsp bench: {error}\n"
+    assert not out.exists()
 
 
 def test_patience_above_epochs_names_both_values_and_the_flag(tmp_path, synthetic_file, capsys):

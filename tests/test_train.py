@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from pietsp.linalg import NumericsError, logistic, softplus
 from pietsp.metrics import MetricError
 from pietsp.model import MappingError, init_params
 from pietsp.optim import AdamState, cosine_lr
-from pietsp.train import TrainConfig, bce_loss, evaluate, fit, reject_removed_settings, train_epoch
+from pietsp.train import RESUME_MAY_CHANGE, TrainConfig, bce_loss, evaluate, fit, reject_removed_settings, train_epoch
 from pietsp.bench import synthetic_samples
 
 
@@ -246,6 +247,27 @@ def test_config_rejects_a_bad_batch_size(value):
         TrainConfig(batch_size=value)
 
 
+# values TrainConfig once coerced or let through, and the error that names each field
+BAD_SETTINGS = [("seed", 1.5), ("seed", "3"), ("seed", True),
+                ("k_list", [10.7]), ("k_list", [10, True]), ("k_list", 10),
+                ("split_ratios", "abc"), ("split_ratios", [0.5, 0.5]), ("split_ratios", [0.7, 0.1, "0.2"])]
+BAD_SETTING_ERRORS = {"seed": "seed must be an integer, got",
+                      "k_list": "k_list must be non-empty and its entries integers of at least 1: got",
+                      "split_ratios": "split_ratios must be three numbers, got"}
+
+
+@pytest.mark.parametrize("field,value", BAD_SETTINGS, ids=[f"{f}={v!r}" for f, v in BAD_SETTINGS])
+def test_config_rejects_a_setting_of_the_wrong_type(field, value):
+    with pytest.raises(PietspError, match=f"^{re.escape(BAD_SETTING_ERRORS[field])} "):
+        TrainConfig(**{field: value})
+
+
+def test_config_keeps_integral_numpy_settings_as_python_values():
+    cfg = TrainConfig(seed=np.int64(3), k_list=np.array([5, 10]), split_ratios=(np.float32(0.5), 0.3, 0.2))
+    assert cfg.k_list == (5, 10) and type(cfg.k_list[0]) is int
+    assert all(type(r) is float for r in cfg.split_ratios)
+
+
 def test_train_epoch_names_the_epoch_and_step_of_an_overflowing_parameter():
     samples = synthetic_samples(5, 3, 40, 12, seed=2)
     params = init_params(40, 4, 3, seed=1)
@@ -432,3 +454,65 @@ def test_resume_from_a_format_1_checkpoint_matches_uninterrupted_run(tmp_path):
     resumed = fit(train_c, val_c, cfg, resume_from=latest)
     assert resumed.history == straight.history
     assert params_digest(straight.params) == params_digest(resumed.params)
+
+
+# a changed value for every setting a resume must keep
+CHANGED_SETTINGS = {"seed": 12, "dim": 4, "batch_size": 32, "base_lr": 0.002, "weight_decay": 0.0, "max_epochs": 7,
+                    "variant": "no-ge", "split_ratios": (0.5, 0.3, 0.2)}
+
+
+@pytest.mark.parametrize("field", sorted(CHANGED_SETTINGS))
+def test_resume_refuses_every_changed_setting_but_the_two_it_may_change(tmp_path, field):
+    assert set(CHANGED_SETTINGS) == set(TrainConfig().to_dict()) - set(RESUME_MAY_CHANGE)
+    train_c, val_c, _ = _split_periodic()
+    cfg = TrainConfig(dim=8, max_epochs=6, patience=6, seed=11)
+    latest = tmp_path / "latest.json"
+    fit(train_c, val_c, cfg, stop_after_epoch=0, latest_path=latest)
+    other = TrainConfig(**(cfg.to_dict() | {field: CHANGED_SETTINGS[field]}))
+    with pytest.raises(PietspError, match=re.escape(f"different settings: ['{field}']")):
+        fit(train_c, val_c, other, resume_from=latest)
+
+
+@pytest.mark.parametrize("change", [{"patience": 2}, {"k_list": (5,)}], ids=lambda d: next(iter(d)))
+def test_resume_that_changes_only_patience_or_k_list_runs(tmp_path, change):
+    train_c, val_c, _ = _split_periodic(users=24, vocab=50, seed=8)
+    cfg = TrainConfig(dim=8, max_epochs=6, patience=6, seed=11)
+    latest = tmp_path / "latest.json"
+    fit(train_c, val_c, cfg, stop_after_epoch=0, latest_path=latest)
+    changed = TrainConfig(**(cfg.to_dict() | change))
+    resumed = fit(train_c, val_c, changed, resume_from=latest)
+    straight = fit(train_c, val_c, changed)
+    assert resumed.history == straight.history
+    assert params_digest(resumed.params) == params_digest(straight.params)
+
+
+def test_resumed_run_writes_the_uninterrupted_runs_checkpoint_bytes(tmp_path):
+    """Every trainer-state key, a pending bad-epoch count and best parameters that are not the last included."""
+    train_c, val_c, _ = _split_periodic(users=24, vocab=50, seed=8)
+    cfg = TrainConfig(dim=8, max_epochs=8, patience=8, seed=11)
+    metrics = [0.1, 0.3, 0.2, 0.25, 0.2]
+
+    def eval_fn(params, epoch):
+        return metrics[epoch]
+
+    straight = tmp_path / "straight.json"
+    fit(train_c, val_c, cfg, stop_after_epoch=4, eval_fn=eval_fn, latest_path=straight)
+    latest = tmp_path / "latest.json"
+    fit(train_c, val_c, cfg, stop_after_epoch=2, eval_fn=eval_fn, latest_path=latest)
+    saved = load_checkpoint(latest).train_state
+    assert (saved["epoch"], saved["best_epoch"], saved["bad_epochs"]) == (2, 1, 1)
+    fit(train_c, val_c, cfg, resume_from=latest, stop_after_epoch=4, eval_fn=eval_fn, latest_path=latest)
+    assert latest.read_bytes() == straight.read_bytes()
+
+
+def test_resume_carries_a_trainer_state_key_it_does_not_know_into_later_saves(tmp_path):
+    train_c, val_c, _ = _split_periodic(users=24, vocab=50, seed=8)
+    cfg = TrainConfig(dim=8, max_epochs=4, patience=4, seed=11)
+    latest = tmp_path / "latest.json"
+    fit(train_c, val_c, cfg, stop_after_epoch=0, latest_path=latest)
+    ck = load_checkpoint(latest)
+    save_checkpoint(latest, ck.params, seed=ck.seed, config=ck.config, opt_state=ck.opt_state,
+                    train_state=ck.train_state | {"note": [1, "a"]})
+    fit(train_c, val_c, cfg, resume_from=latest, latest_path=latest)
+    state = load_checkpoint(latest).train_state
+    assert state["note"] == [1, "a"] and state["epoch"] == 3
