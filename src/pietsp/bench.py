@@ -139,6 +139,8 @@ def time_cases(cases: list[tuple[ModelParams, list[PreparedSample]]], runs: int,
     """
     if runs <= warmup:
         raise PietspError(f"runs={runs} must exceed warmup={warmup}")
+    if not all(batch for _, batch in cases):
+        raise PietspError("every case needs a batch of at least one sample")
     per_sample = np.empty((len(cases), runs))
     for r in range(runs):
         for i, (params, batch) in enumerate(cases):

@@ -233,6 +233,10 @@ def _cmd_bench(args) -> int:
     for key, value in (("runs", runs), ("batch", batch), ("seed", seed)):
         if not isinstance(value, int) or isinstance(value, bool):
             raise ValueError(f"{key} must be an integer, got {value!r}")
+    if batch < 1:
+        raise ValueError(f"batch must be at least 1, got {batch}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     if dtype not in ("float32", "float64"):
         raise ValueError(f"dtype must be float32 or float64, got {dtype!r}")
     if not isinstance(grid_text, str):

@@ -42,10 +42,6 @@ class UserRecord:
     sets: tuple[tuple[int, ...], ...]  # ordered; each set sorted, deduplicated
 
     @property
-    def history(self) -> tuple[tuple[int, ...], ...]:
-        return self.sets[:-1]
-
-    @property
     def target(self) -> tuple[int, ...]:
         return self.sets[-1]
 
@@ -386,6 +382,8 @@ def gen_synthetic_with_pools(spec: SyntheticSpec) -> tuple[Corpus, dict[str, tup
         raise DataError(f"synthetic corpora need vocab_size >= 10, got {spec.vocab_size}")
     if spec.users < 1:
         raise DataError(f"synthetic corpora need at least one user, got {spec.users}")
+    if spec.seed < 0:
+        raise DataError(f"seed must be non-negative, got {spec.seed}")
     if spec.history_len < 1:
         raise DataError("history_len must be >= 1")
     if not 0.0 <= spec.repeat_prob <= 1.0:

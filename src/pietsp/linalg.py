@@ -65,23 +65,6 @@ def relu_grad(y: np.ndarray) -> np.ndarray:
     return y > 0
 
 
-def logistic(x: np.ndarray) -> np.ndarray:
-    """Numerically stable 1 / (1 + exp(-x)); never overflows for any finite x.
-
-    With e = exp(-|x|) this is 1 / (1 + e) for x >= 0 and e / (1 + e) below,
-    the same bits as evaluating each branch on its own half.  The numerator
-    is max(e, x >= 0), since e <= 1, so no mask is gathered or scattered.
-    """
-    x = np.asarray(x)
-    return logistic_from(x, exp_neg_abs(x))
-
-
-def softplus(x: np.ndarray) -> np.ndarray:
-    """log(1 + exp(x)) computed as max(x, 0) + log1p(exp(-|x|))."""
-    x = np.asarray(x)
-    return softplus_from(x, exp_neg_abs(x))
-
-
 def exp_neg_abs(x: np.ndarray) -> np.ndarray:
     """exp(-|x|) in one new array: one exp serves ``softplus_from`` and then ``logistic_from``.
 
@@ -93,7 +76,8 @@ def exp_neg_abs(x: np.ndarray) -> np.ndarray:
 
 
 def softplus_from(x: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """softplus(x) in a new array, given e = exp(-|x|), which it leaves intact.
+    """softplus(x) = log(1 + exp(x)) = max(x, 0) + log1p(e) in a new array, given e = exp(-|x|),
+    which it leaves intact.
 
     max(x, 0) is added in runs of ``SOFTPLUS_RUN`` elements, so its
     temporary stays small beside the two full-size arrays.  (A masked
@@ -107,10 +91,13 @@ def softplus_from(x: np.ndarray, e: np.ndarray) -> np.ndarray:
 
 
 def logistic_from(x: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """logistic(x) in a new array, given e = exp(-|x|), which it overwrites.
+    """logistic(x) = 1 / (1 + exp(-x)) in a new array, given e = exp(-|x|), which it overwrites.
 
-    The numerator max(e, x >= 0) is built in the output array, with no
-    boolean temporary for x >= 0.
+    With e = exp(-|x|) this is 1 / (1 + e) for x >= 0 and e / (1 + e) below,
+    the same bits as evaluating each branch on its own half, and it never
+    overflows.  The numerator max(e, x >= 0), since e <= 1, is built in the
+    output array, with no boolean temporary for x >= 0 and no mask gathered
+    or scattered.
     """
     out = np.greater_equal(x, 0, out=np.empty_like(e))
     np.maximum(out, e, out=out)

@@ -1,11 +1,12 @@
 """Top-k ranking and its metrics (recall, normalized DCG, per-user hit ratio).
 
-One ranker and one metric function.  ``top_k_rows`` ranks a (B, |E|) score
-block, as ``evaluate`` and ``pietsp predict`` do once per engine call;
-``top_k`` is its one-row call (a single request: ``forward`` then
-``top_k``).  ``hit_metrics`` scores a block of rankings from their hits in
-rank order: ``evaluate`` sums its rows, and ``recall_at_k`` and
-``ndcg_at_k`` are its one-row calls.
+One ranking rule and one metric function.  ``top_k_rows`` ranks a (B, |E|)
+score block, as ``evaluate`` and ``pietsp predict`` do once per engine call;
+``top_k`` makes the same pick on one score vector (a single request:
+``forward`` then ``top_k``) without the block's row indexing.
+``hit_metrics`` scores a block of rankings from their hits in rank order:
+``evaluate`` sums its rows, and ``recall_at_k`` and ``ndcg_at_k`` are its
+one-row calls.
 """
 
 from __future__ import annotations
@@ -24,15 +25,40 @@ class MetricError(PietspError):
     """A metric was asked to score an invalid instance (e.g. empty truth)."""
 
 
+HOLDS_NAN = "top_k_rows: the scores hold NaN"
+
+
 def top_k(scores: np.ndarray, k: int) -> np.ndarray:
     """Ids of the k highest scores, descending; ties broken by ascending id.
 
-    The one-row call of ``top_k_rows``: a NaN score raises ``MetricError``.
+    ``top_k_rows``'s pick on one score vector, without its block indexing:
+    one argpartition at n - k picks the k candidates and one lexsort orders
+    them.  NaN sorts above every number, so a NaN score is picked, makes the
+    lowest pick NaN and raises ``MetricError``.  When more than k scores lie
+    at or above the lowest pick, a tie crosses the k-th place: those scores'
+    ids are lexsorted instead and the first k kept.
     """
     scores = np.asarray(scores)
     if scores.ndim != 1:
         raise MetricError(f"top_k expects a 1-D score vector, got shape {scores.shape}")
-    return top_k_rows(scores[None], k)[0]
+    if k < 1:
+        raise MetricError(f"top_k_rows needs k >= 1, got {k}")
+    n = scores.size
+    if k >= n:  # every id is ranked
+        if np.isnan(scores).any():
+            raise MetricError(HOLDS_NAN)
+        idx = np.arange(n)
+        return idx[np.lexsort((idx, -scores))]
+    idx = scores.argpartition(n - k)[n - k :]
+    vals = scores[idx]
+    lowest = vals.min()
+    if np.isnan(lowest):
+        raise MetricError(HOLDS_NAN)
+    above = scores >= lowest
+    if np.count_nonzero(above) > k:
+        idx = above.nonzero()[0]
+        vals = scores[idx]
+    return idx[np.lexsort((idx, -vals))[:k]]
 
 
 def top_k_rows(scores: np.ndarray, k: int) -> np.ndarray:
@@ -60,7 +86,7 @@ def top_k_rows(scores: np.ndarray, k: int) -> np.ndarray:
         idx = scores.argpartition(n - k, axis=1)[:, n - k :]
         vals = scores[rows, idx]
     if np.isnan(vals).any():
-        raise MetricError("top_k_rows: the scores hold NaN")
+        raise MetricError(HOLDS_NAN)
     ranked = idx[rows, np.lexsort((idx, -vals), axis=-1)]
     if k < n:
         bound = vals.min(axis=1, keepdims=True)

@@ -24,11 +24,16 @@ the row-wise layers are single products over all R rows; the per-user mean
 in the equivariant layer and the sum pooling are segment reductions
 (``np.add.reduceat`` over each user's rows, ``Segments``); the global
 scores are one (B x D)(D x |E|) product, a B x |E| block that the fusion
-turns into the logits in place (``fuse_scores(..., out=)``).
-``forward`` is the B = 1 call and returns 1-D logits.  ``batch_slices``
-cuts a list of users into engine calls of bounded size (``MAX_BATCH_ROWS``
-universe rows, ``MAX_BATCH_USERS`` users), which keeps the memory of a call
-independent of the minibatch.  ``make_batch`` validates all the universes in
+turns into the logits in place (``fuse_scores(..., out=)``), adding each
+universe row's element score at its cell's flat index b * |E| + id
+(``Segments.cells``).  ``forward`` is the B = 1 call and returns 1-D
+logits; a one-user call carries none of a batch's fixed costs: its
+universe is checked but nothing is stacked, its ``Segments`` is a shared
+read-only instance, the cells are the universe ids themselves, and the
+targets are stacked only when the loss or evaluation asks (``Batch.targets``).
+``batch_slices`` cuts a list of users into engine calls of bounded size
+(``MAX_BATCH_ROWS`` universe rows, ``MAX_BATCH_USERS`` users), which keeps
+the memory of a call independent of the minibatch.  ``make_batch`` validates all the universes in
 one pass over the stacked ids (each must rise strictly, as prepared samples
 do, and lie in the vocabulary); only a user failing that pass is sorted on
 its own, which accepts a permuted universe and otherwise raises the
@@ -65,7 +70,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -195,7 +200,11 @@ MAX_BATCH_ROWS = 4096   # universe rows per engine call: bounds the R x (K+D) an
 MAX_BATCH_USERS = 64    # users per engine call: bounds the B x |E| score blocks
 
 
-@dataclass
+_FIRST_ROW = np.zeros(1, dtype=np.intp)
+_FIRST_ROW.flags.writeable = False  # the offsets of every one-set ``Segments``
+
+
+@dataclass(frozen=True)
 class Segments:
     """A ragged stack of B sets: set b owns rows offsets[b] .. offsets[b] + counts[b] - 1."""
 
@@ -203,17 +212,21 @@ class Segments:
     counts: np.ndarray   # (B,) rows per set, all >= 1
 
     @classmethod
+    @lru_cache(maxsize=1024)
     def one(cls, n_rows: int) -> "Segments":
-        return cls(np.zeros(1, dtype=np.intp), np.array([n_rows], dtype=np.intp))
+        """All rows form one set; one shared, read-only instance per row count."""
+        counts = np.array([n_rows], dtype=np.intp)
+        counts.flags.writeable = False
+        return cls(_FIRST_ROW, counts)
 
     @property
     def size(self) -> int:
         return int(self.counts.size)
 
-    @cached_property
-    def rows(self) -> np.ndarray:
-        """(R,) the set index of every row."""
-        return np.repeat(np.arange(self.size), self.counts)
+    def cells(self, ids: np.ndarray, width: int) -> np.ndarray:
+        """(R,) the flat index b * width + ids[r] of every row's cell in a C-ordered (B, width) block;
+        ``ids`` itself for one set."""
+        return ids if self.size == 1 else ids + self.spread(np.arange(0, self.size * width, width))
 
     def sum(self, x: np.ndarray) -> np.ndarray:
         """(B, ...) per-set sums of the rows of ``x``."""
@@ -235,12 +248,17 @@ class Batch:
 
     ids: np.ndarray            # (R,) vocabulary id of every universe row
     membership: tuple[np.ndarray, ...]  # each user's (N_b, K) rows; ``sfi_concat`` stacks them into Z
+    target_ids: tuple[np.ndarray, ...]  # each user's target item ids
     segs: Segments
-    targets: tuple[np.ndarray, np.ndarray]  # (user index, item id) of every target item
 
     @property
     def size(self) -> int:
         return self.segs.size
+
+    def targets(self) -> tuple[np.ndarray, np.ndarray]:
+        """(user index, item id) of every target item: ``bce_loss``'s index into the (B, |E|) logits."""
+        sizes = [t.size for t in self.target_ids]
+        return np.repeat(np.arange(len(sizes)), sizes), np.concatenate(self.target_ids)
 
     def scatter_add(self, table: np.ndarray, rows: np.ndarray) -> None:
         """``table[ids[r]] += rows[r]`` for every row r; rows of an id repeated across users are summed.
@@ -287,20 +305,15 @@ def _check_universes(samples: list[PreparedSample], ids: np.ndarray, offsets: np
 
 def make_batch(samples: list[PreparedSample], vocab_size: int) -> Batch:
     """Stack the samples for one engine call, validating all their universes in one pass."""
-    for sample in samples:
-        if sample.universe.ndim != 1 or sample.universe.size == 0:
-            _check_universe(sample, vocab_size)
     if len(samples) == 1:  # predict's call: nothing to stack, and a rising universe spans [u[0], u[-1]]
         (s,) = samples
         u = s.universe
-        if u[0] < 0 or u[-1] >= vocab_size or not (u[1:] > u[:-1]).all():
+        if u.ndim != 1 or u.size == 0 or u[0] < 0 or u[-1] >= vocab_size or not (u[1:] > u[:-1]).all():
             _check_universe(s, vocab_size)
-        return Batch(
-            ids=u,
-            membership=(s.membership,),
-            segs=Segments.one(u.size),
-            targets=(np.zeros(s.target_ids.size, dtype=np.intp), s.target_ids),
-        )
+        return Batch(ids=u, membership=(s.membership,), target_ids=(s.target_ids,), segs=Segments.one(u.size))
+    for sample in samples:
+        if sample.universe.ndim != 1 or sample.universe.size == 0:
+            _check_universe(sample, vocab_size)
     counts = np.array([s.universe.size for s in samples], dtype=np.intp)
     offsets = np.zeros_like(counts)
     np.cumsum(counts[:-1], out=offsets[1:])
@@ -309,11 +322,8 @@ def make_batch(samples: list[PreparedSample], vocab_size: int) -> Batch:
     return Batch(
         ids=ids,
         membership=tuple(s.membership for s in samples),
+        target_ids=tuple(s.target_ids for s in samples),
         segs=Segments(offsets, counts),
-        targets=(
-            np.repeat(np.arange(len(samples)), [s.target_ids.size for s in samples]),
-            np.concatenate([s.target_ids for s in samples]),
-        ),
     )
 
 
@@ -337,6 +347,7 @@ class ForwardTrace:
 
     variant: str
     batch: Batch
+    cells: np.ndarray                 # (R,) flat index of every universe row's (user, item) cell of the logits
     z: np.ndarray                     # (R, K+D) concatenated input
     z_mean: np.ndarray                # (B, K+D) per-user means of z's rows
     pe_out: np.ndarray                # (R, D) after the equivariant layer
@@ -360,7 +371,10 @@ def sfi_concat(m_u: np.ndarray, membership) -> np.ndarray:
         raise ShapeError(f"sfi_concat: {rows} membership rows vs {m_u.shape[0]} embedding rows")
     k = blocks[0].shape[1]
     z = np.empty((rows, k + m_u.shape[1]), dtype=m_u.dtype)
-    np.concatenate(blocks, out=z[:, :k])
+    if len(blocks) == 1:
+        z[:, :k] = blocks[0]  # one user: a plain copy costs less than a one-block concatenate
+    else:
+        np.concatenate(blocks, out=z[:, :k])
     z[:, k:] = m_u
     return z
 
@@ -427,18 +441,18 @@ def fuse_scores(
     universe: np.ndarray,
     fuse_global: np.ndarray,
     fuse_local: np.ndarray,
-    rows: np.ndarray | None = None,
+    cells: np.ndarray | None = None,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Blend: every item gets a_j * o_s[j]; universe items add b_j * o_e[i].
 
-    ``rows`` gives the score row of each universe entry when ``global_scores``
-    is a (B, |E|) block; each (row, item) pair must occur once.
-    ``out=global_scores`` works in place.  Not checked here: ``forward_batch`` checks the
-    result (``_check_logits``).
+    ``cells`` gives the flat index (``Segments.cells``) of each universe
+    entry's score when ``global_scores`` is a (B, |E|) block; each must
+    occur once.  ``out=global_scores`` works in place on a C-ordered block.
+    Not checked here: ``forward_batch`` checks the result (``_check_logits``).
     """
-    logits = np.multiply(fuse_global, global_scores, out=out)
-    logits[universe if rows is None else (rows, universe)] += fuse_local[universe] * elem_scores
+    logits = np.multiply(fuse_global, global_scores, out=out, order="C")
+    logits.reshape(-1)[universe if cells is None else cells] += fuse_local[universe] * elem_scores
     return logits
 
 
@@ -458,7 +472,8 @@ def forward_batch(batch: Batch, params: ModelParams, variant: str = "full") -> F
     if variant not in VARIANTS:
         raise PietspError(f"unknown variant '{variant}', expected one of {VARIANTS}")
     segs, ids = batch.segs, batch.ids
-    z = sfi_concat(params.emb[ids], batch.membership)
+    cells = segs.cells(ids, params.vocab_size)
+    z = sfi_concat(params.emb.take(ids, axis=0), batch.membership)
     z_mean = segs.mean(z)  # kept for backward's Wl gradient
     pe_out = pe_forward(z, params, segs, z_mean)
 
@@ -472,17 +487,18 @@ def forward_batch(batch: Batch, params: ModelParams, variant: str = "full") -> F
         logits = ge_forward(set_repr, params.emb)  # fused in place below; backward does not read it
 
     if variant == "full":
-        fuse_scores(logits, elem_scores, ids, params.fuse_global, params.fuse_local, segs.rows, out=logits)
+        fuse_scores(logits, elem_scores, ids, params.fuse_global, params.fuse_local, cells, out=logits)
     elif variant == "no-ee":
         logits *= params.fuse_global
     else:  # no-ge
         logits = np.zeros((batch.size, params.vocab_size), dtype=pe_out.dtype)
-        logits[segs.rows, ids] = params.fuse_local[ids] * elem_scores
+        logits.reshape(-1)[cells] = params.fuse_local[ids] * elem_scores
     _check_logits(logits, set_repr, params.emb)
 
     return ForwardTrace(
         variant=variant,
         batch=batch,
+        cells=cells,
         z=z,
         z_mean=z_mean,
         pe_out=pe_out,
@@ -497,7 +513,10 @@ def forward_batch(batch: Batch, params: ModelParams, variant: str = "full") -> F
 
 
 def forward(sample: PreparedSample, params: ModelParams, variant: str = "full") -> ForwardTrace:
-    """One user's forward pass: the engine at B = 1, with 1-D logits (|E|,)."""
+    """One user's forward pass: the engine at B = 1, with 1-D logits (|E|,).
+
+    The logits agree with the user's row of a larger engine call to rounding, not bit for bit: the BLAS
+    takes a vector-matrix product here and a matrix product there."""
     trace = forward_batch(make_batch([sample], params.vocab_size), params, variant)
     trace.logits = trace.logits[0]
     return trace
@@ -511,10 +530,10 @@ def backward(trace: ForwardTrace, params: ModelParams, d_logits: np.ndarray, gra
         raise ShapeError(f"backward: d_logits {d_logits.shape} vs logits {shape}")
     d_logits = d_logits.reshape(segs.size, -1)
 
-    # score fusion and the element scoring branch; (rows, ids) are distinct pairs, ids may repeat
+    # score fusion and the element scoring branch; the cells are distinct, ids may repeat
     d_pe = None
     if trace.variant != "no-ee":
-        d_at = d_logits[segs.rows, ids]
+        d_at = d_logits.reshape(-1)[trace.cells]
         grads.fuse_local += np.bincount(ids, weights=d_at * trace.elem_scores, minlength=params.vocab_size)
         d_elem = d_at * params.fuse_local[ids]
         grads.ee_w2 += trace.ee_hidden.T @ d_elem

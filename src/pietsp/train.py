@@ -63,6 +63,8 @@ class TrainConfig:
         for name in ("batch_size", "dim", "max_epochs"):
             if getattr(self, name) < 1:
                 raise PietspError(f"{name} must be positive, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise PietspError(f"seed must be non-negative, got {self.seed}")
         for name in ("base_lr", "weight_decay"):
             if not _is_a(getattr(self, name), Real):
                 raise PietspError(f"{name} must be a number, got {getattr(self, name)!r}")
@@ -133,7 +135,7 @@ def add_gradients(samples: list[PreparedSample], params: ModelParams, variant: s
     for part in batch_slices(samples):
         batch = make_batch(part, params.vocab_size)
         trace = forward_batch(batch, params, variant)
-        loss, d_logits = bce_loss(trace.logits, batch.targets)
+        loss, d_logits = bce_loss(trace.logits, batch.targets())
         trace.logits = None  # backward never reads the logits: one (B, |E|) block less at its peak
         backward(trace, params, d_logits, grads)
         losses.extend(loss.tolist())
@@ -221,7 +223,7 @@ def evaluate(
             scores = np.stack([_checked_scores(score_fn, s, params.vocab_size) for s in part])
         ranked = top_k_rows(scores, k_top)
         truth = np.zeros(scores.shape, dtype=bool)
-        truth[batch.targets] = True
+        truth[batch.targets()] = True
         n_truth = np.count_nonzero(truth, axis=1)
         hits = truth[np.arange(batch.size)[:, None], ranked]
         for k in k_list:

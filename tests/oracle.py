@@ -13,7 +13,9 @@ prepare a corpus one user, one set and one id at a time; the whole-corpus
 passes of ``parse_corpus`` and ``prepare_all`` must give the same corpus,
 report, errors and arrays.  ``oracle_convert_table`` and
 ``oracle_convert_json_dump`` convert raw dumps one row, one user and one
-item at a time, each placed into sorted lists as it arrives.
+item at a time, each placed into sorted lists as it arrives.  ``softplus``
+and ``logistic`` are the whole-array activations, each taking its own
+exp(-|x|), that ``bce_loss``'s shared-exp pass must reproduce.
 """
 
 import base64
@@ -26,8 +28,21 @@ from pathlib import Path
 import numpy as np
 
 from pietsp.data import Corpus, DataError, LoadReport, PreparedSample, SampleError, UserRecord
+from pietsp.linalg import exp_neg_abs, logistic_from, softplus_from
 from pietsp.model import CONCAT_LAYOUT
 from reference_metrics import ref_hit, ref_ndcg, ref_recall
+
+
+def softplus(x):
+    """log(1 + exp(x)) as max(x, 0) + log1p(exp(-|x|)), from an exp of its own."""
+    x = np.asarray(x)
+    return softplus_from(x, exp_neg_abs(x))
+
+
+def logistic(x):
+    """1 / (1 + exp(-x)), never overflowing, from an exp of its own."""
+    x = np.asarray(x)
+    return logistic_from(x, exp_neg_abs(x))
 
 
 def _elu(x):

@@ -23,6 +23,13 @@ def test_synthetic_samples_invariants():
         assert np.all(s.membership.sum(axis=1) >= 1)
 
 
+def test_bench_inference_refuses_an_empty_batch():
+    params = init_params(20, 4, 3, seed=0)
+    samples = synthetic_samples(5, 3, 20, 2, seed=1)
+    with pytest.raises(PietspError, match="every case needs a batch of at least one sample"):
+        bench_inference(samples, params, runs=6, batch_size=0)
+
+
 def test_synthetic_samples_reject_universe_larger_than_vocab():
     with pytest.raises(PietspError):
         synthetic_samples(50, 4, 40, 1, seed=0)

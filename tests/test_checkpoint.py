@@ -480,6 +480,14 @@ def test_v2_header_without_terminator_is_rejected(tmp_path):
         load_checkpoint(path)
 
 
+def test_v2_header_that_is_not_json_is_rejected(tmp_path):
+    path = tmp_path / "ck.json"
+    _, raw = _split_v2(checkpoint_bytes(init_params(9, 4, 2, seed=3)))
+    path.write_bytes(MAGIC + b'{"format_version": 2, "params": \n' + raw)
+    with pytest.raises(CheckpointError, match=f"{path}: header is not valid JSON"):
+        load_checkpoint(path)
+
+
 def test_v2_header_is_one_line_of_canonical_json():
     fixture = _fixtures()["awkward-strings"]
     blob = checkpoint_bytes(**fixture)
@@ -495,6 +503,13 @@ def test_v2_header_is_one_line_of_canonical_json():
 def _drop_step(payload):
     del payload["optimizer"]["step"]
     return payload
+
+
+def _drop(key):
+    def edit(payload):
+        del payload[key]
+        return payload
+    return edit
 
 
 def _set(*keys, value):
@@ -523,6 +538,7 @@ ENVELOPE_FAULTS = {
     "trainer-best-metric-bool": (_set("trainer", "best_metric", value=False), "trainer best_metric False"),
     "trainer-history-object": (_set("trainer", "history", value={}), "trainer history is dict"),
     "config-list": (_set("config", value=[1]), "config is list"),
+    "params-missing": (_drop("params"), "params: parameter table missing$"),
     "shape-float": (_set("params", "emb", "shape", value=3.5), r"params slot 'emb': shape 3\.5"),
     "shape-negative": (_set("params", "emb", "shape", value=[-9, -4]), r"params slot 'emb': shape \[-9, -4\]"),
     "shape-bool": (_set("params", "ee_w2", "shape", value=[True] * 4), r"params slot 'ee_w2': shape \[True"),

@@ -175,6 +175,49 @@ def test_bench_config_value_of_the_wrong_type_is_one_line(tmp_path, capsys, sett
     assert not out.exists()
 
 
+# integers the bench cannot use: a batch with no request to time, a seed numpy refuses
+BENCH_OUT_OF_RANGE = [("batch", 0, "batch must be at least 1, got 0"), ("batch", -3, "batch must be at least 1, got -3"),
+                      ("seed", -1, "seed must be non-negative, got -1")]
+
+
+@pytest.mark.parametrize("via", ["flag", "config"])
+@pytest.mark.parametrize("key,value,error", BENCH_OUT_OF_RANGE, ids=[f"{k}={v}" for k, v, _ in BENCH_OUT_OF_RANGE])
+def test_bench_batch_below_one_or_a_negative_seed_is_one_line(tmp_path, capsys, via, key, value, error):
+    out = tmp_path / "run"
+    if via == "flag":
+        args = ("--runs", "6", "--grid", "N=4", f"--{key}", str(value))
+    else:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"runs": 6, "grid": "N=4", key: value}))
+        args = ("--config", str(config))
+    assert run_cli("bench", *args, "--out", str(out)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"pietsp bench: {error}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("via", ["flag", "config"])
+def test_train_with_a_negative_seed_is_one_line_naming_it(tmp_path, synthetic_file, capsys, via):
+    out = tmp_path / "run"
+    if via == "flag":
+        args = ("--seed", "-1")
+    else:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"seed": -1}))
+        args = ("--config", str(config))
+    assert run_cli("train", *args, "--data", str(synthetic_file), "--out", str(out)) == 1
+    assert capsys.readouterr().err == "pietsp train: seed must be non-negative, got -1\n"
+    assert not out.exists()
+
+
+def test_gen_synthetic_with_a_negative_seed_is_one_line_naming_it(tmp_path, capsys):
+    out = tmp_path / "syn.json"
+    assert run_cli("gen-synthetic", "--pattern", "periodic", "--users", "5", "--vocab", "30", "--seed", "-2",
+                   "--out", str(out)) == 1
+    assert capsys.readouterr().err == "pietsp gen-synthetic: seed must be non-negative, got -2\n"
+    assert not out.exists()
+
+
 def test_patience_above_epochs_names_both_values_and_the_flag(tmp_path, synthetic_file, capsys):
     code = run_cli("train", "--data", str(synthetic_file), "--out", str(tmp_path / "run"), "--epochs", "3")
     err = capsys.readouterr().err

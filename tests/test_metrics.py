@@ -45,17 +45,27 @@ def test_both_rankers_reject_nan_scores_for_every_k(where, k):
         top_k_rows(block, k)
 
 
-@given(st.integers(0, 2**32 - 1), st.integers(1, 60))
-def test_top_k_matches_full_sort_reference(seed, k):
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(1, 200))
-    # quantized scores force plenty of exact ties
-    scores = np.round(rng.normal(size=n), 1)
-    assert list(top_k(scores, k)) == ref_rank_all(scores)[: min(k, n)]
-
-
 # few distinct values (both zeros among them) force ties across the pick boundary
 TIED_VALUES = np.array([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0])
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 200), st.integers(1, 60), st.sampled_from(("rounded", "tied", "nan")))
+@example(seed=0, n=50, k=1, kind="tied")
+@example(seed=1, n=12, k=12, kind="tied")
+@example(seed=2, n=7, k=30, kind="tied")
+@example(seed=3, n=1, k=1, kind="nan")
+@example(seed=4, n=9, k=20, kind="nan")
+def test_top_k_matches_full_sort_reference(seed, n, k, kind):
+    """Quantized scores force plenty of exact ties, the tied ones across the k-th place and between -0.0 and
+    0.0; a NaN anywhere raises, whether or not k covers every id."""
+    rng = np.random.default_rng(seed)
+    scores = rng.choice(TIED_VALUES, size=n) if kind == "tied" else np.round(rng.normal(size=n), 1)
+    if kind == "nan":
+        scores[rng.integers(n)] = np.nan
+        with pytest.raises(MetricError, match="NaN"):
+            top_k(scores, k)
+    else:
+        assert list(top_k(scores, k)) == ref_rank_all(scores)[: min(k, n)]
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 40), st.integers(1, 50), st.booleans())

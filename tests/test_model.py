@@ -8,8 +8,12 @@ from pietsp import model
 from pietsp.bench import synthetic_samples
 from pietsp.data import PreparedSample
 from pietsp.linalg import NumericsError, ShapeError, elu
+from pietsp.metrics import top_k, top_k_rows
 from pietsp.model import (
+    MAX_BATCH_USERS,
+    VARIANTS,
     MappingError,
+    Segments,
     backward,
     ee_forward,
     forward,
@@ -205,6 +209,8 @@ def test_batch_rejects_duplicate_mapping_naming_the_user():
     dup = PreparedSample("dup-user", np.array([1, 1, 4]), sample.membership, sample.target_ids, 10)
     with pytest.raises(MappingError, match="user 'dup-user'.*duplicate"):
         make_batch([sample, dup], 10)
+    with pytest.raises(MappingError, match="user 'dup-user'.*duplicate"):
+        forward(dup, init_params(10, 4, 2, seed=21))
 
 
 def test_fuse_locality():
@@ -230,6 +236,42 @@ def test_forward_shape_law():
     assert trace.elem_scores.shape == (3,)
     assert trace.set_repr.shape == (1, 32)  # one row per user of the engine call
     assert trace.logits.shape == (100,)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_one_user_forward_equals_its_row_of_a_mixed_64_user_batch(variant):
+    """``forward`` against row b of one 64-user engine call over universes of 1 to 40 ids, one enumerated out
+    of order (``make_batch``'s sort fallback).  The batch multiplies matrices where one user multiplies a vector,
+    and the BLAS sums those products in another order, so the rows agree to 1e-12, not bit for bit, and rank
+    alike.  ``forward`` is bit for bit the engine called on the user alone."""
+    vocab = 60
+    params = init_params(vocab, 6, 4, seed=21)
+    rng = np.random.default_rng(22)
+    sizes = rng.integers(1, 41, size=MAX_BATCH_USERS)
+    samples = [synthetic_samples(int(n), 4, vocab, 1, seed=100 + i)[0] for i, n in enumerate(sizes)]
+    b = int(np.argmax(sizes))
+    samples[b] = permuted_sample(samples[b], rng.permutation(sizes[b]))
+    assert not (np.diff(samples[b].universe) > 0).all()
+    block = forward_batch(make_batch(samples, vocab), params, variant).logits
+    ranked = top_k_rows(block, 10)
+    for i, sample in enumerate(samples):
+        one = forward(sample, params, variant).logits
+        assert one.shape == (vocab,)
+        assert np.abs(one - block[i]).max() <= 1e-12
+        assert np.array_equal(top_k(one, 10), ranked[i])
+        alone = forward_batch(make_batch([sample], vocab), params, variant).logits
+        assert one.tobytes() == alone[0].tobytes()
+
+
+def test_the_one_set_segments_are_shared_and_read_only():
+    segs = Segments.one(7)
+    assert Segments.one(7) is segs and (segs.offsets.tolist(), segs.counts.tolist()) == ([0], [7])
+    with pytest.raises(ValueError):
+        segs.counts[0] = 3
+    with pytest.raises(ValueError):
+        segs.offsets[0] = 1
+    with pytest.raises(AttributeError):
+        segs.counts = np.array([3])
 
 
 def test_forward_deterministic():
@@ -277,8 +319,10 @@ def test_forward_rejects_out_of_range_universe():
 
 
 def test_nonfinite_values_name_their_layer():
-    """An overflow in each layer raises NumericsError naming that layer."""
+    """An overflow in each layer raises NumericsError naming that layer, through ``forward`` and through an
+    engine call over several users alike."""
     sample = synthetic_samples(4, 2, 10, 1, seed=29)[0]
+    others = synthetic_samples(3, 2, 10, 2, seed=33)
     cases = {
         "pe_forward": {"emb": 1.0, "pe_w_global": 1e308},
         "ee_forward": {"ee_b1": 1e308, "ee_w2": 1.0},
@@ -294,6 +338,8 @@ def test_nonfinite_values_name_their_layer():
             getattr(params, slot)[...] = value
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericsError, match=layer):
             forward(sample, params)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericsError, match=layer):
+            forward_batch(make_batch([*others, sample], 10), params)
 
 
 @pytest.mark.parametrize("variant", ["full", "no-ee", "no-ge"])

@@ -5,12 +5,12 @@ import re
 import numpy as np
 import pytest
 
-from oracle import oracle_checkpoint_bytes
+from oracle import logistic, oracle_checkpoint_bytes, softplus
 from pietsp import seeding, train
 from pietsp.checkpoint import load_checkpoint, save_checkpoint
 from pietsp.data import PreparedSample, SyntheticSpec, gen_synthetic, prepare_all, split_users
 from pietsp.errors import PietspError
-from pietsp.linalg import NumericsError, logistic, softplus
+from pietsp.linalg import NumericsError
 from pietsp.metrics import MetricError
 from pietsp.model import MappingError, init_params
 from pietsp.optim import AdamState, cosine_lr
@@ -260,6 +260,13 @@ BAD_SETTING_ERRORS = {"seed": "seed must be an integer, got",
 def test_config_rejects_a_setting_of_the_wrong_type(field, value):
     with pytest.raises(PietspError, match=f"^{re.escape(BAD_SETTING_ERRORS[field])} "):
         TrainConfig(**{field: value})
+
+
+@pytest.mark.parametrize("seed", [-1, np.int64(-7)], ids=["int", "numpy"])
+def test_config_rejects_a_negative_seed_naming_it(seed):
+    with pytest.raises(PietspError, match=f"^seed must be non-negative, got {int(seed)}$"):
+        TrainConfig(seed=seed)
+    assert TrainConfig(seed=0).seed == 0
 
 
 def test_config_keeps_integral_numpy_settings_as_python_values():
@@ -516,3 +523,20 @@ def test_resume_carries_a_trainer_state_key_it_does_not_know_into_later_saves(tm
     fit(train_c, val_c, cfg, resume_from=latest, latest_path=latest)
     state = load_checkpoint(latest).train_state
     assert state["note"] == [1, "a"] and state["epoch"] == 3
+
+
+def test_resume_from_a_checkpoint_without_best_parameters_takes_its_parameters_as_the_best(tmp_path):
+    """A null ``best_params`` is filled with a copy of the checkpoint's parameters, which later epochs leave as
+    they were: no metric after the resume beats the saved best, so the run returns exactly those parameters."""
+    train_c, val_c, _ = _split_periodic(users=24, vocab=50, seed=8)
+    cfg = TrainConfig(dim=8, max_epochs=5, patience=5, seed=11)
+    metrics = [0.3, 0.2, 0.1, 0.1, 0.1]
+    latest = tmp_path / "latest.json"
+    fit(train_c, val_c, cfg, stop_after_epoch=2, eval_fn=lambda p, epoch: metrics[epoch], latest_path=latest)
+    ck = load_checkpoint(latest)
+    assert params_digest(ck.train_state["best_params"]) != params_digest(ck.params)
+    save_checkpoint(latest, ck.params, seed=ck.seed, config=ck.config, opt_state=ck.opt_state,
+                    train_state=ck.train_state | {"best_params": None})
+    resumed = fit(train_c, val_c, cfg, resume_from=latest, eval_fn=lambda p, epoch: metrics[epoch])
+    assert (resumed.epochs_run, resumed.best_epoch, resumed.best_metric) == (5, 0, 0.3)
+    assert params_digest(resumed.params) == params_digest(ck.params)
