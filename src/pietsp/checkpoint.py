@@ -48,15 +48,25 @@ read.  No copy of the file is held.  A read that finds the file ended
 inside a slot, and a path that cannot be read (a directory, no
 permission), are ``CheckpointError``s naming the slot or the path.  Saving
 writes a temporary file and renames it over the target, so an interrupted
-save leaves the previous checkpoint intact.
+save leaves the previous checkpoint intact.  The file the rename replaces
+is kept beside the target as the hidden ``.NAME.spare``, which between
+saves holds the previous checkpoint (so a path saved again and again uses
+twice its size on disk), and the next save rewrites that file in place
+instead of freeing one file and allocating another.  A file that has
+another name (a hard link or a symlink's target), is not a regular file,
+is read-only or belongs to another user is never written in place; the
+save writes a new file instead.  A reader that still holds the file open
+from two saves ago may see the bytes of the save that rewrites it.
 """
 
 from __future__ import annotations
 
 import binascii
+import contextlib
 import json
 import math
 import os
+import stat
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -153,18 +163,85 @@ def write_atomic(path, *parts) -> None:
     """Write ``parts`` (bytes-like) one after another to a temporary file beside ``path``,
     then rename it over ``path``.
 
-    A write interrupted part-way leaves the previous file intact.
+    A write interrupted part-way leaves the previous file intact.  Just before the rename,
+    the file at ``path`` is hard-linked as ``.NAME.<pid>.keep``, and after it that link
+    becomes the hidden ``.NAME.spare``, which holds the previous complete file until the
+    next save; so a path saved again and again uses twice its size on disk.  The next
+    save claims the spare by renaming it to its own temporary name (a rename is atomic,
+    so two savers never claim one spare), rewrites it in place and truncates it, so
+    repeated saves take turns between two files instead of allocating a new one and
+    freeing the replaced one every time.
+
+    Only a regular file with no other name is kept, so a symlinked or hard-linked
+    ``path`` never becomes the spare.  A spare that is not a regular file (a symlink, a
+    directory) is not claimed.  A claimed spare is rewritten only if, opened without
+    following a symlink, it is a regular file with no other name, writable by its owner
+    and owned by the saving user; any other (one planted in a shared directory, say)
+    loses the temporary name.  In each of these cases the save writes a new file, as it
+    does when there is no spare or the filesystem has no hard links.
     """
     path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    pid = os.getpid()
+    tmp = path.with_name(f".{path.name}.{pid}.tmp")
+    keep = path.with_name(f".{path.name}.{pid}.keep")
+    spare = path.with_name(f".{path.name}.spare")
     try:
-        with open(tmp, "wb", buffering=WRITE_BUFFER) as fh:
+        with _claim(spare, tmp) as fh:
             for part in parts:
                 fh.write(part)
+            fh.truncate()
+        kept = _keep(path, keep)
         os.replace(tmp, path)
+        if kept:
+            with contextlib.suppress(OSError):  # without a spare the next save writes a new file
+                os.replace(keep, spare)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+    finally:
+        # left when the save failed, or when ``spare`` already named the kept file (rename then does nothing)
+        keep.unlink(missing_ok=True)
+
+
+def _claim(spare: Path, tmp: Path):
+    """The open file a save writes: ``spare`` renamed to ``tmp`` if it may be rewritten in place,
+    else a new file at ``tmp``."""
+    try:
+        # Anything but a regular file stays where it is: a directory renamed to ``tmp`` could not be
+        # unlinked, and every later save of this process would fail on it.  The checks after the
+        # open are the ones that hold if the name is swapped in between.
+        if stat.S_ISREG(os.lstat(spare).st_mode):
+            os.replace(spare, tmp)
+            fh = open(tmp, "r+b", buffering=WRITE_BUFFER, opener=_open_no_follow)
+            st = os.fstat(fh.fileno())
+            if (
+                stat.S_ISREG(st.st_mode)
+                and st.st_nlink == 1
+                and st.st_mode & stat.S_IWUSR
+                and (not hasattr(os, "geteuid") or st.st_uid == os.geteuid())
+            ):
+                return fh
+            fh.close()
+    except OSError:  # no spare, or no permission to write it
+        pass
+    tmp.unlink(missing_ok=True)
+    return open(tmp, "xb", buffering=WRITE_BUFFER)
+
+
+def _open_no_follow(name, flags: int) -> int:
+    return os.open(name, flags | getattr(os, "O_NOFOLLOW", 0))
+
+
+def _keep(path: Path, keep: Path) -> bool:
+    """Hard-link ``path`` as ``keep`` if it is a regular file with no other name; whether it was linked."""
+    try:
+        st = os.lstat(path)
+        if stat.S_ISREG(st.st_mode) and st.st_nlink == 1:
+            os.link(path, keep)
+            return True
+    except OSError:  # no file at ``path`` yet, or a filesystem without hard links
+        pass
+    return False
 
 
 def save_checkpoint(path, params: ModelParams, **kwargs) -> None:

@@ -1,8 +1,13 @@
 import base64
+import errno
 import json
 import math
 import os
+import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -324,6 +329,24 @@ def test_bad_payload_names_slot(tmp_path, data):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize(
+    "record, message",
+    [({"shape": []}, "malformed array record"),
+     ({"shape": [], "data": base64.b64encode(bytes(16)).decode("ascii")},
+      r"payload holds 16 bytes but shape \(\) needs 8"),
+     ({"shape": [], "data": base64.b64encode(bytes(4)).decode("ascii")},
+      r"payload holds 4 bytes but shape \(\) needs 8")],
+    ids=["no-data", "too-long", "too-short"],
+)
+def test_v1_bad_record_names_slot(tmp_path, record, message):
+    path = tmp_path / "ck.json"
+    payload = json.loads(oracle_checkpoint_bytes(init_params(9, 4, 2, seed=3)))
+    payload["params"]["ee_b2"] = record
+    path.write_text(json.dumps(payload))
+    with pytest.raises(CheckpointError, match=f"params slot 'ee_b2': {message}"):
+        load_checkpoint(path)
+
+
 # --- format 2's header and raw section ----------------------------------------
 
 def _split_v2(blob):
@@ -462,6 +485,16 @@ def test_v2_bad_record_names_slot(tmp_path, record):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("data_bytes", [-8, 8.0, "8", None, True],
+                         ids=["negative", "float", "string", "null", "bool"])
+def test_v2_data_bytes_that_is_not_a_non_negative_integer_is_rejected(tmp_path, data_bytes):
+    path = tmp_path / "ck.json"
+    save_checkpoint(path, init_params(9, 4, 2, seed=3))
+    _rewrite_v2(path, lambda h: h.update(data_bytes=data_bytes))
+    with pytest.raises(CheckpointError, match=f"header data_bytes {re.escape(repr(data_bytes))} is not a non-negative"):
+        load_checkpoint(path)
+
+
 @pytest.mark.parametrize("past", [1, 8, 10**6], ids=["one-byte", "one-float", "far"])
 def test_v2_offset_out_of_range_names_slot(tmp_path, past):
     path = tmp_path / "ck.json"
@@ -500,14 +533,12 @@ def test_v2_header_is_one_line_of_canonical_json():
 
 # --- malformed envelope fields, in both formats --------------------------------
 
-def _drop_step(payload):
-    del payload["optimizer"]["step"]
-    return payload
-
-
-def _drop(key):
+def _drop(*keys):
     def edit(payload):
-        del payload[key]
+        node = payload
+        for key in keys[:-1]:
+            node = node[key]
+        del node[keys[-1]]
         return payload
     return edit
 
@@ -526,7 +557,7 @@ def _set(*keys, value):
 ENVELOPE_FAULTS = {
     "root-list": (lambda payload: [payload], "not a checkpoint file"),
     "optimizer-list": (_set("optimizer", value=[1]), "optimizer is list"),
-    "optimizer-no-step": (_drop_step, "optimizer step None"),
+    "optimizer-no-step": (_drop("optimizer", "step"), "optimizer step None"),
     "step-float": (_set("optimizer", "step", value=2.7), "optimizer step 2.7"),
     "step-bool": (_set("optimizer", "step", value=True), "optimizer step True"),
     "step-negative": (_set("optimizer", "step", value=-1), "optimizer step -1"),
@@ -542,6 +573,10 @@ ENVELOPE_FAULTS = {
     "shape-float": (_set("params", "emb", "shape", value=3.5), r"params slot 'emb': shape 3\.5"),
     "shape-negative": (_set("params", "emb", "shape", value=[-9, -4]), r"params slot 'emb': shape \[-9, -4\]"),
     "shape-bool": (_set("params", "ee_w2", "shape", value=[True] * 4), r"params slot 'ee_w2': shape \[True"),
+    "params-missing-slot": (_drop("params", "emb"), r"params: parameter table missing slots: \['emb'\]$"),
+    "layout-unknown": (_set("concat_layout", value="other"), "unknown concatenation layout 'other'"),
+    "dim-zero": (_set("dim", value=0), "envelope model dimensions .*'dim': 0.* are not positive integers"),
+    "k-max-negative": (_set("k_max", value=-2), "envelope model dimensions .*'k_max': -2.* are not positive"),
 }
 
 
@@ -694,6 +729,23 @@ def test_v2_loads_where_the_platform_has_no_preadv(tmp_path, monkeypatch, permut
     _assert_loads_bit_for_bit(path, kwargs)
 
 
+
+def test_v2_short_read_names_the_slot_where_the_platform_has_no_preadv(tmp_path, monkeypatch):
+    """A file truncated inside a slot after its size was checked, read with ``readinto``."""
+    path = tmp_path / "ck.json"
+    save_checkpoint(path, **_full_state())
+    end = _slot_at(path, ("optimizer", "v"), "pi_w2") + 12
+    read = checkpoint._RawSection.read
+
+    def truncate_then_read(self, f, raw_at):
+        os.truncate(path, end)
+        read(self, f, raw_at)
+
+    monkeypatch.setattr(checkpoint._RawSection, "read", truncate_then_read)
+    monkeypatch.delattr(os, "preadv", raising=False)
+    with pytest.raises(CheckpointError, match=f"v slot 'pi_w2': short read, the file ends at byte {end}"):
+        load_checkpoint(path)
+
 def test_v2_load_holds_no_copy_of_the_file(tmp_path):
     """The traced peak of a load stays near the four tables it returns: no buffer of the whole file."""
     kwargs = _full_state(vocab=2000, dim=16, k_max=4)
@@ -777,3 +829,232 @@ def test_save_holds_no_copy_of_the_file(tmp_path):
         tracemalloc.stop()
     data_bytes = _split_v2(path.read_bytes())[0]["data_bytes"]
     assert peak < 0.25 * data_bytes, (peak, data_bytes)
+
+
+# --- repeated saves of one path: the replaced file is kept and rewritten in place --
+
+def _save(path, seed, vocab=9):
+    """Save a small checkpoint whose bytes depend on ``seed`` at ``path``; those bytes."""
+    params = init_params(vocab, 4, 2, seed=seed)
+    save_checkpoint(path, params, seed=seed)
+    return checkpoint_bytes(params, seed=seed)
+
+
+def _spare(path):
+    return path.with_name(f".{path.name}.spare")
+
+
+def _names(directory):
+    return sorted(p.name for p in directory.iterdir())
+
+
+def test_a_third_save_rewrites_the_first_saves_file(tmp_path):
+    path = tmp_path / "ck.json"
+    _save(path, 1)
+    first = path.stat().st_ino
+    assert _names(tmp_path) == ["ck.json"]
+    second = _save(path, 2)
+    assert _spare(path).stat().st_ino == first and _spare(path).read_bytes() == _save(tmp_path / "a.json", 1)
+    kept = path.stat().st_ino
+    third = _save(path, 3)
+    assert path.stat().st_ino == first and path.read_bytes() == third
+    assert _spare(path).stat().st_ino == kept and _spare(path).read_bytes() == second
+    assert _names(tmp_path) == [".ck.json.spare", "a.json", "ck.json"]
+
+
+def test_a_smaller_save_into_a_larger_spare_is_truncated(tmp_path):
+    path = tmp_path / "ck.json"
+    _save(path, 1, vocab=500)
+    _save(path, 2, vocab=500)
+    large = _spare(path).stat()
+    small = _save(path, 3)
+    assert path.stat().st_ino == large.st_ino and len(small) < large.st_size
+    assert path.read_bytes() == small
+    assert load_checkpoint(path).seed == 3
+
+
+@pytest.mark.parametrize("fault", ["write", "rename"])
+def test_a_save_interrupted_while_a_spare_exists_keeps_the_checkpoint(tmp_path, monkeypatch, fault):
+    """The disk fills while the claimed spare is rewritten, or the rename over the checkpoint fails
+    after it was linked to be kept: the checkpoint is untouched and no temporary name is left."""
+    path = tmp_path / "ck.json"
+    _save(path, 1)
+    before = _save(path, 2)
+    modes = []
+
+    class FailPartWay:
+        """The file save writes to: the second write finds the disk full."""
+
+        def __init__(self, fh):
+            self.fh, self.writes = fh, 0
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def __getattr__(self, name):
+            return getattr(self.fh, name)
+
+        def write(self, data):
+            self.writes += 1
+            if self.writes < 2:
+                return self.fh.write(data)
+            raise OSError("no space left on device")
+
+    def watched_open(name, mode, **kwargs):
+        modes.append(mode)
+        fh = open(name, mode, **kwargs)
+        return FailPartWay(fh) if fault == "write" else fh
+
+    replace = os.replace
+
+    def failing_replace(src, dst):
+        if Path(dst) == path:
+            raise OSError("rename failed")
+        replace(src, dst)
+
+    monkeypatch.setattr(checkpoint, "open", watched_open, raising=False)
+    if fault == "rename":
+        monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError, match="no space" if fault == "write" else "rename failed"):
+        _save(path, 3)
+    monkeypatch.undo()
+    assert modes == ["r+b"]  # the spare was claimed
+    assert path.read_bytes() == before
+    assert _names(tmp_path) == ["ck.json"]  # the claimed spare went with the failed save
+
+
+def test_a_hard_linked_checkpoint_keeps_its_bytes(tmp_path):
+    """``ln ck.json epoch1.json`` before a spare exists, and again after: a file with another name is
+    never kept as the spare, so no later save writes into it."""
+    path = tmp_path / "ck.json"
+    first = _save(path, 1)
+    os.link(path, tmp_path / "epoch1.json")
+    _save(path, 2)
+    assert not _spare(path).exists()
+    third = _save(path, 3)
+    assert _spare(path).exists()
+    os.link(path, tmp_path / "epoch3.json")
+    for seed in (4, 5, 6):
+        last = _save(path, seed)
+    assert (tmp_path / "epoch1.json").read_bytes() == first
+    assert (tmp_path / "epoch3.json").read_bytes() == third
+    assert path.read_bytes() == last
+
+
+def test_a_symlinked_checkpoint_path_keeps_its_targets_bytes(tmp_path):
+    real = tmp_path / "real.json"
+    first = _save(real, 1)
+    path = tmp_path / "ck.json"
+    path.symlink_to(real)
+    _save(path, 2)
+    assert not _spare(path).exists()
+    for seed in (3, 4):
+        last = _save(path, seed)
+    assert real.read_bytes() == first
+    assert not path.is_symlink() and path.read_bytes() == last
+
+
+@pytest.mark.parametrize("fault", ["symlink", "symlink-swapped-in", "hard-linked", "read-only", "other-owner"])
+def test_a_spare_that_may_not_be_rewritten_keeps_its_bytes(tmp_path, monkeypatch, fault):
+    """A spare planted as a symlink (also one swapped in after the save looked at the name),
+    linked under another name, made read-only, or owned by another user (here: the saver's uid is
+    not the file's) is never written: the save writes a new file."""
+    path = tmp_path / "ck.json"
+    first = _save(path, 1)
+    _save(path, 2)
+    spare = _spare(path)
+    if fault.startswith("symlink"):
+        spare.unlink()
+        (tmp_path / "victim.json").write_bytes(first)
+        spare.symlink_to(tmp_path / "victim.json")
+        if fault == "symlink-swapped-in":  # the look at the name still saw a regular file
+            monkeypatch.setattr(os, "lstat", os.stat)
+    elif fault == "hard-linked":
+        os.link(spare, tmp_path / "mine.json")
+    elif fault == "read-only":
+        spare.chmod(0o444)
+    else:
+        monkeypatch.setattr(os, "geteuid", lambda uid=spare.stat().st_uid: uid + 1)
+    with open(spare, "rb") as held:  # the file the spare names, or its symlink's target
+        last = _save(path, 3)
+        assert os.pread(held.fileno(), len(first) + 1, 0) == first
+        assert os.fstat(held.fileno()).st_ino != path.stat().st_ino
+    assert path.read_bytes() == last
+    assert not [name for name in _names(tmp_path) if name.endswith((".tmp", ".keep"))]
+
+
+@pytest.mark.parametrize("kind", ["fifo", "directory"])
+def test_a_spare_that_is_not_a_regular_file_is_left_alone(tmp_path, kind):
+    """Saves write new files beside it; a FIFO is then replaced by the kept file, while a directory
+    stays, so no spare is kept and every save writes a new file."""
+    path = tmp_path / "ck.json"
+    _save(path, 1)
+    _save(path, 2)
+    _spare(path).unlink()
+    os.mkfifo(_spare(path)) if kind == "fifo" else _spare(path).mkdir()
+    for seed in (3, 4, 5):
+        last = _save(path, seed)
+        assert path.read_bytes() == last
+    assert _names(tmp_path) == [".ck.json.spare", "ck.json"]
+    assert _spare(path).is_dir() == (kind == "directory")
+
+
+@pytest.mark.parametrize("fault", ["link", "rename"])
+def test_saves_that_cannot_make_a_spare_write_new_files(tmp_path, monkeypatch, fault):
+    """A filesystem without hard links, or a spare name the saver may not replace (another user's
+    entry in a sticky directory): each save still completes, and leaves no kept link behind."""
+    path = tmp_path / "ck.json"
+    replace = os.replace
+
+    def no_links(*args, **kwargs):
+        raise OSError(errno.EPERM, "hard links are not supported")
+
+    def no_spare(src, dst):
+        if Path(dst) == _spare(path):
+            raise OSError(errno.EPERM, "operation not permitted")
+        replace(src, dst)
+
+    monkeypatch.setattr(os, *(("link", no_links) if fault == "link" else ("replace", no_spare)))
+    for seed in (1, 2, 3):
+        last = _save(path, seed)
+        assert path.read_bytes() == last
+    assert _names(tmp_path) == ["ck.json"]
+
+
+def test_two_processes_saving_one_path_leave_one_writers_checkpoint(tmp_path):
+    """Each process saves its own state 20 times, starting together: the path and the spare each
+    hold one writer's bytes, and no temporary name is left."""
+    script = """
+import os, sys, time
+from pietsp.checkpoint import save_checkpoint
+from pietsp.model import init_params
+
+path, seed, ready, other = sys.argv[1], int(sys.argv[2]), sys.argv[3], sys.argv[4]
+params = init_params(4000, 16, 4, seed=seed)
+open(ready, "w").close()
+deadline = time.monotonic() + 30
+while not os.path.exists(other) and time.monotonic() < deadline:
+    time.sleep(0.001)
+for _ in range(20):
+    save_checkpoint(path, params, seed=seed)
+"""
+    path = tmp_path / "ck.json"
+    src = str(Path(checkpoint.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    ready = [str(tmp_path / f"ready-{seed}") for seed in (1, 2)]
+    procs = [subprocess.Popen([sys.executable, "-c", script, str(path), str(seed), ready[seed - 1], ready[2 - seed]],
+                              env=env) for seed in (1, 2)]
+    try:
+        codes = [proc.wait(timeout=60) for proc in procs]
+    finally:
+        for proc in procs:
+            proc.kill()
+            proc.wait()
+    assert codes == [0, 0]
+    written = {checkpoint_bytes(init_params(4000, 16, 4, seed=seed), seed=seed) for seed in (1, 2)}
+    assert path.read_bytes() in written and load_checkpoint(path).seed in (1, 2)
+    assert _spare(path).read_bytes() in written
+    assert _names(tmp_path) == [".ck.json.spare", "ck.json", "ready-1", "ready-2"]
