@@ -52,11 +52,15 @@ save leaves the previous checkpoint intact.  The file the rename replaces
 is kept beside the target as the hidden ``.NAME.spare``, which between
 saves holds the previous checkpoint (so a path saved again and again uses
 twice its size on disk), and the next save rewrites that file in place
-instead of freeing one file and allocating another.  A file that has
+instead of freeing one file and allocating another, and syncs it to disk
+before the rename, so that an OS crash or a power loss cannot leave the
+path naming a file that holds part of two saves.  A file that has
 another name (a hard link or a symlink's target), is not a regular file,
 is read-only or belongs to another user is never written in place; the
-save writes a new file instead.  A reader that still holds the file open
-from two saves ago may see the bytes of the save that rewrites it.
+save writes a new file instead.  A load still reading the file when a
+save rewrites it (it opened the file two saves earlier) sees its size or
+modification time change and raises ``CheckpointError`` rather than
+return two saves' mix.
 """
 
 from __future__ import annotations
@@ -170,7 +174,11 @@ def write_atomic(path, *parts) -> None:
     save claims the spare by renaming it to its own temporary name (a rename is atomic,
     so two savers never claim one spare), rewrites it in place and truncates it, so
     repeated saves take turns between two files instead of allocating a new one and
-    freeing the replaced one every time.
+    freeing the replaced one every time.  A rewritten spare is synced to disk before the
+    rename: ext4 (in its default ``data=ordered`` mode) writes a new file's blocks before
+    it commits a rename over an older file, but not blocks rewritten in place, so without
+    the sync an OS crash or power loss could leave ``path`` naming a mix of this save and
+    the one two saves back.  A new file is not synced, as before.
 
     Only a regular file with no other name is kept, so a symlinked or hard-linked
     ``path`` never becomes the spare.  A spare that is not a regular file (a symlink, a
@@ -186,10 +194,13 @@ def write_atomic(path, *parts) -> None:
     keep = path.with_name(f".{path.name}.{pid}.keep")
     spare = path.with_name(f".{path.name}.spare")
     try:
-        with _claim(spare, tmp) as fh:
+        fh, rewritten = _claim(spare, tmp)
+        with fh:
             for part in parts:
                 fh.write(part)
             fh.truncate()
+            if rewritten:  # on disk before the rename names it: see the docstring
+                _sync_data(fh.fileno())
         kept = _keep(path, keep)
         os.replace(tmp, path)
         if kept:
@@ -204,8 +215,8 @@ def write_atomic(path, *parts) -> None:
 
 
 def _claim(spare: Path, tmp: Path):
-    """The open file a save writes: ``spare`` renamed to ``tmp`` if it may be rewritten in place,
-    else a new file at ``tmp``."""
+    """The open file a save writes, and whether it is rewritten in place: ``spare`` renamed to
+    ``tmp`` if it may be, else a new file at ``tmp``."""
     try:
         # Anything but a regular file stays where it is: a directory renamed to ``tmp`` could not be
         # unlinked, and every later save of this process would fail on it.  The checks after the
@@ -220,12 +231,15 @@ def _claim(spare: Path, tmp: Path):
                 and st.st_mode & stat.S_IWUSR
                 and (not hasattr(os, "geteuid") or st.st_uid == os.geteuid())
             ):
-                return fh
+                return fh, True
             fh.close()
     except OSError:  # no spare, or no permission to write it
         pass
     tmp.unlink(missing_ok=True)
-    return open(tmp, "xb", buffering=WRITE_BUFFER)
+    return open(tmp, "xb", buffering=WRITE_BUFFER), False
+
+
+_sync_data = getattr(os, "fdatasync", os.fsync)  # macOS and Windows have no fdatasync
 
 
 def _open_no_follow(name, flags: int) -> int:
@@ -288,18 +302,24 @@ def _load(path) -> tuple[dict, Checkpoint]:
     """The file's header (format 1: the whole envelope) and the checkpoint it holds."""
     try:
         with open(path, "rb", buffering=0) as f:
+            before = os.fstat(f.fileno())
             head = f.read(HEAD_BYTES)
             if not head.startswith(MAGIC):
                 try:
                     header = json.loads(head + f.readall())
                 except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
                     raise CheckpointError(f"{path}: not valid JSON ({exc})") from exc
-                return header, _checkpoint(path, header, 1, _Base64Payloads)
-            header, raw_at = _read_header(path, f, head)
-            section = _RawSection(path, header, os.fstat(f.fileno()).st_size - raw_at)
-            ck = _checkpoint(path, header, FORMAT_VERSION, section)
-            section.read(f, raw_at)
-            return header, ck
+                loaded = header, _checkpoint(path, header, 1, _Base64Payloads)
+            else:
+                header, raw_at = _read_header(path, f, head)
+                section = _RawSection(path, header, before.st_size - raw_at)
+                loaded = header, _checkpoint(path, header, FORMAT_VERSION, section)
+                section.read(f, raw_at)
+            after = os.fstat(f.fileno())
+            if (after.st_size, after.st_mtime_ns) != (before.st_size, before.st_mtime_ns):
+                # a save rewrote the file (once a spare) while it was read: the bytes may be two saves' mix
+                raise CheckpointError(f"{path}: the file was rewritten while it was read")
+            return loaded
     except FileNotFoundError:
         raise CheckpointError(f"checkpoint not found: {path}") from None
     except OSError as exc:  # a directory, no permission, a failing disk

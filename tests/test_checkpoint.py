@@ -702,19 +702,34 @@ def test_v2_reads_that_stop_short_resume(tmp_path, monkeypatch):
     _assert_loads_bit_for_bit(path, kwargs)
 
 
-@pytest.mark.parametrize("table", [("params",), ("optimizer", "v"), ("trainer", "best_params")],
-                         ids=lambda t: "-".join(t))
-def test_v2_short_read_names_the_slot(tmp_path, monkeypatch, table):
-    """A file that ends, while it is read, inside a slot (truncated after its size was checked)."""
+@pytest.mark.parametrize("table, preadv", [
+    pytest.param(("params",), True, id="params"),
+    pytest.param(("optimizer", "v"), True, id="optimizer-v"),
+    pytest.param(("trainer", "best_params"), True, id="trainer-best_params"),
+    pytest.param(("optimizer", "v"), False, id="optimizer-v-no-preadv"),
+])
+def test_v2_short_read_names_the_slot(tmp_path, monkeypatch, table, preadv):
+    """A file that ends, while it is read, inside a slot (truncated after its size was checked),
+    read with ``os.preadv`` or, where the platform has none, ``readinto``."""
     path = tmp_path / "ck.json"
     save_checkpoint(path, **_full_state())
     end = _slot_at(path, table, "pi_w2") + 12
-    real = os.preadv
+    if preadv:
+        real = os.preadv
 
-    def truncated(fd, bufs, pos):
-        return max(0, min(real(fd, bufs, pos), end - pos))
+        def truncated(fd, bufs, pos):
+            return max(0, min(real(fd, bufs, pos), end - pos))
 
-    monkeypatch.setattr(os, "preadv", truncated)
+        monkeypatch.setattr(os, "preadv", truncated)
+    else:
+        read = checkpoint._RawSection.read
+
+        def truncate_then_read(self, f, raw_at):
+            os.truncate(path, end)
+            read(self, f, raw_at)
+
+        monkeypatch.setattr(checkpoint._RawSection, "read", truncate_then_read)
+        monkeypatch.delattr(os, "preadv", raising=False)
     with pytest.raises(CheckpointError, match=rf"{table[-1]} slot 'pi_w2': short read, the file ends at byte {end}"):
         load_checkpoint(path)
 
@@ -728,23 +743,6 @@ def test_v2_loads_where_the_platform_has_no_preadv(tmp_path, monkeypatch, permut
     monkeypatch.delattr(os, "preadv", raising=False)
     _assert_loads_bit_for_bit(path, kwargs)
 
-
-
-def test_v2_short_read_names_the_slot_where_the_platform_has_no_preadv(tmp_path, monkeypatch):
-    """A file truncated inside a slot after its size was checked, read with ``readinto``."""
-    path = tmp_path / "ck.json"
-    save_checkpoint(path, **_full_state())
-    end = _slot_at(path, ("optimizer", "v"), "pi_w2") + 12
-    read = checkpoint._RawSection.read
-
-    def truncate_then_read(self, f, raw_at):
-        os.truncate(path, end)
-        read(self, f, raw_at)
-
-    monkeypatch.setattr(checkpoint._RawSection, "read", truncate_then_read)
-    monkeypatch.delattr(os, "preadv", raising=False)
-    with pytest.raises(CheckpointError, match=f"v slot 'pi_w2': short read, the file ends at byte {end}"):
-        load_checkpoint(path)
 
 def test_v2_load_holds_no_copy_of_the_file(tmp_path):
     """The traced peak of a load stays near the four tables it returns: no buffer of the whole file."""
@@ -871,6 +869,57 @@ def test_a_smaller_save_into_a_larger_spare_is_truncated(tmp_path):
     assert path.stat().st_ino == large.st_ino and len(small) < large.st_size
     assert path.read_bytes() == small
     assert load_checkpoint(path).seed == 3
+
+
+def test_a_rewritten_spare_is_on_disk_before_the_rename_names_it(tmp_path, monkeypatch):
+    """A crash after the rename commits must not find the checkpoint holding part of two saves.
+    A new file's blocks are allocated by the save, which ext4 orders before the rename; blocks
+    rewritten in place are not, so a claimed spare is synced first.  A new file is not."""
+    path = tmp_path / "ck.json"
+    events = []
+    sync, replace = checkpoint._sync_data, os.replace
+
+    def watched_sync(fd):
+        events.append(("sync", os.fstat(fd).st_ino))
+        sync(fd)
+
+    def watched_replace(src, dst):
+        events.append(("replace", Path(dst).name))
+        replace(src, dst)
+
+    monkeypatch.setattr(checkpoint, "_sync_data", watched_sync)
+    monkeypatch.setattr(os, "replace", watched_replace)
+    _save(path, 1)
+    first = path.stat().st_ino
+    _save(path, 2)
+    assert events == [("replace", "ck.json"), ("replace", "ck.json"), ("replace", ".ck.json.spare")]
+    events.clear()
+    _save(path, 3)
+    assert events == [("replace", f".ck.json.{os.getpid()}.tmp"), ("sync", first),
+                      ("replace", "ck.json"), ("replace", ".ck.json.spare")]
+
+
+@pytest.mark.parametrize("saves", [1, 2])
+def test_a_reader_across_saves_gets_its_file_or_an_error(tmp_path, monkeypatch, saves):
+    """A load that still reads the file while other saves run: across one save it reads the file it
+    opened, unchanged; across two, the second rewrites that file (then the spare), and the load
+    fails instead of returning a mix of two saves' bytes."""
+    path = tmp_path / "ck.json"
+    _save(path, 1)
+    os.utime(path, ns=(0, 0))  # a rewrite then shows in the mtime, however coarse the clock
+    read = checkpoint._RawSection.read
+
+    def saves_then_read(self, f, raw_at):
+        for seed in range(2, 2 + saves):
+            _save(path, seed)
+        read(self, f, raw_at)
+
+    monkeypatch.setattr(checkpoint._RawSection, "read", saves_then_read)
+    if saves == 1:
+        assert load_checkpoint(path).seed == 1
+    else:
+        with pytest.raises(CheckpointError, match="rewritten while it was read"):
+            load_checkpoint(path)
 
 
 @pytest.mark.parametrize("fault", ["write", "rename"])
