@@ -41,10 +41,6 @@ class UserRecord:
     user_id: str
     sets: tuple[tuple[int, ...], ...]  # ordered; each set sorted, deduplicated
 
-    @property
-    def target(self) -> tuple[int, ...]:
-        return self.sets[-1]
-
 
 @dataclass(frozen=True)
 class Corpus:
@@ -134,8 +130,8 @@ def parse_corpus(obj) -> tuple[Corpus, LoadReport]:
     if not isinstance(obj, dict):
         raise DataError("corpus root must be an object")
     vocab_size = obj.get("vocab_size")
-    if not isinstance(vocab_size, int) or isinstance(vocab_size, bool) or vocab_size < 1:
-        raise DataError(f"vocab_size must be a positive integer, got {vocab_size!r}")
+    if not isinstance(vocab_size, int) or isinstance(vocab_size, bool) or not 1 <= vocab_size < 2**63:
+        raise DataError(f"vocab_size must be a positive integer below 2**63, got {vocab_size!r}")
     raw_users = obj.get("users")
     if not isinstance(raw_users, list):
         raise DataError("'users' must be a list")
@@ -154,9 +150,8 @@ def parse_corpus(obj) -> tuple[Corpus, LoadReport]:
         _check_in_order(raw_users, vocab_size)
     try:
         ids = np.fromiter(flat, dtype=np.int64, count=len(flat))
-    except OverflowError:  # an id beyond int64: out of range, unless vocab_size is as wide
+    except OverflowError:  # an id beyond int64 lies outside the vocabulary: the walk raises it
         _check_in_order(raw_users, vocab_size)
-        ids = np.array(flat, dtype=object)
     del flat
     if ids.size and (ids.min() < 0 or int(ids.max()) >= vocab_size):
         _check_in_order(raw_users, vocab_size)

@@ -54,13 +54,20 @@ program (``checkpoint.load_checkpoint``).
 
 The backward pass is derived by hand (no autodiff) and adds the gradients
 of the whole call into a caller-owned ``ModelParams`` buffer, so a
-minibatch sums into one table.  The embedding table receives gradient
-through two routes: the gather into Z (universe rows only, summed per
-(id, column) cell by one ``np.bincount``, ``Batch.scatter_add``) and the
-global scoring o_s = M zbar (every row, one (|E| x B)(B x D) product P).
-The global scores are not kept for backward: the gradient of the fusion
-weights a is sum_b d_logits[b] o_s[b], the row sums of P * M.  Ablation
-variants drop one scoring branch:
+minibatch sums into one table.  ``backward`` mirrors ``forward_batch`` with
+one function per branch, called in this order: ``_element_backward`` (the
+element scores and ``fuse_local``; returns d pe_out), ``_global_backward``
+(``fuse_global``, global scoring and the invariant MLP; returns each set's
+d pooled row, which sum pooling hands to every row of the set) and
+``_equivariant_backward`` (the equivariant layer, the concatenation split
+and the embedding scatter, from the summed d pe_out).  A variant skips the
+branch it drops.  The embedding table receives gradient through two routes:
+the gather into Z (universe rows only, summed per (id, column) cell by one
+``np.bincount``, ``Batch.scatter_add``) and the global scoring o_s = M zbar
+(every row, one (|E| x B)(B x D) product P).  The global scores are not
+kept for backward: the gradient of the fusion weights a is
+sum_b d_logits[b] o_s[b], the row sums of P * M.  Ablation variants drop
+one scoring branch:
 
     "no-ee": y = a * o_s          (element scores removed)
     "no-ge": y = b * o_e on universe ids, 0 elsewhere (global scores removed)
@@ -71,6 +78,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import iadd
 
 import numpy as np
 
@@ -522,65 +530,88 @@ def forward(sample: PreparedSample, params: ModelParams, variant: str = "full") 
     return trace
 
 
-def backward(trace: ForwardTrace, params: ModelParams, d_logits: np.ndarray, grads: ModelParams) -> None:
-    """Add the gradients of sum(logits * d_logits) for every parameter slot into ``grads``."""
-    segs, ids = trace.batch.segs, trace.batch.ids
-    shape = (segs.size, params.vocab_size)
-    if d_logits.shape != shape and not (segs.size == 1 and d_logits.shape == shape[1:]):
-        raise ShapeError(f"backward: d_logits {d_logits.shape} vs logits {shape}")
-    d_logits = d_logits.reshape(segs.size, -1)
+def _element_backward(trace: ForwardTrace, params: ModelParams, d_logits: np.ndarray, grads: ModelParams) -> np.ndarray:
+    """Score fusion's ``fuse_local`` and the element scoring branch; returns d pe_out (R x D).
 
-    # score fusion and the element scoring branch; the cells are distinct, ids may repeat
-    d_pe = None
-    if trace.variant != "no-ee":
-        d_at = d_logits.reshape(-1)[trace.cells]
-        grads.fuse_local += np.bincount(ids, weights=d_at * trace.elem_scores, minlength=params.vocab_size)
-        d_elem = d_at * params.fuse_local[ids]
-        grads.ee_w2 += trace.ee_hidden.T @ d_elem
-        grads.ee_b2 += d_elem.sum(0)
-        d_hidden = np.multiply.outer(d_elem, params.ee_w2)
-        d_hidden *= relu_grad(trace.ee_hidden)
-        grads.ee_w1 += trace.pe_out.T @ d_hidden
-        grads.ee_b1 += d_hidden.sum(0)
-        d_pe = d_hidden @ params.ee_w1.T
-        del d_hidden
+    Each universe row reads its own cell of ``d_logits``: the cells are distinct, the ids may repeat.
+    """
+    ids = trace.batch.ids
+    d_at = d_logits.reshape(-1)[trace.cells]
+    grads.fuse_local += np.bincount(ids, weights=d_at * trace.elem_scores, minlength=params.vocab_size)
+    d_elem = d_at * params.fuse_local[ids]
+    grads.ee_w2 += trace.ee_hidden.T @ d_elem
+    grads.ee_b2 += d_elem.sum(0)
+    d_hidden = np.multiply.outer(d_elem, params.ee_w2)
+    d_hidden *= relu_grad(trace.ee_hidden)
+    grads.ee_w1 += trace.pe_out.T @ d_hidden
+    grads.ee_b1 += d_hidden.sum(0)
+    return d_hidden @ params.ee_w1.T
 
-    # score fusion, global scoring and the invariant branch
-    if trace.variant != "no-ge":
-        # with P = d_logits^T zbar (|E| x D) and o_s = M zbar, the fusion gradient sum_b d_logits o_s
-        # is the row sums of P * M; with d_global = d_logits * a (per item), d_global^T zbar = a * P
-        # and d_global M = d_logits (a * M): no B x |E| product is formed
-        emb_global = d_logits.T @ trace.set_repr
-        grads.fuse_global += np.einsum("ed,ed->e", emb_global, params.emb)
-        emb_global *= params.fuse_global[:, None]
-        grads.emb += emb_global
-        del emb_global
-        d_repr = d_logits @ (params.fuse_global[:, None] * params.emb)
-        grads.pi_w3 += trace.pi_h2.T @ d_repr
-        grads.pi_b3 += d_repr.sum(0)
-        d_h2 = d_repr @ params.pi_w3.T
-        d_h2 *= elu_grad(trace.pi_h2)
-        grads.pi_w2 += trace.pi_h1.T @ d_h2
-        grads.pi_b2 += d_h2.sum(0)
-        d_h1 = d_h2 @ params.pi_w2.T
-        d_h1 *= elu_grad(trace.pi_h1)
-        grads.pi_w1 += trace.pooled.T @ d_h1
-        grads.pi_b1 += d_h1.sum(0)
-        if d_pe is None:
-            d_pe = np.zeros_like(trace.pe_out)
-        d_pe += segs.spread(d_h1 @ params.pi_w1.T)  # sum pooling: every row receives its set's gradient
 
-    # equivariant layer; each set's shared row subtracts mean_i(Z_i) Wl, so its gradient is -d_pre summed over the set
-    d_pre = d_pe
+def _global_backward(trace: ForwardTrace, params: ModelParams, d_logits: np.ndarray, grads: ModelParams) -> np.ndarray:
+    """Score fusion's ``fuse_global``, global scoring and the invariant MLP; returns d pooled (B x D).
+
+    With P = d_logits^T zbar (|E| x D) and o_s = M zbar, the fusion gradient sum_b d_logits o_s is the
+    row sums of P * M; with d_global = d_logits * a (per item), d_global^T zbar = a * P and
+    d_global M = d_logits (a * M): no B x |E| product is formed.
+    """
+    emb_global = d_logits.T @ trace.set_repr
+    grads.fuse_global += np.einsum("ed,ed->e", emb_global, params.emb)
+    emb_global *= params.fuse_global[:, None]
+    grads.emb += emb_global
+    del emb_global
+    d_repr = d_logits @ (params.fuse_global[:, None] * params.emb)
+    grads.pi_w3 += trace.pi_h2.T @ d_repr
+    grads.pi_b3 += d_repr.sum(0)
+    d_h2 = d_repr @ params.pi_w3.T
+    d_h2 *= elu_grad(trace.pi_h2)
+    grads.pi_w2 += trace.pi_h1.T @ d_h2
+    grads.pi_b2 += d_h2.sum(0)
+    d_h1 = d_h2 @ params.pi_w2.T
+    d_h1 *= elu_grad(trace.pi_h1)
+    grads.pi_w1 += trace.pooled.T @ d_h1
+    grads.pi_b1 += d_h1.sum(0)
+    return d_h1 @ params.pi_w1.T
+
+
+def _equivariant_backward(trace: ForwardTrace, params: ModelParams, d_pre: np.ndarray, grads: ModelParams) -> None:
+    """The equivariant layer, the concatenation split and the embedding scatter.
+
+    ``d_pre`` enters as d pe_out (R x D) and becomes the gradient of the pre-activation in place; it is
+    freed before the scatter when the caller holds no other reference.  Each set's shared row subtracts
+    mean_i(Z_i) Wl, so its gradient is -d_pre summed over the set.  Only the trailing D columns of Z
+    (the gathered embeddings) are parameters.
+    """
+    segs = trace.batch.segs
     d_pre *= elu_grad(trace.pe_out)
     d_sum = segs.sum(d_pre)
     grads.pe_w_global += trace.z.T @ d_pre
     grads.pe_bias += d_sum.sum(0)
     grads.pe_w_local -= trace.z_mean.T @ d_sum
 
-    # concatenation split: only the trailing D columns of Z (the gathered embeddings) are parameters
     k_max = params.k_max
     d_rows = d_pre @ params.pe_w_global[k_max:].T
-    del d_pe, d_pre
+    del d_pre
     d_rows -= segs.spread((d_sum @ params.pe_w_local[k_max:].T) / segs.counts[:, None])
     trace.batch.scatter_add(grads.emb, d_rows)
+
+
+def backward(trace: ForwardTrace, params: ModelParams, d_logits: np.ndarray, grads: ModelParams) -> None:
+    """Add the gradients of sum(logits * d_logits) for every parameter slot into ``grads``.
+
+    d pe_out is the element branch's gradient plus, by sum pooling, each set's pooled gradient on
+    every row of the set.  It is passed on as the call's temporary, never held here, so that
+    ``_equivariant_backward`` frees it before its scatter.
+    """
+    segs = trace.batch.segs
+    shape = (segs.size, params.vocab_size)
+    if d_logits.shape != shape and not (segs.size == 1 and d_logits.shape == shape[1:]):
+        raise ShapeError(f"backward: d_logits {d_logits.shape} vs logits {shape}")
+    d_logits = d_logits.reshape(segs.size, -1)
+    branch = (trace, params, d_logits, grads)
+    if trace.variant == "no-ge":
+        _equivariant_backward(trace, params, _element_backward(*branch), grads)
+    elif trace.variant == "no-ee":
+        _equivariant_backward(trace, params, iadd(np.zeros_like(trace.pe_out), segs.spread(_global_backward(*branch))), grads)
+    else:  # the pooled gradient is added into the element branch's array
+        _equivariant_backward(trace, params, iadd(_element_backward(*branch), segs.spread(_global_backward(*branch))), grads)

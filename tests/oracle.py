@@ -180,8 +180,8 @@ def oracle_parse_corpus(obj):
     if not isinstance(obj, dict):
         raise DataError("corpus root must be an object")
     vocab_size = obj.get("vocab_size")
-    if not isinstance(vocab_size, int) or isinstance(vocab_size, bool) or vocab_size < 1:
-        raise DataError(f"vocab_size must be a positive integer, got {vocab_size!r}")
+    if not isinstance(vocab_size, int) or isinstance(vocab_size, bool) or not 1 <= vocab_size < 2**63:
+        raise DataError(f"vocab_size must be a positive integer below 2**63, got {vocab_size!r}")
     raw_users = obj.get("users")
     if not isinstance(raw_users, list):
         raise DataError("'users' must be a list")
@@ -251,7 +251,7 @@ def oracle_prepare_sample(user, k_max, vocab_size):
         user_id=user.user_id,
         universe=universe,
         membership=membership,
-        target_ids=np.array(user.target, dtype=np.int64),
+        target_ids=np.array(user.sets[-1], dtype=np.int64),
         vocab_size=vocab_size,
     )
 

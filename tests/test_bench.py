@@ -28,6 +28,8 @@ def test_bench_inference_refuses_an_empty_batch():
     samples = synthetic_samples(5, 3, 20, 2, seed=1)
     with pytest.raises(PietspError, match="every case needs a batch of at least one sample"):
         bench_inference(samples, params, runs=6, batch_size=0)
+    with pytest.raises(PietspError, match="^bench_inference: no samples$"):
+        bench_inference([], params, runs=6)
 
 
 def test_synthetic_samples_reject_universe_larger_than_vocab():
@@ -82,6 +84,11 @@ def test_measure_axis_shapes():
     assert [r.n_max for r in reports] == [8, 16]
     table = format_table(reports)
     assert "samples/sec" in table and len(table.splitlines()) == 3
+
+
+def test_measure_axis_refuses_an_unknown_axis():
+    with pytest.raises(PietspError, match="^unknown axis 'd'$"):
+        measure_axis("d", [8, 16])
 
 
 def test_measure_axis_runs_round_robin(monkeypatch):

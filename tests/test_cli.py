@@ -1,4 +1,5 @@
 import json
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 import pietsp.train
 from oracle import oracle_checkpoint_bytes
 from pietsp.checkpoint import MAGIC, load_checkpoint, save_checkpoint
-from pietsp.cli import TRAIN_SETTINGS, main
+from pietsp.cli import TRAIN_SETTINGS, _set_thread_env, main
 from pietsp.data import load_corpus, prepare_all
 from pietsp.metrics import top_k
 from pietsp.model import forward
@@ -311,6 +312,17 @@ def test_convert_csv_roundtrip(tmp_path, capsys):
     assert vocab["items"] == ["a", "b", "c"]
 
 
+def test_convert_reads_a_json_dump_by_its_suffix(tmp_path, capsys):
+    raw = tmp_path / "dump.json"
+    raw.write_text(json.dumps({"u1": [["a"], ["b", "a"]], "u2": [["c"], ["a"]]}))
+    out = tmp_path / "corpus.json"
+    assert run_cli("convert", "--input", str(raw), "--out", str(out)) == 0
+    assert "converted 2 users, vocabulary 3" in capsys.readouterr().out
+    assert json.loads(out.read_text()) == {"vocab_size": 3, "users": [{"user_id": "u1", "sets": [[0], [0, 1]]},
+                                                                      {"user_id": "u2", "sets": [[2], [0]]}]}
+    assert json.loads((tmp_path / "vocab.json").read_text()) == {"items": ["a", "b", "c"]}
+
+
 def test_convert_prints_the_skipped_rows(tmp_path, capsys):
     raw = tmp_path / "raw.csv"
     raw.write_text("user,order,item\nu,1,p\nu,2,\nu,2,q\nu,3\n")
@@ -460,6 +472,45 @@ def test_config_key_that_no_setting_reads_is_refused_by_name(tmp_path, synthetic
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["train", "bench"])
+def test_a_config_that_is_not_an_object_is_one_line(tmp_path, synthetic_file, capsys, command):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps([["dim", 8]]))
+    out = tmp_path / "run"
+    assert run_cli(command, "--config", str(config), "--data", str(synthetic_file), "--out", str(out),
+                   *(["--ckpt", str(config)] if command == "bench" else [])) == 1
+    assert capsys.readouterr().err == f"pietsp {command}: {config}: settings must be a JSON object\n"
+    assert not out.exists()
+
+
+def test_train_without_data_exits_2(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert run_cli("train", "--out", str(out)) == 2
+    assert capsys.readouterr().err == "train: --data is required\n"
+    assert not out.exists()
+
+
+def test_train_prints_what_the_load_dropped(tmp_path, synthetic_file, capsys):
+    raw = json.loads(synthetic_file.read_text())
+    raw["users"][0]["sets"][0] += raw["users"][0]["sets"][0][:1]  # one duplicate id
+    raw["users"][1]["sets"].insert(1, [])  # one empty set
+    raw["users"].append({"user_id": "one-set", "sets": [[0, 1]]})  # one user without history
+    data = tmp_path / "dropped.json"
+    data.write_text(json.dumps(raw))
+    assert run_cli("train", "--data", str(data), "--out", str(tmp_path / "run"),
+                   "--epochs", "1", "--patience", "1", "--dim", "4") == 0
+    assert capsys.readouterr().out.startswith("load: kept 30 users (dropped 1 users, 1 empty sets, 1 duplicate ids)\n")
+
+
+def test_pietsp_threads_fills_in_only_the_unset_blas_variables(monkeypatch):
+    monkeypatch.setenv("PIETSP_THREADS", "3")
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    _set_thread_env()
+    assert [os.environ[v] for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")] == ["1", "3", "3"]
+
+
 @pytest.mark.parametrize("saved", [10, 5])
 def test_resume_accepts_early_stop_k_only_at_ten(tmp_path, trained, synthetic_file, capsys, saved):
     run = tmp_path / "run"
@@ -493,6 +544,15 @@ def test_bench_grid_axis_without_values_is_an_error(capsys):
     assert run_cli("bench", "--grid", "N=", "--runs", "5", "--batch", "4") == 1
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == "pietsp bench: grid axis 'N' has no values\n"
+
+
+@pytest.mark.parametrize("grid, error", [("N=4 K", "bad grid clause 'K' (expected KEY=v1,v2,...)"),
+                                         ("N=4;B=2", "unknown grid key 'B' (N, K, E, D)")],
+                         ids=["no-equals", "unknown-key"])
+def test_bench_grid_clause_it_cannot_read_is_one_line(capsys, grid, error):
+    assert run_cli("bench", "--grid", grid, "--runs", "5", "--batch", "4") == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"pietsp bench: {error}\n"
 
 
 def test_bench_grid_shapes_take_turns(monkeypatch, capsys):

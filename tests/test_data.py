@@ -2,6 +2,7 @@ import copy
 import csv
 import json
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -103,8 +104,17 @@ def test_corpus_roundtrip(tmp_path):
 
 def test_load_rejects_bool_vocab_size():
     for flag in (True, False):
-        with pytest.raises(DataError, match=f"vocab_size must be a positive integer, got {flag}"):
+        with pytest.raises(DataError, match=rf"vocab_size must be a positive integer below 2\*\*63, got {flag}"):
             parse_corpus({"vocab_size": flag, "users": [{"user_id": "a", "sets": [[0], [0]]}]})
+
+
+@pytest.mark.parametrize("raw, error", [([], "corpus root must be an object"),
+                                        ({"vocab_size": 3, "users": {"a": [[0], [1]]}}, "'users' must be a list")],
+                         ids=["root", "users"])
+def test_load_refuses_a_root_or_users_that_is_the_wrong_json_type(raw, error):
+    with pytest.raises(DataError, match=f"^{error}$"):
+        parse_corpus(raw)
+    assert _outcome(oracle_parse_corpus, raw) == (DataError, error)
 
 
 @pytest.mark.parametrize("first, second", [("a", "a"), (7, "7")])
@@ -197,7 +207,7 @@ _BAD_IDS = [True, False, 1.0, 0.5, "1", None, -1, -(2**64), 2**63, 2**64, [0], "
 _BAD_SETS = [{}, {"0": 1}, "ab", (0,), 3, None]
 _BAD_USERS = [[], "u", None, 5, {"user_id": "x"}, {"sets": [[0], [0]]}]
 _BAD_SETS_FIELDS = [{}, "", "ab", 3, None, ([0], [0])]
-_BAD_VOCAB = [True, False, 0, -1, 2.0, "5", None]
+_BAD_VOCAB = [True, False, 0, -1, 2.0, "5", None, 2**63, 2**70]
 
 
 @st.composite
@@ -238,6 +248,7 @@ def bad_corpora(draw):
 @settings(max_examples=120)
 @given(bad_corpora())
 @example({"vocab_size": 4, "users": [{"user_id": "a", "sets": [[1, 0], [3, 2**64]]}]})
+@example({"vocab_size": 2**70, "users": [{"user_id": "a", "sets": [[0], [2**65]]}]})  # loaded, then overflowed in prepare_all
 @example({"vocab_size": 4, "users": [{"user_id": "a", "sets": [[0], [1]]}, {"user_id": "a", "sets": [[9]]}]})
 @example({"vocab_size": 4, "users": [{"user_id": "a", "sets": [[0], [5]]}, {"user_id": "a", "sets": [[0]]}]})
 def test_bad_corpora_raise_the_oracles_error(raw):
@@ -412,6 +423,24 @@ def test_synthetic_rejects_tiny_vocab():
         gen_synthetic(SyntheticSpec(users=1, vocab_size=5, pattern="periodic", seed=0))
 
 
+# one field of a drawable repeat-biased spec (pool_size 10) changed, and the refusal that names it
+SYNTHETIC_REFUSALS = [
+    ("pattern", "cyclic", "unknown synthetic pattern 'cyclic'"),
+    ("users", 0, "synthetic corpora need at least one user, got 0"),
+    ("history_len", 0, "history_len must be >= 1"),
+    ("repeat_prob", 1.5, "repeat_prob must lie in [0, 1], got 1.5"),
+    ("repeat_prob", -0.1, "repeat_prob must lie in [0, 1], got -0.1"),
+    ("basket_max", 11, "basket_max cannot exceed pool_size for repeat-biased corpora"),
+]
+
+
+@pytest.mark.parametrize("field, value, error", SYNTHETIC_REFUSALS, ids=[f"{f}={v}" for f, v, _ in SYNTHETIC_REFUSALS])
+def test_synthetic_refuses_a_spec_it_cannot_draw(field, value, error):
+    spec = SyntheticSpec(users=3, vocab_size=40, pattern="repeat-biased", seed=0)
+    with pytest.raises(DataError, match=f"^{re.escape(error)}$"):
+        gen_synthetic(replace(spec, **{field: value}))
+
+
 def test_repeat_biased_pool_rate_monte_carlo():
     # ~0.8 of generated item incidences come from the user's personal pool
     spec = SyntheticSpec(
@@ -454,6 +483,13 @@ def test_convert_table_missing_column(tmp_path):
     raw = tmp_path / "raw.csv"
     raw.write_text("a,b\n1,2\n")
     with pytest.raises(DataError, match="missing column"):
+        convert_table(raw, "user", "order", "item")
+
+
+def test_convert_table_refuses_an_empty_file(tmp_path):
+    raw = tmp_path / "raw.csv"
+    raw.write_text("")
+    with pytest.raises(DataError, match=f"^{re.escape(str(raw))}: empty file$"):
         convert_table(raw, "user", "order", "item")
 
 

@@ -112,7 +112,9 @@ def test_row_capped_minibatch_matches_per_user_oracle():
     assert max_slot_delta(grads, want) <= 1e-12
 
 
-@pytest.mark.parametrize("bad_universe,message", [([2, 5, 2], "duplicate"), ([1, 40], "outside")])
+@pytest.mark.parametrize("bad_universe,message", [([2, 5, 2], "duplicate"), ([1, 40], "outside"),
+                                                  ([], r"non-empty 1-D id array, got shape \(0,\)"),
+                                                  ([[1, 2]], r"non-empty 1-D id array, got shape \(1, 2\)")])
 def test_train_and_evaluate_name_the_user_with_a_bad_universe(bad_universe, message):
     params = init_params(40, 4, 3, seed=1)
     samples = synthetic_samples(5, 3, 40, 6, seed=2)

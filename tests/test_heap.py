@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import pietsp
+from pietsp import heap
 from pietsp.heap import keep_freed_heap
 
 GLIBC = sys.platform.startswith("linux") and platform.libc_ver()[0] == "glibc"
@@ -65,3 +66,22 @@ print(max(faults))
     done = subprocess.run([sys.executable, "-c", script, str(tmp_path / "ck.json")], env=env,
                           capture_output=True, text=True, check=True)
     assert int(done.stdout) < 50
+
+
+class _Musl:
+    """A C library without glibc's ``gnu_get_libc_version``."""
+
+
+def _no_libc(name):
+    raise OSError(f"{name}: cannot open shared object file")
+
+
+@pytest.mark.parametrize("platform_name, cdll",
+                         [("darwin", None), ("linux", _no_libc), ("linux", lambda name: _Musl())],
+                         ids=["not-linux", "no-libc", "not-glibc"])
+def test_the_thresholds_are_left_alone_off_glibc(monkeypatch, platform_name, cdll):
+    # the uncached function: the process's own call has already set the thresholds
+    monkeypatch.setattr(heap.sys, "platform", platform_name)
+    if cdll is not None:
+        monkeypatch.setattr(heap.ctypes, "CDLL", cdll)
+    assert keep_freed_heap.__wrapped__() is False

@@ -84,6 +84,11 @@ def test_top_k_rows_equals_top_k_row_by_row(seed, users, n, k, tied):
         assert list(top_k(row, k)) == want
 
 
+def test_top_k_refuses_a_2d_block():
+    with pytest.raises(MetricError, match=r"^top_k expects a 1-D score vector, got shape \(2, 4\)$"):
+        top_k(np.zeros((2, 4)), 2)
+
+
 def test_top_k_rows_rejects_bad_input():
     with pytest.raises(MetricError):
         top_k_rows(np.zeros(4), 2)

@@ -3,10 +3,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradcheck import analytic_gradient, check_all_slots, fd_gradient_slot, make_instance, relative_error
+from gradcheck import (
+    analytic_gradient,
+    check_all_slots,
+    check_branch,
+    fd_gradient_slot,
+    make_batch_instance,
+    make_instance,
+    relative_error,
+)
 from pietsp import model
 from pietsp.bench import synthetic_samples
 from pietsp.data import PreparedSample
+from pietsp.errors import PietspError
 from pietsp.linalg import NumericsError, ShapeError, elu
 from pietsp.metrics import top_k, top_k_rows
 from pietsp.model import (
@@ -73,6 +82,13 @@ def test_param_dims_properties():
     p = init_params(33, 7, 5, seed=0)
     assert (p.vocab_size, p.dim, p.k_max) == (33, 7, 5)
     assert {name: arr.shape for name, arr in p.slots()} == param_shapes(33, 7, 5)
+
+
+@pytest.mark.parametrize("dims", [(0, 7, 5), (33, 0, 5), (33, 7, 0), (33, 7, -1)])
+def test_init_refuses_a_non_positive_dimension(dims):
+    vocab, dim, k_max = dims
+    with pytest.raises(PietspError, match=rf"^bad model dims: vocab={vocab} dim={dim} k_max={k_max}$"):
+        init_params(vocab, dim, k_max, seed=0)
 
 
 # --- individual blocks ----------------------------------------------------------
@@ -274,6 +290,13 @@ def test_the_one_set_segments_are_shared_and_read_only():
         segs.counts = np.array([3])
 
 
+def test_forward_refuses_an_unknown_variant():
+    params = init_params(20, 4, 3, seed=0)
+    batch = make_batch(synthetic_samples(4, 3, 20, 2, seed=1), 20)
+    with pytest.raises(PietspError, match=r"^unknown variant 'no-pi', expected one of \('full', 'no-ee', 'no-ge'\)$"):
+        forward_batch(batch, params, "no-pi")
+
+
 def test_forward_deterministic():
     params = init_params(50, 8, 3, seed=19)
     sample = synthetic_samples(5, 3, 50, 1, seed=20)[0]
@@ -410,6 +433,18 @@ def test_backward_matches_finite_differences_every_slot():
         assert fd_max > 1e-7, f"slot '{slot}' has an all-zero finite-difference gradient"
 
 
+@pytest.mark.parametrize("users, shape", [(3, (3, 13)), (3, (12,)), (3, (2, 12)), (1, (13,)), (1, (2, 12))])
+def test_backward_refuses_d_logits_of_the_wrong_shape(users, shape):
+    # the logits of a call are (B, |E|) = (users, 12); one user's may also come as (|E|,)
+    params = init_params(12, 5, 3, seed=0)
+    trace = forward_batch(make_batch(synthetic_samples(4, 3, 12, users, seed=1), 12), params)
+    grads = params.zeros_like()
+    want = rf"^backward: d_logits \({', '.join(map(str, shape))},?\) vs logits \({users}, 12\)$"
+    with pytest.raises(ShapeError, match=want):
+        backward(trace, params, np.zeros(shape), grads)
+    assert not grads.flat.any()
+
+
 def test_backward_zero_upstream_gives_zero_grads():
     sample, params, _ = make_instance(start_seed=50)
     grads = analytic_gradient(sample, params, np.zeros(params.vocab_size))
@@ -453,3 +488,12 @@ def test_backward_variants_match_finite_differences():
 def test_backward_gradcheck_second_instance():
     sample, params, d_logits = make_instance(vocab=15, dim=4, k_max=2, n_elements=6, start_seed=200)
     check_all_slots(sample, params, d_logits, tol=1e-5)
+
+
+@pytest.mark.parametrize("branch", ["element", "global", "equivariant"])
+def test_backward_branch_matches_finite_differences(branch):
+    # one engine call of three users whose universes overlap: each branch on its own, every slot it
+    # writes and the gradient it hands on, against finite differences of its own forward layers
+    samples, params, d_logits = make_batch_instance(vocab=12, dim=5, k_max=3, sizes=(3, 5, 8), start_seed=400)
+    results = check_branch(branch, samples, params, d_logits)
+    assert len(results) == {"element": 6, "global": 9, "equivariant": 4}[branch]

@@ -8,7 +8,7 @@ import pytest
 from oracle import logistic, oracle_checkpoint_bytes, softplus
 from pietsp import seeding, train
 from pietsp.checkpoint import load_checkpoint, save_checkpoint
-from pietsp.data import PreparedSample, SyntheticSpec, gen_synthetic, prepare_all, split_users
+from pietsp.data import Corpus, PreparedSample, SyntheticSpec, gen_synthetic, prepare_all, split_users
 from pietsp.errors import PietspError
 from pietsp.linalg import NumericsError
 from pietsp.metrics import MetricError
@@ -136,6 +136,12 @@ def test_train_epoch_reuses_one_gradient_buffer_zeroed_and_averaged_per_step(mon
         assert np.array_equal(got, want.flat), step
 
 
+def test_train_epoch_refuses_no_samples():
+    _, params = _samples_and_model(1)
+    with pytest.raises(PietspError, match="^train_epoch: no samples$"):
+        train_epoch([], params, AdamState.init(params), TrainConfig(), epoch=0)
+
+
 def test_train_epoch_deterministic():
     runs = []
     for _ in range(2):
@@ -247,13 +253,15 @@ def test_config_rejects_a_bad_batch_size(value):
         TrainConfig(batch_size=value)
 
 
-# values TrainConfig once coerced or let through, and the error that names each field
+# values TrainConfig refuses (most it once coerced or let through), and the error that names each field
 BAD_SETTINGS = [("seed", 1.5), ("seed", "3"), ("seed", True),
                 ("k_list", [10.7]), ("k_list", [10, True]), ("k_list", 10),
-                ("split_ratios", "abc"), ("split_ratios", [0.5, 0.5]), ("split_ratios", [0.7, 0.1, "0.2"])]
+                ("split_ratios", "abc"), ("split_ratios", [0.5, 0.5]), ("split_ratios", [0.7, 0.1, "0.2"]),
+                ("variant", "x")]
 BAD_SETTING_ERRORS = {"seed": "seed must be an integer, got",
                       "k_list": "k_list must be non-empty and its entries integers of at least 1: got",
-                      "split_ratios": "split_ratios must be three numbers, got"}
+                      "split_ratios": "split_ratios must be three numbers, got",
+                      "variant": "unknown variant"}
 
 
 @pytest.mark.parametrize("field,value", BAD_SETTINGS, ids=[f"{f}={v!r}" for f, v in BAD_SETTINGS])
@@ -308,6 +316,17 @@ def test_evaluate_skips_empty_targets():
     report = evaluate([emptied] + samples[1:], params, (10,))
     assert report.users_skipped == 1
     assert report.users_evaluated == 3
+
+
+@pytest.mark.parametrize("k_list, targets, error", [((), 1, "evaluate: empty k_list"),
+                                                    ((10,), 0, "evaluate: no users with non-empty targets")],
+                         ids=["no-k", "no-target"])
+def test_evaluate_refuses_no_k_or_no_user_with_a_target(k_list, targets, error):
+    samples, params = _samples_and_model(3)
+    samples = [PreparedSample(s.user_id, s.universe, s.membership, s.target_ids[:targets], s.vocab_size)
+               for s in samples]
+    with pytest.raises(PietspError, match=f"^{error}$"):
+        evaluate(samples, params, k_list)
 
 
 # --- fit / early stopping ----------------------------------------------------------
@@ -380,6 +399,31 @@ def test_fit_history_records_lr_and_loss():
     assert [h["epoch"] for h in result.history] == [0, 1, 2]
     assert result.history[0]["lr"] == cosine_lr(0, 3, cfg.base_lr)
     assert all("train_loss" in h and "val_ndcg@10" in h for h in result.history)
+
+
+@pytest.mark.parametrize("fault, error", [("no-train-users", "train and validation corpora must be non-empty"),
+                                          ("no-val-users", "train and validation corpora must be non-empty"),
+                                          ("other-vocab", "train/validation vocabularies disagree")])
+def test_fit_refuses_an_empty_corpus_or_two_vocabularies(fault, error):
+    train_c, val_c, _ = _split_periodic()
+    if fault == "no-train-users":
+        train_c = Corpus(train_c.vocab_size, ())
+    elif fault == "no-val-users":
+        val_c = Corpus(val_c.vocab_size, ())
+    else:
+        val_c = Corpus(val_c.vocab_size + 1, val_c.users)
+    with pytest.raises(PietspError, match=f"^fit: {error}$"):
+        fit(train_c, val_c, TrainConfig(dim=8, max_epochs=2, patience=1))
+
+
+@pytest.mark.parametrize("state", ["neither", "optimizer-only"])
+def test_resume_refuses_a_checkpoint_without_training_state(tmp_path, state):
+    # a checkpoint that ``fit`` did not write as its latest (``save_checkpoint`` of bare parameters)
+    params = init_params(60, 8, 4, seed=0)
+    path = tmp_path / "bare.json"
+    save_checkpoint(path, params, opt_state=AdamState.init(params) if state == "optimizer-only" else None)
+    with pytest.raises(PietspError, match=f"^{re.escape(str(path))}: checkpoint has no training state to resume$"):
+        train.resumable_checkpoint(path, TrainConfig(dim=8))
 
 
 def test_resume_rejects_mismatched_config(tmp_path):
