@@ -160,9 +160,17 @@ def _cmd_train(args) -> int:
     return 0
 
 
+def _at_least_one(flag: str, values) -> None:
+    """Refuse a rank count below 1 by its flag, before any checkpoint or corpus is read."""
+    for value in values:
+        if value < 1:
+            raise ValueError(f"{flag} must be at least 1, got {value}")
+
+
 def _cmd_eval(args) -> int:
     from .train import evaluate
 
+    _at_least_one("--k", args.k or ())
     ck, config, samples = _load_users(args, args.split)
     k_list = tuple(args.k) if args.k else config.k_list
     report = evaluate(samples, ck.params, k_list, config.variant)
@@ -178,6 +186,7 @@ def _cmd_predict(args) -> int:
     from .metrics import top_k_rows
     from .model import batch_slices, forward_batch, make_batch
 
+    _at_least_one("--top", (args.top,))
     ck, config, samples = _load_users(args, args.split)
     lines = []
     for users in batch_slices(samples):

@@ -3,7 +3,12 @@
 One ranking rule and one metric function.  ``top_k_rows`` ranks a (B, |E|)
 score block, as ``evaluate`` and ``pietsp predict`` do once per engine call;
 ``top_k`` makes the same pick on one score vector (a single request:
-``forward`` then ``top_k``) without the block's row indexing.
+``forward`` then ``top_k``) without the block's row indexing.  Both rank
+a wide block (n >= 128 max(k, 32) columns) from a bound: each row's k-th
+largest group maximum, below which none of its k highest scores lies, so
+only the scores at or above it are sorted.  Narrower blocks, and blocks with
+many ties at that bound, take one argpartition instead; the two paths give
+the same ids.
 ``hit_metrics`` scores a block of rankings from their hits in rank order:
 ``evaluate`` sums its rows, and ``recall_at_k`` and ``ndcg_at_k`` are its
 one-row calls.
@@ -27,12 +32,57 @@ class MetricError(PietspError):
 
 HOLDS_NAN = "top_k_rows: the scores hold NaN"
 
+# Ids per group of the bound pick.  A row of n scores is m = n // BOUND_GROUP groups, and a block takes the
+# pick when m >= 4 max(k, BOUND_GROUP), i.e. n >= 128 max(k, 32).  Measured at k = 40 on one core of a
+# 2-core x86_64 VM (normal scores, pick against argpartition): 0.66 against 1.62 ms at 37 x 12,000 and
+# 1.45 against 3.41 ms at 64 x 12,000.  The BOUND_GROUP term is one vector's crossover: the pick's dozen
+# numpy calls cost ~15 us, so one row gains only from n ~ 5,000 (1 us slower at 4,096; 22 against 33 us at
+# 12,000, k = 10); it also keeps the leftover ids fewer than the groups.  The 4k term keeps blocks with few
+# groups per pick on argpartition, where the bound loosens (~70 candidates a row at m = 64 on the `wide`
+# workload's logits, ~45 at m = 375 on `large-vocab`'s); forced at 64 x 2,048 the pick still measured
+# faster (0.52 against 0.61 ms; 0.79 against 1.01 ms on `wide` logits), so the term is conservative.
+BOUND_GROUP = 32
+
+
+def _bound_candidates(scores: np.ndarray, k: int) -> np.ndarray | None:
+    """Flat positions (row * n + id, ascending) of the scores at or above each row's group-maximum bound.
+
+    Group j of a row holds ids j, j + m, ..., j + (BOUND_GROUP - 1) m, the (B, BOUND_GROUP, m) view of
+    the first BOUND_GROUP * m columns, so the group maxima are one contiguous pass; the fewer than
+    BOUND_GROUP leftover ids fold into the first groups.  k distinct scores reach a row's k-th largest
+    group maximum, so each of the row's k highest scores lies at or above that bound.  The maxima carry
+    every score, so a NaN anywhere raises ``MetricError``.  None sends the block to argpartition: it
+    has fewer than 4 max(k, BOUND_GROUP) groups per row, or more than 4Bk groups or scores reach their
+    row's bound (ties at it), counted before any is extracted.
+    """
+    rows_n, n = scores.shape
+    m = n // BOUND_GROUP
+    if m < 4 * max(k, BOUND_GROUP):
+        return None
+    body = BOUND_GROUP * m
+    group_max = scores[:, :body].reshape(rows_n, BOUND_GROUP, m).max(axis=1)
+    np.maximum(group_max[:, : n - body], scores[:, body:], out=group_max[:, : n - body])
+    if np.isnan(group_max).any():
+        raise MetricError(HOLDS_NAN)
+    # a sort, not a partition: introselect slows on many tied maxima (0.33 against 0.05 ms, frequency-like 64 x 12,000)
+    bound = np.sort(group_max, axis=1)[:, m - k, None]
+    # each group whose maximum reaches the bound holds a candidate, so its count is a cheap first check
+    if np.count_nonzero(group_max >= bound) > 4 * rows_n * k:
+        return None
+    above = scores >= bound
+    if np.count_nonzero(above) > 4 * rows_n * k:
+        return None
+    return np.flatnonzero(above)
+
 
 def top_k(scores: np.ndarray, k: int) -> np.ndarray:
     """Ids of the k highest scores, descending; ties broken by ascending id.
 
-    ``top_k_rows``'s pick on one score vector, without its block indexing:
-    one argpartition at n - k picks the k candidates and one lexsort orders
+    ``top_k_rows``'s pick on one score vector, without its block indexing.
+    A wide vector is one row of the bound pick, with the same NaN check and
+    tie guard: a stable sort by -score orders its candidates, which come in
+    ascending id order.  Otherwise, or when the guard declines, one
+    argpartition at n - k picks the k candidates and one lexsort orders
     them.  NaN sorts above every number, so a NaN score is picked, makes the
     lowest pick NaN and raises ``MetricError``.  When more than k scores lie
     at or above the lowest pick, a tie crosses the k-th place: those scores'
@@ -49,6 +99,9 @@ def top_k(scores: np.ndarray, k: int) -> np.ndarray:
             raise MetricError(HOLDS_NAN)
         idx = np.arange(n)
         return idx[np.lexsort((idx, -scores))]
+    ids = _bound_candidates(scores[None], k)
+    if ids is not None:  # ascending, so a stable sort keeps a tie's ids in order
+        return ids[(-scores[ids]).argsort(kind="stable")[:k]]
     idx = scores.argpartition(n - k)[n - k :]
     vals = scores[idx]
     lowest = vals.min()
@@ -64,12 +117,18 @@ def top_k(scores: np.ndarray, k: int) -> np.ndarray:
 def top_k_rows(scores: np.ndarray, k: int) -> np.ndarray:
     """(B, min(k, n)) ids of each row's k highest scores, descending; ties by ascending id.
 
-    One argpartition at n - k picks every row's k candidates (NaN sorts
-    above every number, so a row's NaN is picked and raises ``MetricError``)
-    and one lexsort orders them.  Where more than k scores lie at or above a
-    row's lowest pick, a tie crosses the k-th place and argpartition may have
-    kept the wrong tied ids: that row alone lexsorts those scores' ids by
-    (-score, id) and keeps the first k.
+    A block of n >= 128 max(k, 32) columns is ranked by the bound pick:
+    each row's k-th largest group maximum (``BOUND_GROUP`` ids a group)
+    bounds its k-th largest score from below, and one stable sort of each
+    row's scores at or above it, by -score in ascending id order, ranks them
+    (a NaN anywhere raises ``MetricError``).  Other blocks, and blocks where
+    more than 4Bk scores reach their row's bound, take argpartition: one at
+    n - k picks every row's k candidates (NaN sorts above every number, so a
+    row's NaN is picked and raises ``MetricError``) and one lexsort orders
+    them.  Where more than k scores lie at or above a row's lowest pick, a
+    tie crosses the k-th place and argpartition may have kept the wrong tied
+    ids: that row alone lexsorts those scores' ids by (-score, id) and keeps
+    the first k.
     """
     scores = np.asarray(scores)
     if scores.ndim != 2:
@@ -78,6 +137,17 @@ def top_k_rows(scores: np.ndarray, k: int) -> np.ndarray:
         raise MetricError(f"top_k_rows needs k >= 1, got {k}")
     n = scores.shape[1]
     k = min(k, n)
+    flat = _bound_candidates(scores, k)
+    if flat is not None:
+        # each row's candidates as -score, in ascending id order and padded after them with the largest
+        # -score: a stable sort of each row keeps a tie's ids in order and the padding last
+        rows, ids = np.divmod(flat, n)
+        per_row = np.bincount(rows, minlength=scores.shape[0])
+        starts = np.cumsum(per_row) - per_row
+        vals = -scores[rows, ids]
+        neg = np.full((scores.shape[0], per_row.max(initial=k)), vals.max(initial=0), dtype=vals.dtype)
+        neg[rows, np.arange(flat.size) - starts[rows]] = vals
+        return ids[starts[:, None] + neg.argsort(axis=1, kind="stable")[:, :k]]
     rows = np.arange(scores.shape[0])[:, None]
     if k == n:
         idx = np.broadcast_to(np.arange(n), scores.shape)

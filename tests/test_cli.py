@@ -380,6 +380,22 @@ def test_predict_top_zero_is_an_error(trained, synthetic_file, capsys):
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
+    assert captured.err == "pietsp predict: --top must be at least 1, got 0\n"
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["predict", "--top", "0"], "pietsp predict: --top must be at least 1, got 0"),
+    (["predict", "--top", "-2"], "pietsp predict: --top must be at least 1, got -2"),
+    (["eval", "--k", "0"], "pietsp eval: --k must be at least 1, got 0"),
+    (["eval", "--k", "10,-1,20"], "pietsp eval: --k must be at least 1, got -1"),
+], ids=["top-0", "top-negative", "k-0", "k-list"])
+def test_a_rank_count_below_one_is_refused_before_anything_loads(tmp_path, capsys, argv, error):
+    # neither file exists: a refusal that came after a load would name the missing file instead
+    code = run_cli(*argv, "--ckpt", str(tmp_path / "missing.ckpt"), "--data", str(tmp_path / "missing.json"))
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == error + "\n"
 
 
 def test_train_defaults_come_from_trainconfig(tmp_path, synthetic_file, monkeypatch):

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from pietsp.metrics import MetricError, MetricReport, hit_metrics, ndcg_at_k, phr, recall_at_k, top_k, top_k_rows
+from pietsp.metrics import (BOUND_GROUP, MetricError, MetricReport, _bound_candidates, hit_metrics, ndcg_at_k, phr,
+                            recall_at_k, top_k, top_k_rows)
 from reference_metrics import ref_hit, ref_ndcg, ref_rank_all, ref_recall
 
 
@@ -33,55 +34,126 @@ def test_top_k_rejects_bad_k():
         rank([1.0], 0)
 
 
+# a wide row of 20,013 = 32 * 625 + 13 scores is ranked by the bound pick: id 4,100 lies in a group's body,
+# id 20,005 among the 13 leftover ids folded into the first groups
 @pytest.mark.parametrize("k", [1, 2, 6, 9])
-@pytest.mark.parametrize("where", [0, 3, 5])
+@pytest.mark.parametrize("where", [0, 3, 5, 4_100, 20_005])
 def test_both_rankers_reject_nan_scores_for_every_k(where, k):
-    scores = np.arange(6.0)
+    n = 6 if where < 6 else 20_013
+    scores = np.arange(float(n))
     scores[where] = np.nan
     with pytest.raises(MetricError, match="NaN"):
         top_k(scores, k)
-    block = np.stack([np.arange(6.0), scores, -np.arange(6.0)])
+    block = np.stack([np.arange(float(n)), scores, -np.arange(float(n))])
     with pytest.raises(MetricError, match="NaN"):
         top_k_rows(block, k)
 
 
 # few distinct values (both zeros among them) force ties across the pick boundary
 TIED_VALUES = np.array([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0])
+KINDS = ("normal", "rounded", "tied", "equal", "neginf", "signed-zero", "group-tie")
+# narrow vectors take argpartition; wide ones (n >= BOUND_GROUP * 4 max(k, BOUND_GROUP)) the bound pick
+WIDTHS = st.one_of(st.integers(1, 200), st.integers(4_000, 20_000))
 
 
-@given(st.integers(0, 2**32 - 1), st.integers(1, 200), st.integers(1, 60), st.sampled_from(("rounded", "tied", "nan")))
+def draw_scores(rng, kind, n, k):
+    """One score vector of ``kind``; the last three put ties or -inf at a wide vector's group-maximum bound."""
+    if kind == "normal":
+        return rng.normal(size=n)
+    if kind == "rounded":
+        return np.round(rng.normal(size=n), 1)
+    if kind == "tied":
+        return rng.choice(TIED_VALUES, size=n)
+    if kind == "equal":
+        return np.full(n, 0.5)
+    if kind == "neginf":  # mostly -inf, with fewer or more than k finite scores
+        scores = np.full(n, -np.inf)
+        finite = rng.choice(n, min(n, int(rng.integers(0, 2 * k + 1))), replace=False)
+        scores[finite] = rng.normal(size=finite.size)
+        return scores
+    # a few scores above the k-th place and a tie at it: -0.0 and 0.0, or one value reached by more groups'
+    # maxima than the pick needs, so the k lowest tied ids may lie in any of those groups
+    scores = -1.0 - np.abs(rng.normal(size=n))
+    picked = rng.choice(n, min(n, k + int(rng.integers(1, k + 2))), replace=False)
+    tie = rng.choice([-0.0, 0.0], size=picked.size) if kind == "signed-zero" else 1.0
+    scores[picked] = tie
+    scores[picked[: int(rng.integers(0, k))]] = 2.0
+    return scores
+
+
+@given(st.integers(0, 2**32 - 1), WIDTHS, st.integers(1, 60), st.sampled_from(KINDS + ("nan",)))
 @example(seed=0, n=50, k=1, kind="tied")
 @example(seed=1, n=12, k=12, kind="tied")
 @example(seed=2, n=7, k=30, kind="tied")
 @example(seed=3, n=1, k=1, kind="nan")
 @example(seed=4, n=9, k=20, kind="nan")
+@example(seed=5, n=128 * 40 - 1, k=40, kind="rounded")
+@example(seed=6, n=128 * 40, k=40, kind="rounded")
+@example(seed=7, n=128 * 40, k=40, kind="group-tie")
+@example(seed=8, n=4 * BOUND_GROUP**2 - 1, k=10, kind="signed-zero")
+@example(seed=9, n=4 * BOUND_GROUP**2, k=10, kind="signed-zero")
+@example(seed=10, n=20_000, k=60, kind="nan")
 def test_top_k_matches_full_sort_reference(seed, n, k, kind):
     """Quantized scores force plenty of exact ties, the tied ones across the k-th place and between -0.0 and
-    0.0; a NaN anywhere raises, whether or not k covers every id."""
+    0.0; a NaN anywhere raises, whether or not k covers every id.  Wide vectors rank from the group-maximum
+    bound, with -inf, -0.0 and 0.0, or one value many groups reach, at that bound."""
     rng = np.random.default_rng(seed)
-    scores = rng.choice(TIED_VALUES, size=n) if kind == "tied" else np.round(rng.normal(size=n), 1)
     if kind == "nan":
+        scores = rng.normal(size=n)
         scores[rng.integers(n)] = np.nan
         with pytest.raises(MetricError, match="NaN"):
             top_k(scores, k)
     else:
+        scores = draw_scores(rng, kind, n, k)
         assert list(top_k(scores, k)) == ref_rank_all(scores)[: min(k, n)]
 
 
-@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 40), st.integers(1, 50), st.booleans())
-@example(seed=0, users=3, n=1, k=1, tied=True)
-@example(seed=1, users=4, n=12, k=1, tied=True)
-@example(seed=2, users=2, n=12, k=12, tied=True)
-@example(seed=3, users=5, n=9, k=30, tied=False)
-def test_top_k_rows_equals_top_k_row_by_row(seed, users, n, k, tied):
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6), WIDTHS, st.integers(1, 50), st.sampled_from(KINDS + ("mixed",)))
+@example(seed=0, users=3, n=1, k=1, kind="tied")
+@example(seed=1, users=4, n=12, k=1, kind="tied")
+@example(seed=2, users=2, n=12, k=12, kind="tied")
+@example(seed=3, users=5, n=9, k=30, kind="normal")
+@example(seed=4, users=4, n=128 * 40 - 1, k=40, kind="group-tie")
+@example(seed=5, users=4, n=128 * 40, k=40, kind="group-tie")
+@example(seed=6, users=3, n=128 * 40, k=40, kind="signed-zero")
+@example(seed=7, users=5, n=20_000, k=50, kind="mixed")
+def test_top_k_rows_equals_top_k_row_by_row(seed, users, n, k, kind):
+    """"mixed" draws each row's kind, so one tie-heavy row can send a wide block to argpartition."""
     rng = np.random.default_rng(seed)
-    block = rng.choice(TIED_VALUES, size=(users, n)) if tied else rng.normal(size=(users, n))
+    block = np.stack([draw_scores(rng, rng.choice(KINDS) if kind == "mixed" else kind, n, k) for _ in range(users)])
     ranked = top_k_rows(block, k)
     assert ranked.shape == (users, min(k, n))
     for row, ids in zip(block, ranked):
         want = ref_rank_all(row)[:k]
         assert list(ids) == want
         assert list(top_k(row, k)) == want
+
+
+@pytest.mark.parametrize("users", [1, 5])
+def test_the_bound_pick_takes_wide_blocks_and_declines_ties_at_the_bound(users):
+    """A normal wide block is ranked from few candidates; a block with too few groups per row, or one where
+    every score ties at its row's bound, goes to argpartition before a candidate is extracted.  The bound is
+    the k-th largest group maximum itself: over ascending scores it admits exactly the k highest."""
+    rng = np.random.default_rng(users)
+    k = 40
+    ascending = np.tile(np.arange(128.0 * k), (users, 1))
+    assert list(_bound_candidates(ascending, k) % (128 * k)) == list(range(127 * k, 128 * k)) * users
+    wide = rng.normal(size=(users, 128 * k))
+    flat = _bound_candidates(wide, k)
+    assert flat is not None and users * k <= flat.size <= 4 * users * k
+    assert _bound_candidates(wide[:, :-1], k) is None
+    equal = np.zeros((users, 20_000))
+    assert _bound_candidates(equal, k) is None
+    assert list(top_k_rows(equal, k)[-1]) == list(range(k))
+    # k groups whose every member ties at the bound: only k groups a row reach it, but 32k scores do
+    striped = -1.0 - np.abs(rng.normal(size=(users, 128 * k)))
+    striped.reshape(users, BOUND_GROUP, 4 * k)[:, :, :k] = 1.0
+    assert _bound_candidates(striped, k) is None
+    assert [list(ids) for ids in top_k_rows(striped, k)] == [ref_rank_all(row)[:k] for row in striped]
+    # integers beyond 2**53 keep their order: the candidates are sorted in the block's own dtype
+    counts = 2**60 + rng.integers(0, 5_000, size=(users, 128 * k))
+    assert _bound_candidates(counts, k) is not None
+    assert [list(ids) for ids in top_k_rows(counts, k)] == [ref_rank_all(row)[:k] for row in counts]
 
 
 def test_top_k_refuses_a_2d_block():
