@@ -3,12 +3,10 @@
 One ranking rule and one metric function.  ``top_k_rows`` ranks a (B, |E|)
 score block, as ``evaluate`` and ``pietsp predict`` do once per engine call;
 ``top_k`` makes the same pick on one score vector (a single request:
-``forward`` then ``top_k``) without the block's row indexing.  Both rank
-a wide block (n >= 128 max(k, 32) columns) from a bound: each row's k-th
-largest group maximum, below which none of its k highest scores lies, so
-only the scores at or above it are sorted.  Narrower blocks, and blocks with
-many ties at that bound, take one argpartition instead; the two paths give
-the same ids.
+``forward`` then ``top_k``) without the block's row indexing.  Both take,
+from ``_candidates``, each row's scores at or above its k-th largest group
+maximum, below which none of its k highest scores lies, and order them with
+one stable sort by -score in ascending id order.
 ``hit_metrics`` scores a block of rankings from their hits in rank order:
 ``evaluate`` sums its rows, and ``recall_at_k`` and ``ndcg_at_k`` are its
 one-row calls.
@@ -30,140 +28,104 @@ class MetricError(PietspError):
     """A metric was asked to score an invalid instance (e.g. empty truth)."""
 
 
-HOLDS_NAN = "top_k_rows: the scores hold NaN"
+HOLDS_NAN = "{}: the scores hold NaN"
 
-# Ids per group of the bound pick.  A row of n scores is m = n // BOUND_GROUP groups, and a block takes the
-# pick when m >= 4 max(k, BOUND_GROUP), i.e. n >= 128 max(k, 32).  Measured at k = 40 on one core of a
-# 2-core x86_64 VM (normal scores, pick against argpartition): 0.66 against 1.62 ms at 37 x 12,000 and
-# 1.45 against 3.41 ms at 64 x 12,000.  The BOUND_GROUP term is one vector's crossover: the pick's dozen
-# numpy calls cost ~15 us, so one row gains only from n ~ 5,000 (1 us slower at 4,096; 22 against 33 us at
-# 12,000, k = 10); it also keeps the leftover ids fewer than the groups.  The 4k term keeps blocks with few
-# groups per pick on argpartition, where the bound loosens (~70 candidates a row at m = 64 on the `wide`
-# workload's logits, ~45 at m = 375 on `large-vocab`'s); forced at 64 x 2,048 the pick still measured
-# faster (0.52 against 0.61 ms; 0.79 against 1.01 ms on `wide` logits), so the term is conservative.
+# The most ids in a group of the bound.  A row of n scores is cut into m = n // g groups of
+# g = min(BOUND_GROUP, n // (4 max(k, BOUND_GROUP))) ids, g = 1 (the row itself) below n = 8 max(k, 32),
+# so a row with g > 1 keeps m >= 4 max(k, 32) groups.  From m ~ 4k on, the bound admits ~k candidates a
+# row; more groups only add sort time, and fewer let it admit many more than k.  Measured against
+# fixed g on one core of a 2-core x86_64 VM (normal scores, best of 31 interleaved rounds):
+# - one vector, k = 10: g = 1 wins up to n ~ 512 (7.9 us against 8.7 at g = 4), where a group pass
+#   costs more than it saves; the rule's g is within noise of the best from n = 1,024 (9.1 us) and
+#   gains from there (10.1 against 14.5 us at g = 1 for n = 2,048; 16.1 against 59.8 at 12,000).
+# - 64 x n blocks, k = 40: the best g leaves 128 - 375 groups a row, and the rule's g is within 14 % of
+#   it (164 us at n = 217, 272 against 248 at 512, 324 against 285 at 1,024, 430 against 385 at 2,048,
+#   635 against 590 at 4,096, 1.00 ms at 12,000 with g = 32 best).
+# m >= 128 > BOUND_GROUP also leaves the fewer than g leftover ids fewer than the groups they fold into.
 BOUND_GROUP = 32
 
 
-def _bound_candidates(scores: np.ndarray, k: int) -> np.ndarray | None:
-    """Flat positions (row * n + id, ascending) of the scores at or above each row's group-maximum bound.
+def _group_size(n: int, k: int) -> int:
+    """Ids per group of a row of n scores ranked at k (see ``BOUND_GROUP``)."""
+    return max(1, min(BOUND_GROUP, n // (4 * max(k, BOUND_GROUP))))
 
-    Group j of a row holds ids j, j + m, ..., j + (BOUND_GROUP - 1) m, the (B, BOUND_GROUP, m) view of
-    the first BOUND_GROUP * m columns, so the group maxima are one contiguous pass; the fewer than
-    BOUND_GROUP leftover ids fold into the first groups.  k distinct scores reach a row's k-th largest
-    group maximum, so each of the row's k highest scores lies at or above that bound.  The maxima carry
-    every score, so a NaN anywhere raises ``MetricError``.  None sends the block to argpartition: it
-    has fewer than 4 max(k, BOUND_GROUP) groups per row, or more than 4Bk groups or scores reach their
-    row's bound (ties at it), counted before any is extracted.
+
+def _candidates(scores: np.ndarray, k: int, ranker: str) -> np.ndarray:
+    """Flat positions (row * n + id, ascending) of every score that can reach its row's k highest.
+
+    Group j of a row holds ids j, j + m, ..., j + (g - 1) m, m = n // g, g = ``_group_size(n, k)``: the
+    (B, g, m) view of the first g m columns, so the group maxima are one contiguous pass; the fewer than g
+    leftover ids fold into the first groups (m >= 128 > g when g > 1).  g = 1 is the row itself.  The scores
+    of k distinct ids reach a row's k-th largest group maximum, so each of the row's k highest scores lies
+    at or above that bound; a row has fewer than k groups only when g = 1 and k > n, and then its bound is
+    its least score.  NaN sorts last, so the maxima's last sorted value finds a NaN anywhere and raises
+    ``MetricError`` in the words of ``ranker``, as does k < 1.  When the block has more than 4Bk
+    candidates, each row with more than 4k of them keeps its scores above the bound (at most
+    (g + 1)(k - 1): they lie in fewer than k groups) and its k lowest ids at the bound, which are the tied
+    ids a ranking takes.
     """
+    if k < 1:
+        raise MetricError(f"{ranker} needs k >= 1, got {k}")
     rows_n, n = scores.shape
-    m = n // BOUND_GROUP
-    if m < 4 * max(k, BOUND_GROUP):
-        return None
-    body = BOUND_GROUP * m
-    group_max = scores[:, :body].reshape(rows_n, BOUND_GROUP, m).max(axis=1)
-    np.maximum(group_max[:, : n - body], scores[:, body:], out=group_max[:, : n - body])
-    if np.isnan(group_max).any():
-        raise MetricError(HOLDS_NAN)
+    g = _group_size(n, k)
+    m = n // g
+    body = g * m
+    group_max = scores if g == 1 else scores[:, :body].reshape(rows_n, g, m).max(axis=1)
+    if body < n:
+        np.maximum(group_max[:, : n - body], scores[:, body:], out=group_max[:, : n - body])
     # a sort, not a partition: introselect slows on many tied maxima (0.33 against 0.05 ms, frequency-like 64 x 12,000)
-    bound = np.sort(group_max, axis=1)[:, m - k, None]
-    # each group whose maximum reaches the bound holds a candidate, so its count is a cheap first check
-    if np.count_nonzero(group_max >= bound) > 4 * rows_n * k:
-        return None
+    ordered = np.sort(group_max, axis=1)
+    if np.count_nonzero(np.isnan(ordered[:, -1:])):
+        raise MetricError(HOLDS_NAN.format(ranker))
+    bound = ordered[:, -k:][:, :1]
     above = scores >= bound
-    if np.count_nonzero(above) > 4 * rows_n * k:
-        return None
-    return np.flatnonzero(above)
+    flat = above.ravel().nonzero()[0]
+    if flat.size > 4 * rows_n * k:
+        for row in (np.count_nonzero(above, axis=1) > 4 * k).nonzero()[0]:
+            tied = (scores[row] == bound[row]).nonzero()[0]
+            if tied.size > k:  # past its k-th tied id, a row keeps only the scores above its bound
+                above[row, tied[k] :] = scores[row, tied[k] :] > bound[row]
+        flat = above.ravel().nonzero()[0]
+    return flat
 
 
 def top_k(scores: np.ndarray, k: int) -> np.ndarray:
     """Ids of the k highest scores, descending; ties broken by ascending id.
 
-    ``top_k_rows``'s pick on one score vector, without its block indexing.
-    A wide vector is one row of the bound pick, with the same NaN check and
-    tie guard: a stable sort by -score orders its candidates, which come in
-    ascending id order.  Otherwise, or when the guard declines, one
-    argpartition at n - k picks the k candidates and one lexsort orders
-    them.  NaN sorts above every number, so a NaN score is picked, makes the
-    lowest pick NaN and raises ``MetricError``.  When more than k scores lie
-    at or above the lowest pick, a tie crosses the k-th place: those scores'
-    ids are lexsorted instead and the first k kept.
+    ``top_k_rows``'s pick on one score vector, without its block indexing:
+    ``_candidates`` of the vector as a one-row block, in ascending id order,
+    and one stable sort of them by -score.  A NaN raises ``MetricError``.
     """
     scores = np.asarray(scores)
     if scores.ndim != 1:
         raise MetricError(f"top_k expects a 1-D score vector, got shape {scores.shape}")
-    if k < 1:
-        raise MetricError(f"top_k_rows needs k >= 1, got {k}")
-    n = scores.size
-    if k >= n:  # every id is ranked
-        if np.isnan(scores).any():
-            raise MetricError(HOLDS_NAN)
-        idx = np.arange(n)
-        return idx[np.lexsort((idx, -scores))]
-    ids = _bound_candidates(scores[None], k)
-    if ids is not None:  # ascending, so a stable sort keeps a tie's ids in order
-        return ids[(-scores[ids]).argsort(kind="stable")[:k]]
-    idx = scores.argpartition(n - k)[n - k :]
-    vals = scores[idx]
-    lowest = vals.min()
-    if np.isnan(lowest):
-        raise MetricError(HOLDS_NAN)
-    above = scores >= lowest
-    if np.count_nonzero(above) > k:
-        idx = above.nonzero()[0]
-        vals = scores[idx]
-    return idx[np.lexsort((idx, -vals))[:k]]
+    ids = _candidates(scores[None], k, "top_k")
+    return ids[(-scores[ids]).argsort(kind="stable")[:k]]
 
 
 def top_k_rows(scores: np.ndarray, k: int) -> np.ndarray:
     """(B, min(k, n)) ids of each row's k highest scores, descending; ties by ascending id.
 
-    A block of n >= 128 max(k, 32) columns is ranked by the bound pick:
-    each row's k-th largest group maximum (``BOUND_GROUP`` ids a group)
-    bounds its k-th largest score from below, and one stable sort of each
-    row's scores at or above it, by -score in ascending id order, ranks them
-    (a NaN anywhere raises ``MetricError``).  Other blocks, and blocks where
-    more than 4Bk scores reach their row's bound, take argpartition: one at
-    n - k picks every row's k candidates (NaN sorts above every number, so a
-    row's NaN is picked and raises ``MetricError``) and one lexsort orders
-    them.  Where more than k scores lie at or above a row's lowest pick, a
-    tie crosses the k-th place and argpartition may have kept the wrong tied
-    ids: that row alone lexsorts those scores' ids by (-score, id) and keeps
-    the first k.
+    ``_candidates`` gives every score at or above its row's group-maximum
+    bound (``BOUND_GROUP`` caps the ids a group), and one stable sort of
+    each row's candidates, by -score in ascending id order, ranks them.  A
+    NaN anywhere raises ``MetricError``.
     """
     scores = np.asarray(scores)
     if scores.ndim != 2:
         raise MetricError(f"top_k_rows expects a 2-D score block, got shape {scores.shape}")
-    if k < 1:
-        raise MetricError(f"top_k_rows needs k >= 1, got {k}")
+    flat = _candidates(scores, k, "top_k_rows")
     n = scores.shape[1]
     k = min(k, n)
-    flat = _bound_candidates(scores, k)
-    if flat is not None:
-        # each row's candidates as -score, in ascending id order and padded after them with the largest
-        # -score: a stable sort of each row keeps a tie's ids in order and the padding last
-        rows, ids = np.divmod(flat, n)
-        per_row = np.bincount(rows, minlength=scores.shape[0])
-        starts = np.cumsum(per_row) - per_row
-        vals = -scores[rows, ids]
-        neg = np.full((scores.shape[0], per_row.max(initial=k)), vals.max(initial=0), dtype=vals.dtype)
-        neg[rows, np.arange(flat.size) - starts[rows]] = vals
-        return ids[starts[:, None] + neg.argsort(axis=1, kind="stable")[:, :k]]
-    rows = np.arange(scores.shape[0])[:, None]
-    if k == n:
-        idx = np.broadcast_to(np.arange(n), scores.shape)
-        vals = scores
-    else:
-        idx = scores.argpartition(n - k, axis=1)[:, n - k :]
-        vals = scores[rows, idx]
-    if np.isnan(vals).any():
-        raise MetricError(HOLDS_NAN)
-    ranked = idx[rows, np.lexsort((idx, -vals), axis=-1)]
-    if k < n:
-        bound = vals.min(axis=1, keepdims=True)
-        for row in ((scores >= bound).sum(1) > k).nonzero()[0]:
-            ids = (scores[row] >= bound[row]).nonzero()[0]
-            ranked[row] = ids[np.lexsort((ids, -scores[row, ids]))[:k]]
-    return ranked
+    # each row's candidates as -score, in ascending id order and padded after them with the largest
+    # -score: a stable sort of each row keeps a tie's ids in order and the padding last
+    rows, ids = np.divmod(flat, n)
+    per_row = np.bincount(rows, minlength=scores.shape[0])
+    starts = np.cumsum(per_row) - per_row
+    vals = -scores[rows, ids]
+    neg = np.full((scores.shape[0], per_row.max(initial=k)), vals.max(initial=0), dtype=vals.dtype)
+    neg[rows, np.arange(flat.size) - starts[rows]] = vals
+    return ids[starts[:, None] + neg.argsort(axis=1, kind="stable")[:, :k]]
 
 
 @functools.lru_cache(maxsize=256)

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from pietsp.metrics import (BOUND_GROUP, MetricError, MetricReport, _bound_candidates, hit_metrics, ndcg_at_k, phr,
-                            recall_at_k, top_k, top_k_rows)
+from pietsp.metrics import (BOUND_GROUP, MetricError, MetricReport, _candidates, _group_size, hit_metrics, ndcg_at_k,
+                            phr, recall_at_k, top_k, top_k_rows)
 from reference_metrics import ref_hit, ref_ndcg, ref_rank_all, ref_recall
 
 
@@ -30,11 +30,12 @@ def test_top_k_k_larger_than_vector():
 
 
 def test_top_k_rejects_bad_k():
-    with pytest.raises(MetricError):
-        rank([1.0], 0)
+    for k in (0, -3):
+        with pytest.raises(MetricError, match=rf"^top_k needs k >= 1, got {k}$"):
+            rank([1.0], k)
 
 
-# a wide row of 20,013 = 32 * 625 + 13 scores is ranked by the bound pick: id 4,100 lies in a group's body,
+# a wide row of 20,013 = 32 * 625 + 13 scores is cut into groups of 32: id 4,100 lies in a group's body,
 # id 20,005 among the 13 leftover ids folded into the first groups
 @pytest.mark.parametrize("k", [1, 2, 6, 9])
 @pytest.mark.parametrize("where", [0, 3, 5, 4_100, 20_005])
@@ -42,18 +43,34 @@ def test_both_rankers_reject_nan_scores_for_every_k(where, k):
     n = 6 if where < 6 else 20_013
     scores = np.arange(float(n))
     scores[where] = np.nan
-    with pytest.raises(MetricError, match="NaN"):
+    with pytest.raises(MetricError, match=r"^top_k: the scores hold NaN$"):
         top_k(scores, k)
     block = np.stack([np.arange(float(n)), scores, -np.arange(float(n))])
-    with pytest.raises(MetricError, match="NaN"):
+    with pytest.raises(MetricError, match=r"^top_k_rows: the scores hold NaN$"):
         top_k_rows(block, k)
 
 
 # few distinct values (both zeros among them) force ties across the pick boundary
 TIED_VALUES = np.array([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0])
 KINDS = ("normal", "rounded", "tied", "equal", "neginf", "signed-zero", "group-tie")
-# narrow vectors take argpartition; wide ones (n >= BOUND_GROUP * 4 max(k, BOUND_GROUP)) the bound pick
-WIDTHS = st.one_of(st.integers(1, 200), st.integers(4_000, 20_000))
+# every width: the group size g steps up with n from 1 (the row itself) to BOUND_GROUP
+WIDTHS = st.integers(1, 20_000)
+
+
+def at_group_steps(k, **fields):
+    """An @example at each width n where ``_group_size(n, k)`` steps up to g, at n - 1, and at g m + g - 1,
+    the width with the most leftover ids; the seeds count up and the kinds cycle through KINDS."""
+    widths = []
+    for n in range(2, 20_001):
+        g = _group_size(n, k)
+        if g > _group_size(n - 1, k):
+            widths += [n - 1, n, n + g - 1]
+
+    def apply(test):
+        for seed, n in enumerate(widths):
+            test = example(seed=seed, n=n, k=k, kind=KINDS[seed % len(KINDS)], **fields)(test)
+        return test
+    return apply
 
 
 def draw_scores(rng, kind, n, k):
@@ -87,15 +104,12 @@ def draw_scores(rng, kind, n, k):
 @example(seed=2, n=7, k=30, kind="tied")
 @example(seed=3, n=1, k=1, kind="nan")
 @example(seed=4, n=9, k=20, kind="nan")
-@example(seed=5, n=128 * 40 - 1, k=40, kind="rounded")
-@example(seed=6, n=128 * 40, k=40, kind="rounded")
-@example(seed=7, n=128 * 40, k=40, kind="group-tie")
-@example(seed=8, n=4 * BOUND_GROUP**2 - 1, k=10, kind="signed-zero")
-@example(seed=9, n=4 * BOUND_GROUP**2, k=10, kind="signed-zero")
 @example(seed=10, n=20_000, k=60, kind="nan")
+@at_group_steps(10)
+@at_group_steps(100)
 def test_top_k_matches_full_sort_reference(seed, n, k, kind):
     """Quantized scores force plenty of exact ties, the tied ones across the k-th place and between -0.0 and
-    0.0; a NaN anywhere raises, whether or not k covers every id.  Wide vectors rank from the group-maximum
+    0.0; a NaN anywhere raises, whether or not k covers every id.  Every vector ranks from its group-maximum
     bound, with -inf, -0.0 and 0.0, or one value many groups reach, at that bound."""
     rng = np.random.default_rng(seed)
     if kind == "nan":
@@ -113,12 +127,10 @@ def test_top_k_matches_full_sort_reference(seed, n, k, kind):
 @example(seed=1, users=4, n=12, k=1, kind="tied")
 @example(seed=2, users=2, n=12, k=12, kind="tied")
 @example(seed=3, users=5, n=9, k=30, kind="normal")
-@example(seed=4, users=4, n=128 * 40 - 1, k=40, kind="group-tie")
-@example(seed=5, users=4, n=128 * 40, k=40, kind="group-tie")
-@example(seed=6, users=3, n=128 * 40, k=40, kind="signed-zero")
 @example(seed=7, users=5, n=20_000, k=50, kind="mixed")
+@at_group_steps(40, users=3)
 def test_top_k_rows_equals_top_k_row_by_row(seed, users, n, k, kind):
-    """"mixed" draws each row's kind, so one tie-heavy row can send a wide block to argpartition."""
+    """"mixed" draws each row's kind, so one tie-heavy row can crowd its bound beside rows that do not."""
     rng = np.random.default_rng(seed)
     block = np.stack([draw_scores(rng, rng.choice(KINDS) if kind == "mixed" else kind, n, k) for _ in range(users)])
     ranked = top_k_rows(block, k)
@@ -129,30 +141,57 @@ def test_top_k_rows_equals_top_k_row_by_row(seed, users, n, k, kind):
         assert list(top_k(row, k)) == want
 
 
+def test_the_group_size_keeps_4k_groups_and_room_for_the_leftover_ids():
+    """g ids a group, m = n // g groups: a row cut into groups keeps at least 4k of them, and the fewer than
+    g leftover ids fold one each into the first groups."""
+    for k in (1, 10, 32, 33, 40, 100, 1_000):
+        for n in range(1, 20_001):
+            g = _group_size(n, k)
+            m = n // g
+            assert 1 <= g <= min(BOUND_GROUP, math.isqrt(n))
+            assert g == 1 or m >= 4 * k
+            assert n - g * m <= m
+
+
 @pytest.mark.parametrize("users", [1, 5])
-def test_the_bound_pick_takes_wide_blocks_and_declines_ties_at_the_bound(users):
-    """A normal wide block is ranked from few candidates; a block with too few groups per row, or one where
-    every score ties at its row's bound, goes to argpartition before a candidate is extracted.  The bound is
-    the k-th largest group maximum itself: over ascending scores it admits exactly the k highest."""
+def test_the_candidates_hold_each_rows_top_k_and_at_most_k_ties_at_its_bound(users):
+    """``_candidates`` keeps every score that can reach its row's top k.  Over ascending scores the bound,
+    the k-th largest group maximum, admits exactly the k highest; a normal wide block gives k to 4k a row.
+    A block whose rows crowd their bounds -- all zeros, k - 1 groups above the bound and 3k groups or one id
+    at it, or frequency-like counts that are mostly 0 -- keeps each row's scores above its bound, at most
+    (g + 1)(k - 1) of them, and only its k lowest ids at the bound; the rankings match the reference."""
     rng = np.random.default_rng(users)
-    k = 40
-    ascending = np.tile(np.arange(128.0 * k), (users, 1))
-    assert list(_bound_candidates(ascending, k) % (128 * k)) == list(range(127 * k, 128 * k)) * users
-    wide = rng.normal(size=(users, 128 * k))
-    flat = _bound_candidates(wide, k)
-    assert flat is not None and users * k <= flat.size <= 4 * users * k
-    assert _bound_candidates(wide[:, :-1], k) is None
-    equal = np.zeros((users, 20_000))
-    assert _bound_candidates(equal, k) is None
-    assert list(top_k_rows(equal, k)[-1]) == list(range(k))
-    # k groups whose every member ties at the bound: only k groups a row reach it, but 32k scores do
-    striped = -1.0 - np.abs(rng.normal(size=(users, 128 * k)))
-    striped.reshape(users, BOUND_GROUP, 4 * k)[:, :, :k] = 1.0
-    assert _bound_candidates(striped, k) is None
-    assert [list(ids) for ids in top_k_rows(striped, k)] == [ref_rank_all(row)[:k] for row in striped]
+    k = 24
+    g, m = BOUND_GROUP, 256
+    n = g * m + g - 1  # the most leftover ids: groups 0 ... g - 2 hold g + 1 ids
+    assert _group_size(n, k) == g
+    ascending = np.tile(np.arange(float(n)), (users, 1))
+    assert list(_candidates(ascending, k, "top_k_rows") % n) == list(range(n - k, n)) * users
+    assert k * users <= _candidates(rng.normal(size=(users, n)), k, "top_k_rows").size <= 4 * k * users
+
+    striped = -1.0 - np.abs(rng.normal(size=(users, n)))
+    groups = striped[:, : g * m].reshape(users, g, m)
+    groups[:, :, : k - 1] = 2.0
+    striped[:, g * m : g * m + k - 1] = 2.0
+    groups[:, :, k - 1 : 4 * k - 1] = 1.0
+    lone = np.where(striped == 1.0, -1.0, striped)
+    lone[:, k - 1] = 1.0  # one id at the bound: nothing to clamp
+    crowded = {"zero": (np.zeros((users, n)), k),
+               "striped": (striped, (g + 1) * (k - 1) + k),
+               "lone tie": (lone, (g + 1) * (k - 1) + 1),
+               "frequency": (rng.poisson(0.002, size=(users, n)) * rng.integers(1, 4, size=(users, 1)), None)}
+    for block, exact in crowded.values():
+        counts = np.bincount(_candidates(block, k, "top_k_rows") // n, minlength=users)
+        assert counts.max() <= (g + 1) * (k - 1) + k
+        if exact is not None:
+            assert list(counts) == [exact] * users
+        ranked = top_k_rows(block, k)
+        for row, ids in zip(block, ranked):
+            want = ref_rank_all(row)[:k]
+            assert list(ids) == want
+            assert list(top_k(row, k)) == want
     # integers beyond 2**53 keep their order: the candidates are sorted in the block's own dtype
-    counts = 2**60 + rng.integers(0, 5_000, size=(users, 128 * k))
-    assert _bound_candidates(counts, k) is not None
+    counts = 2**60 + rng.integers(0, 5_000, size=(users, n))
     assert [list(ids) for ids in top_k_rows(counts, k)] == [ref_rank_all(row)[:k] for row in counts]
 
 
@@ -164,8 +203,9 @@ def test_top_k_refuses_a_2d_block():
 def test_top_k_rows_rejects_bad_input():
     with pytest.raises(MetricError):
         top_k_rows(np.zeros(4), 2)
-    with pytest.raises(MetricError):
-        top_k_rows(np.zeros((2, 4)), 0)
+    for k in (0, -3):
+        with pytest.raises(MetricError, match=rf"^top_k_rows needs k >= 1, got {k}$"):
+            top_k_rows(np.zeros((2, 4)), k)
 
 
 # --- spot values from closed forms -----------------------------------------
