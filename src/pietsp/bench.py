@@ -13,8 +13,8 @@ Scaling helpers fit runtime against one shape axis (universe size N, history
 length K, or vocabulary size) to verify the linear-cost design empirically,
 and a coarse memory probe checks that the footprint tracks the vocabulary size.
 The harness runs with whatever BLAS thread count the process started with;
-for single-thread numbers, set ``OPENBLAS_NUM_THREADS=1`` (or
-``PIETSP_THREADS=1`` for the CLI) before launching.
+for single-thread numbers, set ``OPENBLAS_NUM_THREADS=1`` (and
+``OMP_NUM_THREADS=1``, ``MKL_NUM_THREADS=1``) before launching.
 """
 
 from __future__ import annotations

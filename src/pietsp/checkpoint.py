@@ -36,10 +36,10 @@ Loading is where parameter shapes enter from outside the program, so both
 formats share one check of the envelope (kind, version, layout, dimensions,
 optimizer and trainer fields) and of every slot of the parameters, both
 Adam moments and the best parameters against the shapes the dimensions
-give.  A format-2 load reads the magic line and the header from the
-file's first ``HEAD_BYTES`` (reading on only for a longer header), checks
-the file's size against ``data_bytes`` and every table and slot, and only
-then reads the raw section, straight into the slot views of fresh
+give.  A format-2 load reads the magic line and the header as the first
+two lines of a buffered file, checks the file's size against
+``data_bytes`` and every table and slot, and only then reads the raw
+section at its absolute file offsets, straight into the slot views of fresh
 ``ModelParams`` buffers: one ``os.preadv`` per run of records that lie back
 to back, so one call for a file this module wrote, and ``readinto`` per
 slot where the platform has no ``os.preadv``.  A record whose offset and
@@ -291,9 +291,6 @@ def inspect_checkpoint(path) -> dict:
 
 # --- reading -----------------------------------------------------------------
 
-HEAD_BYTES = 1 << 14  # the first read: the magic line and a header with about a hundred epochs of history
-
-
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
@@ -301,17 +298,17 @@ def _is_int(value) -> bool:
 def _load(path) -> tuple[dict, Checkpoint]:
     """The file's header (format 1: the whole envelope) and the checkpoint it holds."""
     try:
-        with open(path, "rb", buffering=0) as f:
+        with open(path, "rb") as f:
             before = os.fstat(f.fileno())
-            head = f.read(HEAD_BYTES)
-            if not head.startswith(MAGIC):
+            head = f.readline()
+            if head != MAGIC:
                 try:
-                    header = json.loads(head + f.readall())
+                    header = json.loads(head + f.read())
                 except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
                     raise CheckpointError(f"{path}: not valid JSON ({exc})") from exc
                 loaded = header, _checkpoint(path, header, 1, _Base64Payloads)
             else:
-                header, raw_at = _read_header(path, f, head)
+                header, raw_at = _read_header(path, f)
                 section = _RawSection(path, header, before.st_size - raw_at)
                 loaded = header, _checkpoint(path, header, FORMAT_VERSION, section)
                 section.read(f, raw_at)
@@ -326,23 +323,18 @@ def _load(path) -> tuple[dict, Checkpoint]:
         raise CheckpointError(f"{path}: cannot read the checkpoint ({exc.strerror or exc})") from exc
 
 
-def _read_header(path, f, head: bytes) -> tuple[dict, int]:
-    """Format 2's header, reading on from ``head``, the file's first bytes, until its newline,
-    and the file offset of the raw section."""
-    end = head.find(b"\n", len(MAGIC))
-    while end < 0:
-        more = f.read(len(head))
-        if not more:
-            raise CheckpointError(f"{path}: the header has no terminating newline")
-        searched, head = len(head), head + more
-        end = head.find(b"\n", searched)
+def _read_header(path, f) -> tuple[dict, int]:
+    """Format 2's header, the line after the magic line, and the file offset of the raw section."""
+    line = f.readline()
+    if not line.endswith(b"\n"):
+        raise CheckpointError(f"{path}: the header has no terminating newline")
     try:
-        header = json.loads(head[len(MAGIC) : end])
+        header = json.loads(line)
     except ValueError as exc:
         raise CheckpointError(f"{path}: header is not valid JSON ({exc})") from exc
     if not isinstance(header, dict):
         raise CheckpointError(f"{path}: not a checkpoint file")
-    return header, end + 1
+    return header, len(MAGIC) + len(line)
 
 
 class _Base64Payloads:

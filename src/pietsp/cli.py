@@ -7,25 +7,29 @@ capturing all resolved settings.  ``train`` and ``bench`` take it back via
 so is a value of the wrong type.  ``eval``'s file records its settings but
 has no ``--config``.  Defaults come from the library
 (``TrainConfig``, ``SyntheticSpec``, ``VARIANTS``, ``bench.RUNS``/``BATCH``/
-``SHAPE``), never restated here.  Set PIETSP_THREADS to pin the thread count
-(before numpy is first imported).  An error, ``OSError`` included, is one
-``pietsp <command>: ...`` line on stderr and exit status 1.
+``SHAPE``), never restated here.  BLAS reads its thread count as numpy
+loads, so set ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and
+``MKL_NUM_THREADS`` before launch to pin it.  An error, ``OSError``
+included, is one ``pietsp <command>: ...`` line on stderr and exit status 1.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
-import os
 import sys
 from pathlib import Path
 
-
-def _set_thread_env() -> None:
-    threads = os.environ.get("PIETSP_THREADS")
-    if threads:
-        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, threads)
+from . import bench, seeding
+from .checkpoint import inspect_checkpoint, load_checkpoint, write_atomic
+from .data import (SyntheticSpec, convert_json_dump, convert_table, corpus_to_dict, gen_synthetic, load_corpus,
+                   prepare_all, read_json, save_corpus, split_users)
+from .errors import PietspError
+from .metrics import top_k_rows
+from .model import VARIANTS, batch_slices, forward_batch, make_batch
+from .train import (EARLY_STOP_K, REMOVED_SETTINGS, TrainConfig, evaluate, fit, reject_removed_settings,
+                    resumable_checkpoint, write_history)
 
 
 def _int_list(text: str) -> list[int]:
@@ -49,8 +53,7 @@ def _load_config_arg(args, known) -> dict:
     """The ``--config`` file's settings, every key of which must be in ``known``."""
     if not args.config:
         return {}
-    with open(args.config, "r", encoding="utf-8") as fh:
-        config = json.load(fh)
+    config = read_json(args.config)
     if not isinstance(config, dict):
         raise ValueError(f"{args.config}: settings must be a JSON object")
     unknown = sorted(set(config) - set(known))
@@ -61,17 +64,12 @@ def _load_config_arg(args, known) -> dict:
 
 
 def _write_effective(out_dir: Path, settings: dict) -> None:
-    from .checkpoint import write_atomic
-
     out_dir.mkdir(parents=True, exist_ok=True)
     text = json.dumps(settings, sort_keys=True, indent=2) + "\n"
     write_atomic(out_dir / "effective-config.json", text.encode("utf-8"))
 
 
 def _split_corpus(corpus, ratios, seed):
-    from . import seeding
-    from .data import split_users
-
     return split_users(corpus, ratios, seeding.spawn_seed(seed, "split"))
 
 
@@ -81,11 +79,6 @@ SPLITS = ("train", "val", "test", "all")
 def _load_users(args, split: str = "all"):
     """The ``--ckpt`` checkpoint, its training config and the prepared users of ``split`` of the
     ``--data`` corpus, which must share the checkpoint's vocabulary."""
-    from .checkpoint import load_checkpoint
-    from .data import load_corpus, prepare_all
-    from .errors import PietspError
-    from .train import TrainConfig
-
     ck = load_checkpoint(args.ckpt)
     corpus, _ = load_corpus(args.data)
     if corpus.vocab_size != ck.params.vocab_size:
@@ -115,10 +108,6 @@ TRAIN_SETTINGS = {
 
 
 def _cmd_train(args) -> int:
-    from .data import load_corpus, prepare_all
-    from .train import (EARLY_STOP_K, REMOVED_SETTINGS, TrainConfig, evaluate, fit, reject_removed_settings,
-                        resumable_checkpoint, write_history)
-
     # every key an effective-config.json of train wrote; the removed settings are judged by their value
     cfg_file = _load_config_arg(args, {"command", "data", *TRAIN_SETTINGS, *REMOVED_SETTINGS})
     reject_removed_settings(cfg_file, args.config)
@@ -168,8 +157,6 @@ def _at_least_one(flag: str, values) -> None:
 
 
 def _cmd_eval(args) -> int:
-    from .train import evaluate
-
     _at_least_one("--k", args.k or ())
     ck, config, samples = _load_users(args, args.split)
     k_list = tuple(args.k) if args.k else config.k_list
@@ -183,9 +170,6 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_predict(args) -> int:
-    from .metrics import top_k_rows
-    from .model import batch_slices, forward_batch, make_batch
-
     _at_least_one("--top", (args.top,))
     ck, config, samples = _load_users(args, args.split)
     lines = []
@@ -203,8 +187,6 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_inspect(args) -> int:
-    from .checkpoint import inspect_checkpoint
-
     print(json.dumps(inspect_checkpoint(args.ckpt), sort_keys=True, indent=2))
     return 0
 
@@ -225,10 +207,6 @@ def _parse_grid(text: str) -> dict[str, list[int]]:
 
 
 def _cmd_bench(args) -> int:
-    import itertools
-
-    from . import bench
-
     if bool(args.data) != bool(args.ckpt):
         print("bench: --data needs --ckpt" if args.data else "bench: --ckpt needs --data", file=sys.stderr)
         return 2
@@ -279,8 +257,6 @@ SYNTHETIC_OPTIONS = ("seed", "history_len", "basket_min", "basket_max", "pool_si
 
 
 def _cmd_gen_synthetic(args) -> int:
-    from .data import SyntheticSpec, gen_synthetic, save_corpus
-
     options = {name: getattr(args, name) for name in SYNTHETIC_OPTIONS if getattr(args, name) is not None}
     spec = SyntheticSpec(users=args.users, vocab_size=args.vocab, pattern=args.pattern, **options)
     corpus = gen_synthetic(spec)
@@ -290,8 +266,6 @@ def _cmd_gen_synthetic(args) -> int:
 
 
 def _cmd_convert(args) -> int:
-    from .data import convert_json_dump, convert_table, corpus_to_dict
-
     path = Path(args.input)
     fmt = args.format or ("json" if path.suffix.lower() == ".json" else "table")
     if fmt == "json":
@@ -312,10 +286,6 @@ def _cmd_convert(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    # imported here, not at the top: PIETSP_THREADS must reach the environment before numpy loads
-    from .data import SyntheticSpec
-    from .model import VARIANTS
-
     parser = argparse.ArgumentParser(prog="pietsp", description="Temporal set prediction toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -393,11 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _set_thread_env()
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    from .errors import PietspError
-
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (PietspError, OSError, ValueError) as exc:

@@ -189,13 +189,18 @@ def parse_corpus(obj) -> tuple[Corpus, LoadReport]:
     return Corpus(vocab_size=vocab_size, users=tuple(users)), report
 
 
-def load_corpus(path) -> tuple[Corpus, LoadReport]:
+def read_json(path, **kwargs):
+    """The JSON value in the UTF-8 file at ``path`` (``kwargs`` go to ``json.load``); bytes that are not
+    UTF-8 or not JSON are a ``DataError`` naming the path."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except json.JSONDecodeError as exc:
+            return json.load(fh, **kwargs)
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
         raise DataError(f"{path}: not valid JSON ({exc})") from exc
-    return parse_corpus(obj)
+
+
+def load_corpus(path) -> tuple[Corpus, LoadReport]:
+    return parse_corpus(read_json(path))
 
 
 def corpus_to_dict(corpus: Corpus) -> dict:
@@ -383,8 +388,20 @@ def gen_synthetic_with_pools(spec: SyntheticSpec) -> tuple[Corpus, dict[str, tup
         raise DataError("history_len must be >= 1")
     if not 0.0 <= spec.repeat_prob <= 1.0:
         raise DataError(f"repeat_prob must lie in [0, 1], got {spec.repeat_prob}")
-    if spec.basket_max > spec.pool_size and spec.pattern == "repeat-biased":
-        raise DataError("basket_max cannot exceed pool_size for repeat-biased corpora")
+    if spec.basket_min < 1:
+        raise DataError(f"basket_min must be >= 1, got {spec.basket_min}")
+    if spec.basket_min > spec.basket_max:
+        raise DataError(f"basket_min {spec.basket_min} exceeds basket_max {spec.basket_max}")
+    if spec.basket_max > spec.vocab_size:
+        raise DataError(f"basket_max {spec.basket_max} exceeds vocab_size {spec.vocab_size}")
+    if spec.pattern == "repeat-biased":
+        if spec.pool_size > spec.vocab_size:
+            raise DataError(f"pool_size {spec.pool_size} exceeds vocab_size {spec.vocab_size}")
+        if spec.basket_max > spec.pool_size:
+            raise DataError("basket_max cannot exceed pool_size for repeat-biased corpora")
+        if spec.repeat_prob < 1 and spec.basket_max > spec.vocab_size - spec.pool_size:
+            raise DataError(f"basket_max {spec.basket_max} exceeds the {spec.vocab_size - spec.pool_size} items"
+                            f" outside a pool of {spec.pool_size}")
     rng = np.random.default_rng(spec.seed)
     users, pools = [], {}
     for idx in range(spec.users):
@@ -419,19 +436,22 @@ def convert_table(
         delimiter = "\t" if path.suffix.lower() in (".tsv", ".dat", ".txt") else ","
     grouped: dict[str, dict[str, list[str]]] = {}
     skipped = 0
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh, delimiter=delimiter)
-        if reader.fieldnames is None:
-            raise DataError(f"{path}: empty file")
-        for col in (user_col, set_col, item_col):
-            if col not in reader.fieldnames:
-                raise DataError(f"{path}: missing column '{col}' (found {reader.fieldnames})")
-        for row in reader:
-            user, key, item = row[user_col], row[set_col], row[item_col]
-            if not (user and key and item):  # a cell the row lacks is None
-                skipped += 1
-                continue
-            grouped.setdefault(user, {}).setdefault(key, []).append(item)
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.DictReader(fh, delimiter=delimiter)
+            if reader.fieldnames is None:
+                raise DataError(f"{path}: empty file")
+            for col in (user_col, set_col, item_col):
+                if col not in reader.fieldnames:
+                    raise DataError(f"{path}: missing column '{col}' (found {reader.fieldnames})")
+            for row in reader:
+                user, key, item = row[user_col], row[set_col], row[item_col]
+                if not (user and key and item):  # a cell the row lacks is None
+                    skipped += 1
+                    continue
+                grouped.setdefault(user, {}).setdefault(key, []).append(item)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc})") from exc
     if not grouped:
         raise DataError(f"{path}: no rows")
 
@@ -487,8 +507,7 @@ def convert_json_dump(path) -> tuple[Corpus, LoadReport, dict]:
     or integers (not floats, booleans, nulls or lists) and are remapped to a
     dense 0-based vocabulary.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh, object_pairs_hook=_JsonObject)
+    obj = read_json(path, object_pairs_hook=_JsonObject)
     if not isinstance(obj, dict) or not obj:
         raise DataError(f"{path}: expected a non-empty JSON object")
     split_names = ("train", "validate", "valid", "validation", "test")

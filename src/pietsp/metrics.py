@@ -59,10 +59,10 @@ def _candidates(scores: np.ndarray, k: int, ranker: str) -> np.ndarray:
     of k distinct ids reach a row's k-th largest group maximum, so each of the row's k highest scores lies
     at or above that bound; a row has fewer than k groups only when g = 1 and k > n, and then its bound is
     its least score.  NaN sorts last, so the maxima's last sorted value finds a NaN anywhere and raises
-    ``MetricError`` in the words of ``ranker``, as does k < 1.  When the block has more than 4Bk
-    candidates, each row with more than 4k of them keeps its scores above the bound (at most
-    (g + 1)(k - 1): they lie in fewer than k groups) and its k lowest ids at the bound, which are the tied
-    ids a ranking takes.
+    ``MetricError`` in the words of ``ranker``, as does k < 1.  Each row with more than 4k candidates
+    (counted from the candidates, so a block without one makes no further pass over its scores) keeps
+    its scores above the bound (at most (g + 1)(k - 1): they lie in fewer than k groups) and its k lowest
+    ids at the bound, which are the tied ids a ranking takes.
     """
     if k < 1:
         raise MetricError(f"{ranker} needs k >= 1, got {k}")
@@ -80,12 +80,14 @@ def _candidates(scores: np.ndarray, k: int, ranker: str) -> np.ndarray:
     bound = ordered[:, -k:][:, :1]
     above = scores >= bound
     flat = above.ravel().nonzero()[0]
-    if flat.size > 4 * rows_n * k:
-        for row in (np.count_nonzero(above, axis=1) > 4 * k).nonzero()[0]:
+    if flat.size > 4 * k:
+        crowded = (np.bincount(flat // n, minlength=rows_n) > 4 * k).nonzero()[0]
+        for row in crowded:
             tied = (scores[row] == bound[row]).nonzero()[0]
             if tied.size > k:  # past its k-th tied id, a row keeps only the scores above its bound
                 above[row, tied[k] :] = scores[row, tied[k] :] > bound[row]
-        flat = above.ravel().nonzero()[0]
+        if crowded.size:
+            flat = above.ravel().nonzero()[0]
     return flat
 
 

@@ -1,14 +1,13 @@
 import json
-import os
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-import pietsp.train
+import pietsp.cli
 from oracle import oracle_checkpoint_bytes
 from pietsp.checkpoint import MAGIC, load_checkpoint, save_checkpoint
-from pietsp.cli import TRAIN_SETTINGS, _set_thread_env, main
+from pietsp.cli import TRAIN_SETTINGS, main
 from pietsp.data import load_corpus, prepare_all
 from pietsp.metrics import top_k
 from pietsp.model import forward
@@ -400,14 +399,14 @@ def test_a_rank_count_below_one_is_refused_before_anything_loads(tmp_path, capsy
 
 def test_train_defaults_come_from_trainconfig(tmp_path, synthetic_file, monkeypatch):
     @dataclass
-    class Quick(pietsp.train.TrainConfig):
+    class Quick(pietsp.cli.TrainConfig):
         max_epochs: int = 3
         patience: int = 2
         dim: int = 4
         batch_size: int = 16
         base_lr: float = 0.002
 
-    monkeypatch.setattr(pietsp.train, "TrainConfig", Quick)
+    monkeypatch.setattr(pietsp.cli, "TrainConfig", Quick)
     out = tmp_path / "defaults"
     assert run_cli("train", "--data", str(synthetic_file), "--out", str(out)) == 0
     written = json.loads((out / "effective-config.json").read_text())
@@ -488,6 +487,29 @@ def test_config_key_that_no_setting_reads_is_refused_by_name(tmp_path, synthetic
     assert not out.exists()
 
 
+# an input file that does not decode: its flag, its name, its bytes, and the start of the error after its path
+UNDECODABLE = [
+    ("train", "--data", "corpus.json", b'{"vocab_size": \xff}', "not valid JSON ('utf-8' codec can't decode byte 0xff"),
+    ("train", "--config", "config.json", b"", "not valid JSON (Expecting value: line 1 column 1 (char 0))"),
+    ("convert", "--input", "dump.json", b"{oops", "not valid JSON (Expecting property name"),
+    ("convert", "--input", "table.csv", b"user,order,item\nu\xff,1,2\n", "not UTF-8 text ('utf-8' codec can't decode"),
+]
+
+
+@pytest.mark.parametrize("command, flag, name, raw, error", UNDECODABLE, ids=[u[2] for u in UNDECODABLE])
+def test_an_input_file_that_does_not_decode_is_one_line_naming_it(tmp_path, synthetic_file, capsys,
+                                                                  command, flag, name, raw, error):
+    path = tmp_path / name
+    path.write_bytes(raw)
+    out = tmp_path / "out"
+    args = {"--data": str(synthetic_file)} if command == "train" else {}
+    args |= {flag: str(path), "--out": str(out)}
+    assert run_cli(command, *[tok for pair in args.items() for tok in pair]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"pietsp {command}: {path}: {error}") and err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["train", "bench"])
 def test_a_config_that_is_not_an_object_is_one_line(tmp_path, synthetic_file, capsys, command):
     config = tmp_path / "config.json"
@@ -516,15 +538,6 @@ def test_train_prints_what_the_load_dropped(tmp_path, synthetic_file, capsys):
     assert run_cli("train", "--data", str(data), "--out", str(tmp_path / "run"),
                    "--epochs", "1", "--patience", "1", "--dim", "4") == 0
     assert capsys.readouterr().out.startswith("load: kept 30 users (dropped 1 users, 1 empty sets, 1 duplicate ids)\n")
-
-
-def test_pietsp_threads_fills_in_only_the_unset_blas_variables(monkeypatch):
-    monkeypatch.setenv("PIETSP_THREADS", "3")
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
-    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
-    _set_thread_env()
-    assert [os.environ[v] for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")] == ["1", "3", "3"]
 
 
 @pytest.mark.parametrize("saved", [10, 5])

@@ -431,6 +431,11 @@ SYNTHETIC_REFUSALS = [
     ("repeat_prob", 1.5, "repeat_prob must lie in [0, 1], got 1.5"),
     ("repeat_prob", -0.1, "repeat_prob must lie in [0, 1], got -0.1"),
     ("basket_max", 11, "basket_max cannot exceed pool_size for repeat-biased corpora"),
+    ("basket_min", 0, "basket_min must be >= 1, got 0"),
+    ("basket_min", 6, "basket_min 6 exceeds basket_max 5"),
+    ("basket_max", 41, "basket_max 41 exceeds vocab_size 40"),
+    ("pool_size", 41, "pool_size 41 exceeds vocab_size 40"),
+    ("pool_size", 36, "basket_max 5 exceeds the 4 items outside a pool of 36"),
 ]
 
 

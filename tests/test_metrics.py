@@ -195,6 +195,20 @@ def test_the_candidates_hold_each_rows_top_k_and_at_most_k_ties_at_its_bound(use
     assert [list(ids) for ids in top_k_rows(counts, k)] == [ref_rank_all(row)[:k] for row in counts]
 
 
+def test_one_crowded_row_beside_normal_rows_keeps_at_most_k_ties():
+    """A row is clamped by its own count of candidates, not the block's: 63 normal rows keep ~42 candidates
+    each, under 4k a row, and one row with 7,000 ties at its bound would keep all of them."""
+    rng = np.random.default_rng(5)
+    users, n, k = 64, 12_000, 40
+    g = _group_size(n, k)
+    block = rng.normal(size=(users, n))
+    block[0] = -1.0 - np.abs(block[0])
+    block[0, rng.choice(n, 7_000, replace=False)] = 0.0
+    counts = np.bincount(_candidates(block, k, "top_k_rows") // n, minlength=users)
+    assert counts[0] <= (g + 1) * (k - 1) + k
+    assert [list(ids) for ids in top_k_rows(block, k)] == [ref_rank_all(row)[:k] for row in block]
+
+
 def test_top_k_refuses_a_2d_block():
     with pytest.raises(MetricError, match=r"^top_k expects a 1-D score vector, got shape \(2, 4\)$"):
         top_k(np.zeros((2, 4)), 2)
