@@ -74,9 +74,8 @@ def synthetic_samples(
     vocab_size: int,
     count: int,
     seed: int,
-    dtype=np.float64,
 ) -> list[PreparedSample]:
-    """Random samples of a fixed shape: N distinct ids, Bernoulli(0.3) membership
+    """Random samples of a fixed shape: N distinct ids, Bernoulli(0.3) bool membership
     (every row forced non-empty), small random target."""
     if n_elements > vocab_size:
         raise PietspError(f"cannot draw {n_elements} distinct ids from a vocabulary of {vocab_size}")
@@ -84,9 +83,9 @@ def synthetic_samples(
     samples = []
     for i in range(count):
         universe = np.sort(rng.choice(vocab_size, n_elements, replace=False)).astype(np.int64)
-        membership = (rng.random((n_elements, k_max)) < 0.3).astype(dtype)
+        membership = rng.random((n_elements, k_max)) < 0.3
         forced = rng.integers(0, k_max, size=n_elements)
-        membership[np.arange(n_elements), forced] = 1
+        membership[np.arange(n_elements), forced] = True
         target = np.sort(rng.choice(vocab_size, min(5, vocab_size), replace=False)).astype(np.int64)
         samples.append(
             PreparedSample(
@@ -106,7 +105,7 @@ def shape_case(n: int, k: int, vocab: int, dim: int, batch_size: int, seed: int,
     ``sample_seed``, the vocabulary raised to ``n`` when smaller (a universe must fit)."""
     vocab = max(vocab, n)
     params = init_params(vocab, dim, k, seed=seed).astype(dtype)
-    return params, synthetic_samples(n, k, vocab, batch_size, seed=sample_seed, dtype=dtype)
+    return params, synthetic_samples(n, k, vocab, batch_size, seed=sample_seed)
 
 
 def _report(timed: np.ndarray, batch: list[PreparedSample], params: ModelParams) -> BenchReport:

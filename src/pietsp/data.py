@@ -4,8 +4,8 @@ A corpus is a vocabulary size plus a list of users, each user an ordered
 list of item-id sets.  The final set of every user is the prediction
 target; everything before it is history.  ``prepare_sample`` turns one
 user into the model's input: the sorted universe of distinct history items,
-an N x K binary membership matrix (columns are time steps, left-padded with
-zeros when the history is shorter than K), and the target ids.
+an N x K bool membership matrix (columns are time steps, left-padded with
+False when the history is shorter than K), and the target ids.
 ``prepare_all`` prepares a whole corpus in one pass, and its samples are
 slices of corpus-wide arrays.
 """
@@ -67,7 +67,7 @@ class PreparedSample:
 
     user_id: str
     universe: np.ndarray        # (N,) int64, sorted ascending, distinct
-    membership: np.ndarray      # (N, K) float 0/1, history in the last T columns
+    membership: np.ndarray      # (N, K) bool, one byte a cell, history in the last T columns
     target_ids: np.ndarray      # (|target|,) int64, sorted
     vocab_size: int
 
@@ -293,8 +293,8 @@ def _prepare(users, k_max: int, vocab_size: int) -> list[PreparedSample]:
     rows = np.cumsum(first, out=key)
     rows -= 1
     del ids, owner, first  # the per-id temporaries go before the membership matrix is allocated
-    membership = np.zeros((universes.size, k_max), dtype=np.float64)
-    membership[rows, col] = 1.0
+    membership = np.zeros((universes.size, k_max), dtype=bool)
+    membership[rows, col] = True
     del rows, key, col
 
     targets = np.fromiter(chain.from_iterable(user.sets[-1] for user in users), dtype=np.int64)

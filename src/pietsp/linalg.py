@@ -2,11 +2,11 @@
 
 The model's affine maps and segment reductions are plain numpy written
 inline in ``model.py``; this module holds only what has a rule worth
-naming.  ``elu`` and ``relu`` take ``out=x`` to overwrite their input, and
-no function gathers or scatters through a boolean mask (on large blocks
-that costs several times the arithmetic).  Activation backward companions
-take the cached *forward output* (cheap and sufficient, since ELU' and
-ReLU' are recoverable from it).
+naming.  ``elu``, ``relu`` and ``logistic_from`` take ``out=x`` to
+overwrite their input, and no function gathers or scatters through a
+boolean mask (on large blocks that costs several times the arithmetic).
+Activation backward companions take the cached *forward output* (cheap
+and sufficient, since ELU' and ReLU' are recoverable from it).
 
 Activations do not check finiteness themselves: ELU and ReLU map -inf to
 finite values, so the model checks each pre-activation before applying
@@ -20,8 +20,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import PietspError
-
-SOFTPLUS_RUN = 1 << 16  # elements per max(x, 0) temporary in ``softplus_from`` (512 KB in float64)
 
 
 class ShapeError(PietspError):
@@ -79,19 +77,15 @@ def softplus_from(x: np.ndarray, e: np.ndarray) -> np.ndarray:
     """softplus(x) = log(1 + exp(x)) = max(x, 0) + log1p(e) in a new array, given e = exp(-|x|),
     which it leaves intact.
 
-    max(x, 0) is added in runs of ``SOFTPLUS_RUN`` elements, so its
-    temporary stays small beside the two full-size arrays.  (A masked
-    ``np.add(..., where=x > 0)`` also avoids it, but runs ~6x slower.)
+    Its two temporaries are as large as x: the loss calls it on chunks of
+    at most ``train.LOSS_RUN`` elements.
     """
-    out = np.log1p(e, out=np.empty(e.shape, e.dtype))  # C order, so ``flat`` is a view
-    flat, xs = out.reshape(-1), x.reshape(-1)
-    for i in range(0, flat.size, SOFTPLUS_RUN):
-        flat[i : i + SOFTPLUS_RUN] += np.maximum(xs[i : i + SOFTPLUS_RUN], 0)
-    return out
+    return np.log1p(e) + np.maximum(x, 0)
 
 
-def logistic_from(x: np.ndarray, e: np.ndarray) -> np.ndarray:
+def logistic_from(x: np.ndarray, e: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """logistic(x) = 1 / (1 + exp(-x)) in a new array, given e = exp(-|x|), which it overwrites.
+    ``out=x`` works in place.
 
     With e = exp(-|x|) this is 1 / (1 + e) for x >= 0 and e / (1 + e) below,
     the same bits as evaluating each branch on its own half, and it never
@@ -99,8 +93,7 @@ def logistic_from(x: np.ndarray, e: np.ndarray) -> np.ndarray:
     output array, with no boolean temporary for x >= 0 and no mask gathered
     or scattered.
     """
-    out = np.greater_equal(x, 0, out=np.empty_like(e))
+    out = np.greater_equal(x, 0, out=np.empty_like(e) if out is None else out)
     np.maximum(out, e, out=out)
     e += 1
-    out /= e
-    return out
+    return np.divide(out, e, out=out)

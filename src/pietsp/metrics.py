@@ -50,8 +50,9 @@ def _group_size(n: int, k: int) -> int:
     return max(1, min(BOUND_GROUP, n // (4 * max(k, BOUND_GROUP))))
 
 
-def _candidates(scores: np.ndarray, k: int, ranker: str) -> np.ndarray:
-    """Flat positions (row * n + id, ascending) of every score that can reach its row's k highest.
+def _candidates(scores: np.ndarray, k: int, ranker: str) -> tuple[np.ndarray, np.ndarray | None]:
+    """Flat positions (row * n + id, ascending) of every score that can reach its row's k highest, and
+    each row's count of them when it took one (None when the block holds at most 4k).
 
     Group j of a row holds ids j, j + m, ..., j + (g - 1) m, m = n // g, g = ``_group_size(n, k)``: the
     (B, g, m) view of the first g m columns, so the group maxima are one contiguous pass; the fewer than g
@@ -62,7 +63,8 @@ def _candidates(scores: np.ndarray, k: int, ranker: str) -> np.ndarray:
     ``MetricError`` in the words of ``ranker``, as does k < 1.  Each row with more than 4k candidates
     (counted from the candidates, so a block without one makes no further pass over its scores) keeps
     its scores above the bound (at most (g + 1)(k - 1): they lie in fewer than k groups) and its k lowest
-    ids at the bound, which are the tied ids a ranking takes.
+    ids at the bound, which are the tied ids a ranking takes; it is then counted again.  A block of at
+    most 4k candidates, such as ``top_k``'s one vector usually is, needs no count.
     """
     if k < 1:
         raise MetricError(f"{ranker} needs k >= 1, got {k}")
@@ -80,15 +82,18 @@ def _candidates(scores: np.ndarray, k: int, ranker: str) -> np.ndarray:
     bound = ordered[:, -k:][:, :1]
     above = scores >= bound
     flat = above.ravel().nonzero()[0]
+    per_row = None
     if flat.size > 4 * k:
-        crowded = (np.bincount(flat // n, minlength=rows_n) > 4 * k).nonzero()[0]
+        per_row = np.bincount(flat // n, minlength=rows_n)
+        crowded = (per_row > 4 * k).nonzero()[0]
         for row in crowded:
             tied = (scores[row] == bound[row]).nonzero()[0]
             if tied.size > k:  # past its k-th tied id, a row keeps only the scores above its bound
                 above[row, tied[k] :] = scores[row, tied[k] :] > bound[row]
         if crowded.size:
             flat = above.ravel().nonzero()[0]
-    return flat
+            per_row = np.bincount(flat // n, minlength=rows_n)
+    return flat, per_row
 
 
 def top_k(scores: np.ndarray, k: int) -> np.ndarray:
@@ -101,7 +106,7 @@ def top_k(scores: np.ndarray, k: int) -> np.ndarray:
     scores = np.asarray(scores)
     if scores.ndim != 1:
         raise MetricError(f"top_k expects a 1-D score vector, got shape {scores.shape}")
-    ids = _candidates(scores[None], k, "top_k")
+    ids = _candidates(scores[None], k, "top_k")[0]
     return ids[(-scores[ids]).argsort(kind="stable")[:k]]
 
 
@@ -116,13 +121,13 @@ def top_k_rows(scores: np.ndarray, k: int) -> np.ndarray:
     scores = np.asarray(scores)
     if scores.ndim != 2:
         raise MetricError(f"top_k_rows expects a 2-D score block, got shape {scores.shape}")
-    flat = _candidates(scores, k, "top_k_rows")
+    flat, per_row = _candidates(scores, k, "top_k_rows")
     n = scores.shape[1]
     k = min(k, n)
     # each row's candidates as -score, in ascending id order and padded after them with the largest
     # -score: a stable sort of each row keeps a tie's ids in order and the padding last
     rows, ids = np.divmod(flat, n)
-    per_row = np.bincount(rows, minlength=scores.shape[0])
+    per_row = np.bincount(rows, minlength=scores.shape[0]) if per_row is None else per_row
     starts = np.cumsum(per_row) - per_row
     vals = -scores[rows, ids]
     neg = np.full((scores.shape[0], per_row.max(initial=k)), vals.max(initial=0), dtype=vals.dtype)

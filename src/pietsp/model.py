@@ -1,8 +1,9 @@
 """The set-prediction network: a ragged-batch forward pass and its hand-derived backward pass.
 
 One sample is a user's basket history, prepared as a sorted universe of N
-distinct item ids, an N x K binary membership matrix C (columns are time
-steps), and the vocabulary-wide embedding table M (|E| x D).  Writing M_U
+distinct item ids, an N x K membership matrix C (columns are time steps;
+stored as bool, one byte a cell, and copied into the float Z), and the
+vocabulary-wide embedding table M (|E| x D).  Writing M_U
 for the universe rows of M gathered in order, the forward pipeline is:
 
     Z    = [C | M_U]                                     N x (K+D)
@@ -26,11 +27,14 @@ in the equivariant layer and the sum pooling are segment reductions
 scores are one (B x D)(D x |E|) product, a B x |E| block that the fusion
 turns into the logits in place (``fuse_scores(..., out=)``), adding each
 universe row's element score at its cell's flat index b * |E| + id
-(``Segments.cells``).  ``forward`` is the B = 1 call and returns 1-D
-logits; a one-user call carries none of a batch's fixed costs: its
-universe is checked but nothing is stacked, its ``Segments`` is a shared
-read-only instance, the cells are the universe ids themselves, and the
-targets are stacked only when the loss or evaluation asks (``Batch.targets``).
+(``Segments.cells``).  Training overwrites that block with d_logits
+(``train.add_gradients``), so a training slice holds one B x |E| block
+into backward, beside the loss's chunk-sized temporaries.  ``forward`` is
+the B = 1 call and returns 1-D logits; a one-user call carries none of a
+batch's fixed costs: its universe is checked but nothing is stacked, its
+``Segments`` is a shared read-only instance, the cells are the universe
+ids themselves, and the targets are stacked only when the loss or
+evaluation asks (``Batch.targets``).
 ``batch_slices`` cuts a list of users into engine calls of bounded size
 (``MAX_BATCH_ROWS`` universe rows, ``MAX_BATCH_USERS`` users), which keeps
 the memory of a call independent of the minibatch.  ``make_batch`` validates all the universes in
@@ -365,13 +369,14 @@ class ForwardTrace:
     pi_h1: np.ndarray | None          # (B, D)
     pi_h2: np.ndarray | None          # (B, D)
     set_repr: np.ndarray | None       # (B, D)
-    logits: np.ndarray | None         # (B, |E|); (|E|,) from ``forward``; training drops it before backward
+    logits: np.ndarray | None         # (B, |E|); (|E|,) from ``forward``; training takes it as d_logits
 
 
 def sfi_concat(m_u: np.ndarray, membership) -> np.ndarray:
-    """Row-wise concatenation [membership | embedding], fixed layout.
+    """Row-wise concatenation [membership | embedding], fixed layout, in the embedding's dtype.
 
-    ``membership`` is one (R, K) array or the users' (N_b, K) blocks in row order.
+    ``membership`` is one (R, K) array or the users' (N_b, K) blocks in row order;
+    bool blocks become exact 0.0 and 1.0 in Z.
     """
     blocks = [membership] if isinstance(membership, np.ndarray) else membership
     rows = sum(block.shape[0] for block in blocks)

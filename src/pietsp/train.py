@@ -6,7 +6,9 @@ stacked), one call per ``batch_slices`` run of it, each call's backward
 adding into one gradient buffer per minibatch, which is averaged and
 applied in a single optimizer step; the one gradient buffer of an epoch is
 zeroed and averaged in one pass each.  The loss is evaluated on the B x |E|
-logit block with sparse targets, softplus and logistic sharing one exp.
+logit block with sparse targets, softplus and logistic sharing one exp, in
+chunks of whole rows that overwrite the logits with d_logits: a training
+slice holds one B x |E| block, which backward then reads.
 Evaluation ranks each engine call's logit block at once and scores its hits
 with ``metrics.hit_metrics``.  The per-epoch shuffle is keyed by (seed,
 epoch), so resuming from a checkpoint replays the identical stream.
@@ -31,6 +33,7 @@ from .model import MappingError, ModelParams, VARIANTS, backward, batch_slices, 
 from .optim import AdamState, OptimizerError, adam_step, cosine_lr
 
 EARLY_STOP_K = 10  # early stopping watches validation NDCG at this k
+LOSS_RUN = 1 << 16  # elements per chunk of whole rows in the loss pass (512 KB in float64)
 # removed setting -> the one value runs used
 REMOVED_SETTINGS = {"l2": 0.0, "l2_coeff": 0.0, "decay_fusion": False, "early_stop_k": EARLY_STOP_K}
 # the TrainConfig fields a resume may change: neither changes any epoch's update; every other field must match
@@ -100,6 +103,37 @@ def reject_removed_settings(saved: dict, where) -> None:
             raise PietspError(f"{where}: setting '{key}' = {saved[key]!r} was removed; only {value!r} is accepted")
 
 
+def _bce_in_place(logits: np.ndarray, targets) -> np.ndarray:
+    """``bce_loss``'s loss of every row of the C-contiguous ``logits``, which it overwrites with d_logits.
+
+    The rows are taken in chunks of whole rows, each at most ``LOSS_RUN``
+    elements (one row when a row is longer), so every temporary is
+    chunk-sized.  Per chunk, one exp(-|y|) serves the softplus terms, whose
+    rows are summed, and then the logistic, written over the chunk's logits.
+    Each row is still one pairwise ``sum``, so the bits are those of the
+    whole block taken at once.
+    """
+    n = logits.shape[-1]
+    rows = logits.reshape(-1, n)
+    marks = np.zeros(rows.shape, dtype=bool)  # the targets, one byte a logit
+    try:
+        marks.reshape(logits.shape)[targets] = True
+    except IndexError as exc:
+        raise PietspError(f"bce_loss: targets do not index logits of shape {logits.shape}: {exc}") from None
+    loss = np.empty(rows.shape[0], logits.dtype)
+    step = max(1, LOSS_RUN // max(n, 1))
+    for start in range(0, rows.shape[0], step):
+        y, hit = rows[start : start + step], np.flatnonzero(marks[start : start + step])
+        e = exp_neg_abs(y)
+        terms = softplus_from(y, e)
+        terms.flat[hit] -= y.flat[hit]
+        loss[start : start + step] = terms.sum(axis=-1) / n
+        logistic_from(y, e, out=y)
+        y.flat[hit] -= 1
+        y /= n
+    return loss.reshape(logits.shape[:-1])[()]  # a scalar for 1-D logits
+
+
 def bce_loss(logits: np.ndarray, targets) -> tuple[np.ndarray, np.ndarray]:
     """Mean binary cross-entropy over the vocabulary, per row of logits, in stable logit form.
 
@@ -108,22 +142,11 @@ def bce_loss(logits: np.ndarray, targets) -> tuple[np.ndarray, np.ndarray]:
     like ``logits``.  Per row,
     loss = mean_j [softplus(y_j) - t_j * y_j], and
     d loss / d y_j = (sigmoid(y_j) - t_j) / |E|.
-    Returns (the loss of every row, d_logits).
+    Returns (the loss of every row, d_logits); ``logits`` is left as it was.
+    Training runs the same pass in place over the engine's logits.
     """
-    try:
-        positives = logits[targets]
-    except IndexError as exc:
-        raise PietspError(f"bce_loss: targets do not index logits of shape {logits.shape}: {exc}") from None
-    n = logits.shape[-1]
-    e = exp_neg_abs(logits)  # one exp(-|y|) serves both terms
-    terms = softplus_from(logits, e)
-    terms[targets] -= positives
-    loss = terms.sum(axis=-1) / n
-    del terms  # freed before the logistic allocates its block
-    d_logits = logistic_from(logits, e)
-    d_logits[targets] -= 1
-    d_logits /= n
-    return loss, d_logits
+    d_logits = np.array(logits, order="C")
+    return _bce_in_place(d_logits, targets), d_logits
 
 
 def add_gradients(samples: list[PreparedSample], params: ModelParams, variant: str, grads: ModelParams) -> list[float]:
@@ -135,10 +158,9 @@ def add_gradients(samples: list[PreparedSample], params: ModelParams, variant: s
     for part in batch_slices(samples):
         batch = make_batch(part, params.vocab_size)
         trace = forward_batch(batch, params, variant)
-        loss, d_logits = bce_loss(trace.logits, batch.targets())
-        trace.logits = None  # backward never reads the logits: one (B, |E|) block less at its peak
+        d_logits, trace.logits = trace.logits, None  # backward never reads the logits: the loss overwrites them
+        losses.extend(_bce_in_place(d_logits, batch.targets()).tolist())
         backward(trace, params, d_logits, grads)
-        losses.extend(loss.tolist())
         del trace, d_logits  # freed before the next slice's forward allocates its own
     return losses
 

@@ -242,11 +242,11 @@ def oracle_prepare_sample(user, k_max, vocab_size):
         history = history[-k_max:]
     universe = np.array(sorted(set().union(*history)), dtype=np.int64)
     row_of = {int(e): i for i, e in enumerate(universe)}
-    membership = np.zeros((universe.size, k_max), dtype=np.float64)
+    membership = np.zeros((universe.size, k_max), dtype=bool)
     pad = k_max - len(history)
     for j, s in enumerate(history):
         for e in s:
-            membership[row_of[e], pad + j] = 1.0
+            membership[row_of[e], pad + j] = True
     return PreparedSample(
         user_id=user.user_id,
         universe=universe,

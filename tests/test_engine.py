@@ -8,7 +8,7 @@ import pytest
 from gradcheck import analytic_gradient, check_all_slots, make_batch_instance
 from oracle import oracle_backward, oracle_evaluate, oracle_forward, oracle_gradients
 from pietsp.bench import synthetic_samples
-from pietsp.data import PreparedSample
+from pietsp.data import PreparedSample, SyntheticSpec, gen_synthetic, max_history_len, prepare_all
 from pietsp.errors import PietspError
 from pietsp.linalg import NumericsError
 from pietsp import model
@@ -22,6 +22,7 @@ from pietsp.model import (
     forward_batch,
     init_params,
     make_batch,
+    sfi_concat,
 )
 from pietsp.optim import AdamState
 from pietsp.train import TrainConfig, add_gradients, evaluate, train_epoch
@@ -167,7 +168,8 @@ def test_scatter_on_a_wide_batch_matches_add_at():
 
 
 def test_training_slice_peak_memory_in_score_blocks():
-    """One 64-user slice at |E| = 12,000 peaks at 3.6 (B, |E|) blocks of float64."""
+    """One 64-user slice at |E| = 12,000 peaks at 2.2 (B, |E|) blocks of float64: the loss overwrites the
+    logits with d_logits and allocates only chunk-sized temporaries."""
     vocab, users = 12000, MAX_BATCH_USERS
     params = init_params(vocab, 32, 16, seed=0)
     samples = synthetic_samples(30, 16, vocab, users, seed=1)
@@ -180,7 +182,19 @@ def test_training_slice_peak_memory_in_score_blocks():
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak <= 3.6 * users * vocab * 8, peak / (users * vocab * 8)
+    assert peak <= 2.2 * users * vocab * 8, peak / (users * vocab * 8)
+
+
+def test_membership_is_one_byte_a_cell_and_enters_z_as_the_float_blocks_did():
+    corpus = gen_synthetic(SyntheticSpec(users=40, vocab_size=90, pattern="periodic", seed=3, history_len=6))
+    samples = prepare_all(corpus, max_history_len(corpus))
+    for s in samples:
+        assert s.membership.dtype == bool and s.membership.nbytes == s.membership.size == s.n_elements * 6
+    blocks = [s.membership for s in samples]
+    m_u = np.random.default_rng(5).normal(size=(sum(b.shape[0] for b in blocks), 4))
+    want = sfi_concat(m_u, [b.astype(np.float64) for b in blocks])
+    for got in (sfi_concat(m_u, blocks), sfi_concat(m_u, np.concatenate(blocks)), sfi_concat(m_u[:3], blocks[0][:3])):
+        assert got.dtype == np.float64 and got.tobytes() == want[: got.shape[0]].tobytes()
 
 
 def test_one_pass_validation_edge_cases(monkeypatch):

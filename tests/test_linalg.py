@@ -3,7 +3,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracle import logistic, softplus
-from pietsp.linalg import SOFTPLUS_RUN, elu, elu_grad, exp_neg_abs, logistic_from, relu, relu_grad, softplus_from
+from pietsp.linalg import elu, elu_grad, exp_neg_abs, logistic_from, relu, relu_grad, softplus_from
+from pietsp.train import LOSS_RUN
 
 
 def test_elu_definition():
@@ -50,8 +51,8 @@ def test_softplus_stable():
 
 
 def test_softplus_is_bitwise_the_whole_array_formula_across_runs_and_layouts():
-    """max(x, 0) is added run by run; every run boundary, layout and a 0-d input give the formula's bits."""
-    x = np.random.default_rng(4).normal(scale=20.0, size=(3, SOFTPLUS_RUN + 7))
+    """A block wider than one loss chunk, every layout and a 0-d input give the formula's bits."""
+    x = np.random.default_rng(4).normal(scale=20.0, size=(3, LOSS_RUN + 7))
     want = np.log1p(np.exp(-np.abs(x))) + np.maximum(x, 0)
     assert np.array_equal(softplus(x), want)
     assert np.array_equal(softplus(x.T), want.T)  # Fortran-ordered input

@@ -166,8 +166,10 @@ def test_the_candidates_hold_each_rows_top_k_and_at_most_k_ties_at_its_bound(use
     n = g * m + g - 1  # the most leftover ids: groups 0 ... g - 2 hold g + 1 ids
     assert _group_size(n, k) == g
     ascending = np.tile(np.arange(float(n)), (users, 1))
-    assert list(_candidates(ascending, k, "top_k_rows") % n) == list(range(n - k, n)) * users
-    assert k * users <= _candidates(rng.normal(size=(users, n)), k, "top_k_rows").size <= 4 * k * users
+    flat, counts = _candidates(ascending, k, "top_k_rows")
+    assert list(flat % n) == list(range(n - k, n)) * users
+    assert (counts is None) == (users == 1)  # a block of at most 4k candidates is not counted
+    assert k * users <= _candidates(rng.normal(size=(users, n)), k, "top_k_rows")[0].size <= 4 * k * users
 
     striped = -1.0 - np.abs(rng.normal(size=(users, n)))
     groups = striped[:, : g * m].reshape(users, g, m)
@@ -181,7 +183,8 @@ def test_the_candidates_hold_each_rows_top_k_and_at_most_k_ties_at_its_bound(use
                "lone tie": (lone, (g + 1) * (k - 1) + 1),
                "frequency": (rng.poisson(0.002, size=(users, n)) * rng.integers(1, 4, size=(users, 1)), None)}
     for block, exact in crowded.values():
-        counts = np.bincount(_candidates(block, k, "top_k_rows") // n, minlength=users)
+        flat, counts = _candidates(block, k, "top_k_rows")
+        assert (flat[1:] > flat[:-1]).all() and list(counts) == list(np.bincount(flat // n, minlength=users))
         assert counts.max() <= (g + 1) * (k - 1) + k
         if exact is not None:
             assert list(counts) == [exact] * users
@@ -204,8 +207,8 @@ def test_one_crowded_row_beside_normal_rows_keeps_at_most_k_ties():
     block = rng.normal(size=(users, n))
     block[0] = -1.0 - np.abs(block[0])
     block[0, rng.choice(n, 7_000, replace=False)] = 0.0
-    counts = np.bincount(_candidates(block, k, "top_k_rows") // n, minlength=users)
-    assert counts[0] <= (g + 1) * (k - 1) + k
+    flat, counts = _candidates(block, k, "top_k_rows")
+    assert list(counts) == list(np.bincount(flat // n, minlength=users)) and counts[0] <= (g + 1) * (k - 1) + k
     assert [list(ids) for ids in top_k_rows(block, k)] == [ref_rank_all(row)[:k] for row in block]
 
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from oracle import oracle_checkpoint_bytes
 from pietsp.checkpoint import checkpoint_bytes, load_checkpoint
-from pietsp.linalg import SOFTPLUS_RUN, ShapeError
+from pietsp.linalg import ShapeError
 from pietsp.model import init_params
 from pietsp.optim import (
     ADAM_RUN,
@@ -20,6 +20,7 @@ from pietsp.optim import (
     adam_step,
     cosine_lr,
 )
+from pietsp.train import LOSS_RUN
 
 
 def test_cosine_endpoints_and_midpoint():
@@ -238,7 +239,7 @@ def test_step_across_run_boundaries_is_bitwise_the_textbook_formula():
     """A slot spanning several runs, its last one partial, updates exactly as if taken whole."""
     rng = np.random.default_rng(6)
     params = init_params(2100, 32, 2, seed=5)
-    assert params.emb.size > SOFTPLUS_RUN and params.emb.size % ADAM_RUN != 0
+    assert params.emb.size > LOSS_RUN and params.emb.size % ADAM_RUN != 0
     assert params.fuse_local.size < ADAM_RUN  # a slot within one run
     assert params.ee_b2.shape == () and "ee_b2" not in DECAYED_SLOTS and "pe_bias" not in DECAYED_SLOTS
     want = params.copy()

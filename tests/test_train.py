@@ -14,7 +14,7 @@ from pietsp.linalg import NumericsError
 from pietsp.metrics import MetricError
 from pietsp.model import MappingError, init_params
 from pietsp.optim import AdamState, cosine_lr
-from pietsp.train import RESUME_MAY_CHANGE, TrainConfig, bce_loss, evaluate, fit, reject_removed_settings, train_epoch
+from pietsp.train import LOSS_RUN, RESUME_MAY_CHANGE, TrainConfig, bce_loss, evaluate, fit, reject_removed_settings, train_epoch
 from pietsp.bench import synthetic_samples
 
 
@@ -83,11 +83,27 @@ def test_bce_one_exp_is_bitwise_the_two_exp_form():
     logits = np.concatenate([grid, np.linspace(-40.0, 40.0, 588)]).reshape(6, 100)
     rng = np.random.default_rng(2)
     mask = rng.random(logits.shape) < 0.3
+    cases = [(logits, mask)]
+    # 64 x 12,000 spans chunks of LOSS_RUN // 12,000 = 5 whole rows: targets in the first and last cells of
+    # chunks' first and last rows, rows without targets within a chunk, two chunks without any
+    step = LOSS_RUN // 12000
+    wide = rng.normal(scale=10.0, size=(64, 12000))
+    wide_mask = rng.random(wide.shape) < 0.002
+    wide_mask[step : 3 * step] = False
+    wide_mask[[3 * step + 1, 3 * step + 3]] = False
+    wide_mask[[0, step - 1, 3 * step, 4 * step - 1, 63], [0, 11999, 0, 11999, 11999]] = True
+    cases += [(wide, wide_mask), (wide[0], wide_mask[0]), (wide[step - 1], wide_mask[step - 1])]
+    longer = rng.normal(scale=10.0, size=(2, LOSS_RUN + 7))  # rows longer than a chunk: one row each
+    cases.append((longer, rng.random(longer.shape) < 0.01))
     with np.errstate(over="ignore"):  # rows holding 1e308 sum to inf in both forms
-        for targets in (mask, np.nonzero(mask)):
-            loss, d_logits = bce_loss(logits, targets)
-            want_loss, want_d = _two_exp_bce(logits, targets)
-            assert np.array_equal(loss, want_loss) and np.array_equal(d_logits, want_d)
+        for block, block_mask in cases:
+            before = block.copy()
+            for targets in (block_mask, np.nonzero(block_mask)):
+                loss, d_logits = bce_loss(block, targets)
+                want_loss, want_d = _two_exp_bce(block, targets)
+                assert np.array_equal(loss, want_loss) and np.array_equal(d_logits, want_d)
+                assert np.shape(loss) == block.shape[:-1] and d_logits.shape == block.shape
+                assert block.tobytes() == before.tobytes()  # bce_loss leaves its logits as they were
 
 
 def test_bce_shape_mismatch():
