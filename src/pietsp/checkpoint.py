@@ -37,30 +37,37 @@ formats share one check of the envelope (kind, version, layout, dimensions,
 optimizer and trainer fields) and of every slot of the parameters, both
 Adam moments and the best parameters against the shapes the dimensions
 give.  A format-2 load reads the magic line and the header as the first
-two lines of a buffered file, checks the file's size against
-``data_bytes`` and every table and slot, and only then reads the raw
-section at its absolute file offsets, straight into the slot views of fresh
-``ModelParams`` buffers: one ``os.preadv`` per run of records that lie back
-to back, so one call for a file this module wrote, and ``readinto`` per
-slot where the platform has no ``os.preadv``.  A record whose offset and
-shape repeat an earlier one's is copied from the array read for that one, so an aliased ``best_params`` loads as its own buffer and costs no
-read.  No copy of the file is held.  A read that finds the file ended
-inside a slot, and a path that cannot be read (a directory, no
-permission), are ``CheckpointError``s naming the slot or the path.  Saving
-writes a temporary file and renames it over the target, so an interrupted
-save leaves the previous checkpoint intact.  The file the rename replaces
-is kept beside the target as the hidden ``.NAME.spare``, which between
-saves holds the previous checkpoint (so a path saved again and again uses
-twice its size on disk), and the next save rewrites that file in place
-instead of freeing one file and allocating another, and syncs it to disk
-before the rename, so that an OS crash or a power loss cannot leave the
-path naming a file that holds part of two saves.  A file that has
-another name (a hard link or a symlink's target), is not a regular file,
-is read-only or belongs to another user is never written in place; the
-save writes a new file instead.  A load still reading the file when a
-save rewrites it (it opened the file two saves earlier) sees its size or
-modification time change and raises ``CheckpointError`` rather than
-return two saves' mix.
+two lines of one buffered file and checks the file's size against
+``data_bytes``.  It then reads the raw section through the same file, one
+table at a time: each slot's record is checked and its bytes read at once,
+with one ``readinto`` straight into the slot view of a fresh
+``ModelParams`` buffer.  The file is read front to back and seeks only
+where a record does not start where the last read ended, so a file this
+module wrote is read without a seek.  A record whose offset and shape
+repeat an earlier one's is copied from the array read for that one, so an
+aliased ``best_params`` loads as its own buffer and costs no read.  No
+copy of the file is held.  A read that finds the file ended inside a slot,
+and a path that cannot be read (a directory, no permission), are
+``CheckpointError``s naming the slot, and the byte where the file ended,
+or the path.  So are envelope dimensions too large for any table to be
+allocated; a table that can be allocated costs only the pages read into
+it.  Saving writes a temporary file and renames it over the target, so an
+interrupted save leaves the previous checkpoint intact.  The file the
+rename replaces is kept beside the target as the hidden ``.NAME.spare``,
+which between saves holds the previous checkpoint (so a path saved again
+and again uses twice its size on disk), and the next save rewrites that
+file in place instead of freeing one file and allocating another, and
+syncs it to disk before the rename, so that an OS crash or a power loss
+cannot leave the path naming a file that holds part of two saves.  A file
+that has another name (a hard link or a symlink's target), is not a
+regular file, is read-only or belongs to another user is never written in
+place; the save writes a new file instead.  A load still reading the file
+when a save rewrites it (it opened the file two saves earlier) sees its
+size or modification time change and raises ``CheckpointError`` rather
+than return two saves' mix.  This comparison of the file's status before
+and after the load is also what refuses a file cut short after its header
+was read: the buffer that read the header may already hold the bytes the
+cut removed.
 """
 
 from __future__ import annotations
@@ -77,7 +84,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import PietspError
-from .model import CONCAT_LAYOUT, PARAM_SLOTS, ModelParams, param_shapes
+from .model import CONCAT_LAYOUT, PARAM_SLOTS, ModelParams
 from .optim import AdamState
 
 FORMAT_VERSION = 2
@@ -309,12 +316,11 @@ def _load(path) -> tuple[dict, Checkpoint]:
                 loaded = header, _checkpoint(path, header, 1, _Base64Payloads)
             else:
                 header, raw_at = _read_header(path, f)
-                section = _RawSection(path, header, before.st_size - raw_at)
+                section = _RawSection(path, header, f, raw_at, before.st_size - raw_at)
                 loaded = header, _checkpoint(path, header, FORMAT_VERSION, section)
-                section.read(f, raw_at)
             after = os.fstat(f.fileno())
             if (after.st_size, after.st_mtime_ns) != (before.st_size, before.st_mtime_ns):
-                # a save rewrote the file (once a spare) while it was read: the bytes may be two saves' mix
+                # rewritten (once a spare) or cut short while it was read: the bytes may be two saves' mix
                 raise CheckpointError(f"{path}: the file was rewritten while it was read")
             return loaded
     except FileNotFoundError:
@@ -363,17 +369,18 @@ class _Base64Payloads:
 class _RawSection:
     """Format 2: each array's bytes sit in the raw section, of ``size`` bytes, at its record's offset.
 
-    ``decode`` checks a record, ``place`` notes the array its bytes go to, and ``read``
-    then fills every noted array straight from the file."""
+    ``decode`` checks a record and ``place`` reads its bytes straight into the array from ``f``,
+    the load's buffered file, which stands at the start of the section (file offset ``raw_at``)."""
 
-    def __init__(self, path, header: dict, size: int):
+    def __init__(self, path, header: dict, f, raw_at: int, size: int):
         data_bytes = header.get("data_bytes")
         if not _is_int(data_bytes) or data_bytes < 0:
             raise CheckpointError(f"{path}: header data_bytes {data_bytes!r} is not a non-negative integer")
         if size != data_bytes:
             raise CheckpointError(f"{path}: the raw section holds {size} bytes, but data_bytes is {data_bytes}")
-        self.size = size
-        self.fills = []  # (offset, array, where)
+        self.f, self.raw_at, self.size = f, raw_at, size
+        self.pos = 0  # where the last read ended, kept here because ``f.tell()`` per record costs more
+        self.first = {}  # (offset, shape) -> the array read from there
 
     def decode(self, where: str, record: dict, shape: tuple[int, ...]) -> int:
         if "offset" not in record:
@@ -387,56 +394,18 @@ class _RawSection:
         return offset
 
     def place(self, where: str, out: np.ndarray, offset: int) -> None:
-        self.fills.append((offset, out, where))
-
-    def read(self, f, raw_at: int) -> None:
-        """Read the raw section, which starts at file offset ``raw_at``, into the placed arrays:
-        one read per run of records that lie back to back, so one for a file ``checkpoint_bytes``
-        wrote.  A record whose offset and shape repeat an earlier one's (a table stored as
-        another) is copied from the array read for that one."""
-        runs, end, first, copies = [], None, {}, []
-        for offset, out, where in sorted(self.fills, key=lambda fill: fill[0]):
-            src = first.setdefault((offset, out.shape), out)
-            if src is not out:
-                copies.append((out, src))
-                continue
-            if offset != end:
-                runs.append((raw_at + offset, []))
-            runs[-1][1].append([out, where])
-            end = offset + out.nbytes
-        for pos, run in runs:
-            _read_run(f, pos, run)
-        for out, src in copies:
+        """Read ``out`` from ``offset``, seeking only if the last read ended elsewhere, so a file
+        ``checkpoint_bytes`` wrote is read front to back.  A record whose offset and shape repeat an
+        earlier one's (a table stored as another) is copied from the array read for that one."""
+        src = self.first.setdefault((offset, out.shape), out)
+        if src is not out:
             out[...] = src
-
-
-def _read_run(f, pos: int, run: list) -> None:
-    """Read the file from ``pos`` into each ``[buffer, where]`` of ``run`` in turn.
-
-    A read may stop short; the next resumes where it stopped, and one that reads
-    nothing means the file ended inside the slot ``where`` names."""
-    while run:
-        bufs = [buf for buf, _ in run]
-        n = os.preadv(f.fileno(), bufs, pos) if hasattr(os, "preadv") else _readinto(f, bufs, pos)
-        if n == 0:
-            raise CheckpointError(f"{run[0][1]}: short read, the file ends at byte {pos}")
-        pos += n
-        while run and n >= run[0][0].nbytes:
-            n -= run.pop(0)[0].nbytes
-        if n:
-            run[0][0] = memoryview(run[0][0]).cast("B")[n:]
-
-
-def _readinto(f, bufs: list, pos: int) -> int:
-    """``os.preadv`` where the platform lacks it (Windows): ``readinto`` each buffer in turn from ``pos``."""
-    f.seek(pos)
-    total = 0
-    for buf in bufs:
-        n = f.readinto(buf)
-        total += n
-        if n < buf.nbytes:
-            break
-    return total
+            return
+        if offset != self.pos:
+            self.f.seek(self.raw_at + offset)
+        self.pos = offset + self.f.readinto(out)  # a buffered readinto stops short only where the file ends
+        if self.pos < offset + out.nbytes:
+            raise CheckpointError(f"{where}: short read, the file ends at byte {self.raw_at + self.pos}")
 
 
 def _decode_params(obj, table: str, dims: dict[str, int], fmt) -> ModelParams:
@@ -446,9 +415,12 @@ def _decode_params(obj, table: str, dims: dict[str, int], fmt) -> ModelParams:
     missing = [s for s in PARAM_SLOTS if s not in obj]
     if missing:
         raise CheckpointError(f"{table}: parameter table missing slots: {missing}")
-    shapes = param_shapes(**dims)
-    sources = {}
-    for slot in PARAM_SLOTS:
+    # allocated before the slots are checked: a table numpy can reserve costs only the pages read into it
+    try:
+        params = ModelParams(**dims, dtype="<f8", empty=True)  # the file's byte order: its bytes copy as they are
+    except (MemoryError, ValueError) as exc:
+        raise CheckpointError(f"{table}: envelope model dimensions {dims} are too large to allocate ({exc})") from exc
+    for slot, out in params.slots():
         where = f"{table} slot '{slot}'"
         record = obj[slot]
         if not isinstance(record, dict) or "shape" not in record:
@@ -456,15 +428,12 @@ def _decode_params(obj, table: str, dims: dict[str, int], fmt) -> ModelParams:
         shape = record["shape"]
         if not isinstance(shape, list) or not all(_is_int(s) and s >= 0 for s in shape):
             raise CheckpointError(f"{where}: shape {shape!r} is not a list of non-negative integers")
-        if tuple(shape) != shapes[slot]:
+        if tuple(shape) != out.shape:
             raise CheckpointError(
                 f"{where}: shape {tuple(shape)}, but the envelope's"
-                f" {', '.join(f'{k}={v}' for k, v in dims.items())} need {shapes[slot]}"
+                f" {', '.join(f'{k}={v}' for k, v in dims.items())} need {out.shape}"
             )
-        sources[slot] = fmt.decode(where, record, shapes[slot])
-    params = ModelParams(**dims, dtype="<f8", empty=True)  # the file's byte order: its bytes copy as they are
-    for slot, out in params.slots():
-        fmt.place(f"{table} slot '{slot}'", out, sources[slot])
+        fmt.place(where, out, fmt.decode(where, record, out.shape))
     return params
 
 

@@ -222,7 +222,7 @@ def split_users(
     corpus: Corpus, ratios: tuple[float, float, float], seed: int
 ) -> tuple[Corpus, Corpus, Corpus]:
     """Deterministic user-level split.  Sizes: floor(train), floor(val), rest."""
-    if len(ratios) != 3 or any(r <= 0 for r in ratios):
+    if len(ratios) != 3 or not all(r > 0 for r in ratios):  # ``r <= 0`` is false for NaN
         raise SplitError(f"ratios must be three positive numbers, got {ratios}")
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise SplitError(f"ratios must sum to 1, got {sum(ratios)!r}")
@@ -429,11 +429,15 @@ def convert_table(
     otherwise).  A row whose user, set-key or item cell is missing or empty
     is skipped and counted in ``LoadReport.rows_skipped``.  Item ids are
     remapped to a dense 0-based vocabulary; the mapping is returned so it
-    can be written alongside the corpus.
+    can be written alongside the corpus.  ``delimiter`` must be one
+    character; without one, it is a tab for ``.tsv``, ``.dat`` and ``.txt``
+    files and a comma otherwise.
     """
     path = Path(path)
     if delimiter is None:
         delimiter = "\t" if path.suffix.lower() in (".tsv", ".dat", ".txt") else ","
+    if not (isinstance(delimiter, str) and len(delimiter) == 1):  # what ``csv`` takes
+        raise DataError(f"delimiter {delimiter!r} is not one character")
     grouped: dict[str, dict[str, list[str]]] = {}
     skipped = 0
     try:

@@ -23,7 +23,7 @@ from pietsp.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
-from pietsp.model import PARAM_SLOTS, init_params
+from pietsp.model import PARAM_SLOTS, init_params, param_shapes
 from pietsp.optim import AdamState, adam_step
 
 
@@ -552,6 +552,23 @@ def _set(*keys, value):
     return edit
 
 
+def _dims(vocab_size, dim):
+    """Set the envelope's dimensions and every params slot's shape to match them (k_max stays 2)."""
+    def edit(payload):
+        payload.update(vocab_size=vocab_size, dim=dim)
+        for slot, shape in param_shapes(vocab_size, dim, 2).items():
+            payload["params"][slot]["shape"] = list(shape)
+        return payload
+    return edit
+
+
+def _too_large(vocab_size, dim):
+    """The error for dimensions whose tables cannot even be allocated (numpy raises ``MemoryError`` or
+    ``ValueError``)."""
+    dims = {"vocab_size": vocab_size, "dim": dim, "k_max": 2}
+    return "^" + re.escape(f"params: envelope model dimensions {dims} are too large to allocate (")
+
+
 # each edit takes the parsed envelope (format 1) or header (format 2) and returns the new root
 ENVELOPE_FAULTS = {
     "root-list": (lambda payload: [payload], "not a checkpoint file"),
@@ -576,6 +593,9 @@ ENVELOPE_FAULTS = {
     "layout-unknown": (_set("concat_layout", value="other"), "unknown concatenation layout 'other'"),
     "dim-zero": (_set("dim", value=0), "envelope model dimensions .*'dim': 0.* are not positive integers"),
     "k-max-negative": (_set("k_max", value=-2), "envelope model dimensions .*'k_max': -2.* are not positive"),
+    "vocab-beyond-memory": (_dims(10**13, 4), _too_large(10**13, 4)),
+    "dim-beyond-memory": (_dims(1, 10**6), _too_large(1, 10**6)),
+    "vocab-beyond-array-size": (_dims(2**62, 4), _too_large(2**62, 4)),
 }
 
 
@@ -631,24 +651,57 @@ def _permuted_v2(blob, seed):
     return _join_v2(header, b"".join(parts))
 
 
-def _counting_preadv(monkeypatch):
-    calls, real = [], os.preadv
+class _CountingFile:
+    """A load's open file that notes each ``seek`` and ``readinto`` call in ``calls``."""
 
-    def preadv(fd, bufs, pos):
-        calls.append(pos)
-        return real(fd, bufs, pos)
+    def __init__(self, f, calls):
+        self.f, self.calls = f, calls
 
-    monkeypatch.setattr(os, "preadv", preadv)
+    def __getattr__(self, name):
+        return getattr(self.f, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return self.f.__exit__(*exc)
+
+    def seek(self, *args):
+        self.calls.append("seek")
+        return self.f.seek(*args)
+
+    def readinto(self, buf):
+        self.calls.append("readinto")
+        return self.f.readinto(buf)
+
+
+def _counting_reads(monkeypatch):
+    """The names of the ``seek`` and ``readinto`` calls that later loads make, in order."""
+    calls = []
+    monkeypatch.setattr(checkpoint, "open", lambda *args, **kwargs: _CountingFile(open(*args, **kwargs), calls),
+                        raising=False)
     return calls
 
 
-def test_v2_written_by_checkpoint_bytes_is_read_in_one_call(tmp_path, monkeypatch):
+def _before_the_first_read(monkeypatch, action):
+    """Run ``action`` once a load has checked the file's size, just before it reads the first slot."""
+    place, pending = checkpoint._RawSection.place, [action]
+
+    def act_then_place(self, where, out, offset):
+        while pending:
+            pending.pop()()
+        place(self, where, out, offset)
+
+    monkeypatch.setattr(checkpoint._RawSection, "place", act_then_place)
+
+
+def test_v2_written_by_checkpoint_bytes_is_read_without_a_seek(tmp_path, monkeypatch):
     kwargs = _full_state()
     path = tmp_path / "ck.json"
     save_checkpoint(path, **kwargs)
-    calls = _counting_preadv(monkeypatch)
+    calls = _counting_reads(monkeypatch)
     _assert_loads_bit_for_bit(path, kwargs)
-    assert len(calls) == 1
+    assert calls == ["readinto"] * 4 * len(PARAM_SLOTS)  # one per slot of each of the four tables
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -656,10 +709,9 @@ def test_v2_slots_out_of_slot_order_load_bit_for_bit(tmp_path, monkeypatch, seed
     kwargs = _full_state()
     path = tmp_path / "ck.json"
     path.write_bytes(_permuted_v2(checkpoint_bytes(**kwargs), seed))
-    calls = _counting_preadv(monkeypatch)
+    calls = _counting_reads(monkeypatch)
     _assert_loads_bit_for_bit(path, kwargs)
-    assert len(calls) > 1  # one read per run of records that lie back to back
-    assert calls == sorted(calls)
+    assert calls.count("readinto") == 4 * len(PARAM_SLOTS) and "seek" in calls
 
 
 def _slot_at(path, table, slot):
@@ -681,66 +733,31 @@ def test_v2_header_longer_than_the_first_read_loads(tmp_path):
     _assert_loads_bit_for_bit(path, kwargs)
 
 
-def test_v2_reads_that_stop_short_resume(tmp_path, monkeypatch):
-    """A read may return fewer bytes than asked: the next one resumes mid-slot."""
-    kwargs = _full_state()
-    path = tmp_path / "ck.json"
-    save_checkpoint(path, **kwargs)
-    real = os.preadv
-
-    def at_most_100_bytes(fd, bufs, pos):
-        views, room = [], 100
-        for buf in bufs:
-            views.append(memoryview(buf).cast("B")[:room])
-            room -= len(views[-1])
-            if not room:
-                break
-        return real(fd, views, pos)
-
-    monkeypatch.setattr(os, "preadv", at_most_100_bytes)
-    _assert_loads_bit_for_bit(path, kwargs)
-
-
-@pytest.mark.parametrize("table, preadv", [
-    pytest.param(("params",), True, id="params"),
-    pytest.param(("optimizer", "v"), True, id="optimizer-v"),
-    pytest.param(("trainer", "best_params"), True, id="trainer-best_params"),
-    pytest.param(("optimizer", "v"), False, id="optimizer-v-no-preadv"),
+@pytest.mark.parametrize("table", [
+    pytest.param(("params",), id="params"),
+    pytest.param(("optimizer", "v"), id="optimizer-v"),
+    pytest.param(("trainer", "best_params"), id="trainer-best_params"),
 ])
-def test_v2_short_read_names_the_slot(tmp_path, monkeypatch, table, preadv):
-    """A file that ends, while it is read, inside a slot (truncated after its size was checked),
-    read with ``os.preadv`` or, where the platform has none, ``readinto``."""
+def test_v2_short_read_names_the_slot(tmp_path, monkeypatch, table):
+    """A file that ends, while it is read, inside a slot (truncated after its size was checked).
+    The tables are large enough that the slot lies far past the bytes read with the header."""
     path = tmp_path / "ck.json"
-    save_checkpoint(path, **_full_state())
+    save_checkpoint(path, **_full_state(vocab=2000, dim=16, k_max=4))
     end = _slot_at(path, table, "pi_w2") + 12
-    if preadv:
-        real = os.preadv
-
-        def truncated(fd, bufs, pos):
-            return max(0, min(real(fd, bufs, pos), end - pos))
-
-        monkeypatch.setattr(os, "preadv", truncated)
-    else:
-        read = checkpoint._RawSection.read
-
-        def truncate_then_read(self, f, raw_at):
-            os.truncate(path, end)
-            read(self, f, raw_at)
-
-        monkeypatch.setattr(checkpoint._RawSection, "read", truncate_then_read)
-        monkeypatch.delattr(os, "preadv", raising=False)
+    _before_the_first_read(monkeypatch, lambda: os.truncate(path, end))
     with pytest.raises(CheckpointError, match=rf"{table[-1]} slot 'pi_w2': short read, the file ends at byte {end}"):
         load_checkpoint(path)
 
 
-@pytest.mark.parametrize("permuted", [False, True], ids=["slot-order", "permuted"])
-def test_v2_loads_where_the_platform_has_no_preadv(tmp_path, monkeypatch, permuted):
-    kwargs = _full_state()
-    blob = checkpoint_bytes(**kwargs)
+def test_v2_cut_short_inside_the_bytes_read_with_the_header_is_refused(tmp_path, monkeypatch):
+    """A file cut short after the header was read, where the buffer that read the header already
+    holds the bytes cut away: the size check after the load refuses it."""
     path = tmp_path / "ck.json"
-    path.write_bytes(_permuted_v2(blob, 3) if permuted else blob)
-    monkeypatch.delattr(os, "preadv", raising=False)
-    _assert_loads_bit_for_bit(path, kwargs)
+    _save(path, 1)
+    assert path.stat().st_size < path.stat().st_blksize  # the size of the buffer ``open`` gives the load
+    _before_the_first_read(monkeypatch, lambda: os.truncate(path, path.stat().st_size - 8))
+    with pytest.raises(CheckpointError, match="rewritten while it was read"):
+        load_checkpoint(path)
 
 
 def test_v2_load_holds_no_copy_of_the_file(tmp_path):
@@ -799,13 +816,15 @@ def test_best_params_that_differ_only_in_the_bits_of_one_entry_are_written(tmp_p
 
 
 def test_an_aliased_file_loads_two_unshared_tables_in_one_read(tmp_path, monkeypatch):
+    """One read of the file, front to back, with one ``readinto`` per distinct record: the best
+    table is copied from the parameters read before it."""
     kwargs = _aliased_state()
     path = tmp_path / "ck.json"
     save_checkpoint(path, **kwargs)
     assert _split_v2(path.read_bytes())[0]["data_bytes"] == 3 * kwargs["params"].flat.nbytes
-    calls = _counting_preadv(monkeypatch)
+    calls = _counting_reads(monkeypatch)
     ck = load_checkpoint(path)
-    assert len(calls) == 1
+    assert calls == ["readinto"] * 3 * len(PARAM_SLOTS)
     best = ck.train_state["best_params"]
     assert not np.shares_memory(ck.params.flat, best.flat)
     assert best.flat.tobytes() == ck.params.flat.tobytes() == kwargs["params"].flat.tobytes()
@@ -906,14 +925,7 @@ def test_a_reader_across_saves_gets_its_file_or_an_error(tmp_path, monkeypatch, 
     path = tmp_path / "ck.json"
     _save(path, 1)
     os.utime(path, ns=(0, 0))  # a rewrite then shows in the mtime, however coarse the clock
-    read = checkpoint._RawSection.read
-
-    def saves_then_read(self, f, raw_at):
-        for seed in range(2, 2 + saves):
-            _save(path, seed)
-        read(self, f, raw_at)
-
-    monkeypatch.setattr(checkpoint._RawSection, "read", saves_then_read)
+    _before_the_first_read(monkeypatch, lambda: [_save(path, seed) for seed in range(2, 2 + saves)])
     if saves == 1:
         assert load_checkpoint(path).seed == 1
     else:

@@ -210,6 +210,13 @@ def test_train_with_a_negative_seed_is_one_line_naming_it(tmp_path, synthetic_fi
     assert not out.exists()
 
 
+def test_train_with_a_nan_split_ratio_is_one_line_naming_the_ratios(tmp_path, synthetic_file, capsys):
+    out = tmp_path / "run"
+    assert run_cli("train", "--data", str(synthetic_file), "--out", str(out), "--split-ratios", "nan,0.5,0.5") == 1
+    assert capsys.readouterr().err == "pietsp train: ratios must be three positive numbers, got (nan, 0.5, 0.5)\n"
+    assert not out.exists()
+
+
 def test_gen_synthetic_with_a_negative_seed_is_one_line_naming_it(tmp_path, capsys):
     out = tmp_path / "syn.json"
     assert run_cli("gen-synthetic", "--pattern", "periodic", "--users", "5", "--vocab", "30", "--seed", "-2",
@@ -309,6 +316,16 @@ def test_convert_csv_roundtrip(tmp_path, capsys):
     assert corpus["vocab_size"] == 3
     vocab = json.loads((tmp_path / "vocab.json").read_text())
     assert vocab["items"] == ["a", "b", "c"]
+
+
+@pytest.mark.parametrize("delimiter", [";;", ""], ids=["two", "empty"])
+def test_convert_with_a_delimiter_that_is_not_one_character_is_one_line(tmp_path, capsys, delimiter):
+    raw = tmp_path / "raw.csv"
+    raw.write_text("user,order,item\nu1,1,a\nu1,2,b\n")
+    out = tmp_path / "corpus.json"
+    assert run_cli("convert", "--input", str(raw), "--out", str(out), "--delimiter", delimiter) == 1
+    assert capsys.readouterr().err == f"pietsp convert: delimiter {delimiter!r} is not one character\n"
+    assert not out.exists()
 
 
 def test_convert_reads_a_json_dump_by_its_suffix(tmp_path, capsys):

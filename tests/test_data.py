@@ -343,6 +343,12 @@ def test_split_rejects_bad_ratios():
         split_users(_corpus(10), (0.9, -0.1, 0.2), seed=0)
 
 
+@pytest.mark.parametrize("ratios", [(float("nan"), 0.5, 0.5), (0.5, float("nan"), 0.5)], ids=["first", "second"])
+def test_split_rejects_nan_ratios_naming_them(ratios):
+    with pytest.raises(SplitError, match=re.escape(f"ratios must be three positive numbers, got {ratios}")):
+        split_users(_corpus(10), ratios, seed=0)
+
+
 def test_split_rejects_empty_part():
     with pytest.raises(SplitError):
         split_users(_corpus(3), (0.98, 0.01, 0.01), seed=0)
@@ -496,6 +502,14 @@ def test_convert_table_refuses_an_empty_file(tmp_path):
     raw.write_text("")
     with pytest.raises(DataError, match=f"^{re.escape(str(raw))}: empty file$"):
         convert_table(raw, "user", "order", "item")
+
+
+@pytest.mark.parametrize("delimiter", [";;", "", b","], ids=["two", "empty", "bytes"])
+def test_convert_table_refuses_a_delimiter_that_is_not_one_character(tmp_path, delimiter):
+    raw = tmp_path / "raw.csv"
+    raw.write_text("user,order,item\nu,1,p\nu,2,q\n")
+    with pytest.raises(DataError, match=f"^delimiter {re.escape(repr(delimiter))} is not one character$"):
+        convert_table(raw, "user", "order", "item", delimiter=delimiter)
 
 
 def test_convert_json_dump_with_splits(tmp_path):
