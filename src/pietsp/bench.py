@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import PreparedSample
+from .data import Corpus, PreparedSample, UserRecord, prepare_all
 from .errors import PietspError
 from .model import ModelParams, forward, init_params
 
@@ -76,27 +76,20 @@ def synthetic_samples(
     seed: int,
 ) -> list[PreparedSample]:
     """Random samples of a fixed shape: N distinct ids, Bernoulli(0.3) bool membership
-    (every row forced non-empty), small random target."""
+    (every row forced non-empty), small random target.  Each draw becomes a user of ``k_max``
+    history sets (column j of the membership is set j) and the target, prepared by ``prepare_all``."""
     if n_elements > vocab_size:
         raise PietspError(f"cannot draw {n_elements} distinct ids from a vocabulary of {vocab_size}")
     rng = np.random.default_rng(seed)
-    samples = []
+    users = []
     for i in range(count):
-        universe = np.sort(rng.choice(vocab_size, n_elements, replace=False)).astype(np.int64)
+        universe = np.sort(rng.choice(vocab_size, n_elements, replace=False))
         membership = rng.random((n_elements, k_max)) < 0.3
-        forced = rng.integers(0, k_max, size=n_elements)
-        membership[np.arange(n_elements), forced] = True
-        target = np.sort(rng.choice(vocab_size, min(5, vocab_size), replace=False)).astype(np.int64)
-        samples.append(
-            PreparedSample(
-                user_id=f"bench{i:04d}",
-                universe=universe,
-                membership=membership,
-                target_ids=target,
-                vocab_size=vocab_size,
-            )
-        )
-    return samples
+        membership[np.arange(n_elements), rng.integers(0, k_max, size=n_elements)] = True
+        target = np.sort(rng.choice(vocab_size, min(5, vocab_size), replace=False))
+        sets = [tuple(universe[column].tolist()) for column in membership.T]
+        users.append(UserRecord(f"bench{i:04d}", (*sets, tuple(target.tolist()))))
+    return prepare_all(Corpus(vocab_size, tuple(users)), k_max)
 
 
 def shape_case(n: int, k: int, vocab: int, dim: int, batch_size: int, seed: int, sample_seed: int,

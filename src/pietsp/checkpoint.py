@@ -47,7 +47,8 @@ module wrote is read without a seek.  A record whose offset and shape
 repeat an earlier one's is copied from the array read for that one, so an
 aliased ``best_params`` loads as its own buffer and costs no read.  No
 copy of the file is held.  A read that finds the file ended inside a slot,
-and a path that cannot be read (a directory, no permission), are
+and a path that cannot be read (a directory, a FIFO or another file that
+is not a regular file, no permission), are
 ``CheckpointError``s naming the slot, and the byte where the file ended,
 or the path.  So are envelope dimensions too large for any table to be
 allocated; a table that can be allocated costs only the pages read into
@@ -305,8 +306,12 @@ def _is_int(value) -> bool:
 def _load(path) -> tuple[dict, Checkpoint]:
     """The file's header (format 1: the whole envelope) and the checkpoint it holds."""
     try:
-        with open(path, "rb") as f:
+        # opened without blocking: a FIFO with no writer would block the open, and a read, until one came
+        with open(path, "rb", opener=lambda name, flags: os.open(name, flags | getattr(os, "O_NONBLOCK", 0))) as f:
             before = os.fstat(f.fileno())
+            if not stat.S_ISREG(before.st_mode):
+                raise CheckpointError(f"{path}: cannot read the checkpoint (not a regular file)")
+            os.set_blocking(f.fileno(), True)
             head = f.readline()
             if head != MAGIC:
                 try:

@@ -26,10 +26,9 @@ from .checkpoint import inspect_checkpoint, load_checkpoint, write_atomic
 from .data import (SyntheticSpec, convert_json_dump, convert_table, corpus_to_dict, gen_synthetic, load_corpus,
                    prepare_all, read_json, save_corpus, split_users)
 from .errors import PietspError
-from .metrics import top_k_rows
-from .model import VARIANTS, batch_slices, forward_batch, make_batch
-from .train import (EARLY_STOP_K, REMOVED_SETTINGS, TrainConfig, evaluate, fit, reject_removed_settings,
-                    resumable_checkpoint, write_history)
+from .model import VARIANTS
+from .train import (EARLY_STOP_K, REMOVED_SETTINGS, TrainConfig, evaluate, fit, ranked_batches,
+                    reject_removed_settings, resumable_checkpoint, write_history)
 
 
 def _int_list(text: str) -> list[int]:
@@ -78,8 +77,11 @@ SPLITS = ("train", "val", "test", "all")
 
 def _load_users(args, split: str = "all"):
     """The ``--ckpt`` checkpoint, its training config and the prepared users of ``split`` of the
-    ``--data`` corpus, which must share the checkpoint's vocabulary."""
+    ``--data`` corpus, which must share the checkpoint's vocabulary.  A split other than ``all`` is
+    the training run's, so it needs the config the checkpoint records."""
     ck = load_checkpoint(args.ckpt)
+    if split != "all" and ck.config is None:
+        raise PietspError(f"{args.ckpt} records no training config, so its '{split}' split is unknown; use --split all")
     corpus, _ = load_corpus(args.data)
     if corpus.vocab_size != ck.params.vocab_size:
         raise PietspError(
@@ -128,15 +130,16 @@ def _cmd_train(args) -> int:
             f" {report.duplicate_ids_removed} duplicate ids)"
         )
     train_c, val_c, _ = _split_corpus(corpus, config.split_ratios, config.seed)
+    latest = out_dir / "checkpoint-latest.json"
     # a refused resume leaves the run directory's settings as they were
-    resume = resumable_checkpoint(out_dir / "checkpoint-latest.json", config) if args.resume else None
+    resume = resumable_checkpoint(latest, config, corpus.vocab_size) if args.resume else None
     _write_effective(out_dir, settings)
     result = fit(
         train_c,
         val_c,
         config,
         resume_from=resume,
-        latest_path=out_dir / "checkpoint-latest.json",
+        latest_path=latest,
         best_path=out_dir / "checkpoint-best.json",
     )
     write_history(result.history, out_dir / "history.jsonl")
@@ -173,10 +176,8 @@ def _cmd_predict(args) -> int:
     _at_least_one("--top", (args.top,))
     ck, config, samples = _load_users(args, args.split)
     lines = []
-    for users in batch_slices(samples):
-        batch = make_batch(users, ck.params.vocab_size)
-        ranked = top_k_rows(forward_batch(batch, ck.params, config.variant).logits, args.top)
-        for sample, ids in zip(users, ranked.tolist()):
+    for batch, ranked in ranked_batches(samples, ck.params, args.top, config.variant):
+        for sample, ids in zip(batch.samples, ranked.tolist()):
             lines.append(json.dumps({"user_id": sample.user_id, "items": ids}))
     text = "\n".join(lines) + "\n"
     if args.out:

@@ -415,6 +415,17 @@ def gen_synthetic_with_pools(spec: SyntheticSpec) -> tuple[Corpus, dict[str, tup
 # raw dump conversion
 # ---------------------------------------------------------------------------
 
+def _dense_corpus(user_sets: dict, order=None) -> tuple[Corpus, LoadReport, dict]:
+    """The corpus of ``user_sets`` (user id -> its sets of item names), users in id order, each name
+    (as a string) mapped to its place in ``sorted(names, key=order)``; and the ``{"items": names}`` map."""
+    all_items = sorted({str(i) for sets in user_sets.values() for s in sets for i in s}, key=order)
+    item_to_id = {item: i for i, item in enumerate(all_items)}
+    users = [{"user_id": uid, "sets": [[item_to_id[str(i)] for i in s] for s in user_sets[uid]]}
+             for uid in sorted(user_sets)]
+    corpus, report = parse_corpus({"vocab_size": len(all_items), "users": users})
+    return corpus, report, {"items": all_items}
+
+
 def convert_table(
     path,
     user_col: str,
@@ -467,20 +478,9 @@ def convert_table(
             pass
         return sorted(keys)
 
-    all_items = sorted({item for sets in grouped.values() for items in sets.values() for item in items})
-    item_to_id = {item: i for i, item in enumerate(all_items)}
-    raw = {
-        "vocab_size": len(all_items),
-        "users": [
-            {
-                "user_id": user,
-                "sets": [[item_to_id[i] for i in sets[key]] for key in _set_order(sets)],
-            }
-            for user, sets in sorted(grouped.items())
-        ],
-    }
-    corpus, report = parse_corpus(raw)
-    return corpus, replace(report, rows_skipped=skipped), {"items": all_items}
+    corpus, report, vocab_map = _dense_corpus({user: [sets[key] for key in _set_order(sets)]
+                                               for user, sets in grouped.items()})
+    return corpus, replace(report, rows_skipped=skipped), vocab_map
 
 
 class _JsonObject(dict):
@@ -544,17 +544,4 @@ def convert_json_dump(path) -> tuple[Corpus, LoadReport, dict]:
             item = next(i for s in seq for i in s if type(i) not in (str, int))
             who = origin.get(uid) or f"user '{uid}'"
             raise DataError(f"{path}: {who} has the item {json.dumps(item)}, which is neither a string nor an integer")
-    all_items = sorted(
-        {str(i) for seq in merged.values() for s in seq for i in s},
-        key=lambda s: (len(s), s),
-    )
-    item_to_id = {item: i for i, item in enumerate(all_items)}
-    raw = {
-        "vocab_size": len(all_items),
-        "users": [
-            {"user_id": str(uid), "sets": [[item_to_id[str(i)] for i in s] for s in seq]}
-            for uid, seq in sorted(merged.items())
-        ],
-    }
-    corpus, report = parse_corpus(raw)
-    return corpus, report, {"items": all_items}
+    return _dense_corpus(merged, order=lambda s: (len(s), s))

@@ -35,9 +35,11 @@ batch's fixed costs: its universe is checked but nothing is stacked, its
 ``Segments`` is a shared read-only instance, the cells are the universe
 ids themselves, and the targets are stacked only when the loss or
 evaluation asks (``Batch.targets``).
-``batch_slices`` cuts a list of users into engine calls of bounded size
-(``MAX_BATCH_ROWS`` universe rows, ``MAX_BATCH_USERS`` users), which keeps
-the memory of a call independent of the minibatch.  ``make_batch`` validates all the universes in
+``batches`` cuts a list of users into engine calls of bounded size
+(``MAX_BATCH_ROWS`` universe rows, ``MAX_BATCH_USERS`` users) and yields each
+call's ``make_batch``, which keeps the memory of a call independent of the
+minibatch; every caller (training, evaluation, ``pietsp predict``) takes
+its calls from it.  ``make_batch`` validates all the universes in
 one pass over the stacked ids (each must rise strictly, as prepared samples
 do, and lie in the vocabulary); only a user failing that pass is sorted on
 its own, which accepts a permuted universe and otherwise raises the
@@ -256,11 +258,10 @@ class Segments:
 
 @dataclass
 class Batch:
-    """One engine call's B users: universes concatenated in user order, membership blocks kept per user."""
+    """One engine call's B users: universes concatenated in user order, the samples kept as they are."""
 
     ids: np.ndarray            # (R,) vocabulary id of every universe row
-    membership: tuple[np.ndarray, ...]  # each user's (N_b, K) rows; ``sfi_concat`` stacks them into Z
-    target_ids: tuple[np.ndarray, ...]  # each user's target item ids
+    samples: tuple[PreparedSample, ...]  # the users in row order: ``forward_batch`` stacks their membership
     segs: Segments
 
     @property
@@ -269,8 +270,8 @@ class Batch:
 
     def targets(self) -> tuple[np.ndarray, np.ndarray]:
         """(user index, item id) of every target item: ``bce_loss``'s index into the (B, |E|) logits."""
-        sizes = [t.size for t in self.target_ids]
-        return np.repeat(np.arange(len(sizes)), sizes), np.concatenate(self.target_ids)
+        target_ids = [s.target_ids for s in self.samples]
+        return np.repeat(np.arange(len(target_ids)), [t.size for t in target_ids]), np.concatenate(target_ids)
 
     def scatter_add(self, table: np.ndarray, rows: np.ndarray) -> None:
         """``table[ids[r]] += rows[r]`` for every row r; rows of an id repeated across users are summed.
@@ -322,7 +323,7 @@ def make_batch(samples: list[PreparedSample], vocab_size: int) -> Batch:
         u = s.universe
         if u.ndim != 1 or u.size == 0 or u[0] < 0 or u[-1] >= vocab_size or not (u[1:] > u[:-1]).all():
             _check_universe(s, vocab_size)
-        return Batch(ids=u, membership=(s.membership,), target_ids=(s.target_ids,), segs=Segments.one(u.size))
+        return Batch(ids=u, samples=(s,), segs=Segments.one(u.size))
     for sample in samples:
         if sample.universe.ndim != 1 or sample.universe.size == 0:
             _check_universe(sample, vocab_size)
@@ -331,26 +332,21 @@ def make_batch(samples: list[PreparedSample], vocab_size: int) -> Batch:
     np.cumsum(counts[:-1], out=offsets[1:])
     ids = np.concatenate([s.universe for s in samples])
     _check_universes(samples, ids, offsets, vocab_size)
-    return Batch(
-        ids=ids,
-        membership=tuple(s.membership for s in samples),
-        target_ids=tuple(s.target_ids for s in samples),
-        segs=Segments(offsets, counts),
-    )
+    return Batch(ids=ids, samples=tuple(samples), segs=Segments(offsets, counts))
 
 
-def batch_slices(samples: list[PreparedSample]):
-    """Consecutive runs of ``samples`` with at most MAX_BATCH_USERS users and MAX_BATCH_ROWS
-    universe rows each; a user whose universe alone exceeds the row cap gets a run of its own."""
+def batches(samples: list[PreparedSample], vocab_size: int):
+    """``make_batch`` of each consecutive run of ``samples`` with at most MAX_BATCH_USERS users and
+    MAX_BATCH_ROWS universe rows; a user whose universe alone exceeds the row cap gets a run of its own."""
     start, rows = 0, 0
     for i, sample in enumerate(samples):
         n = sample.universe.size
         if i > start and (rows + n > MAX_BATCH_ROWS or i - start == MAX_BATCH_USERS):
-            yield samples[start:i]
+            yield make_batch(samples[start:i], vocab_size)
             start, rows = i, 0
         rows += n
     if start < len(samples):
-        yield samples[start:]
+        yield make_batch(samples[start:], vocab_size)
 
 
 @dataclass
@@ -486,7 +482,7 @@ def forward_batch(batch: Batch, params: ModelParams, variant: str = "full") -> F
         raise PietspError(f"unknown variant '{variant}', expected one of {VARIANTS}")
     segs, ids = batch.segs, batch.ids
     cells = segs.cells(ids, params.vocab_size)
-    z = sfi_concat(params.emb.take(ids, axis=0), batch.membership)
+    z = sfi_concat(params.emb.take(ids, axis=0), [s.membership for s in batch.samples])
     z_mean = segs.mean(z)  # kept for backward's Wl gradient
     pe_out = pe_forward(z, params, segs, z_mean)
 

@@ -2,16 +2,17 @@
 
 A minibatch is ``batch_size`` users of the shuffled order.  It runs through
 the model's ragged-batch engine (no padding: the users' universes are
-stacked), one call per ``batch_slices`` run of it, each call's backward
+stacked), one call per ``model.batches`` run of it, each call's backward
 adding into one gradient buffer per minibatch, which is averaged and
 applied in a single optimizer step; the one gradient buffer of an epoch is
 zeroed and averaged in one pass each.  The loss is evaluated on the B x |E|
 logit block with sparse targets, softplus and logistic sharing one exp, in
 chunks of whole rows that overwrite the logits with d_logits: a training
 slice holds one B x |E| block, which backward then reads.
-Evaluation ranks each engine call's logit block at once and scores its hits
-with ``metrics.hit_metrics``.  The per-epoch shuffle is keyed by (seed,
-epoch), so resuming from a checkpoint replays the identical stream.
+``ranked_batches`` ranks each engine call's score block at once: evaluation
+scores its hits with ``metrics.hit_metrics``, and ``pietsp predict`` writes
+its ids.  The per-epoch shuffle is keyed by (seed, epoch), so resuming from
+a checkpoint replays the identical stream.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .data import Corpus, PreparedSample, max_history_len, prepare_all
 from .errors import PietspError
 from .linalg import NumericsError, exp_neg_abs, logistic_from, softplus_from
 from .metrics import MetricReport, hit_metrics, top_k_rows
-from .model import MappingError, ModelParams, VARIANTS, backward, batch_slices, forward, forward_batch, init_params, make_batch  # noqa: F401  forward stays importable from here
+from .model import MappingError, ModelParams, VARIANTS, backward, batches, forward, forward_batch, init_params  # noqa: F401  forward stays importable from here
 from .optim import AdamState, OptimizerError, adam_step, cosine_lr
 
 EARLY_STOP_K = 10  # early stopping watches validation NDCG at this k
@@ -152,11 +153,10 @@ def bce_loss(logits: np.ndarray, targets) -> tuple[np.ndarray, np.ndarray]:
 def add_gradients(samples: list[PreparedSample], params: ModelParams, variant: str, grads: ModelParams) -> list[float]:
     """Add the BCE gradients of every sample, summed, into ``grads``; returns each sample's loss.
 
-    One engine call per ``batch_slices`` run of the samples.
+    One engine call per ``batches`` run of the samples.
     """
     losses = []
-    for part in batch_slices(samples):
-        batch = make_batch(part, params.vocab_size)
+    for batch in batches(samples, params.vocab_size):
         trace = forward_batch(batch, params, variant)
         d_logits, trace.logits = trace.logits, None  # backward never reads the logits: the loss overwrites them
         losses.extend(_bce_in_place(d_logits, batch.targets()).tolist())
@@ -209,6 +209,17 @@ def _checked_scores(score_fn, sample: PreparedSample, vocab_size: int) -> np.nda
     return scores
 
 
+def ranked_batches(samples: list[PreparedSample], params: ModelParams, k: int, variant: str = "full", score_fn=None):
+    """Each engine call's ``Batch`` (``model.batches``) and the ids of its users' top ``k`` items, one row a
+    user (``top_k_rows``), ranked from the model's logits or, given ``score_fn``, from its checked scores."""
+    for batch in batches(samples, params.vocab_size):
+        if score_fn is None:
+            scores = forward_batch(batch, params, variant).logits
+        else:
+            scores = np.stack([_checked_scores(score_fn, s, params.vocab_size) for s in batch.samples])
+        yield batch, top_k_rows(scores, k)
+
+
 def evaluate(
     samples: list[PreparedSample],
     params: ModelParams,
@@ -222,10 +233,10 @@ def evaluate(
     replaces the model forward when given; used for baselines and tests.
     Each of its score vectors must be finite and shaped (|E|,), or the
     ``PietspError`` (``NumericsError`` for a non-finite score) names the
-    user.  Users with an empty target are skipped.  Each engine call's score
-    block is ranked at once by ``top_k_rows``; ``hit_metrics`` scores its
-    hits in rank order at every k, and the report averages its rows.  A k
-    below 1 raises ``MetricError``.
+    user.  Users with an empty target are skipped.  ``ranked_batches`` ranks
+    each engine call's score block at once; ``hit_metrics`` scores its hits
+    in rank order at every k, and the report averages its rows.  A k below 1
+    raises ``MetricError``.
     """
     k_list = tuple(int(k) for k in k_list)
     if not k_list:
@@ -233,18 +244,11 @@ def evaluate(
     scored = [s for s in samples if s.target_ids.size]
     if not scored:
         raise PietspError("evaluate: no users with non-empty targets")
-    k_top = max(k_list)
     recall_acc = dict.fromkeys(k_list, 0.0)
     ndcg_acc = dict.fromkeys(k_list, 0.0)
     hit_acc = dict.fromkeys(k_list, 0)
-    for part in batch_slices(scored):
-        batch = make_batch(part, params.vocab_size)
-        if score_fn is None:
-            scores = forward_batch(batch, params, variant).logits
-        else:
-            scores = np.stack([_checked_scores(score_fn, s, params.vocab_size) for s in part])
-        ranked = top_k_rows(scores, k_top)
-        truth = np.zeros(scores.shape, dtype=bool)
+    for batch, ranked in ranked_batches(scored, params, max(k_list), variant, score_fn):
+        truth = np.zeros((batch.size, params.vocab_size), dtype=bool)
         truth[batch.targets()] = True
         n_truth = np.count_nonzero(truth, axis=1)
         hits = truth[np.arange(batch.size)[:, None], ranked]
@@ -274,12 +278,16 @@ class FitResult:
     k_max: int = 1
 
 
-def resumable_checkpoint(path, config: TrainConfig) -> Checkpoint:
-    """The checkpoint at ``path``, checked to continue a run of ``config``: it holds the optimizer and
-    trainer state, sets no removed setting, and matches every setting but ``RESUME_MAY_CHANGE``."""
+def resumable_checkpoint(path, config: TrainConfig, vocab_size: int) -> Checkpoint:
+    """The checkpoint at ``path``, checked to continue a run of ``config`` on a corpus of ``vocab_size``
+    items: it holds the optimizer and trainer state, was trained on that vocabulary size, sets no removed
+    setting, and matches every setting but ``RESUME_MAY_CHANGE``."""
     ck = load_checkpoint(path)
     if ck.opt_state is None or ck.train_state is None:
         raise PietspError(f"{path}: checkpoint has no training state to resume")
+    if ck.params.vocab_size != vocab_size:
+        raise PietspError(f"{path}: checkpoint was trained on vocab_size {ck.params.vocab_size}, but the corpus"
+                          f" has vocab_size {vocab_size}")
     if ck.config is not None:
         reject_removed_settings(ck.config, path)
         mismatched = [key for key, value in config.to_dict().items()
@@ -318,7 +326,8 @@ def fit(
         raise PietspError("fit: train/validation vocabularies disagree")
 
     if resume_from is not None:
-        ck = resume_from if isinstance(resume_from, Checkpoint) else resumable_checkpoint(resume_from, config)
+        ck = (resume_from if isinstance(resume_from, Checkpoint)
+              else resumable_checkpoint(resume_from, config, train_corpus.vocab_size))
         params, opt_state, state = ck.params, ck.opt_state, ck.train_state
         if state.get("best_params") is None:
             state["best_params"] = params.copy()

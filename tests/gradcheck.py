@@ -162,7 +162,7 @@ def check_branch(branch, samples, params, d_logits, tol=1e-5):
         model._equivariant_backward(trace, params, d_pe.copy(), grads)  # works in place on its d_pe
 
         def f():
-            z = sfi_concat(params.emb.take(batch.ids, axis=0), batch.membership)
+            z = sfi_concat(params.emb.take(batch.ids, axis=0), [s.membership for s in batch.samples])
             return float((pe_forward(z, params, batch.segs) * d_pe).sum())
     else:
         raise ValueError(f"unknown branch '{branch}'")

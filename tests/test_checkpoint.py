@@ -116,6 +116,26 @@ def test_a_directory_is_rejected_naming_the_path_and_the_reason(tmp_path):
         load_checkpoint(tmp_path)
 
 
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="the platform has no FIFOs")
+def test_a_fifo_is_refused_without_waiting_for_a_writer(tmp_path):
+    """Run in a subprocess with a timeout: a load that blocked on the FIFO would never return."""
+    path = tmp_path / "ck.json"
+    os.mkfifo(path)
+    src = str(Path(checkpoint.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "pietsp.cli", "inspect", "--ckpt", str(path)], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr == f"pietsp inspect: {path}: cannot read the checkpoint (not a regular file)\n"
+
+
+@pytest.mark.skipif(not os.path.exists(os.devnull) or os.path.isfile(os.devnull), reason="no device file to load")
+def test_a_device_is_refused_as_not_a_regular_file():
+    with pytest.raises(CheckpointError, match=f"^{re.escape(os.devnull)}: cannot read the checkpoint"
+                                              r" \(not a regular file\)$"):
+        load_checkpoint(os.devnull)
+
+
 def test_float32_params_rejected():
     params = init_params(9, 4, 2, seed=3).astype(np.float32)
     with pytest.raises(CheckpointError, match="float64"):

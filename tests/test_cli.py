@@ -129,6 +129,34 @@ def test_refused_resume_leaves_the_effective_config_as_it_was(tmp_path, syntheti
     assert (run / "effective-config.json").read_bytes() == before
 
 
+def test_resume_on_a_corpus_with_another_vocabulary_is_refused(tmp_path, synthetic_file, capsys):
+    run = tmp_path / "run"
+    flags = ("--out", str(run), "--epochs", "3", "--patience", "3", "--dim", "8")
+    assert run_cli("train", "--data", str(synthetic_file), *flags) == 0
+    wider = tmp_path / "wider.json"
+    wider.write_text(json.dumps(json.loads(synthetic_file.read_text()) | {"vocab_size": 75}))
+    before = (run / "effective-config.json").read_bytes()
+    capsys.readouterr()
+    assert run_cli("train", "--data", str(wider), *flags, "--resume") == 1
+    assert capsys.readouterr().err == (f"pietsp train: {run / 'checkpoint-latest.json'}: checkpoint was trained on"
+                                       f" vocab_size 60, but the corpus has vocab_size 75\n")
+    assert (run / "effective-config.json").read_bytes() == before
+
+
+@pytest.mark.parametrize("command", ["eval", "predict"])
+@pytest.mark.parametrize("split", ["train", "val", "test"])
+def test_a_split_of_a_checkpoint_without_a_config_is_refused(tmp_path, trained, synthetic_file, capsys, command,
+                                                             split):
+    """The split depends on the run's seed and ratios: a checkpoint that records no config cannot give it."""
+    ckpt = tmp_path / "bare.json"
+    save_checkpoint(ckpt, load_checkpoint(trained / "checkpoint-best.json").params)
+    capsys.readouterr()
+    assert run_cli(command, "--ckpt", str(ckpt), "--data", str(synthetic_file), "--split", split) == 1
+    assert capsys.readouterr().err == (f"pietsp {command}: {ckpt} records no training config, so its '{split}'"
+                                       f" split is unknown; use --split all\n")
+    assert run_cli(command, "--ckpt", str(ckpt), "--data", str(synthetic_file), "--split", "all") == 0
+
+
 def test_resume_with_other_split_ratios_is_refused(tmp_path, synthetic_file, capsys):
     run = tmp_path / "run"
     flags = ("--data", str(synthetic_file), "--out", str(run), "--epochs", "3", "--patience", "3", "--dim", "8")

@@ -17,7 +17,7 @@ from pietsp.model import (
     MAX_BATCH_USERS,
     VARIANTS,
     MappingError,
-    batch_slices,
+    batches,
     forward,
     forward_batch,
     init_params,
@@ -70,17 +70,18 @@ def test_engine_matches_the_per_user_oracle(variant):
     assert max_slot_delta(together, oracle_gradients(samples, params, d_logits, variant)) <= 1e-12
 
 
-def test_batch_slices_respect_both_caps_and_keep_order():
+def test_batches_respect_both_caps_and_keep_order():
     sizes = [1] * (MAX_BATCH_USERS + 5) + [MAX_BATCH_ROWS // 2, MAX_BATCH_ROWS // 2 + 1, MAX_BATCH_ROWS + 3, 7]
-    samples = [PreparedSample(f"u{i}", np.arange(n), np.zeros((n, 1)), np.zeros(0, np.int64), n)
+    vocab = max(sizes)
+    samples = [PreparedSample(f"u{i}", np.arange(n), np.zeros((n, 1)), np.zeros(0, np.int64), vocab)
                for i, n in enumerate(sizes)]
-    parts = list(batch_slices(samples))
-    assert [s.user_id for part in parts for s in part] == [s.user_id for s in samples]
+    parts = list(batches(samples, vocab))
+    assert [s.user_id for part in parts for s in part.samples] == [s.user_id for s in samples]
     for part in parts:
-        rows = sum(s.universe.size for s in part)
-        assert len(part) <= MAX_BATCH_USERS
-        assert rows <= MAX_BATCH_ROWS or len(part) == 1
-    assert [len(p) for p in parts] == [MAX_BATCH_USERS, 6, 1, 1, 1]
+        assert part.size == len(part.samples) <= MAX_BATCH_USERS
+        assert part.ids.size == sum(s.universe.size for s in part.samples)
+        assert part.ids.size <= MAX_BATCH_ROWS or part.size == 1
+    assert [p.size for p in parts] == [MAX_BATCH_USERS, 6, 1, 1, 1]
 
 
 def _oracle_bce(logits, sample):
@@ -95,7 +96,7 @@ def test_row_capped_minibatch_matches_per_user_oracle():
     params = init_params(vocab, 4, 2, seed=3)
     samples = [synthetic_samples(n, 2, vocab, 1, seed=10 + n)[0] for n in (1500, 2000, 2500, 40)]
     assert sum(s.universe.size for s in samples) > MAX_BATCH_ROWS
-    assert len(list(batch_slices(samples))) > 1
+    assert len(list(batches(samples, vocab))) > 1
 
     grads = params.zeros_like()
     losses = add_gradients(samples, params, "full", grads)
@@ -173,7 +174,7 @@ def test_training_slice_peak_memory_in_score_blocks():
     vocab, users = 12000, MAX_BATCH_USERS
     params = init_params(vocab, 32, 16, seed=0)
     samples = synthetic_samples(30, 16, vocab, users, seed=1)
-    assert len(list(batch_slices(samples))) == 1
+    assert len(list(batches(samples, vocab))) == 1
     grads = params.zeros_like()
     tracemalloc.start()
     try:

@@ -439,7 +439,18 @@ def test_resume_refuses_a_checkpoint_without_training_state(tmp_path, state):
     path = tmp_path / "bare.json"
     save_checkpoint(path, params, opt_state=AdamState.init(params) if state == "optimizer-only" else None)
     with pytest.raises(PietspError, match=f"^{re.escape(str(path))}: checkpoint has no training state to resume$"):
-        train.resumable_checkpoint(path, TrainConfig(dim=8))
+        train.resumable_checkpoint(path, TrainConfig(dim=8), 60)
+
+
+def test_resume_refuses_a_corpus_with_another_vocabulary_naming_both_sizes(tmp_path):
+    train_c, val_c, _ = _split_periodic()
+    cfg = TrainConfig(dim=8, max_epochs=6, patience=6, seed=11)
+    latest = tmp_path / "latest.json"
+    fit(train_c, val_c, cfg, stop_after_epoch=0, latest_path=latest)
+    wider = [Corpus(c.vocab_size + 15, c.users) for c in (train_c, val_c)]
+    with pytest.raises(PietspError, match=f"^{re.escape(str(latest))}: checkpoint was trained on vocab_size 60,"
+                                          f" but the corpus has vocab_size 75$"):
+        fit(*wider, cfg, resume_from=latest)
 
 
 def test_resume_rejects_mismatched_config(tmp_path):
