@@ -2,10 +2,11 @@
 
 Every run that produces artifacts writes an ``effective-config.json``
 capturing all resolved settings.  ``train`` and ``bench`` take it back via
-``--config``, which reproduces the run at the same BLAS thread count
-(explicit flags still win); a key the command never writes is refused, and
-so is a value of the wrong type.  ``eval``'s file records its settings but
-has no ``--config``.  Defaults come from the library
+``--config``, which reproduces the run at the same BLAS thread count.  Each
+of their settings is its flag, else its ``--config`` value, else the
+library default (``_settings``); a key the command never writes is refused,
+and so is a value of the wrong type.  ``eval``'s file records its settings
+but has no ``--config``.  Defaults come from the library
 (``TrainConfig``, ``SyntheticSpec``, ``VARIANTS``, ``bench.RUNS``/``BATCH``/
 ``SHAPE``), never restated here.  BLAS reads its thread count as numpy
 loads, so set ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and
@@ -39,27 +40,25 @@ def _float_list(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",") if tok.strip()]
 
 
-def _resolve(args, config: dict, key: str, default):
-    value = getattr(args, key.replace("-", "_"), None)
-    if value is not None:
-        return value
-    if key in config:
-        return config[key]
-    return default
+def _settings(args, defaults: dict, removed=()) -> dict:
+    """The run's settings: each key of ``defaults`` takes its flag, else its ``--config`` value, else its default.
 
-
-def _load_config_arg(args, known) -> dict:
-    """The ``--config`` file's settings, every key of which must be in ``known``."""
-    if not args.config:
-        return {}
-    config = read_json(args.config)
+    The ``--config`` file must be a JSON object whose every key is ``command``, a setting, or one of the
+    ``removed`` settings at the value runs used.  The command runs with the returned dict, ``command``
+    included, and writes it to ``effective-config.json``.
+    """
+    config = read_json(args.config) if args.config else {}
     if not isinstance(config, dict):
         raise ValueError(f"{args.config}: settings must be a JSON object")
-    unknown = sorted(set(config) - set(known))
+    known = {"command", *defaults, *removed}
+    unknown = sorted(set(config) - known)
     if unknown:
         raise ValueError(f"{args.config}: unknown setting {', '.join(map(repr, unknown))}"
                          f" (known: {', '.join(sorted(known))})")
-    return config
+    reject_removed_settings(config, args.config)
+    flags = vars(args)
+    return {"command": args.command} | {key: config.get(key, default) if flags[key] is None else flags[key]
+                                        for key, default in defaults.items()}
 
 
 def _write_effective(out_dir: Path, settings: dict) -> None:
@@ -110,13 +109,12 @@ TRAIN_SETTINGS = {
 
 
 def _cmd_train(args) -> int:
-    # every key an effective-config.json of train wrote; the removed settings are judged by their value
-    cfg_file = _load_config_arg(args, {"command", "data", *TRAIN_SETTINGS, *REMOVED_SETTINGS})
-    reject_removed_settings(cfg_file, args.config)
     defaults = TrainConfig().to_dict()
-    settings = {"command": "train", "data": _resolve(args, cfg_file, "data", None)}
-    for key, field in TRAIN_SETTINGS.items():
-        settings[key] = _resolve(args, cfg_file, key, defaults[field])
+    # an effective-config.json of an earlier version may hold a removed setting, judged by its value
+    settings = _settings(args, {"data": None} | {key: defaults[field] for key, field in TRAIN_SETTINGS.items()},
+                         REMOVED_SETTINGS)
+    if not isinstance(settings["data"], (str, type(None))):
+        raise ValueError(f"data must be a string, got {settings['data']!r}")
     if not settings["data"]:
         print("train: --data is required", file=sys.stderr)
         return 2
@@ -211,24 +209,19 @@ def _cmd_bench(args) -> int:
     if bool(args.data) != bool(args.ckpt):
         print("bench: --data needs --ckpt" if args.data else "bench: --ckpt needs --data", file=sys.stderr)
         return 2
-    cfg_file = _load_config_arg(args, {"command", "grid", "runs", "batch", "seed", "dtype"})
-    grid_text = _resolve(args, cfg_file, "grid", " ".join(f"{key}={n}" for key, n in bench.SHAPE.items()))
-    runs = _resolve(args, cfg_file, "runs", bench.RUNS)
-    batch = _resolve(args, cfg_file, "batch", bench.BATCH)
-    seed = _resolve(args, cfg_file, "seed", 0)
-    dtype = _resolve(args, cfg_file, "dtype", "float64")
-    # flags arrive typed; a --config value is checked here
-    for key, value in (("runs", runs), ("batch", batch), ("seed", seed)):
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ValueError(f"{key} must be an integer, got {value!r}")
-    if batch < 1:
-        raise ValueError(f"batch must be at least 1, got {batch}")
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
-    if dtype not in ("float32", "float64"):
-        raise ValueError(f"dtype must be float32 or float64, got {dtype!r}")
-    if not isinstance(grid_text, str):
-        raise ValueError(f"grid must be a string, got {grid_text!r}")
+    defaults = {"grid": " ".join(f"{key}={n}" for key, n in bench.SHAPE.items()), "runs": bench.RUNS,
+                "batch": bench.BATCH, "seed": 0, "dtype": "float64"}
+    settings = _settings(args, defaults)
+    # a flag arrives typed, a --config value may be any JSON: the integers first, then the ranges and choices
+    rules = [(key, "an integer", lambda v: isinstance(v, int) and not isinstance(v, bool))
+             for key, default in defaults.items() if isinstance(default, int)]
+    rules += [("batch", "at least 1", lambda v: v >= 1), ("seed", "non-negative", lambda v: v >= 0),
+              ("dtype", "float32 or float64", ("float32", "float64").__contains__),
+              ("grid", "a string", lambda v: isinstance(v, str))]
+    for key, rule, holds in rules:
+        if not holds(settings[key]):
+            raise ValueError(f"{key} must be {rule}, got {settings[key]!r}")
+    grid_text, runs, batch, seed, dtype = (settings[key] for key in defaults)
 
     if args.data:
         # time inference over a real corpus with a trained checkpoint
@@ -244,9 +237,7 @@ def _cmd_bench(args) -> int:
     print(bench.format_table(reports, labels))
     if args.out:
         out_dir = Path(args.out)
-        _write_effective(
-            out_dir, {"command": "bench", "grid": grid_text, "runs": runs, "batch": batch, "seed": seed, "dtype": dtype}
-        )
+        _write_effective(out_dir, settings)
         (out_dir / "bench.json").write_text(
             json.dumps([r.to_dict() for r in reports], sort_keys=True, indent=2) + "\n", encoding="utf-8"
         )

@@ -380,10 +380,7 @@ def sfi_concat(m_u: np.ndarray, membership) -> np.ndarray:
         raise ShapeError(f"sfi_concat: {rows} membership rows vs {m_u.shape[0]} embedding rows")
     k = blocks[0].shape[1]
     z = np.empty((rows, k + m_u.shape[1]), dtype=m_u.dtype)
-    if len(blocks) == 1:
-        z[:, :k] = blocks[0]  # one user: a plain copy costs less than a one-block concatenate
-    else:
-        np.concatenate(blocks, out=z[:, :k])
+    np.concatenate(blocks, out=z[:, :k])
     z[:, k:] = m_u
     return z
 

@@ -280,20 +280,21 @@ class FitResult:
 
 def resumable_checkpoint(path, config: TrainConfig, vocab_size: int) -> Checkpoint:
     """The checkpoint at ``path``, checked to continue a run of ``config`` on a corpus of ``vocab_size``
-    items: it holds the optimizer and trainer state, was trained on that vocabulary size, sets no removed
-    setting, and matches every setting but ``RESUME_MAY_CHANGE``."""
+    items: it holds the optimizer and trainer state, was trained on that vocabulary size, records its config,
+    sets no removed setting in it, and matches every setting but ``RESUME_MAY_CHANGE``."""
     ck = load_checkpoint(path)
     if ck.opt_state is None or ck.train_state is None:
         raise PietspError(f"{path}: checkpoint has no training state to resume")
     if ck.params.vocab_size != vocab_size:
         raise PietspError(f"{path}: checkpoint was trained on vocab_size {ck.params.vocab_size}, but the corpus"
                           f" has vocab_size {vocab_size}")
-    if ck.config is not None:
-        reject_removed_settings(ck.config, path)
-        mismatched = [key for key, value in config.to_dict().items()
-                      if key not in RESUME_MAY_CHANGE and ck.config.get(key) != value]
-        if mismatched:
-            raise PietspError(f"{path}: checkpoint was trained with different settings: {mismatched}")
+    if ck.config is None:
+        raise PietspError(f"{path} records no training config, so its settings cannot be checked")
+    reject_removed_settings(ck.config, path)
+    mismatched = [key for key, value in config.to_dict().items()
+                  if key not in RESUME_MAY_CHANGE and ck.config.get(key) != value]
+    if mismatched:
+        raise PietspError(f"{path}: checkpoint was trained with different settings: {mismatched}")
     return ck
 
 

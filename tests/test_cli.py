@@ -182,6 +182,17 @@ def test_train_config_value_of_the_wrong_type_is_one_line(tmp_path, synthetic_fi
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", [True, 3.5, 0, ["syn.json"]], ids=repr)
+def test_train_config_data_that_is_not_a_string_is_one_line(tmp_path, capsys, value):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"data": value}))
+    out = tmp_path / "run"
+    assert run_cli("train", "--config", str(config), "--out", str(out)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"pietsp train: data must be a string, got {value!r}\n"
+    assert not out.exists()
+
+
 BAD_BENCH_SETTINGS = [
     ({"batch": "3"}, "batch must be an integer, got '3'"),
     ({"seed": "x"}, "seed must be an integer, got 'x'"),
@@ -325,6 +336,13 @@ def test_bench_grid_prints_reports(tmp_path, capsys):
     reports = json.loads((out / "bench.json").read_text())
     assert len(reports) == 2
     assert (out / "effective-config.json").exists()
+
+
+def test_bench_replays_its_effective_config(tmp_path):
+    first, second = tmp_path / "A", tmp_path / "B"
+    assert run_cli("bench", "--grid", "N=4", "--runs", "5", "--batch", "2", "--out", str(first)) == 0
+    assert run_cli("bench", "--config", str(first / "effective-config.json"), "--out", str(second)) == 0
+    assert (second / "effective-config.json").read_bytes() == (first / "effective-config.json").read_bytes()
 
 
 def test_bench_on_corpus_with_checkpoint(trained, synthetic_file, capsys):

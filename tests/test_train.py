@@ -453,6 +453,21 @@ def test_resume_refuses_a_corpus_with_another_vocabulary_naming_both_sizes(tmp_p
         fit(*wider, cfg, resume_from=latest)
 
 
+def test_resume_refuses_a_checkpoint_that_records_no_config(tmp_path):
+    """Without the config it was trained with, a resume could not tell a changed learning rate, batch size
+    or epoch count from the run's own: the file is refused, not resumed under whatever it is given."""
+    train_c, val_c, _ = _split_periodic()
+    cfg = TrainConfig(dim=8, max_epochs=3, patience=3, seed=11)
+    latest = tmp_path / "latest.json"
+    fit(train_c, val_c, cfg, stop_after_epoch=0, latest_path=latest)
+    ck = load_checkpoint(latest)
+    save_checkpoint(latest, ck.params, seed=ck.seed, config=None, opt_state=ck.opt_state, train_state=ck.train_state)
+    other = TrainConfig(dim=8, max_epochs=50, patience=3, seed=11, base_lr=0.5, batch_size=2)
+    with pytest.raises(PietspError, match=f"^{re.escape(str(latest))} records no training config, so its settings"
+                                          f" cannot be checked$"):
+        fit(train_c, val_c, other, resume_from=latest)
+
+
 def test_resume_rejects_mismatched_config(tmp_path):
     train_c, val_c, _ = _split_periodic()
     cfg = TrainConfig(dim=8, max_epochs=6, patience=6, seed=11)
