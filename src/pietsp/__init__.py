@@ -1,6 +1,6 @@
 """Permutation-aware temporal set prediction: model, training, metrics, benchmarks."""
 
-from .bench import BenchReport, bench_inference
+from .bench import BenchReport
 from .data import (
     Corpus,
     PreparedSample,
@@ -35,7 +35,6 @@ __all__ = [
     "adam_step",
     "backward",
     "bce_loss",
-    "bench_inference",
     "cosine_lr",
     "evaluate",
     "fit",

@@ -7,8 +7,9 @@ request latency.  Per-sample time is batch wall time divided by B; the
 reported statistics are taken over the timed runs.  ``time_cases``, the one
 timing loop, times (params, batch) cases in turns (run r of every case, then
 run r + 1), so a change in machine speed spreads over every case instead of
-skewing some; ``bench_inference``, ``measure_axis`` and ``pietsp bench`` all
-time through it, with the defaults ``RUNS``, ``BATCH`` and ``SHAPE``.
+skewing some; ``measure_axis`` and ``pietsp bench`` (synthetic shapes or a
+corpus with its checkpoint) both time through it, with the defaults
+``RUNS``, ``BATCH`` and ``SHAPE``.
 Scaling helpers fit runtime against one shape axis (universe size N, history
 length K, or vocabulary size) to verify the linear-cost design empirically,
 and a coarse memory probe checks that the footprint tracks the vocabulary size.
@@ -123,14 +124,13 @@ def _report(timed: np.ndarray, batch: list[PreparedSample], params: ModelParams)
     )
 
 
-def time_cases(cases: list[tuple[ModelParams, list[PreparedSample]]], runs: int,
-               warmup: int = WARMUP_RUNS) -> list[BenchReport]:
-    """One BenchReport per (params, batch) case, its first ``warmup`` of ``runs`` batches discarded.
+def time_cases(cases: list[tuple[ModelParams, list[PreparedSample]]], runs: int) -> list[BenchReport]:
+    """One BenchReport per (params, batch) case, its first ``WARMUP_RUNS`` of ``runs`` batches discarded.
 
     The cases take turns: run r of every case, then run r + 1.
     """
-    if runs <= warmup:
-        raise PietspError(f"runs={runs} must exceed warmup={warmup}")
+    if runs <= WARMUP_RUNS:
+        raise PietspError(f"runs={runs} must exceed warmup={WARMUP_RUNS}")
     if not all(batch for _, batch in cases):
         raise PietspError("every case needs a batch of at least one sample")
     per_sample = np.empty((len(cases), runs))
@@ -140,22 +140,7 @@ def time_cases(cases: list[tuple[ModelParams, list[PreparedSample]]], runs: int,
             for sample in batch:
                 forward(sample, params)
             per_sample[i, r] = (time.perf_counter() - t0) / len(batch)
-    return [_report(per_sample[i, warmup:], batch, params) for i, (params, batch) in enumerate(cases)]
-
-
-def bench_inference(
-    samples: list[PreparedSample],
-    params: ModelParams,
-    runs: int = RUNS,
-    batch_size: int = BATCH,
-    warmup: int = WARMUP_RUNS,
-) -> BenchReport:
-    """Time ``runs`` batches of ``batch_size`` one-user ``forward`` calls, cycling through ``samples``,
-    and report per-request latency."""
-    if not samples:
-        raise PietspError("bench_inference: no samples")
-    batch = [samples[i % len(samples)] for i in range(batch_size)]
-    return time_cases([(params, batch)], runs, warmup)[0]
+    return [_report(per_sample[i, WARMUP_RUNS:], batch, params) for i, (params, batch) in enumerate(cases)]
 
 
 def linear_fit_r2(x, y) -> tuple[float, float, float]:

@@ -24,8 +24,8 @@ from pathlib import Path
 
 from . import bench, seeding
 from .checkpoint import inspect_checkpoint, load_checkpoint, write_atomic
-from .data import (SyntheticSpec, convert_json_dump, convert_table, corpus_to_dict, gen_synthetic, load_corpus,
-                   prepare_all, read_json, save_corpus, split_users)
+from .data import (SyntheticSpec, convert_json_dump, convert_table, gen_synthetic, load_corpus, prepare_all,
+                   read_json, save_corpus, split_users)
 from .errors import PietspError
 from .model import VARIANTS
 from .train import (EARLY_STOP_K, REMOVED_SETTINGS, TrainConfig, evaluate, fit, ranked_batches,
@@ -74,17 +74,17 @@ def _split_corpus(corpus, ratios, seed):
 SPLITS = ("train", "val", "test", "all")
 
 
-def _load_users(args, split: str = "all"):
-    """The ``--ckpt`` checkpoint, its training config and the prepared users of ``split`` of the
-    ``--data`` corpus, which must share the checkpoint's vocabulary.  A split other than ``all`` is
+def _load_users(ckpt, data, split: str = "all"):
+    """The ``ckpt`` checkpoint, its training config and the prepared users of ``split`` of the
+    ``data`` corpus, which must share the checkpoint's vocabulary.  A split other than ``all`` is
     the training run's, so it needs the config the checkpoint records."""
-    ck = load_checkpoint(args.ckpt)
+    ck = load_checkpoint(ckpt)
     if split != "all" and ck.config is None:
-        raise PietspError(f"{args.ckpt} records no training config, so its '{split}' split is unknown; use --split all")
-    corpus, _ = load_corpus(args.data)
+        raise PietspError(f"{ckpt} records no training config, so its '{split}' split is unknown; use --split all")
+    corpus, _ = load_corpus(data)
     if corpus.vocab_size != ck.params.vocab_size:
         raise PietspError(
-            f"{args.data} has vocab_size {corpus.vocab_size} but {args.ckpt} was trained on"
+            f"{data} has vocab_size {corpus.vocab_size} but {ckpt} was trained on"
             f" vocab_size {ck.params.vocab_size}"
         )
     config = TrainConfig.from_dict(ck.config or {})
@@ -150,16 +150,16 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _at_least_one(flag: str, values) -> None:
-    """Refuse a rank count below 1 by its flag, before any checkpoint or corpus is read."""
+def _at_least_one(name: str, values) -> None:
+    """Refuse a count below 1 by its flag or grid axis, before any checkpoint or corpus is read."""
     for value in values:
         if value < 1:
-            raise ValueError(f"{flag} must be at least 1, got {value}")
+            raise ValueError(f"{name} must be at least 1, got {value}")
 
 
 def _cmd_eval(args) -> int:
     _at_least_one("--k", args.k or ())
-    ck, config, samples = _load_users(args, args.split)
+    ck, config, samples = _load_users(args.ckpt, args.data, args.split)
     k_list = tuple(args.k) if args.k else config.k_list
     report = evaluate(samples, ck.params, k_list, config.variant)
     print(report.format_table())
@@ -172,12 +172,10 @@ def _cmd_eval(args) -> int:
 
 def _cmd_predict(args) -> int:
     _at_least_one("--top", (args.top,))
-    ck, config, samples = _load_users(args, args.split)
-    lines = []
-    for batch, ranked in ranked_batches(samples, ck.params, args.top, config.variant):
-        for sample, ids in zip(batch.samples, ranked.tolist()):
-            lines.append(json.dumps({"user_id": sample.user_id, "items": ids}))
-    text = "\n".join(lines) + "\n"
+    ck, config, samples = _load_users(args.ckpt, args.data, args.split)
+    text = "".join(json.dumps({"user_id": sample.user_id, "items": ids}) + "\n"
+                   for batch, ranked in ranked_batches(samples, ck.params, args.top, config.variant)
+                   for sample, ids in zip(batch.samples, ranked.tolist()))
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
     else:
@@ -199,18 +197,21 @@ def _parse_grid(text: str) -> dict[str, list[int]]:
         key = key.upper()
         if key not in ("N", "K", "E", "D"):
             raise ValueError(f"unknown grid key '{key}' (N, K, E, D)")
-        grid[key] = _int_list(values)
+        if key in grid:
+            raise ValueError(f"grid axis '{key}' is given twice")
+        try:
+            grid[key] = _int_list(values)
+        except ValueError:
+            raise ValueError(f"grid axis '{key}' takes integers, got '{values}'") from None
         if not grid[key]:
             raise ValueError(f"grid axis '{key}' has no values")
+        _at_least_one(f"grid axis '{key}'", grid[key])
     return grid
 
 
 def _cmd_bench(args) -> int:
-    if bool(args.data) != bool(args.ckpt):
-        print("bench: --data needs --ckpt" if args.data else "bench: --ckpt needs --data", file=sys.stderr)
-        return 2
     defaults = {"grid": " ".join(f"{key}={n}" for key, n in bench.SHAPE.items()), "runs": bench.RUNS,
-                "batch": bench.BATCH, "seed": 0, "dtype": "float64"}
+                "batch": bench.BATCH, "seed": 0, "dtype": "float64", "data": None, "ckpt": None}
     settings = _settings(args, defaults)
     # a flag arrives typed, a --config value may be any JSON: the integers first, then the ranges and choices
     rules = [(key, "an integer", lambda v: isinstance(v, int) and not isinstance(v, bool))
@@ -218,22 +219,28 @@ def _cmd_bench(args) -> int:
     rules += [("batch", "at least 1", lambda v: v >= 1), ("seed", "non-negative", lambda v: v >= 0),
               ("dtype", "float32 or float64", ("float32", "float64").__contains__),
               ("grid", "a string", lambda v: isinstance(v, str))]
+    rules += [(key, "a string or null", lambda v: isinstance(v, (str, type(None)))) for key in ("data", "ckpt")]
     for key, rule, holds in rules:
         if not holds(settings[key]):
             raise ValueError(f"{key} must be {rule}, got {settings[key]!r}")
-    grid_text, runs, batch, seed, dtype = (settings[key] for key in defaults)
+    grid_text, runs, batch, seed, dtype, data, ckpt = (settings[key] for key in defaults)
+    if bool(data) != bool(ckpt):
+        print("bench: --data needs --ckpt" if data else "bench: --ckpt needs --data", file=sys.stderr)
+        return 2
 
-    if args.data:
-        # time inference over a real corpus with a trained checkpoint
-        ck, _, samples = _load_users(args)
-        reports = [bench.bench_inference(samples, ck.params.astype(dtype), runs, batch)]
-        labels = [f"{Path(args.data).name} ({len(samples)} users)"]
+    if data:
+        # one case: the trained checkpoint on the corpus's first `batch` users, cycled if there are fewer
+        ck, _, samples = _load_users(ckpt, data)
+        if not samples:
+            raise PietspError(f"{data} has no users to time")
+        cases = [(ck.params.astype(dtype), [samples[i % len(samples)] for i in range(batch)])]
+        labels = [f"{Path(data).name} ({min(batch, len(samples))} of {len(samples)} users)"]
     else:
         grid = {key: [n] for key, n in bench.SHAPE.items()} | _parse_grid(grid_text)
         shapes = list(itertools.product(grid["N"], grid["K"], grid["E"], grid["D"]))
         cases = [bench.shape_case(n, k, e, d, batch, seed, seed, dtype) for n, k, e, d in shapes]
-        reports = bench.time_cases(cases, runs)
         labels = [f"N={n} K={k} E={params.vocab_size} D={d}" for (n, k, _, d), (params, _) in zip(shapes, cases)]
+    reports = bench.time_cases(cases, runs)
     print(bench.format_table(reports, labels))
     if args.out:
         out_dir = Path(args.out)
@@ -266,7 +273,7 @@ def _cmd_convert(args) -> int:
         corpus, report, vocab_map = convert_table(
             path, args.user_col, args.set_col, args.item_col, delimiter=args.delimiter
         )
-    Path(args.out).write_text(json.dumps(corpus_to_dict(corpus)), encoding="utf-8")
+    save_corpus(corpus, args.out)
     vocab_out = args.vocab_out or str(Path(args.out).with_name("vocab.json"))
     Path(vocab_out).write_text(json.dumps(vocab_map), encoding="utf-8")
     print(

@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from pietsp.bench import (
-    bench_inference,
+    WARMUP_RUNS,
     format_table,
     linear_fit_r2,
     measure_axis,
     memory_highwater_bytes,
     synthetic_samples,
+    time_cases,
 )
 from pietsp.errors import PietspError
 from pietsp.model import forward, init_params
@@ -22,13 +23,12 @@ def test_synthetic_samples_invariants():
         assert np.all(s.membership.any(axis=1))
 
 
-def test_bench_inference_refuses_an_empty_batch():
+def test_time_cases_refuses_an_empty_batch():
     params = init_params(20, 4, 3, seed=0)
     samples = synthetic_samples(5, 3, 20, 2, seed=1)
-    with pytest.raises(PietspError, match="every case needs a batch of at least one sample"):
-        bench_inference(samples, params, runs=6, batch_size=0)
-    with pytest.raises(PietspError, match="^bench_inference: no samples$"):
-        bench_inference([], params, runs=6)
+    for cases in ([(params, [])], [(params, samples), (params, [])]):
+        with pytest.raises(PietspError, match="^every case needs a batch of at least one sample$"):
+            time_cases(cases, runs=6)
 
 
 def test_synthetic_samples_reject_universe_larger_than_vocab():
@@ -39,8 +39,8 @@ def test_synthetic_samples_reject_universe_larger_than_vocab():
 def test_bench_report_arithmetic_identity():
     params = init_params(64, 8, 4, seed=1)
     samples = synthetic_samples(6, 4, 64, 8, seed=2)
-    report = bench_inference(samples, params, runs=10, batch_size=8)
-    assert report.runs_timed == 7
+    [report] = time_cases([(params, samples)], runs=10)
+    assert report.runs_timed == 10 - WARMUP_RUNS == 7
     assert report.total_samples == 7 * 8
     # samples/sec equals timed samples over total time (well within 1%)
     implied = report.total_samples / report.total_time_s
@@ -54,7 +54,7 @@ def test_bench_report_arithmetic_identity():
 def test_bench_float32_mode():
     params = init_params(64, 8, 4, seed=1).astype(np.float32)
     samples = synthetic_samples(6, 4, 64, 8, seed=2)
-    report = bench_inference(samples, params, runs=6, batch_size=4)
+    [report] = time_cases([(params, samples[:4])], runs=6)
     assert report.dtype == "float32"
     assert forward(samples[0], params).logits.dtype == np.float32  # bool membership enters Z as float32
 
@@ -62,8 +62,10 @@ def test_bench_float32_mode():
 def test_bench_rejects_runs_not_exceeding_warmup():
     params = init_params(64, 8, 4, seed=1)
     samples = synthetic_samples(6, 4, 64, 4, seed=2)
-    with pytest.raises(PietspError):
-        bench_inference(samples, params, runs=3, batch_size=4, warmup=3)
+    with pytest.raises(PietspError, match=f"^runs={WARMUP_RUNS} must exceed warmup={WARMUP_RUNS}$"):
+        time_cases([(params, samples)], runs=WARMUP_RUNS)
+    [report] = time_cases([(params, samples)], runs=WARMUP_RUNS + 1)
+    assert report.runs_timed == 1
 
 
 def test_linear_fit_r2_exact_line():

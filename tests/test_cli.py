@@ -200,6 +200,8 @@ BAD_BENCH_SETTINGS = [
     ({"runs": True}, "runs must be an integer, got True"),
     ({"dtype": "float16"}, "dtype must be float32 or float64, got 'float16'"),
     ({"grid": 5}, "grid must be a string, got 5"),
+    ({"data": 5}, "data must be a string or null, got 5"),
+    ({"ckpt": ["c.json"]}, "ckpt must be a string or null, got ['c.json']"),
 ]
 
 
@@ -302,6 +304,17 @@ def test_predict_emits_jsonl(tmp_path, trained, synthetic_file):
         assert len(set(record["items"])) == 5
 
 
+@pytest.mark.parametrize("to_file", [True, False], ids=["out", "stdout"])
+def test_predict_with_no_users_writes_nothing(tmp_path, trained, capsys, to_file):
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps({"vocab_size": 60, "users": []}))
+    out = tmp_path / "preds.jsonl"
+    assert run_cli("predict", "--ckpt", str(trained / "checkpoint-best.json"), "--data", str(empty),
+                   "--split", "all", *(["--out", str(out)] if to_file else [])) == 0
+    assert capsys.readouterr().out == ""
+    assert not to_file or out.read_bytes() == b""
+
+
 def _per_user_predictions(ckpt, data, top):
     """The JSONL of ranking each user's own forward pass with ``top_k``, one user at a time."""
     params = load_checkpoint(ckpt).params
@@ -343,6 +356,40 @@ def test_bench_replays_its_effective_config(tmp_path):
     assert run_cli("bench", "--grid", "N=4", "--runs", "5", "--batch", "2", "--out", str(first)) == 0
     assert run_cli("bench", "--config", str(first / "effective-config.json"), "--out", str(second)) == 0
     assert (second / "effective-config.json").read_bytes() == (first / "effective-config.json").read_bytes()
+
+
+def test_bench_replays_a_config_written_without_data_and_ckpt(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"command": "bench", "grid": "N=4", "runs": 5, "batch": 2, "seed": 0,
+                                  "dtype": "float64"}))
+    assert run_cli("bench", "--config", str(config), "--out", str(tmp_path / "run")) == 0
+    written = json.loads((tmp_path / "run" / "effective-config.json").read_text())
+    assert written == json.loads(config.read_text()) | {"data": None, "ckpt": None}
+
+
+def test_bench_on_a_corpus_replays_its_effective_config(tmp_path, trained, synthetic_file, capsys):
+    first, second = tmp_path / "A", tmp_path / "B"
+    assert run_cli("bench", "--data", str(synthetic_file), "--ckpt", str(trained / "checkpoint-best.json"),
+                   "--runs", "5", "--batch", "3", "--out", str(first)) == 0
+    capsys.readouterr()
+    assert run_cli("bench", "--config", str(first / "effective-config.json"), "--out", str(second)) == 0
+    assert (second / "effective-config.json").read_bytes() == (first / "effective-config.json").read_bytes()
+    users = len(load_corpus(synthetic_file)[0].users)
+    [row] = capsys.readouterr().out.splitlines()[1:]
+    assert row.startswith(f"syn.json (3 of {users} users) ")
+    [report] = json.loads((second / "bench.json").read_text())
+    assert report["batch_size"] == 3 and report["vocab_size"] == 60
+
+
+def test_bench_on_a_corpus_without_users_is_one_line(tmp_path, trained, capsys):
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps({"vocab_size": 60, "users": []}))
+    out = tmp_path / "run"
+    assert run_cli("bench", "--data", str(empty), "--ckpt", str(trained / "checkpoint-best.json"),
+                   "--runs", "5", "--batch", "3", "--out", str(out)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"pietsp bench: {empty} has no users to time\n"
+    assert not out.exists()
 
 
 def test_bench_on_corpus_with_checkpoint(trained, synthetic_file, capsys):
@@ -632,6 +679,16 @@ def test_bench_data_and_ckpt_come_as_a_pair(trained, synthetic_file, capsys, giv
     assert captured.out == "" and captured.err == f"bench: {given} needs {missing}\n"
 
 
+@pytest.mark.parametrize("given", ["data", "ckpt"])
+def test_bench_data_and_ckpt_from_a_config_come_as_a_pair(tmp_path, capsys, given):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"runs": 5, "batch": 2, given: str(tmp_path / "missing.json")}))
+    assert run_cli("bench", "--config", str(config)) == 2
+    captured = capsys.readouterr()
+    missing = "ckpt" if given == "data" else "data"
+    assert captured.out == "" and captured.err == f"bench: --{given} needs --{missing}\n"
+
+
 def test_bench_grid_axis_without_values_is_an_error(capsys):
     assert run_cli("bench", "--grid", "N=", "--runs", "5", "--batch", "4") == 1
     captured = capsys.readouterr()
@@ -642,6 +699,21 @@ def test_bench_grid_axis_without_values_is_an_error(capsys):
                                          ("N=4;B=2", "unknown grid key 'B' (N, K, E, D)")],
                          ids=["no-equals", "unknown-key"])
 def test_bench_grid_clause_it_cannot_read_is_one_line(capsys, grid, error):
+    assert run_cli("bench", "--grid", grid, "--runs", "5", "--batch", "4") == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"pietsp bench: {error}\n"
+
+
+# grid values the bench cannot time, each refused by its axis before any case is built
+UNTIMEABLE_GRIDS = [("N=4,x", "grid axis 'N' takes integers, got '4,x'"),
+                    ("K=2.5", "grid axis 'K' takes integers, got '2.5'"),
+                    ("N=-3", "grid axis 'N' must be at least 1, got -3"),
+                    ("N=4 D=8,0", "grid axis 'D' must be at least 1, got 0"),
+                    ("N=4 n=9", "grid axis 'N' is given twice")]
+
+
+@pytest.mark.parametrize("grid, error", UNTIMEABLE_GRIDS, ids=[g for g, _ in UNTIMEABLE_GRIDS])
+def test_bench_grid_value_it_cannot_time_is_one_line_naming_the_axis(capsys, grid, error):
     assert run_cli("bench", "--grid", grid, "--runs", "5", "--batch", "4") == 1
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == f"pietsp bench: {error}\n"
