@@ -58,13 +58,15 @@ class BenchReport:
 
 
 def format_table(reports: list[BenchReport], labels: list[str] | None = None) -> str:
-    """Aligned text table: one row per report, latency and throughput columns."""
+    """Aligned text table: one row per report, latency and throughput columns.  The label column is as
+    wide as the longest label, and at least 28 characters."""
     labels = labels or [f"N={r.n_max} K={r.k_max} D={r.dim} E={r.vocab_size}" for r in reports]
-    head = f"{'config':<28}{'mean sample time (s)':>22}{'p99 sample time (s)':>21}{'samples/sec':>13}"
+    width = max([28, *map(len, labels)])
+    head = f"{'config':<{width}}{'mean sample time (s)':>22}{'p99 sample time (s)':>21}{'samples/sec':>13}"
     lines = [head]
     for label, r in zip(labels, reports):
         lines.append(
-            f"{label:<28}{r.mean_sample_time_s:>22.6f}{r.p99_sample_time_s:>21.6f}{r.samples_per_sec:>13.2f}"
+            f"{label:<{width}}{r.mean_sample_time_s:>22.6f}{r.p99_sample_time_s:>21.6f}{r.samples_per_sec:>13.2f}"
         )
     return "\n".join(lines)
 

@@ -229,6 +229,7 @@ def _cmd_bench(args) -> int:
         return 2
 
     if data:
+        del settings["grid"], settings["seed"]  # a corpus run times no grid shape and draws nothing
         # one case: the trained checkpoint on the corpus's first `batch` users, cycled if there are fewer
         ck, _, samples = _load_users(ckpt, data)
         if not samples:

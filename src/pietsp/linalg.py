@@ -6,7 +6,9 @@ naming.  ``elu``, ``relu`` and ``logistic_from`` take ``out=x`` to
 overwrite their input, and no function gathers or scatters through a
 boolean mask (on large blocks that costs several times the arithmetic).
 Activation backward companions take the cached *forward output* (cheap
-and sufficient, since ELU' and ReLU' are recoverable from it).
+and sufficient, since ELU' and ReLU' are recoverable from it).  Every
+function keeps its input's memory order (numpy's ``order="K"``), so the
+model's column-major blocks stay column-major through them.
 
 Activations do not check finiteness themselves: ELU and ReLU map -inf to
 finite values, so the model checks each pre-activation before applying

@@ -3,6 +3,7 @@ import pytest
 
 from pietsp.bench import (
     WARMUP_RUNS,
+    BenchReport,
     format_table,
     linear_fit_r2,
     measure_axis,
@@ -86,6 +87,19 @@ def test_measure_axis_shapes():
     assert [r.n_max for r in reports] == [8, 16]
     table = format_table(reports)
     assert "samples/sec" in table and len(table.splitlines()) == 3
+
+
+def test_format_table_sizes_the_label_column_to_its_longest_label():
+    report = BenchReport(0.001234, 0.002345, 810.37, 97, 4, 8, 8.0, 8, 4, 8, 64, "float64", 388, 0.48)
+    short = "N=8 K=4 D=8 E=64"
+    figures = f"{0.001234:>22.6f}{0.002345:>21.6f}{810.37:>13.2f}"
+    head = f"{'mean sample time (s)':>22}{'p99 sample time (s)':>21}{'samples/sec':>13}"
+    assert format_table([report]) == f"{'config':<28}{head}\n{short:<28}{figures}"  # a grid table, as it was
+    long = "tafeng-converted-corpus.json (60 of 60 users)"
+    assert len(long) == 45
+    lines = format_table([report, report], [long, short]).splitlines()
+    assert lines == [f"{'config':<45}{head}", f"{long}{figures}", f"{short:<45}{figures}"]
+    assert len({len(line) for line in lines}) == 1
 
 
 def test_measure_axis_refuses_an_unknown_axis():

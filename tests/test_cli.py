@@ -381,6 +381,17 @@ def test_bench_on_a_corpus_replays_its_effective_config(tmp_path, trained, synth
     assert report["batch_size"] == 3 and report["vocab_size"] == 60
 
 
+def test_bench_records_grid_and_seed_only_for_a_grid_run(tmp_path, trained, synthetic_file):
+    grid_run, corpus_run = tmp_path / "grid", tmp_path / "corpus"
+    assert run_cli("bench", "--grid", "N=4", "--runs", "5", "--batch", "2", "--seed", "3", "--out", str(grid_run)) == 0
+    assert run_cli("bench", "--data", str(synthetic_file), "--ckpt", str(trained / "checkpoint-best.json"),
+                   "--runs", "5", "--batch", "2", "--out", str(corpus_run)) == 0
+    recorded = json.loads((grid_run / "effective-config.json").read_text())
+    assert recorded["grid"] == "N=4" and recorded["seed"] == 3
+    assert set(json.loads((corpus_run / "effective-config.json").read_text())) == {
+        "command", "runs", "batch", "dtype", "data", "ckpt"}
+
+
 def test_bench_on_a_corpus_without_users_is_one_line(tmp_path, trained, capsys):
     empty = tmp_path / "empty.json"
     empty.write_text(json.dumps({"vocab_size": 60, "users": []}))

@@ -168,6 +168,57 @@ def test_scatter_on_a_wide_batch_matches_add_at():
     assert np.abs(table - want).max() <= 1e-12
 
 
+def test_scatter_of_c_and_f_ordered_rows_is_the_same_bits_and_matches_add_at():
+    """The engine hands ``scatter_add`` column-major rows; C-ordered rows fill the same bins in the same order."""
+    vocab, rng = 300, np.random.default_rng(21)
+    samples = [_user(f"u{i}", np.sort(rng.choice(vocab, n, replace=False)), vocab)
+               for i, n in enumerate((40, 1, 77, 60))]
+    batch = make_batch(samples, vocab)
+    assert np.unique(batch.ids).size < batch.ids.size
+    rows = rng.normal(size=(batch.ids.size, 8))
+    table = rng.normal(size=(vocab, 8))
+    want = table.copy()
+    np.add.at(want, batch.ids, rows)
+    got = {}
+    for order in "CF":
+        got[order] = table.copy()
+        batch.scatter_add(got[order], np.asarray(rows, order=order))
+    assert got["C"].tobytes() == got["F"].tobytes()
+    assert np.abs(got["F"] - want).max() <= 1e-12
+
+
+def test_layers_and_segment_reductions_agree_for_c_and_f_ordered_input():
+    rng = np.random.default_rng(22)
+    params = init_params(50, 6, 4, seed=3)
+    segs = model.Segments(np.array([0, 5, 6]), np.array([5, 1, 9]))
+    z = rng.normal(size=(15, 10))
+    x = rng.normal(size=(15, 6))
+    per_set = rng.normal(size=(3, 6))
+    results = {}
+    for order in "CF":
+        zo, xo = np.asarray(z, order=order), np.asarray(x, order=order)
+        results[order] = [model.pe_forward(zo, params, segs), *model.ee_forward(xo, params),
+                          *model.pi_forward(xo, params, segs), segs.sum(xo), segs.mean(xo),
+                          segs.spread(np.asarray(per_set, order=order)), model.pe_forward(zo[:5], params)]
+    for c, f in zip(results["C"], results["F"]):
+        assert c.shape == f.shape and np.abs(c - f).max() <= 1e-12 * max(1.0, np.abs(c).max())
+    spread = results["F"][-2]
+    assert np.array_equal(spread, np.repeat(per_set, [5, 1, 9], axis=0)) and spread.flags.f_contiguous
+
+
+def test_a_batch_trace_holds_its_row_blocks_column_major():
+    """``pe_out`` and ``ee_hidden`` come from BLAS as transposed products, so reductions along rows walk
+    contiguous memory; Z stays C-ordered."""
+    vocab = 40
+    params = init_params(vocab, 8, 3, seed=2)
+    samples = synthetic_samples(7, 3, vocab, 5, seed=9)
+    trace = forward_batch(make_batch(samples, vocab), params)
+    assert trace.batch.size == 5
+    for block in (trace.pe_out, trace.ee_hidden):
+        assert block.shape == (35, 8) and block.flags.f_contiguous and not block.flags.c_contiguous
+    assert trace.z.flags.c_contiguous
+
+
 def test_training_slice_peak_memory_in_score_blocks():
     """One 64-user slice at |E| = 12,000 peaks at 2.2 (B, |E|) blocks of float64: the loss overwrites the
     logits with d_logits and allocates only chunk-sized temporaries."""
