@@ -11,8 +11,7 @@ skewing some; ``measure_axis`` and ``pietsp bench`` (synthetic shapes or a
 corpus with its checkpoint) both time through it, with the defaults
 ``RUNS``, ``BATCH`` and ``SHAPE``.
 Scaling helpers fit runtime against one shape axis (universe size N, history
-length K, or vocabulary size) to verify the linear-cost design empirically,
-and a coarse memory probe checks that the footprint tracks the vocabulary size.
+length K, or vocabulary size) to verify the linear-cost design empirically.
 The harness runs with whatever BLAS thread count the process started with;
 for single-thread numbers, set ``OPENBLAS_NUM_THREADS=1`` (and
 ``OMP_NUM_THREADS=1``, ``MKL_NUM_THREADS=1``) before launching.
@@ -21,7 +20,6 @@ for single-thread numbers, set ``OPENBLAS_NUM_THREADS=1`` (and
 from __future__ import annotations
 
 import time
-import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,10 +55,9 @@ class BenchReport:
         return dict(self.__dict__)
 
 
-def format_table(reports: list[BenchReport], labels: list[str] | None = None) -> str:
-    """Aligned text table: one row per report, latency and throughput columns.  The label column is as
-    wide as the longest label, and at least 28 characters."""
-    labels = labels or [f"N={r.n_max} K={r.k_max} D={r.dim} E={r.vocab_size}" for r in reports]
+def format_table(reports: list[BenchReport], labels: list[str]) -> str:
+    """Aligned text table: one row per report, its label, then latency and throughput columns.  The label
+    column is as wide as the longest label, and at least 28 characters."""
     width = max([28, *map(len, labels)])
     head = f"{'config':<{width}}{'mean sample time (s)':>22}{'p99 sample time (s)':>21}{'samples/sec':>13}"
     lines = [head]
@@ -178,16 +175,3 @@ def measure_axis(
     cases = [shape_case(**(shape | {axis: value}), dim=dim, batch_size=batch_size, seed=seed, sample_seed=seed + value)
              for value in values]
     return time_cases(cases, runs)
-
-
-def memory_highwater_bytes(vocab_size: int, dim: int, k_max: int, n_elements: int, seed: int = 0) -> int:
-    """Peak traced allocation while building a model and running one forward."""
-    tracemalloc.start()
-    try:
-        params = init_params(vocab_size, dim, k_max, seed=seed)
-        sample = synthetic_samples(n_elements, k_max, vocab_size, 1, seed=seed)[0]
-        forward(sample, params)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return int(peak)

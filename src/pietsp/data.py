@@ -75,11 +75,6 @@ class PreparedSample:
     def n_elements(self) -> int:
         return int(self.universe.shape[0])
 
-    def target_multihot(self, dtype=np.float64) -> np.ndarray:
-        y = np.zeros(self.vocab_size, dtype=dtype)
-        y[self.target_ids] = 1
-        return y
-
 
 # ---------------------------------------------------------------------------
 # loading

@@ -182,14 +182,6 @@ def ndcg_at_k(ranked_ids, truth, k: int) -> float:
     return float(_one_row(ranked_ids, truth, k)[1][0])
 
 
-def phr(hits) -> float:
-    """Fraction of users with at least one relevant item in their top-k."""
-    hits = list(hits)
-    if not hits:
-        raise MetricError("hit ratio over zero users")
-    return sum(bool(h) for h in hits) / len(hits)
-
-
 @dataclass
 class MetricReport:
     """Recall / NDCG / PHR at each requested k, averaged over users."""

@@ -33,8 +33,8 @@ into backward, beside the loss's chunk-sized temporaries.  ``forward`` is
 the B = 1 call and returns 1-D logits; a one-user call carries none of a
 batch's fixed costs: its universe is checked but nothing is stacked, its
 ``Segments`` is a shared read-only instance, the cells are the universe
-ids themselves, and the targets are stacked only when the loss or
-evaluation asks (``Batch.targets``).
+ids themselves, and the targets become a (B, |E|) bool block only when
+the loss or evaluation asks (``Batch.truth``).
 ``batches`` cuts a list of users into engine calls of bounded size
 (``MAX_BATCH_ROWS`` universe rows, ``MAX_BATCH_USERS`` users) and yields each
 call's ``make_batch``, which keeps the memory of a call independent of the
@@ -290,10 +290,12 @@ class Batch:
     def size(self) -> int:
         return self.segs.size
 
-    def targets(self) -> tuple[np.ndarray, np.ndarray]:
-        """(user index, item id) of every target item: ``bce_loss``'s index into the (B, |E|) logits."""
+    def truth(self, vocab_size: int) -> np.ndarray:
+        """(B, |E|) bool block marking each user's target items: the loss's marks and ``evaluate``'s truth."""
         target_ids = [s.target_ids for s in self.samples]
-        return np.repeat(np.arange(len(target_ids)), [t.size for t in target_ids]), np.concatenate(target_ids)
+        truth = np.zeros((len(target_ids), vocab_size), dtype=bool)
+        truth[np.repeat(np.arange(len(target_ids)), [t.size for t in target_ids]), np.concatenate(target_ids)] = True
+        return truth
 
     def scatter_add(self, table: np.ndarray, rows: np.ndarray) -> None:
         """``table[ids[r]] += rows[r]`` for every row r; rows of an id repeated across users are summed.

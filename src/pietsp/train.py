@@ -5,14 +5,18 @@ the model's ragged-batch engine (no padding: the users' universes are
 stacked), one call per ``model.batches`` run of it, each call's backward
 adding into one gradient buffer per minibatch, which is averaged and
 applied in a single optimizer step; the one gradient buffer of an epoch is
-zeroed and averaged in one pass each.  The loss is evaluated on the B x |E|
-logit block with sparse targets, softplus and logistic sharing one exp, in
-chunks of whole rows that overwrite the logits with d_logits: a training
-slice holds one B x |E| block, which backward then reads.
+zeroed and averaged in one pass each.  An engine call's ground truth is
+one B x |E| bool block, ``Batch.truth``, which the loss and evaluation both
+read.  The loss is evaluated on the B x |E| logit block against it,
+softplus and logistic sharing one exp, in chunks of whole rows that
+overwrite the logits with d_logits: a training slice holds one B x |E|
+block, which backward then reads.
 ``ranked_batches`` ranks each engine call's score block at once: evaluation
-scores its hits with ``metrics.hit_metrics``, and ``pietsp predict`` writes
-its ids.  The per-epoch shuffle is keyed by (seed, epoch), so resuming from
-a checkpoint replays the identical stream.
+looks its top ids up in the truth block and scores those hits with
+``metrics.hit_metrics``, and ``pietsp predict`` writes the ids.  The
+per-epoch shuffle is keyed by (seed, epoch), so resuming from a checkpoint
+replays the identical stream; a run that has met its patience resumes to
+no further epoch.
 """
 
 from __future__ import annotations
@@ -87,6 +91,7 @@ class TrainConfig:
         if not (isinstance(ratios, SEQUENCES) and len(ratios) == 3 and all(_is_a(r, Real) for r in ratios)):
             raise PietspError(f"split_ratios must be three numbers, got {ratios!r}")
         self.k_list = tuple(int(k) for k in k_list)
+        _reject_repeated_k(self.k_list, "TrainConfig")
         self.split_ratios = tuple(float(r) for r in ratios)
 
     def to_dict(self) -> dict:
@@ -97,6 +102,13 @@ class TrainConfig:
         return cls(**{k: v for k, v in d.items() if k in cls.__dataclass_fields__})
 
 
+def _reject_repeated_k(k_list: tuple[int, ...], where: str) -> None:
+    """Raise naming every k that ``k_list`` gives more than once, whose metrics a report would add twice."""
+    repeated = sorted({k for k in k_list if k_list.count(k) > 1})
+    if repeated:
+        raise PietspError(f"{where}: k_list repeats k = {', '.join(map(str, repeated))}; give each k once")
+
+
 def reject_removed_settings(saved: dict, where) -> None:
     """Raise naming the key if ``saved`` gives a removed setting anything but the value runs used."""
     for key, value in REMOVED_SETTINGS.items():
@@ -104,10 +116,11 @@ def reject_removed_settings(saved: dict, where) -> None:
             raise PietspError(f"{where}: setting '{key}' = {saved[key]!r} was removed; only {value!r} is accepted")
 
 
-def _bce_in_place(logits: np.ndarray, targets) -> np.ndarray:
+def _bce_in_place(logits: np.ndarray, marks: np.ndarray) -> np.ndarray:
     """``bce_loss``'s loss of every row of the C-contiguous ``logits``, which it overwrites with d_logits.
 
-    The rows are taken in chunks of whole rows, each at most ``LOSS_RUN``
+    ``marks`` is the bool block of the targets, shaped like ``logits``.  The
+    rows are taken in chunks of whole rows, each at most ``LOSS_RUN``
     elements (one row when a row is longer), so every temporary is
     chunk-sized.  Per chunk, one exp(-|y|) serves the softplus terms, whose
     rows are summed, and then the logistic, written over the chunk's logits.
@@ -115,12 +128,7 @@ def _bce_in_place(logits: np.ndarray, targets) -> np.ndarray:
     whole block taken at once.
     """
     n = logits.shape[-1]
-    rows = logits.reshape(-1, n)
-    marks = np.zeros(rows.shape, dtype=bool)  # the targets, one byte a logit
-    try:
-        marks.reshape(logits.shape)[targets] = True
-    except IndexError as exc:
-        raise PietspError(f"bce_loss: targets do not index logits of shape {logits.shape}: {exc}") from None
+    rows, marks = logits.reshape(-1, n), marks.reshape(-1, n)
     loss = np.empty(rows.shape[0], logits.dtype)
     step = max(1, LOSS_RUN // max(n, 1))
     for start in range(0, rows.shape[0], step):
@@ -144,10 +152,15 @@ def bce_loss(logits: np.ndarray, targets) -> tuple[np.ndarray, np.ndarray]:
     loss = mean_j [softplus(y_j) - t_j * y_j], and
     d loss / d y_j = (sigmoid(y_j) - t_j) / |E|.
     Returns (the loss of every row, d_logits); ``logits`` is left as it was.
-    Training runs the same pass in place over the engine's logits.
+    Training runs the same pass in place over the engine's logits, against ``Batch.truth``.
     """
     d_logits = np.array(logits, order="C")
-    return _bce_in_place(d_logits, targets), d_logits
+    marks = np.zeros(d_logits.shape, dtype=bool)  # the targets, one byte a logit
+    try:
+        marks[targets] = True
+    except IndexError as exc:
+        raise PietspError(f"bce_loss: targets do not index logits of shape {logits.shape}: {exc}") from None
+    return _bce_in_place(d_logits, marks), d_logits
 
 
 def add_gradients(samples: list[PreparedSample], params: ModelParams, variant: str, grads: ModelParams) -> list[float]:
@@ -159,7 +172,7 @@ def add_gradients(samples: list[PreparedSample], params: ModelParams, variant: s
     for batch in batches(samples, params.vocab_size):
         trace = forward_batch(batch, params, variant)
         d_logits, trace.logits = trace.logits, None  # backward never reads the logits: the loss overwrites them
-        losses.extend(_bce_in_place(d_logits, batch.targets()).tolist())
+        losses.extend(_bce_in_place(d_logits, batch.truth(params.vocab_size)).tolist())
         backward(trace, params, d_logits, grads)
         del trace, d_logits  # freed before the next slice's forward allocates its own
     return losses
@@ -234,38 +247,29 @@ def evaluate(
     Each of its score vectors must be finite and shaped (|E|,), or the
     ``PietspError`` (``NumericsError`` for a non-finite score) names the
     user.  Users with an empty target are skipped.  ``ranked_batches`` ranks
-    each engine call's score block at once; ``hit_metrics`` scores its hits
-    in rank order at every k, and the report averages its rows.  A k below 1
-    raises ``MetricError``.
+    each engine call's score block at once, whose top ids are looked up in
+    the call's ``Batch.truth``; ``hit_metrics`` scores those hits in rank
+    order at every k, and the report averages its rows.  A k below 1 raises
+    ``MetricError``; an empty or repeating k_list, ``PietspError``.
     """
     k_list = tuple(int(k) for k in k_list)
     if not k_list:
         raise PietspError("evaluate: empty k_list")
+    _reject_repeated_k(k_list, "evaluate")
     scored = [s for s in samples if s.target_ids.size]
     if not scored:
         raise PietspError("evaluate: no users with non-empty targets")
-    recall_acc = dict.fromkeys(k_list, 0.0)
-    ndcg_acc = dict.fromkeys(k_list, 0.0)
-    hit_acc = dict.fromkeys(k_list, 0)
+    sums = np.zeros((len(k_list), 3))  # recall, NDCG and hits summed over users, one row a k
     for batch, ranked in ranked_batches(scored, params, max(k_list), variant, score_fn):
-        truth = np.zeros((batch.size, params.vocab_size), dtype=bool)
-        truth[batch.targets()] = True
+        truth = batch.truth(params.vocab_size)
         n_truth = np.count_nonzero(truth, axis=1)
         hits = truth[np.arange(batch.size)[:, None], ranked]
-        for k in k_list:
-            recall, ndcg, hit = hit_metrics(hits, n_truth, k)
-            recall_acc[k] += float(recall.sum())
-            ndcg_acc[k] += float(ndcg.sum())
-            hit_acc[k] += int(np.count_nonzero(hit))
+        for row, k in zip(sums, k_list):
+            row += [part.sum() for part in hit_metrics(hits, n_truth, k)]
     used = len(scored)
-    return MetricReport(
-        k_list=k_list,
-        recall={k: recall_acc[k] / used for k in k_list},
-        ndcg={k: ndcg_acc[k] / used for k in k_list},
-        phr={k: hit_acc[k] / used for k in k_list},
-        users_evaluated=used,
-        users_skipped=len(samples) - used,
-    )
+    recall, ndcg, phr = (dict(zip(k_list, column.tolist())) for column in (sums / used).T)
+    return MetricReport(k_list=k_list, recall=recall, ndcg=ndcg, phr=phr, users_evaluated=used,
+                        users_skipped=len(samples) - used)
 
 
 @dataclass
@@ -311,9 +315,10 @@ def fit(
     """Train with early stopping on validation NDCG@EARLY_STOP_K.
 
     Keeps the best-so-far parameters and stops after ``patience`` epochs
-    without improvement.  ``latest_path``, when given, receives a resumable
-    checkpoint after every epoch; ``resume_from`` (its path, or the
-    ``Checkpoint`` that ``resumable_checkpoint`` returned for that path)
+    without improvement, tested before each epoch, so resuming a run that
+    met its patience trains no epoch.  ``latest_path``, when given, receives
+    a resumable checkpoint after every epoch; ``resume_from`` (its path, or
+    the ``Checkpoint`` that ``resumable_checkpoint`` returned for that path)
     restores one and continues the same run: its trainer-state dict is the
     run's state, updated in place and saved as it is, every key carried
     forward.  ``stop_after_epoch`` ends the loop early after that epoch
@@ -347,6 +352,8 @@ def fit(
             return evaluate(val_samples, params, (EARLY_STOP_K,), config.variant).ndcg[EARLY_STOP_K]
 
     for epoch in range(state["epoch"] + 1, config.max_epochs):
+        if state["bad_epochs"] >= config.patience:
+            break
         mean_loss = train_epoch(train_samples, params, opt_state, config, epoch)
         try:
             metric = float(eval_fn(params, epoch))
@@ -369,7 +376,7 @@ def fit(
         if latest_path is not None:
             save_checkpoint(latest_path, params, seed=config.seed, config=config.to_dict(), opt_state=opt_state,
                             train_state=state)
-        if state["bad_epochs"] >= config.patience or (stop_after_epoch is not None and epoch >= stop_after_epoch):
+        if stop_after_epoch is not None and epoch >= stop_after_epoch:
             break
 
     if best_path is not None:

@@ -15,7 +15,8 @@ report, errors and arrays.  ``oracle_convert_table`` and
 ``oracle_convert_json_dump`` convert raw dumps one row, one user and one
 item at a time, each placed into sorted lists as it arrives.  ``softplus``
 and ``logistic`` are the whole-array activations, each taking its own
-exp(-|x|), that ``bce_loss``'s shared-exp pass must reproduce.
+exp(-|x|), that ``bce_loss``'s shared-exp pass must reproduce, and
+``target_multihot`` is one user's targets as a 0/1 vector.
 """
 
 import base64
@@ -43,6 +44,13 @@ def logistic(x):
     """1 / (1 + exp(-x)), never overflowing, from an exp of its own."""
     x = np.asarray(x)
     return logistic_from(x, exp_neg_abs(x))
+
+
+def target_multihot(sample):
+    """One user's targets as a (|E|,) 0/1 vector."""
+    y = np.zeros(sample.vocab_size)
+    y[sample.target_ids] = 1
+    return y
 
 
 def _elu(x):

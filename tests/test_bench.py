@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,6 @@ from pietsp.bench import (
     format_table,
     linear_fit_r2,
     measure_axis,
-    memory_highwater_bytes,
     synthetic_samples,
     time_cases,
 )
@@ -85,16 +86,16 @@ def test_linear_fit_r2_needs_three_points():
 def test_measure_axis_shapes():
     reports = measure_axis("n", [8, 16], k_max=4, vocab_size=64, dim=8, runs=5, batch_size=4)
     assert [r.n_max for r in reports] == [8, 16]
-    table = format_table(reports)
+    table = format_table(reports, [f"N={r.n_max}" for r in reports])
     assert "samples/sec" in table and len(table.splitlines()) == 3
 
 
 def test_format_table_sizes_the_label_column_to_its_longest_label():
     report = BenchReport(0.001234, 0.002345, 810.37, 97, 4, 8, 8.0, 8, 4, 8, 64, "float64", 388, 0.48)
-    short = "N=8 K=4 D=8 E=64"
+    short = "N=8 K=4 E=64 D=8"
     figures = f"{0.001234:>22.6f}{0.002345:>21.6f}{810.37:>13.2f}"
     head = f"{'mean sample time (s)':>22}{'p99 sample time (s)':>21}{'samples/sec':>13}"
-    assert format_table([report]) == f"{'config':<28}{head}\n{short:<28}{figures}"  # a grid table, as it was
+    assert format_table([report], [short]) == f"{'config':<28}{head}\n{short:<28}{figures}"  # a grid table
     long = "tafeng-converted-corpus.json (60 of 60 users)"
     assert len(long) == 45
     lines = format_table([report, report], [long, short]).splitlines()
@@ -122,6 +123,19 @@ def test_measure_axis_runs_round_robin(monkeypatch):
     # each timed batch is one value's 2 forwards; the values take turns, run by run
     assert seen[::2] == [64, 128, 256] * 5
     assert seen[1::2] == seen[::2]
+
+
+def memory_highwater_bytes(vocab_size: int, dim: int, k_max: int, n_elements: int, seed: int = 0) -> int:
+    """Peak traced allocation while building a model and running one forward."""
+    tracemalloc.start()
+    try:
+        params = init_params(vocab_size, dim, k_max, seed=seed)
+        sample = synthetic_samples(n_elements, k_max, vocab_size, 1, seed=seed)[0]
+        forward(sample, params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return int(peak)
 
 
 def test_memory_highwater_tracks_vocab():

@@ -518,6 +518,17 @@ def test_a_rank_count_below_one_is_refused_before_anything_loads(tmp_path, capsy
     assert captured.err == error + "\n"
 
 
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_a_repeated_k_is_refused_before_any_file_is_written(tmp_path, trained, synthetic_file, capsys, command):
+    out = tmp_path / "out"
+    source = ("--ckpt", str(trained / "checkpoint-best.json")) if command == "eval" else ()
+    code = run_cli(command, *source, "--data", str(synthetic_file), "--k", "10,20,10", "--out", str(out))
+    captured = capsys.readouterr()
+    where = "TrainConfig" if command == "train" else "evaluate"
+    assert code == 1 and captured.out == "" and not out.exists()
+    assert captured.err == f"pietsp {command}: {where}: k_list repeats k = 10; give each k once\n"
+
+
 def test_train_defaults_come_from_trainconfig(tmp_path, synthetic_file, monkeypatch):
     @dataclass
     class Quick(pietsp.cli.TrainConfig):

@@ -15,6 +15,7 @@ from oracle import (
     oracle_convert_table,
     oracle_parse_corpus,
     oracle_prepare_sample,
+    target_multihot,
 )
 from pietsp.data import (
     Corpus,
@@ -361,7 +362,7 @@ def test_prepare_sample_worked_example():
     s = prepare_sample(user, 3, 12)
     assert list(s.universe) == [1, 2]
     assert np.array_equal(s.membership, [[0, 1, 0], [0, 1, 1]])
-    y = s.target_multihot()
+    y = target_multihot(s)
     assert y[2] == 1 and y[4] == 1 and y.sum() == 2
 
 

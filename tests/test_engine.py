@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gradcheck import analytic_gradient, check_all_slots, make_batch_instance
-from oracle import oracle_backward, oracle_evaluate, oracle_forward, oracle_gradients
+from oracle import oracle_backward, oracle_evaluate, oracle_forward, oracle_gradients, target_multihot
 from pietsp.bench import synthetic_samples
 from pietsp.data import PreparedSample, SyntheticSpec, gen_synthetic, max_history_len, prepare_all
 from pietsp.errors import PietspError
@@ -85,7 +85,7 @@ def test_batches_respect_both_caps_and_keep_order():
 
 
 def _oracle_bce(logits, sample):
-    targets = sample.target_multihot()
+    targets = target_multihot(sample)
     n = logits.size
     loss = float((np.logaddexp(0.0, logits) - targets * logits).sum() / n)
     return loss, (1.0 / (1.0 + np.exp(-logits)) - targets) / n

@@ -6,7 +6,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from pietsp.metrics import (BOUND_GROUP, MetricError, MetricReport, _candidates, _group_size, hit_metrics, ndcg_at_k,
-                            phr, recall_at_k, top_k, top_k_rows)
+                            recall_at_k, top_k, top_k_rows)
 from reference_metrics import ref_hit, ref_ndcg, ref_rank_all, ref_recall
 
 
@@ -264,16 +264,6 @@ def test_hit_metrics_rejects_bad_k_and_empty_truth():
             hit_metrics(hits, np.array([1, 2]), k)
     with pytest.raises(MetricError, match="empty ground-truth"):
         hit_metrics(hits, np.array([1, 0]), 2)
-
-
-def test_phr_examples():
-    assert phr([True, True]) == 1.0
-    assert phr([True, False, False, False]) == 0.25
-
-
-def test_phr_no_users_rejected():
-    with pytest.raises(MetricError):
-        phr([])
 
 
 # --- oracle agreement -------------------------------------------------------

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from oracle import logistic, oracle_checkpoint_bytes, softplus
+from oracle import logistic, oracle_checkpoint_bytes, softplus, target_multihot
 from pietsp import seeding, train
 from pietsp.checkpoint import load_checkpoint, save_checkpoint
 from pietsp.data import Corpus, PreparedSample, SyntheticSpec, gen_synthetic, prepare_all, split_users
@@ -199,7 +199,7 @@ def test_memorization_sanity():
 
 def test_perfect_scorer_gets_all_ones():
     samples, params = _samples_and_model(12)
-    report = evaluate(samples, params, (10, 20), score_fn=lambda s: s.target_multihot())
+    report = evaluate(samples, params, (10, 20), score_fn=target_multihot)
     assert all(v == 1.0 for v in report.recall.values())
     assert all(v == 1.0 for v in report.ndcg.values())
     assert all(v == 1.0 for v in report.phr.values())
@@ -234,6 +234,17 @@ def test_evaluate_rejects_k_below_one(k_list):
 def test_config_rejects_k_below_one_or_no_k(field):
     with pytest.raises(PietspError, match="k_list must be non-empty"):
         TrainConfig(**field)
+
+
+@pytest.mark.parametrize("k_list, named", [((10, 10), "10"), ((20, 10, 20, 10, 5), "10, 20"),
+                                           (np.array([5, 5]), "5")])
+def test_config_and_evaluate_refuse_a_repeated_k_naming_it(k_list, named):
+    """A k given twice would have its recall, NDCG and PHR summed twice into the report (PHR 2.0)."""
+    with pytest.raises(PietspError, match=re.escape(f"TrainConfig: k_list repeats k = {named}; give each k once")):
+        TrainConfig(k_list=k_list)
+    samples, params = _samples_and_model(6)
+    with pytest.raises(PietspError, match=re.escape(f"evaluate: k_list repeats k = {named}; give each k once")):
+        evaluate(samples, params, k_list)
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), 0.0, -0.001, "0.01", None, True])
@@ -575,6 +586,26 @@ def test_resume_that_changes_only_patience_or_k_list_runs(tmp_path, change):
     changed = TrainConfig(**(cfg.to_dict() | change))
     resumed = fit(train_c, val_c, changed, resume_from=latest)
     straight = fit(train_c, val_c, changed)
+    assert resumed.history == straight.history
+    assert params_digest(resumed.params) == params_digest(straight.params)
+
+
+def test_resume_of_an_early_stopped_run_trains_no_further_epoch_unless_patience_is_raised(tmp_path):
+    corpus = gen_synthetic(SyntheticSpec(users=40, vocab_size=30, pattern="repeat-biased", seed=2))
+    train_c, val_c, _ = split_users(corpus, (0.6, 0.2, 0.2), seed=1)
+    cfg = TrainConfig(max_epochs=40, patience=2, seed=1, batch_size=8, dim=8)
+    latest = tmp_path / "latest.json"
+    stopped = fit(train_c, val_c, cfg, latest_path=latest)
+    assert stopped.epochs_run == 3 and load_checkpoint(latest).train_state["bad_epochs"] == 2
+    saved = latest.read_bytes()
+    finished = fit(train_c, val_c, cfg, resume_from=latest, latest_path=latest)
+    assert finished.epochs_run == 3 and finished.history == stopped.history
+    assert params_digest(finished.params) == params_digest(stopped.params)
+    assert latest.read_bytes() == saved
+    patient = TrainConfig(**(cfg.to_dict() | {"patience": 5}))
+    resumed = fit(train_c, val_c, patient, resume_from=latest)
+    straight = fit(train_c, val_c, patient)
+    assert resumed.epochs_run == straight.epochs_run > 3
     assert resumed.history == straight.history
     assert params_digest(resumed.params) == params_digest(straight.params)
 
