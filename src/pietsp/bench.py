@@ -123,13 +123,18 @@ def _report(timed: np.ndarray, batch: list[PreparedSample], params: ModelParams)
     )
 
 
+def check_runs(runs: int) -> None:
+    """Raise unless ``runs`` leaves a timed run after the ``WARMUP_RUNS`` discarded ones."""
+    if runs <= WARMUP_RUNS:
+        raise PietspError(f"runs={runs} must exceed warmup={WARMUP_RUNS}")
+
+
 def time_cases(cases: list[tuple[ModelParams, list[PreparedSample]]], runs: int) -> list[BenchReport]:
     """One BenchReport per (params, batch) case, its first ``WARMUP_RUNS`` of ``runs`` batches discarded.
 
     The cases take turns: run r of every case, then run r + 1.
     """
-    if runs <= WARMUP_RUNS:
-        raise PietspError(f"runs={runs} must exceed warmup={WARMUP_RUNS}")
+    check_runs(runs)
     if not all(batch for _, batch in cases):
         raise PietspError("every case needs a batch of at least one sample")
     per_sample = np.empty((len(cases), runs))

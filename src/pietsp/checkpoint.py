@@ -39,9 +39,10 @@ Adam moments and the best parameters against the shapes the dimensions
 give.  A format-2 load reads the magic line and the header as the first
 two lines of one buffered file and checks the file's size against
 ``data_bytes``.  It then reads the raw section through the same file, one
-table at a time: each slot's record is checked and its bytes read at once,
-with one ``readinto`` straight into the slot view of a fresh
-``ModelParams`` buffer.  The file is read front to back and seeks only
+table at a time and one step per slot: the slot's record is checked and
+its bytes read with one ``readinto`` straight into the slot view of a
+fresh ``ModelParams`` buffer (a format-1 slot's step decodes its base64
+string into the slot view the same way).  The file is read front to back and seeks only
 where a record does not start where the last read ended, so a file this
 module wrote is read without a seek.  A record whose offset and shape
 repeat an earlier one's is copied from the array read for that one, so an
@@ -76,7 +77,6 @@ from __future__ import annotations
 import binascii
 import contextlib
 import json
-import math
 import os
 import stat
 from dataclasses import dataclass
@@ -280,20 +280,17 @@ def inspect_checkpoint(path) -> dict:
     The whole file is loaded and checked first, so a file this accepts also loads.
     """
     header, ck = _load(path)
-    tables = {("params",): ck.params}
+
+    def summary(container: ModelParams) -> dict:
+        return {name: {"shape": list(arr.shape), "l2_norm": float(np.linalg.norm(arr))}
+                for name, arr in container.slots()}
+
+    header["params"] = summary(ck.params)
     if ck.opt_state is not None:
-        tables[("optimizer", "m")] = ck.opt_state.m
-        tables[("optimizer", "v")] = ck.opt_state.v
+        header["optimizer"]["m"] = summary(ck.opt_state.m)
+        header["optimizer"]["v"] = summary(ck.opt_state.v)
     if ck.train_state is not None and ck.train_state.get("best_params") is not None:
-        tables[("trainer", "best_params")] = ck.train_state["best_params"]
-    for (*parents, key), container in tables.items():
-        node = header
-        for parent in parents:
-            node = node[parent]
-        node[key] = {
-            name: {"shape": list(arr.shape), "l2_norm": float(np.linalg.norm(arr))}
-            for name, arr in container.slots()
-        }
+        header["trainer"]["best_params"] = summary(ck.train_state["best_params"])
     return header
 
 
@@ -318,11 +315,10 @@ def _load(path) -> tuple[dict, Checkpoint]:
                     header = json.loads(head + f.read())
                 except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
                     raise CheckpointError(f"{path}: not valid JSON ({exc})") from exc
-                loaded = header, _checkpoint(path, header, 1, _Base64Payloads)
+                loaded = header, _checkpoint(path, header, 1, _read_base64)
             else:
-                header, raw_at = _read_header(path, f)
-                section = _RawSection(path, header, f, raw_at, before.st_size - raw_at)
-                loaded = header, _checkpoint(path, header, FORMAT_VERSION, section)
+                section = _RawSection(path, f, before.st_size)
+                loaded = section.header, _checkpoint(path, section.header, FORMAT_VERSION, section.read)
             after = os.fstat(f.fileno())
             if (after.st_size, after.st_mtime_ns) != (before.st_size, before.st_mtime_ns):
                 # rewritten (once a spare) or cut short while it was read: the bytes may be two saves' mix
@@ -334,74 +330,58 @@ def _load(path) -> tuple[dict, Checkpoint]:
         raise CheckpointError(f"{path}: cannot read the checkpoint ({exc.strerror or exc})") from exc
 
 
-def _read_header(path, f) -> tuple[dict, int]:
-    """Format 2's header, the line after the magic line, and the file offset of the raw section."""
-    line = f.readline()
-    if not line.endswith(b"\n"):
-        raise CheckpointError(f"{path}: the header has no terminating newline")
+def _read_base64(where: str, record: dict, out: np.ndarray) -> None:
+    """Format 1: ``out``'s bytes sit in its record as a base64 string."""
+    if "data" not in record:
+        raise CheckpointError(f"{where}: malformed array record")
+    if not isinstance(record["data"], str):
+        raise CheckpointError(f"{where}: corrupt base64 payload (not a string)")
     try:
-        header = json.loads(line)
-    except ValueError as exc:
-        raise CheckpointError(f"{path}: header is not valid JSON ({exc})") from exc
-    if not isinstance(header, dict):
-        raise CheckpointError(f"{path}: not a checkpoint file")
-    return header, len(MAGIC) + len(line)
-
-
-class _Base64Payloads:
-    """Format 1: each array's bytes sit in its record as a base64 string."""
-
-    @staticmethod
-    def decode(where: str, record: dict, shape: tuple[int, ...]) -> bytes:
-        if "data" not in record:
-            raise CheckpointError(f"{where}: malformed array record")
-        if not isinstance(record["data"], str):
-            raise CheckpointError(f"{where}: corrupt base64 payload (not a string)")
-        try:
-            raw = binascii.a2b_base64(record["data"], strict_mode=True)
-        except ValueError as exc:  # not ASCII, bad alphabet or padding
-            raise CheckpointError(f"{where}: corrupt base64 payload") from exc
-        expected = 8 * math.prod(shape)
-        if len(raw) != expected:
-            raise CheckpointError(f"{where}: payload holds {len(raw)} bytes but shape {shape} needs {expected}")
-        return raw
-
-    @staticmethod
-    def place(where: str, out: np.ndarray, raw: bytes) -> None:
-        out.data.cast("B")[:] = raw
+        raw = binascii.a2b_base64(record["data"], strict_mode=True)
+    except ValueError as exc:  # not ASCII, bad alphabet or padding
+        raise CheckpointError(f"{where}: corrupt base64 payload") from exc
+    if len(raw) != out.nbytes:
+        raise CheckpointError(f"{where}: payload holds {len(raw)} bytes but shape {out.shape} needs {out.nbytes}")
+    out.data.cast("B")[:] = raw
 
 
 class _RawSection:
-    """Format 2: each array's bytes sit in the raw section, of ``size`` bytes, at its record's offset.
+    """Format 2, read from ``f``, the load's buffered file, just past the magic line: the header line, then
+    the raw section of the header's ``data_bytes``, where each array's bytes sit at its record's offset."""
 
-    ``decode`` checks a record and ``place`` reads its bytes straight into the array from ``f``,
-    the load's buffered file, which stands at the start of the section (file offset ``raw_at``)."""
-
-    def __init__(self, path, header: dict, f, raw_at: int, size: int):
-        data_bytes = header.get("data_bytes")
+    def __init__(self, path, f, file_size: int):
+        line = f.readline()
+        if not line.endswith(b"\n"):
+            raise CheckpointError(f"{path}: the header has no terminating newline")
+        try:
+            self.header = json.loads(line)
+        except ValueError as exc:
+            raise CheckpointError(f"{path}: header is not valid JSON ({exc})") from exc
+        if not isinstance(self.header, dict):
+            raise CheckpointError(f"{path}: not a checkpoint file")
+        data_bytes = self.header.get("data_bytes")
         if not _is_int(data_bytes) or data_bytes < 0:
             raise CheckpointError(f"{path}: header data_bytes {data_bytes!r} is not a non-negative integer")
-        if size != data_bytes:
-            raise CheckpointError(f"{path}: the raw section holds {size} bytes, but data_bytes is {data_bytes}")
-        self.f, self.raw_at, self.size = f, raw_at, size
+        self.raw_at = len(MAGIC) + len(line)
+        self.size = file_size - self.raw_at
+        if self.size != data_bytes:
+            raise CheckpointError(f"{path}: the raw section holds {self.size} bytes, but data_bytes is {data_bytes}")
+        self.f = f  # stands at the start of the raw section
         self.pos = 0  # where the last read ended, kept here because ``f.tell()`` per record costs more
         self.first = {}  # (offset, shape) -> the array read from there
 
-    def decode(self, where: str, record: dict, shape: tuple[int, ...]) -> int:
+    def read(self, where: str, record: dict, out: np.ndarray) -> None:
+        """Check ``record`` and read ``out`` from its offset, seeking only if the last read ended elsewhere, so a
+        file ``checkpoint_bytes`` wrote is read front to back.  A record whose offset and shape repeat an
+        earlier one's (a table stored as another) is copied from the array read for that one."""
         if "offset" not in record:
             raise CheckpointError(f"{where}: malformed array record")
         offset = record["offset"]
         if not _is_int(offset) or offset < 0:
             raise CheckpointError(f"{where}: offset {offset!r} is not a non-negative integer")
-        end = offset + 8 * math.prod(shape)
+        end = offset + out.nbytes
         if end > self.size:
             raise CheckpointError(f"{where}: bytes {offset} to {end} fall outside the {self.size}-byte raw section")
-        return offset
-
-    def place(self, where: str, out: np.ndarray, offset: int) -> None:
-        """Read ``out`` from ``offset``, seeking only if the last read ended elsewhere, so a file
-        ``checkpoint_bytes`` wrote is read front to back.  A record whose offset and shape repeat an
-        earlier one's (a table stored as another) is copied from the array read for that one."""
         src = self.first.setdefault((offset, out.shape), out)
         if src is not out:
             out[...] = src
@@ -409,12 +389,13 @@ class _RawSection:
         if offset != self.pos:
             self.f.seek(self.raw_at + offset)
         self.pos = offset + self.f.readinto(out)  # a buffered readinto stops short only where the file ends
-        if self.pos < offset + out.nbytes:
+        if self.pos < end:
             raise CheckpointError(f"{where}: short read, the file ends at byte {self.raw_at + self.pos}")
 
 
-def _decode_params(obj, table: str, dims: dict[str, int], fmt) -> ModelParams:
-    """Decode one parameter table, each slot checked against the shape ``dims`` give it."""
+def _decode_params(obj, table: str, dims: dict[str, int], read) -> ModelParams:
+    """Decode one parameter table, each slot checked against the shape ``dims`` give it, then filled by
+    ``read(where, record, out)``."""
     if not isinstance(obj, dict):
         raise CheckpointError(f"{table}: parameter table missing")
     missing = [s for s in PARAM_SLOTS if s not in obj]
@@ -438,11 +419,11 @@ def _decode_params(obj, table: str, dims: dict[str, int], fmt) -> ModelParams:
                 f"{where}: shape {tuple(shape)}, but the envelope's"
                 f" {', '.join(f'{k}={v}' for k, v in dims.items())} need {out.shape}"
             )
-        fmt.place(where, out, fmt.decode(where, record, out.shape))
+        read(where, record, out)
     return params
 
 
-def _checkpoint(path, header, version: int, fmt) -> Checkpoint:
+def _checkpoint(path, header, version: int, read) -> Checkpoint:
     """The envelope checks both formats share, then every table decoded."""
     if not isinstance(header, dict) or header.get("kind") != "pietsp-checkpoint":
         raise CheckpointError(f"{path}: not a checkpoint file")
@@ -458,7 +439,7 @@ def _checkpoint(path, header, version: int, fmt) -> Checkpoint:
     config = header.get("config")
     if config is not None and not isinstance(config, dict):
         raise CheckpointError(f"{path}: config is {type(config).__name__}, not an object")
-    params = _decode_params(header.get("params"), "params", dims, fmt)
+    params = _decode_params(header.get("params"), "params", dims, read)
 
     opt_state = None
     opt = header.get("optimizer")
@@ -470,8 +451,8 @@ def _checkpoint(path, header, version: int, fmt) -> Checkpoint:
             raise CheckpointError(f"{path}: optimizer step {step!r} is not a non-negative integer")
         opt_state = AdamState(
             step=step,
-            m=_decode_params(opt.get("m"), "optimizer m", dims, fmt),
-            v=_decode_params(opt.get("v"), "optimizer v", dims, fmt),
+            m=_decode_params(opt.get("m"), "optimizer m", dims, read),
+            v=_decode_params(opt.get("v"), "optimizer v", dims, read),
         )
 
     train_state = None
@@ -489,7 +470,7 @@ def _checkpoint(path, header, version: int, fmt) -> Checkpoint:
             raise CheckpointError(f"{path}: trainer history is {type(trainer.get('history')).__name__}, not a list")
         train_state = dict(trainer)
         if train_state.get("best_params") is not None:
-            train_state["best_params"] = _decode_params(train_state["best_params"], "best_params", dims, fmt)
+            train_state["best_params"] = _decode_params(train_state["best_params"], "best_params", dims, read)
     return Checkpoint(
         params=params,
         seed=header.get("seed"),

@@ -28,7 +28,7 @@ from .data import (SyntheticSpec, convert_json_dump, convert_table, gen_syntheti
                    read_json, save_corpus, split_users)
 from .errors import PietspError
 from .model import VARIANTS
-from .train import (EARLY_STOP_K, REMOVED_SETTINGS, TrainConfig, evaluate, fit, ranked_batches,
+from .train import (EARLY_STOP_K, REMOVED_SETTINGS, TrainConfig, checked_k_list, evaluate, fit, ranked_batches,
                     reject_removed_settings, resumable_checkpoint, write_history)
 
 
@@ -159,8 +159,9 @@ def _at_least_one(name: str, values) -> None:
 
 def _cmd_eval(args) -> int:
     _at_least_one("--k", args.k or ())
+    k_list = checked_k_list(args.k) if args.k else None  # refused before anything loads
     ck, config, samples = _load_users(args.ckpt, args.data, args.split)
-    k_list = tuple(args.k) if args.k else config.k_list
+    k_list = k_list or config.k_list
     report = evaluate(samples, ck.params, k_list, config.variant)
     print(report.format_table())
     if args.out:
@@ -224,6 +225,7 @@ def _cmd_bench(args) -> int:
         if not holds(settings[key]):
             raise ValueError(f"{key} must be {rule}, got {settings[key]!r}")
     grid_text, runs, batch, seed, dtype, data, ckpt = (settings[key] for key in defaults)
+    bench.check_runs(runs)
     if bool(data) != bool(ckpt):
         print("bench: --data needs --ckpt" if data else "bench: --ckpt needs --data", file=sys.stderr)
         return 2

@@ -213,14 +213,19 @@ def save_corpus(corpus: Corpus, path) -> None:
 # splitting
 # ---------------------------------------------------------------------------
 
-def split_users(
-    corpus: Corpus, ratios: tuple[float, float, float], seed: int
-) -> tuple[Corpus, Corpus, Corpus]:
-    """Deterministic user-level split.  Sizes: floor(train), floor(val), rest."""
+def check_split_ratios(ratios) -> None:
+    """Raise ``SplitError`` unless ``ratios`` are three positive numbers summing to 1."""
     if len(ratios) != 3 or not all(r > 0 for r in ratios):  # ``r <= 0`` is false for NaN
         raise SplitError(f"ratios must be three positive numbers, got {ratios}")
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise SplitError(f"ratios must sum to 1, got {sum(ratios)!r}")
+
+
+def split_users(
+    corpus: Corpus, ratios: tuple[float, float, float], seed: int
+) -> tuple[Corpus, Corpus, Corpus]:
+    """Deterministic user-level split.  Sizes: floor(train), floor(val), rest."""
+    check_split_ratios(ratios)
     n = len(corpus.users)
     order = np.random.default_rng(seed).permutation(n)
     n_train = int(n * ratios[0] + 1e-9)

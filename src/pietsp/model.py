@@ -291,10 +291,16 @@ class Batch:
         return self.segs.size
 
     def truth(self, vocab_size: int) -> np.ndarray:
-        """(B, |E|) bool block marking each user's target items: the loss's marks and ``evaluate``'s truth."""
+        """(B, |E|) bool block marking each user's target items: the loss's marks and ``evaluate``'s truth.
+
+        A target id outside [0, |E|) raises ``MappingError`` naming the first user holding one."""
         target_ids = [s.target_ids for s in self.samples]
+        ids = np.concatenate(target_ids)
+        if ids.size and (ids.min() < 0 or ids.max() >= vocab_size):
+            user = next(s.user_id for s, t in zip(self.samples, target_ids) if ((t < 0) | (t >= vocab_size)).any())
+            raise MappingError(f"user '{user}': target ids outside [0, {vocab_size})")
         truth = np.zeros((len(target_ids), vocab_size), dtype=bool)
-        truth[np.repeat(np.arange(len(target_ids)), [t.size for t in target_ids]), np.concatenate(target_ids)] = True
+        truth[np.repeat(np.arange(len(target_ids)), [t.size for t in target_ids]), ids] = True
         return truth
 
     def scatter_add(self, table: np.ndarray, rows: np.ndarray) -> None:

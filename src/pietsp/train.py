@@ -30,7 +30,7 @@ import numpy as np
 
 from . import seeding
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
-from .data import Corpus, PreparedSample, max_history_len, prepare_all
+from .data import Corpus, PreparedSample, check_split_ratios, max_history_len, prepare_all
 from .errors import PietspError
 from .linalg import NumericsError, exp_neg_abs, logistic_from, softplus_from
 from .metrics import MetricReport, hit_metrics, top_k_rows
@@ -93,13 +93,20 @@ class TrainConfig:
         self.k_list = tuple(int(k) for k in k_list)
         _reject_repeated_k(self.k_list, "TrainConfig")
         self.split_ratios = tuple(float(r) for r in ratios)
+        check_split_ratios(self.split_ratios)
 
     def to_dict(self) -> dict:
         return asdict(self) | {"k_list": list(self.k_list), "split_ratios": list(self.split_ratios)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
-        return cls(**{k: v for k, v in d.items() if k in cls.__dataclass_fields__})
+        """The config a checkpoint records, its k_list read with each k once, in first-seen order: a
+        checkpoint written before a repeated k was refused still evaluates and predicts."""
+        fields = {k: v for k, v in d.items() if k in cls.__dataclass_fields__}
+        ks = fields.get("k_list")
+        if isinstance(ks, SEQUENCES):  # compared, not hashed: an entry that is a list is refused by name
+            fields["k_list"] = [k for i, k in enumerate(ks) if k not in ks[:i]]
+        return cls(**fields)
 
 
 def _reject_repeated_k(k_list: tuple[int, ...], where: str) -> None:
@@ -107,6 +114,20 @@ def _reject_repeated_k(k_list: tuple[int, ...], where: str) -> None:
     repeated = sorted({k for k in k_list if k_list.count(k) > 1})
     if repeated:
         raise PietspError(f"{where}: k_list repeats k = {', '.join(map(str, repeated))}; give each k once")
+
+
+def checked_k_list(k_list) -> tuple[int, ...]:
+    """``evaluate``'s k list as a tuple of ints, refused if it is empty, holds a k that is not an integer
+    (a bool included) or repeats a k.  A k below 1 is the ranking's to refuse (``MetricError``)."""
+    k_list = tuple(k_list)
+    if not k_list:
+        raise PietspError("evaluate: empty k_list")
+    for k in k_list:
+        if not _is_a(k, Integral):
+            raise PietspError(f"evaluate: k = {k!r} is not an integer")
+    k_list = tuple(int(k) for k in k_list)
+    _reject_repeated_k(k_list, "evaluate")
+    return k_list
 
 
 def reject_removed_settings(saved: dict, where) -> None:
@@ -250,12 +271,9 @@ def evaluate(
     each engine call's score block at once, whose top ids are looked up in
     the call's ``Batch.truth``; ``hit_metrics`` scores those hits in rank
     order at every k, and the report averages its rows.  A k below 1 raises
-    ``MetricError``; an empty or repeating k_list, ``PietspError``.
+    ``MetricError``; an empty or repeating k_list or a k that is not an integer, ``PietspError``.
     """
-    k_list = tuple(int(k) for k in k_list)
-    if not k_list:
-        raise PietspError("evaluate: empty k_list")
-    _reject_repeated_k(k_list, "evaluate")
+    k_list = checked_k_list(k_list)
     scored = [s for s in samples if s.target_ids.size]
     if not scored:
         raise PietspError("evaluate: no users with non-empty targets")

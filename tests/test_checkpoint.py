@@ -705,14 +705,14 @@ def _counting_reads(monkeypatch):
 
 def _before_the_first_read(monkeypatch, action):
     """Run ``action`` once a load has checked the file's size, just before it reads the first slot."""
-    place, pending = checkpoint._RawSection.place, [action]
+    read, pending = checkpoint._RawSection.read, [action]
 
-    def act_then_place(self, where, out, offset):
+    def act_then_read(self, where, record, out):
         while pending:
             pending.pop()()
-        place(self, where, out, offset)
+        read(self, where, record, out)
 
-    monkeypatch.setattr(checkpoint._RawSection, "place", act_then_place)
+    monkeypatch.setattr(checkpoint._RawSection, "read", act_then_read)
 
 
 def test_v2_written_by_checkpoint_bytes_is_read_without_a_seek(tmp_path, monkeypatch):

@@ -518,6 +518,37 @@ def test_a_rank_count_below_one_is_refused_before_anything_loads(tmp_path, capsy
     assert captured.err == error + "\n"
 
 
+@pytest.mark.parametrize("argv, error", [
+    (["eval", "--k", "10,10", "--ckpt", "{missing}", "--data", "{missing}"],
+     "pietsp eval: evaluate: k_list repeats k = 10; give each k once"),
+    (["train", "--split-ratios", "0.5,0.5,0.5", "--data", "{missing}", "--out", "{out}"],
+     "pietsp train: ratios must sum to 1, got 1.5"),
+    (["train", "--split-ratios", "0.5,-0.5,1", "--data", "{missing}", "--out", "{out}"],
+     "pietsp train: ratios must be three positive numbers, got (0.5, -0.5, 1.0)"),
+    (["bench", "--runs", "3", "--data", "{missing}", "--ckpt", "{missing}", "--out", "{out}"],
+     "pietsp bench: runs=3 must exceed warmup=3"),
+], ids=["eval-repeated-k", "train-ratio-sum", "train-ratio-sign", "bench-runs"])
+def test_a_bad_setting_is_refused_before_any_file_is_read(tmp_path, capsys, argv, error):
+    # no named file exists: a refusal that came after a read would name the missing file instead
+    paths = {"missing": str(tmp_path / "missing"), "out": str(tmp_path / "out")}
+    code = run_cli(*(arg.format(**paths) for arg in argv))
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == "" and not (tmp_path / "out").exists()
+    assert captured.err == error + "\n"
+
+
+def test_eval_and_predict_read_a_recorded_repeated_k_once(tmp_path, trained, synthetic_file, capsys):
+    """A checkpoint written when ``train --k 10,20,10`` was accepted still evaluates, each k once."""
+    ck = load_checkpoint(trained / "checkpoint-best.json")
+    ckpt = tmp_path / "repeats.json"
+    save_checkpoint(ckpt, ck.params, seed=ck.seed, config=ck.config | {"k_list": [10, 20, 10]})
+    capsys.readouterr()
+    assert run_cli("eval", "--ckpt", str(ckpt), "--data", str(synthetic_file)) == 0
+    assert capsys.readouterr().out.splitlines()[0].split() == ["@10", "@20"]
+    assert run_cli("predict", "--ckpt", str(ckpt), "--data", str(synthetic_file), "--top", "3") == 0
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("command", ["train", "eval"])
 def test_a_repeated_k_is_refused_before_any_file_is_written(tmp_path, trained, synthetic_file, capsys, command):
     out = tmp_path / "out"

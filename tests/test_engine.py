@@ -129,6 +129,23 @@ def test_train_and_evaluate_name_the_user_with_a_bad_universe(bad_universe, mess
         evaluate(samples, params, (5,))
 
 
+@pytest.mark.parametrize("target", [-1, 30, 31])
+def test_train_and_evaluate_name_the_user_with_a_target_outside_the_vocabulary(target):
+    """Unchecked, a target of -1 marks item |E| - 1 and one of |E| or more raises numpy's bare IndexError."""
+    params = init_params(30, 4, 3, seed=1)
+    samples = synthetic_samples(5, 3, 30, 6, seed=2)
+    s = samples[4]
+    samples[4] = PreparedSample("bad-target", s.universe, s.membership, np.array([0, target]), 30)
+    error = r"^user 'bad-target': target ids outside \[0, 30\)"
+    with pytest.raises(MappingError, match=error + r"$"):
+        make_batch(samples, 30).truth(30)
+    cfg = TrainConfig(batch_size=4, dim=4, max_epochs=2, patience=1)
+    with pytest.raises(MappingError, match=error + r" \(epoch 0, step \d\)$"):
+        train_epoch(samples, params, AdamState.init(params), cfg, epoch=0)
+    with pytest.raises(MappingError, match=error + r"$"):
+        evaluate(samples, params, (5,))
+
+
 check_universe = model._check_universe
 
 

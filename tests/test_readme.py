@@ -1,5 +1,5 @@
 """The README's examples run as written: its "Library use" block, then each ``pietsp`` line of its
-"Command line" block, in a scratch directory."""
+"Command line" block, in a scratch directory.  Every test its "Design choices" table cites exists."""
 
 import os
 import re
@@ -49,3 +49,15 @@ def test_every_command_line_runs(tmp_path, monkeypatch):
         else:
             assert main(argv[1:]) == 0, argv
     assert (tmp_path / "corpus.json").exists() and (tmp_path / "vocab.json").exists()
+
+
+def test_every_test_the_design_choices_table_cites_is_defined():
+    """A renamed or deleted test would leave the table pinning its choice to nothing."""
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index("\n## Design choices\n") :].split("\n## ", 2)[1]
+    cited = {name for line in section.splitlines() if line.startswith("|")
+             for name in re.findall(r"`(test_\w+)`", line)}
+    defined = {name for path in Path(__file__).parent.rglob("*.py")
+               for name in re.findall(r"^\s*def (test_\w+)\(", path.read_text(encoding="utf-8"), re.M)}
+    assert cited, "the Design choices table cites no test"
+    assert sorted(cited - defined) == []

@@ -247,6 +247,24 @@ def test_config_and_evaluate_refuse_a_repeated_k_naming_it(k_list, named):
         evaluate(samples, params, k_list)
 
 
+@pytest.mark.parametrize("k", [10.7, 10.0, True, "10"])
+def test_evaluate_refuses_a_k_that_is_not_an_integer_naming_it(k):
+    """Coerced, 10.7, 10.0 and "10" would report as k = 10 and True as k = 1."""
+    samples, params = _samples_and_model(6)
+    with pytest.raises(PietspError, match=f"^evaluate: k = {re.escape(repr(k))} is not an integer$"):
+        evaluate(samples, params, (5, k))
+
+
+def test_from_dict_reads_a_recorded_k_list_with_each_k_once():
+    """The recorded config of a checkpoint written before a repeated k was refused; the constructor still refuses."""
+    assert TrainConfig.from_dict({"k_list": [20, 10, 20, 5, 10]}).k_list == (20, 10, 5)
+    assert TrainConfig.from_dict({"k_list": np.array([5, 5, 10])}).k_list == (5, 10)
+    with pytest.raises(PietspError, match="k_list must be non-empty and its entries integers"):
+        TrainConfig.from_dict({"k_list": [[10], [10]]})
+    with pytest.raises(PietspError, match="TrainConfig: k_list repeats k = 10"):
+        TrainConfig(k_list=[10, 10])
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), 0.0, -0.001, "0.01", None, True])
 def test_config_rejects_a_bad_base_lr(value):
     with pytest.raises(PietspError, match="base_lr"):
