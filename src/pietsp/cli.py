@@ -11,7 +11,9 @@ but has no ``--config``.  Defaults come from the library
 ``SHAPE``), never restated here.  BLAS reads its thread count as numpy
 loads, so set ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and
 ``MKL_NUM_THREADS`` before launch to pin it.  An error, ``OSError``
-included, is one ``pietsp <command>: ...`` line on stderr and exit status 1.
+included, is one ``pietsp <command>: ...`` line on stderr and exit status 1;
+a flag value argparse cannot read, an empty item of a comma list included,
+is its usage error and exit status 2.
 """
 
 from __future__ import annotations
@@ -32,12 +34,13 @@ from .train import (EARLY_STOP_K, REMOVED_SETTINGS, TrainConfig, checked_k_list,
                     reject_removed_settings, resumable_checkpoint, write_history)
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok.strip()]
+# a comma list flag: an empty text is no item, and an empty item is refused as any value the type cannot read
+def _int_list(text: str) -> tuple[int, ...]:
+    return tuple(int(item) for item in text.split(",")) if text else ()
 
 
-def _float_list(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip()]
+def _float_list(text: str) -> tuple[float, ...]:
+    return tuple(float(item) for item in text.split(",")) if text else ()
 
 
 def _settings(args, defaults: dict, removed=()) -> dict:
@@ -158,10 +161,9 @@ def _at_least_one(name: str, values) -> None:
 
 
 def _cmd_eval(args) -> int:
-    _at_least_one("--k", args.k or ())
-    k_list = checked_k_list(args.k) if args.k else None  # refused before anything loads
+    k_list = None if args.k is None else checked_k_list(args.k, "evaluate")  # refused before anything loads
     ck, config, samples = _load_users(args.ckpt, args.data, args.split)
-    k_list = k_list or config.k_list
+    k_list = config.k_list if k_list is None else k_list
     report = evaluate(samples, ck.params, k_list, config.variant)
     print(report.format_table())
     if args.out:
@@ -189,8 +191,8 @@ def _cmd_inspect(args) -> int:
     return 0
 
 
-def _parse_grid(text: str) -> dict[str, list[int]]:
-    grid: dict[str, list[int]] = {}
+def _parse_grid(text: str) -> dict[str, tuple[int, ...]]:
+    grid: dict[str, tuple[int, ...]] = {}
     for clause in text.replace(";", " ").split():
         if "=" not in clause:
             raise ValueError(f"bad grid clause '{clause}' (expected KEY=v1,v2,...)")

@@ -85,13 +85,9 @@ class TrainConfig:
                               f" {self.max_epochs}: lower --patience or raise --epochs")
         if self.variant not in VARIANTS:
             raise PietspError(f"unknown variant '{self.variant}'")
-        k_list, ratios = self.k_list, self.split_ratios
-        if not (isinstance(k_list, SEQUENCES) and len(k_list) and all(_is_a(k, Integral) and k >= 1 for k in k_list)):
-            raise PietspError(f"k_list must be non-empty and its entries integers of at least 1: got {k_list!r}")
+        self.k_list, ratios = checked_k_list(self.k_list, "TrainConfig"), self.split_ratios
         if not (isinstance(ratios, SEQUENCES) and len(ratios) == 3 and all(_is_a(r, Real) for r in ratios)):
             raise PietspError(f"split_ratios must be three numbers, got {ratios!r}")
-        self.k_list = tuple(int(k) for k in k_list)
-        _reject_repeated_k(self.k_list, "TrainConfig")
         self.split_ratios = tuple(float(r) for r in ratios)
         check_split_ratios(self.split_ratios)
 
@@ -109,24 +105,19 @@ class TrainConfig:
         return cls(**fields)
 
 
-def _reject_repeated_k(k_list: tuple[int, ...], where: str) -> None:
-    """Raise naming every k that ``k_list`` gives more than once, whose metrics a report would add twice."""
+def checked_k_list(k_list, where: str) -> tuple[int, ...]:
+    """``k_list`` as a tuple of ints, the one check of a k list (``TrainConfig``, ``evaluate``, ``pietsp eval
+    --k``): a list, tuple or 1-D array, non-empty, every k an integer (not a bool) of at least 1, none given twice.
+
+    A repeated k, whose metrics a report would add twice, is refused naming ``where`` and every such k.
+    """
+    if not (isinstance(k_list, SEQUENCES) and getattr(k_list, "ndim", 1) == 1 and len(k_list)
+            and all(_is_a(k, Integral) and k >= 1 for k in k_list)):
+        raise PietspError(f"k_list must be non-empty and its entries integers of at least 1: got {k_list!r}")
+    k_list = tuple(int(k) for k in k_list)
     repeated = sorted({k for k in k_list if k_list.count(k) > 1})
     if repeated:
         raise PietspError(f"{where}: k_list repeats k = {', '.join(map(str, repeated))}; give each k once")
-
-
-def checked_k_list(k_list) -> tuple[int, ...]:
-    """``evaluate``'s k list as a tuple of ints, refused if it is empty, holds a k that is not an integer
-    (a bool included) or repeats a k.  A k below 1 is the ranking's to refuse (``MetricError``)."""
-    k_list = tuple(k_list)
-    if not k_list:
-        raise PietspError("evaluate: empty k_list")
-    for k in k_list:
-        if not _is_a(k, Integral):
-            raise PietspError(f"evaluate: k = {k!r} is not an integer")
-    k_list = tuple(int(k) for k in k_list)
-    _reject_repeated_k(k_list, "evaluate")
     return k_list
 
 
@@ -270,10 +261,10 @@ def evaluate(
     user.  Users with an empty target are skipped.  ``ranked_batches`` ranks
     each engine call's score block at once, whose top ids are looked up in
     the call's ``Batch.truth``; ``hit_metrics`` scores those hits in rank
-    order at every k, and the report averages its rows.  A k below 1 raises
-    ``MetricError``; an empty or repeating k_list or a k that is not an integer, ``PietspError``.
+    order at every k, and the report averages its rows.  A ``k_list`` that
+    ``checked_k_list`` refuses raises its ``PietspError`` before any engine call.
     """
-    k_list = checked_k_list(k_list)
+    k_list = checked_k_list(k_list, "evaluate")
     scored = [s for s in samples if s.target_ids.size]
     if not scored:
         raise PietspError("evaluate: no users with non-empty targets")

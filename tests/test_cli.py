@@ -506,8 +506,9 @@ def test_predict_top_zero_is_an_error(trained, synthetic_file, capsys):
 @pytest.mark.parametrize("argv, error", [
     (["predict", "--top", "0"], "pietsp predict: --top must be at least 1, got 0"),
     (["predict", "--top", "-2"], "pietsp predict: --top must be at least 1, got -2"),
-    (["eval", "--k", "0"], "pietsp eval: --k must be at least 1, got 0"),
-    (["eval", "--k", "10,-1,20"], "pietsp eval: --k must be at least 1, got -1"),
+    (["eval", "--k", "0"], "pietsp eval: k_list must be non-empty and its entries integers of at least 1: got (0,)"),
+    (["eval", "--k", "10,-1,20"],
+     "pietsp eval: k_list must be non-empty and its entries integers of at least 1: got (10, -1, 20)"),
 ], ids=["top-0", "top-negative", "k-0", "k-list"])
 def test_a_rank_count_below_one_is_refused_before_anything_loads(tmp_path, capsys, argv, error):
     # neither file exists: a refusal that came after a load would name the missing file instead
@@ -535,6 +536,28 @@ def test_a_bad_setting_is_refused_before_any_file_is_read(tmp_path, capsys, argv
     captured = capsys.readouterr()
     assert code == 1 and captured.out == "" and not (tmp_path / "out").exists()
     assert captured.err == error + "\n"
+
+
+@pytest.mark.parametrize("argv, code, error", [
+    (["eval", "--k", "10,,20", "--ckpt", "{missing}", "--data", "{missing}"], 2,
+     "pietsp eval: error: argument --k: invalid _int_list value: '10,,20'"),
+    (["train", "--k", "10,20,", "--data", "{missing}", "--out", "{out}"], 2,
+     "pietsp train: error: argument --k: invalid _int_list value: '10,20,'"),
+    (["train", "--split-ratios", "0.7,,0.1,0.2", "--data", "{missing}", "--out", "{out}"], 2,
+     "pietsp train: error: argument --split-ratios: invalid _float_list value: '0.7,,0.1,0.2'"),
+    (["bench", "--grid", "N=4,,8", "--runs", "5", "--batch", "4", "--out", "{out}"], 1,
+     "pietsp bench: grid axis 'N' takes integers, got '4,,8'"),
+], ids=["eval-k", "train-k", "train-split-ratios", "bench-grid"])
+def test_an_empty_item_of_a_list_flag_is_refused_before_any_file_is_read(tmp_path, capsys, argv, code, error):
+    """Dropped, the empty item let "--k 10,,20" run as @10 @20 and "--split-ratios 0.7,,0.1,0.2" as three ratios."""
+    paths = {"missing": str(tmp_path / "missing"), "out": str(tmp_path / "out")}
+    try:
+        got = run_cli(*(arg.format(**paths) for arg in argv))
+    except SystemExit as exc:  # argparse's usage error
+        got = exc.code
+    captured = capsys.readouterr()
+    assert got == code and captured.out == "" and not (tmp_path / "out").exists()
+    assert captured.err.splitlines()[-1] == error
 
 
 def test_eval_and_predict_read_a_recorded_repeated_k_once(tmp_path, trained, synthetic_file, capsys):

@@ -8,10 +8,10 @@ import pytest
 from oracle import logistic, oracle_checkpoint_bytes, softplus, target_multihot
 from pietsp import seeding, train
 from pietsp.checkpoint import load_checkpoint, save_checkpoint
+from pietsp.cli import main
 from pietsp.data import Corpus, PreparedSample, SyntheticSpec, gen_synthetic, prepare_all, split_users
 from pietsp.errors import PietspError
 from pietsp.linalg import NumericsError
-from pietsp.metrics import MetricError
 from pietsp.model import MappingError, init_params
 from pietsp.optim import AdamState, cosine_lr
 from pietsp.train import LOSS_RUN, RESUME_MAY_CHANGE, TrainConfig, bce_loss, evaluate, fit, reject_removed_settings, train_epoch
@@ -223,10 +223,50 @@ def test_evaluate_is_read_only_and_deterministic():
     assert a == b
 
 
+NO_K_TEXT = "k_list must be non-empty and its entries integers of at least 1: got "
+
+# a k list checked_k_list refuses, the `pietsp eval --k` text that gives it (None: no text can), and the
+# refusal, where "{where}" is the entry point that names itself: TrainConfig or evaluate
+BAD_K_LISTS = [((), "", NO_K_TEXT + "()"), ((0, 10), "0,10", NO_K_TEXT + "(0, 10)"),
+               ((10, -1), "10,-1", NO_K_TEXT + "(10, -1)"), ((10.7,), None, NO_K_TEXT + "(10.7,)"),
+               ((True,), None, NO_K_TEXT + "(True,)"), (("10",), None, NO_K_TEXT + "('10',)"),
+               (10, None, NO_K_TEXT + "10"), (np.array(10), None, NO_K_TEXT + "array(10)"),
+               ((10, 10), "10,10", "{where}: k_list repeats k = 10; give each k once")]
+
+
+@pytest.mark.parametrize("k_list, flag, error", BAD_K_LISTS,
+                         ids=["empty", "zero", "negative", "float", "bool", "str", "bare-int", "0-d-array", "repeat"])
+def test_config_evaluate_and_eval_k_refuse_a_bad_k_list_alike(tmp_path, capsys, k_list, flag, error):
+    """One rule, ``checked_k_list``: each entry point refuses the same list with the same text, and
+    ``pietsp eval`` refuses it before reading its files, which do not exist (a later refusal would name one)."""
+    with pytest.raises(PietspError, match=f"^{re.escape(error.format(where='TrainConfig'))}$"):
+        TrainConfig(k_list=k_list)
+    samples, params = _samples_and_model(3)
+    with pytest.raises(PietspError, match=f"^{re.escape(error.format(where='evaluate'))}$"):
+        evaluate(samples, params, k_list)
+    if flag is not None:
+        missing = str(tmp_path / "missing")
+        assert main(["eval", "--k", flag, "--ckpt", missing, "--data", missing]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"pietsp eval: {error.format(where='evaluate')}\n"
+
+
+def test_evaluate_refuses_a_bad_k_list_before_any_engine_call(monkeypatch):
+    samples, params = _samples_and_model(6)
+    calls = []
+    engine = train.forward_batch
+    monkeypatch.setattr(train, "forward_batch", lambda *args: calls.append(args) or engine(*args))
+    with pytest.raises(PietspError):
+        evaluate(samples, params, (0, 10))
+    assert calls == []
+    evaluate(samples, params, (10,))
+    assert calls  # the counter sees evaluate's engine calls
+
+
 @pytest.mark.parametrize("k_list", [(0, 10), (-3, 10), (0,)])
 def test_evaluate_rejects_k_below_one(k_list):
     samples, params = _samples_and_model(6)
-    with pytest.raises(MetricError, match="k >= 1"):
+    with pytest.raises(PietspError, match=f"^{re.escape(f'{NO_K_TEXT}{k_list!r}')}$"):
         evaluate(samples, params, k_list)
 
 
@@ -251,7 +291,7 @@ def test_config_and_evaluate_refuse_a_repeated_k_naming_it(k_list, named):
 def test_evaluate_refuses_a_k_that_is_not_an_integer_naming_it(k):
     """Coerced, 10.7, 10.0 and "10" would report as k = 10 and True as k = 1."""
     samples, params = _samples_and_model(6)
-    with pytest.raises(PietspError, match=f"^evaluate: k = {re.escape(repr(k))} is not an integer$"):
+    with pytest.raises(PietspError, match=f"^{re.escape(f'{NO_K_TEXT}{(5, k)!r}')}$"):
         evaluate(samples, params, (5, k))
 
 
@@ -363,7 +403,7 @@ def test_evaluate_skips_empty_targets():
     assert report.users_evaluated == 3
 
 
-@pytest.mark.parametrize("k_list, targets, error", [((), 1, "evaluate: empty k_list"),
+@pytest.mark.parametrize("k_list, targets, error", [((), 1, re.escape(f"{NO_K_TEXT}()")),
                                                     ((10,), 0, "evaluate: no users with non-empty targets")],
                          ids=["no-k", "no-target"])
 def test_evaluate_refuses_no_k_or_no_user_with_a_target(k_list, targets, error):
