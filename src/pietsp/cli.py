@@ -34,21 +34,34 @@ from .train import (EARLY_STOP_K, REMOVED_SETTINGS, TrainConfig, checked_k_list,
                     reject_removed_settings, resumable_checkpoint, write_history)
 
 
-# a comma list flag: an empty text is no item, and an empty item is refused as any value the type cannot read
+def _items(text: str, kind, what: str) -> tuple:
+    """The items of a comma list flag, each read by ``kind``; an empty text is no item.  An empty item, or one
+    ``kind`` cannot read, raises ``ArgumentTypeError`` naming it: argparse's usage error, exit status 2."""
+    values = []
+    for item in text.split(",") if text else ():
+        try:
+            values.append(kind(item))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"'{item}' is not {what}" if item.strip() else
+                                             f"empty item in '{text}'") from None
+    return tuple(values)
+
+
 def _int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(item) for item in text.split(",")) if text else ()
+    return _items(text, int, "an integer")
 
 
 def _float_list(text: str) -> tuple[float, ...]:
-    return tuple(float(item) for item in text.split(",")) if text else ()
+    return _items(text, float, "a number")
 
 
-def _settings(args, defaults: dict, removed=()) -> dict:
+def _settings(args, defaults: dict, removed=()) -> tuple[dict, set[str]]:
     """The run's settings: each key of ``defaults`` takes its flag, else its ``--config`` value, else its default.
 
     The ``--config`` file must be a JSON object whose every key is ``command``, a setting, or one of the
     ``removed`` settings at the value runs used.  The command runs with the returned dict, ``command``
-    included, and writes it to ``effective-config.json``.
+    included, and writes it to ``effective-config.json``.  Also returns the keys that a flag or the
+    ``--config`` file gave.
     """
     config = read_json(args.config) if args.config else {}
     if not isinstance(config, dict):
@@ -60,8 +73,9 @@ def _settings(args, defaults: dict, removed=()) -> dict:
                          f" (known: {', '.join(sorted(known))})")
     reject_removed_settings(config, args.config)
     flags = vars(args)
+    given = {key for key in defaults if flags[key] is not None or key in config}
     return {"command": args.command} | {key: config.get(key, default) if flags[key] is None else flags[key]
-                                        for key, default in defaults.items()}
+                                        for key, default in defaults.items()}, given
 
 
 def _write_effective(out_dir: Path, settings: dict) -> None:
@@ -114,8 +128,8 @@ TRAIN_SETTINGS = {
 def _cmd_train(args) -> int:
     defaults = TrainConfig().to_dict()
     # an effective-config.json of an earlier version may hold a removed setting, judged by its value
-    settings = _settings(args, {"data": None} | {key: defaults[field] for key, field in TRAIN_SETTINGS.items()},
-                         REMOVED_SETTINGS)
+    settings, _ = _settings(args, {"data": None} | {key: defaults[field] for key, field in TRAIN_SETTINGS.items()},
+                            REMOVED_SETTINGS)
     if not isinstance(settings["data"], (str, type(None))):
         raise ValueError(f"data must be a string, got {settings['data']!r}")
     if not settings["data"]:
@@ -204,7 +218,7 @@ def _parse_grid(text: str) -> dict[str, tuple[int, ...]]:
             raise ValueError(f"grid axis '{key}' is given twice")
         try:
             grid[key] = _int_list(values)
-        except ValueError:
+        except argparse.ArgumentTypeError:
             raise ValueError(f"grid axis '{key}' takes integers, got '{values}'") from None
         if not grid[key]:
             raise ValueError(f"grid axis '{key}' has no values")
@@ -215,7 +229,7 @@ def _parse_grid(text: str) -> dict[str, tuple[int, ...]]:
 def _cmd_bench(args) -> int:
     defaults = {"grid": " ".join(f"{key}={n}" for key, n in bench.SHAPE.items()), "runs": bench.RUNS,
                 "batch": bench.BATCH, "seed": 0, "dtype": "float64", "data": None, "ckpt": None}
-    settings = _settings(args, defaults)
+    settings, given = _settings(args, defaults)
     # a flag arrives typed, a --config value may be any JSON: the integers first, then the ranges and choices
     rules = [(key, "an integer", lambda v: isinstance(v, int) and not isinstance(v, bool))
              for key, default in defaults.items() if isinstance(default, int)]
@@ -230,6 +244,10 @@ def _cmd_bench(args) -> int:
     bench.check_runs(runs)
     if bool(data) != bool(ckpt):
         print("bench: --data needs --ckpt" if data else "bench: --ckpt needs --data", file=sys.stderr)
+        return 2
+    unused = [key for key in ("grid", "seed") if data and key in given]
+    if unused:
+        print(f"bench: --{unused[0]} is not used with --data", file=sys.stderr)
         return 2
 
     if data:

@@ -86,16 +86,20 @@ element scores and ``fuse_local``; returns d pe_out), ``_global_backward``
 d pooled row, which sum pooling hands to every row of the set) and
 ``_equivariant_backward`` (the equivariant layer, the concatenation split
 and the embedding scatter, from the summed d pe_out).  A variant skips the
-branch it drops.  The embedding table receives gradient through two routes:
-the gather into Z (universe rows only, summed per (id, column) cell by one
-``np.bincount``, ``Batch.scatter_add``) and the global scoring o_s = M zbar
-(every row, one (|E| x B)(B x D) product P).  The global scores are not
+branch it drops, which its trace holds as ``None``.  The embedding table
+receives gradient through two routes: the gather into Z (universe rows
+only, added in place per (id, column) cell by ``np.add.at``,
+``Batch.scatter_add``) and the global scoring o_s = M zbar (every row, one
+(|E| x B)(B x D) product P).  The sparse ``fuse_local`` gradient is added
+in place the same way: since numpy 1.25 ``np.add.at`` takes a fast path,
+and on numpy 2.4.6 it beats summing into a dense |E|-wide ``np.bincount``
+table and adding that in.  The global scores are not
 kept for backward: the gradient of the fusion weights a is
 sum_b d_logits[b] o_s[b], the row sums of P * M.  Ablation variants drop
-one scoring branch:
+one scoring branch, and every variant is fused by one ``fuse_scores`` call:
 
     "no-ee": y = a * o_s          (element scores removed)
-    "no-ge": y = b * o_e on universe ids, 0 elsewhere (global scores removed)
+    "no-ge": y = b * o_e on universe ids, 0 elsewhere (global scores a zero block)
 """
 
 from __future__ import annotations
@@ -306,17 +310,21 @@ class Batch:
     def scatter_add(self, table: np.ndarray, rows: np.ndarray) -> None:
         """``table[ids[r]] += rows[r]`` for every row r; rows of an id repeated across users are summed.
 
-        One ``np.bincount`` over the flat cell index ids[r] * D + column of
-        every entry of ``rows`` sums them into a (|E| x D) table, which is
-        then added in: no sort, gather or ``np.add.at``.  The cells are
-        counted column by column, ``np.add.outer(arange(D), ids * D)``
+        One ``np.add.at`` adds every entry of ``rows`` in place at its flat
+        cell index ids[r] * D + column of ``table``, so no (|E| x D) scratch
+        table is filled (on numpy 2.4.6 the dense ``np.bincount`` table and
+        its add took up to 3x as long on a 12,000-item vocabulary).  The
+        cells are taken column by column, ``np.add.outer(arange(D), ids * D)``
         against ``rows.T``: a view of the engine's column-major ``d_rows``,
-        and a copy for C-ordered input.  Every bin sums its rows in row
-        order either way, so both orders give the same bits.
+        and a copy for C-ordered input.  Every cell adds its rows in row
+        order either way, so both orders give the same bits.  ``table`` must
+        be C-contiguous, so that the flat view writes into it; any other
+        table raises ``ShapeError``.
         """
-        vocab, dim = table.shape
-        cells = np.add.outer(np.arange(dim), self.ids * dim).reshape(-1)
-        table += np.bincount(cells, weights=rows.T.reshape(-1), minlength=vocab * dim).reshape(vocab, dim)
+        if not table.flags.c_contiguous:
+            raise ShapeError(f"scatter_add: a {table.shape} table that is not C-contiguous has no flat view")
+        dim = table.shape[1]
+        np.add.at(table.reshape(-1), np.add.outer(np.arange(dim), self.ids * dim).reshape(-1), rows.T.reshape(-1))
 
 
 def _check_universe(sample: PreparedSample, vocab_size: int) -> None:
@@ -387,7 +395,6 @@ def batches(samples: list[PreparedSample], vocab_size: int):
 class ForwardTrace:
     """Everything the backward pass needs, cached once per engine call."""
 
-    variant: str
     batch: Batch
     cells: np.ndarray                 # (R,) flat index of every universe row's (user, item) cell of the logits
     z: np.ndarray                     # (R, K+D) concatenated input, C-ordered (cheaper to build than to reduce)
@@ -486,14 +493,14 @@ def ge_forward(set_repr: np.ndarray, emb: np.ndarray) -> np.ndarray:
 
 def fuse_scores(
     global_scores: np.ndarray,
-    elem_scores: np.ndarray,
+    elem_scores: np.ndarray | None,
     universe: np.ndarray,
     fuse_global: np.ndarray,
     fuse_local: np.ndarray,
     cells: np.ndarray | None = None,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Blend: every item gets a_j * o_s[j]; universe items add b_j * o_e[i].
+    """Blend: every item gets a_j * o_s[j]; universe items add b_j * o_e[i], unless ``elem_scores`` is None.
 
     ``cells`` gives the flat index (``Segments.cells``) of each universe
     entry's score when ``global_scores`` is a (B, |E|) block; each must
@@ -501,7 +508,8 @@ def fuse_scores(
     Not checked here: ``forward_batch`` checks the result (``_check_logits``).
     """
     logits = np.multiply(fuse_global, global_scores, out=out, order="C")
-    logits.reshape(-1)[universe if cells is None else cells] += fuse_local[universe] * elem_scores
+    if elem_scores is not None:
+        logits.reshape(-1)[universe if cells is None else cells] += fuse_local[universe] * elem_scores
     return logits
 
 
@@ -520,32 +528,29 @@ def forward_batch(batch: Batch, params: ModelParams, variant: str = "full") -> F
     """The forward pass of every user in ``batch`` at once; logits are (B, |E|)."""
     if variant not in VARIANTS:
         raise PietspError(f"unknown variant '{variant}', expected one of {VARIANTS}")
+    vocab_size, k_max = params.vocab_size, params.k_max
+    for s in batch.samples:  # before any product: a sample prepared for other parameters is refused by name
+        if s.vocab_size != vocab_size or s.membership.shape[1] != k_max:
+            raise MappingError(f"user '{s.user_id}': prepared for vocab_size {s.vocab_size} and k_max {s.membership.shape[1]},"
+                               f" but the parameters take vocab_size {vocab_size} and k_max {k_max}")
     segs, ids = batch.segs, batch.ids
     cells = segs.cells(ids, params.vocab_size)
     z = sfi_concat(params.emb.take(ids, axis=0), [s.membership for s in batch.samples])
     z_mean = segs.mean(z)  # kept for backward's Wl gradient
     pe_out = pe_forward(z, params, segs, z_mean)
 
-    elem_scores = hidden = None
+    elem_scores = hidden = set_repr = pooled = h1 = h2 = None
     if variant != "no-ee":
         elem_scores, hidden = ee_forward(pe_out, params)
-
-    set_repr = pooled = h1 = h2 = None
     if variant != "no-ge":
         set_repr, pooled, h1, h2 = pi_forward(pe_out, params, segs)
         logits = ge_forward(set_repr, params.emb)  # fused in place below; backward does not read it
-
-    if variant == "full":
-        fuse_scores(logits, elem_scores, ids, params.fuse_global, params.fuse_local, cells, out=logits)
-    elif variant == "no-ee":
-        logits *= params.fuse_global
-    else:  # no-ge
+    else:  # fused from a zero global block
         logits = np.zeros((batch.size, params.vocab_size), dtype=pe_out.dtype)
-        logits.reshape(-1)[cells] = params.fuse_local[ids] * elem_scores
+    fuse_scores(logits, elem_scores, ids, params.fuse_global, params.fuse_local, cells, out=logits)
     _check_logits(logits, set_repr, params.emb)
 
     return ForwardTrace(
-        variant=variant,
         batch=batch,
         cells=cells,
         z=z,
@@ -578,7 +583,7 @@ def _element_backward(trace: ForwardTrace, params: ModelParams, d_logits: np.nda
     """
     ids = trace.batch.ids
     d_at = d_logits.reshape(-1)[trace.cells]
-    grads.fuse_local += np.bincount(ids, weights=d_at * trace.elem_scores, minlength=params.vocab_size)
+    np.add.at(grads.fuse_local, ids, d_at * trace.elem_scores)
     d_elem = d_at * params.fuse_local[ids]
     grads.ee_w2 += trace.ee_hidden.T @ d_elem
     grads.ee_b2 += d_elem.sum(0)
@@ -650,9 +655,9 @@ def backward(trace: ForwardTrace, params: ModelParams, d_logits: np.ndarray, gra
         raise ShapeError(f"backward: d_logits {d_logits.shape} vs logits {shape}")
     d_logits = d_logits.reshape(segs.size, -1)
     branch = (trace, params, d_logits, grads)
-    if trace.variant == "no-ge":
+    if trace.set_repr is None:  # no global branch
         _equivariant_backward(trace, params, _element_backward(*branch), grads)
-    elif trace.variant == "no-ee":
+    elif trace.elem_scores is None:  # no element branch
         _equivariant_backward(trace, params, iadd(np.zeros_like(trace.pe_out), segs.spread(_global_backward(*branch))), grads)
     else:  # the pooled gradient is added into the element branch's array
         _equivariant_backward(trace, params, iadd(_element_backward(*branch), segs.spread(_global_backward(*branch))), grads)

@@ -1,6 +1,7 @@
 """Training loop: multi-label loss, batched epochs, early stopping, evaluation.
 
-A minibatch is ``batch_size`` users of the shuffled order.  It runs through
+A training instance is a prefix of a user's history (``fit``), and a
+minibatch is ``batch_size`` instances of the shuffled order.  It runs through
 the model's ragged-batch engine (no padding: the users' universes are
 stacked), one call per ``model.batches`` run of it, each call's backward
 adding into one gradient buffer per minibatch, which is averaged and
@@ -30,7 +31,7 @@ import numpy as np
 
 from . import seeding
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
-from .data import Corpus, PreparedSample, check_split_ratios, max_history_len, prepare_all
+from .data import Corpus, PreparedSample, UserRecord, check_split_ratios, max_history_len, prepare_all
 from .errors import PietspError
 from .linalg import NumericsError, exp_neg_abs, logistic_from, softplus_from
 from .metrics import MetricReport, hit_metrics, top_k_rows
@@ -43,6 +44,8 @@ LOSS_RUN = 1 << 16  # elements per chunk of whole rows in the loss pass (512 KB 
 REMOVED_SETTINGS = {"l2": 0.0, "l2_coeff": 0.0, "decay_fusion": False, "early_stop_k": EARLY_STOP_K}
 # the TrainConfig fields a resume may change: neither changes any epoch's update; every other field must match
 RESUME_MAY_CHANGE = ("patience", "k_list")
+# the trainer state's "instances": what ``fit`` trains on; a checkpoint without it trained on each user's last set
+INSTANCES = "every-prefix"
 SEQUENCES = (list, tuple, np.ndarray)  # what k_list and split_ratios may be given as
 
 
@@ -293,11 +296,15 @@ class FitResult:
 
 def resumable_checkpoint(path, config: TrainConfig, vocab_size: int) -> Checkpoint:
     """The checkpoint at ``path``, checked to continue a run of ``config`` on a corpus of ``vocab_size``
-    items: it holds the optimizer and trainer state, was trained on that vocabulary size, records its config,
-    sets no removed setting in it, and matches every setting but ``RESUME_MAY_CHANGE``."""
+    items: it holds the optimizer and trainer state, was trained on every history prefix (``INSTANCES``) and on
+    that vocabulary size, records its config, sets no removed setting in it, and matches every setting but
+    ``RESUME_MAY_CHANGE``."""
     ck = load_checkpoint(path)
     if ck.opt_state is None or ck.train_state is None:
         raise PietspError(f"{path}: checkpoint has no training state to resume")
+    if ck.train_state.get("instances") != INSTANCES:
+        raise PietspError(f"{path}: checkpoint was trained on each user's last set only, and training now takes every"
+                          " history prefix, so it cannot be resumed; it still evaluates and predicts")
     if ck.params.vocab_size != vocab_size:
         raise PietspError(f"{path}: checkpoint was trained on vocab_size {ck.params.vocab_size}, but the corpus"
                           f" has vocab_size {vocab_size}")
@@ -323,9 +330,12 @@ def fit(
 ) -> FitResult:
     """Train with early stopping on validation NDCG@EARLY_STOP_K.
 
-    Keeps the best-so-far parameters and stops after ``patience`` epochs
-    without improvement, tested before each epoch, so resuming a run that
-    met its patience trains no epoch.  ``latest_path``, when given, receives
+    Every history prefix of a training user is a training instance: for
+    each t >= 2, its first t - 1 sets predict set t.  The model's history
+    width is still the longest training history.  Keeps the best-so-far
+    parameters and stops after ``patience`` epochs without improvement,
+    tested before each epoch, so resuming a run that met its patience
+    trains no epoch.  ``latest_path``, when given, receives
     a resumable checkpoint after every epoch; ``resume_from`` (its path, or
     the ``Checkpoint`` that ``resumable_checkpoint`` returned for that path)
     restores one and continues the same run: its trainer-state dict is the
@@ -351,9 +361,10 @@ def fit(
                              seeding.spawn_seed(config.seed, "init"))
         opt_state = AdamState.init(params)
         state = {"epoch": -1, "best_metric": None, "best_epoch": -1, "bad_epochs": 0, "history": [],
-                 "best_params": params.copy()}
+                 "best_params": params.copy(), "instances": INSTANCES}
 
-    train_samples = prepare_all(train_corpus, params.k_max)
+    prefixes = tuple(UserRecord(u.user_id, u.sets[:t]) for u in train_corpus.users for t in range(2, len(u.sets) + 1))
+    train_samples = prepare_all(Corpus(train_corpus.vocab_size, prefixes), params.k_max)
     val_samples = prepare_all(val_corpus, params.k_max)
 
     if eval_fn is None:

@@ -39,6 +39,7 @@ class Mutant(NamedTuple):
 
 ALIKE = "tests/test_train.py::test_config_evaluate_and_eval_k_refuse_a_bad_k_list_alike"
 EMPTY_ITEM = "tests/test_cli.py::test_an_empty_item_of_a_list_flag_is_refused_before_any_file_is_read"
+NOT_A_NUMBER = "tests/test_cli.py::test_a_list_flag_item_that_is_not_a_number_is_refused_naming_it"
 
 MUTANTS = [
     Mutant("repeated k accepted", "src/pietsp/train.py", "    if repeated:\n", "    if False:\n",
@@ -59,13 +60,16 @@ MUTANTS = [
     Mutant("evaluate leaves its k list unchecked", "src/pietsp/train.py",
            'k_list = checked_k_list(k_list, "evaluate")', "k_list = tuple(k_list)",
            ("tests/test_train.py::test_evaluate_refuses_a_bad_k_list_before_any_engine_call", f"{ALIKE}[repeat]")),
-    Mutant("empty item of an int list dropped", "src/pietsp/cli.py", 'tuple(int(item) for item in text.split(","))',
-           'tuple(int(item) for item in text.split(",") if item.strip())',
-           (f"{EMPTY_ITEM}[eval-k]", f"{EMPTY_ITEM}[train-k]", f"{EMPTY_ITEM}[bench-grid]")),
-    Mutant("empty item of a float list dropped", "src/pietsp/cli.py",
-           'tuple(float(item) for item in text.split(","))',
-           'tuple(float(item) for item in text.split(",") if item.strip())',
-           (f"{EMPTY_ITEM}[train-split-ratios]",)),
+    Mutant("empty item of a list flag dropped", "src/pietsp/cli.py", 'for item in text.split(",") if text else ():',
+           'for item in [item for item in text.split(",") if item.strip()]:',
+           (f"{EMPTY_ITEM}[eval-k]", f"{EMPTY_ITEM}[train-k]", f"{EMPTY_ITEM}[train-split-ratios]",
+            f"{EMPTY_ITEM}[bench-grid]")),
+    Mutant("list-flag message naming the private parser", "src/pietsp/cli.py",
+           "raise argparse.ArgumentTypeError(f\"'{item}'", "raise ValueError(f\"'{item}'",
+           (f"{EMPTY_ITEM}[eval-k]", f"{EMPTY_ITEM}[train-k]", f"{EMPTY_ITEM}[train-split-ratios]",
+            f"{NOT_A_NUMBER}[eval-k]", f"{NOT_A_NUMBER}[train-k]", f"{NOT_A_NUMBER}[train-split-ratios]")),
+    Mutant("grid or seed with --data accepted", "src/pietsp/cli.py", "    if unused:\n", "    if False:\n",
+           ("tests/test_cli.py::test_bench_refuses_a_grid_or_seed_given_with_data_before_any_file_is_read",)),
     Mutant("eval --k '' falls back to the recorded k list", "src/pietsp/cli.py",
            'None if args.k is None else checked_k_list(args.k, "evaluate")',
            'checked_k_list(args.k, "evaluate") if args.k else None',
@@ -73,6 +77,24 @@ MUTANTS = [
     Mutant("target ids outside the vocabulary unchecked", "src/pietsp/model.py",
            "if ids.size and (ids.min() < 0 or ids.max() >= vocab_size):", "if False:",
            ("tests/test_engine.py::test_train_and_evaluate_name_the_user_with_a_target_outside_the_vocabulary",)),
+    Mutant("sample prepared for other parameters accepted", "src/pietsp/model.py",
+           "if s.vocab_size != vocab_size or s.membership.shape[1] != k_max:", "if False:",
+           ("tests/test_engine.py::test_every_engine_call_refuses_a_sample_prepared_for_other_parameters[vocabulary]",
+            "tests/test_engine.py::test_every_engine_call_refuses_a_sample_prepared_for_other_parameters[width]")),
+    Mutant("scatter adds each row to the wrong column", "src/pietsp/model.py",
+           "np.add.outer(np.arange(dim), self.ids * dim)", "np.add.outer(np.arange(dim)[::-1], self.ids * dim)",
+           ("tests/test_engine.py::test_sorted_scatter_matches_add_at",
+            "tests/test_engine.py::test_scatter_on_a_wide_batch_matches_add_at",
+            "tests/test_engine.py::test_gradcheck_through_the_engine")),
+    Mutant("fit trains on each user's last set only", "src/pietsp/train.py",
+           "prepare_all(Corpus(train_corpus.vocab_size, prefixes), params.k_max)",
+           "prepare_all(train_corpus, params.k_max)",
+           ("tests/test_train.py::test_fit_trains_on_every_history_prefix",
+            "tests/test_acceptance.py::test_criterion_4_learnability_periodic")),
+    Mutant("resume of a last-set checkpoint accepted", "src/pietsp/train.py",
+           "if ck.train_state.get(\"instances\") != INSTANCES:", "if False:",
+           ("tests/test_train.py::test_resume_refuses_a_checkpoint_trained_on_last_sets_only",
+            "tests/test_cli.py::test_resume_refuses_a_checkpoint_trained_on_last_sets_which_still_evaluates_and_predicts")),
     Mutant("short read of a raw record unchecked", "src/pietsp/checkpoint.py", "if self.pos < end:", "if False:",
            ("tests/test_checkpoint.py::test_v2_short_read_names_the_slot",)),
 ]

@@ -540,11 +540,11 @@ def test_a_bad_setting_is_refused_before_any_file_is_read(tmp_path, capsys, argv
 
 @pytest.mark.parametrize("argv, code, error", [
     (["eval", "--k", "10,,20", "--ckpt", "{missing}", "--data", "{missing}"], 2,
-     "pietsp eval: error: argument --k: invalid _int_list value: '10,,20'"),
+     "pietsp eval: error: argument --k: empty item in '10,,20'"),
     (["train", "--k", "10,20,", "--data", "{missing}", "--out", "{out}"], 2,
-     "pietsp train: error: argument --k: invalid _int_list value: '10,20,'"),
+     "pietsp train: error: argument --k: empty item in '10,20,'"),
     (["train", "--split-ratios", "0.7,,0.1,0.2", "--data", "{missing}", "--out", "{out}"], 2,
-     "pietsp train: error: argument --split-ratios: invalid _float_list value: '0.7,,0.1,0.2'"),
+     "pietsp train: error: argument --split-ratios: empty item in '0.7,,0.1,0.2'"),
     (["bench", "--grid", "N=4,,8", "--runs", "5", "--batch", "4", "--out", "{out}"], 1,
      "pietsp bench: grid axis 'N' takes integers, got '4,,8'"),
 ], ids=["eval-k", "train-k", "train-split-ratios", "bench-grid"])
@@ -557,6 +557,23 @@ def test_an_empty_item_of_a_list_flag_is_refused_before_any_file_is_read(tmp_pat
         got = exc.code
     captured = capsys.readouterr()
     assert got == code and captured.out == "" and not (tmp_path / "out").exists()
+    assert captured.err.splitlines()[-1] == error
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["eval", "--k", "abc", "--ckpt", "{missing}", "--data", "{missing}"],
+     "pietsp eval: error: argument --k: 'abc' is not an integer"),
+    (["train", "--k", "10,2.5", "--data", "{missing}", "--out", "{out}"],
+     "pietsp train: error: argument --k: '2.5' is not an integer"),
+    (["train", "--split-ratios", "0.7,x,0.1", "--data", "{missing}", "--out", "{out}"],
+     "pietsp train: error: argument --split-ratios: 'x' is not a number"),
+], ids=["eval-k", "train-k", "train-split-ratios"])
+def test_a_list_flag_item_that_is_not_a_number_is_refused_naming_it(tmp_path, capsys, argv, error):
+    paths = {"missing": str(tmp_path / "missing"), "out": str(tmp_path / "out")}
+    with pytest.raises(SystemExit) as exc:  # argparse's usage error
+        run_cli(*(arg.format(**paths) for arg in argv))
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == "" and not (tmp_path / "out").exists()
     assert captured.err.splitlines()[-1] == error
 
 
@@ -746,6 +763,27 @@ def test_resume_accepts_early_stop_k_only_at_ten(tmp_path, trained, synthetic_fi
     assert run_cli("eval", "--ckpt", str(ckpt), "--data", str(synthetic_file)) == 0
 
 
+def test_resume_refuses_a_checkpoint_trained_on_last_sets_which_still_evaluates_and_predicts(
+        tmp_path, trained, synthetic_file, capsys):
+    run = tmp_path / "run"
+    run.mkdir()
+    (run / "effective-config.json").write_bytes((trained / "effective-config.json").read_bytes())
+    ck = load_checkpoint(trained / "checkpoint-latest.json")
+    ckpt = run / "checkpoint-latest.json"
+    last_sets = {key: value for key, value in ck.train_state.items() if key != "instances"}  # as written before
+    save_checkpoint(ckpt, ck.params, seed=ck.seed, config=ck.config, opt_state=ck.opt_state, train_state=last_sets)
+    saved = ckpt.read_bytes()
+    assert run_cli("train", "--config", str(run / "effective-config.json"), "--data", str(synthetic_file),
+                   "--out", str(run), "--resume") == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(
+        f"pietsp train: {ckpt}: checkpoint was trained on each user's last set only")
+    assert ckpt.read_bytes() == saved and not (run / "checkpoint-best.json").exists()
+    assert run_cli("eval", "--ckpt", str(ckpt), "--data", str(synthetic_file)) == 0
+    assert run_cli("predict", "--ckpt", str(ckpt), "--data", str(synthetic_file), "--top", "3") == 0
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("given", ["--data", "--ckpt"])
 def test_bench_data_and_ckpt_come_as_a_pair(trained, synthetic_file, capsys, given):
     path = synthetic_file if given == "--data" else trained / "checkpoint-best.json"
@@ -763,6 +801,23 @@ def test_bench_data_and_ckpt_from_a_config_come_as_a_pair(tmp_path, capsys, give
     captured = capsys.readouterr()
     missing = "ckpt" if given == "data" else "data"
     assert captured.out == "" and captured.err == f"bench: --{given} needs --{missing}\n"
+
+
+@pytest.mark.parametrize("via", ["flag", "config"])
+@pytest.mark.parametrize("key, value", [("grid", "N=4,8"), ("seed", 5)])
+def test_bench_refuses_a_grid_or_seed_given_with_data_before_any_file_is_read(tmp_path, capsys, via, key, value):
+    """Once accepted, the grid and seed went unused: the corpus was timed and the run exited 0."""
+    missing, out = str(tmp_path / "missing.json"), tmp_path / "run"
+    if via == "flag":
+        args = ("--data", missing, "--ckpt", missing, "--runs", "5", f"--{key}", str(value))
+    else:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"data": missing, "ckpt": missing, "runs": 5, key: value}))
+        args = ("--config", str(config))
+    assert run_cli("bench", *args, "--out", str(out)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"bench: --{key} is not used with --data\n"
+    assert not out.exists()
 
 
 def test_bench_grid_axis_without_values_is_an_error(capsys):

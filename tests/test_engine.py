@@ -1,5 +1,6 @@
 """The ragged-batch engine against finite differences and the per-user oracle."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -10,7 +11,7 @@ from oracle import oracle_backward, oracle_evaluate, oracle_forward, oracle_grad
 from pietsp.bench import synthetic_samples
 from pietsp.data import PreparedSample, SyntheticSpec, gen_synthetic, max_history_len, prepare_all
 from pietsp.errors import PietspError
-from pietsp.linalg import NumericsError
+from pietsp.linalg import NumericsError, ShapeError
 from pietsp import model
 from pietsp.model import (
     MAX_BATCH_ROWS,
@@ -146,6 +147,24 @@ def test_train_and_evaluate_name_the_user_with_a_target_outside_the_vocabulary(t
         evaluate(samples, params, (5,))
 
 
+@pytest.mark.parametrize("vocab, k_max, prepared", [(50, 3, "vocab_size 50 and k_max 3"),
+                                                     (80, 5, "vocab_size 80 and k_max 5")], ids=["vocabulary", "width"])
+def test_every_engine_call_refuses_a_sample_prepared_for_other_parameters(vocab, k_max, prepared):
+    """Unchecked, samples of |E| = 50 ran with parameters of |E| = 80 to a report, logits and a loss, and a history
+    width the parameters do not take raised numpy's bare "shapes ... not aligned"."""
+    params = init_params(80, 4, 3, seed=1)
+    samples = synthetic_samples(5, 3, 80, 6, seed=2)
+    samples[4] = dataclasses.replace(synthetic_samples(5, k_max, vocab, 1, seed=3)[0], user_id="other")
+    error = rf"^user 'other': prepared for {prepared}, but the parameters take vocab_size 80 and k_max 3"
+    with pytest.raises(MappingError, match=error + "$"):
+        forward(samples[4], params)
+    with pytest.raises(MappingError, match=error + "$"):
+        evaluate(samples, params, (5,))
+    cfg = TrainConfig(batch_size=4, dim=4, max_epochs=2, patience=1)
+    with pytest.raises(MappingError, match=error + r" \(epoch 0, step \d\)$"):
+        train_epoch(samples, params, AdamState.init(params), cfg, epoch=0)
+
+
 check_universe = model._check_universe
 
 
@@ -183,6 +202,15 @@ def test_scatter_on_a_wide_batch_matches_add_at():
     np.add.at(want, batch.ids, rows)
     batch.scatter_add(table, rows)
     assert np.abs(table - want).max() <= 1e-12
+
+
+def test_scatter_refuses_a_table_it_cannot_add_into_in_place():
+    """Reshaped flat, a table that is not C-contiguous would be a copy, and the scatter would be lost."""
+    batch = make_batch([_user("u0", [1, 4, 7]), _user("u1", [4, 9])], 40)
+    table = np.zeros((6, 40)).T
+    with pytest.raises(ShapeError, match=r"^scatter_add: a \(40, 6\) table that is not C-contiguous"):
+        batch.scatter_add(table, np.ones((5, 6)))
+    assert not table.any()
 
 
 def test_scatter_of_c_and_f_ordered_rows_is_the_same_bits_and_matches_add_at():

@@ -9,7 +9,8 @@ from oracle import logistic, oracle_checkpoint_bytes, softplus, target_multihot
 from pietsp import seeding, train
 from pietsp.checkpoint import load_checkpoint, save_checkpoint
 from pietsp.cli import main
-from pietsp.data import Corpus, PreparedSample, SyntheticSpec, gen_synthetic, prepare_all, split_users
+from pietsp.data import (Corpus, PreparedSample, SyntheticSpec, UserRecord, gen_synthetic, max_history_len, prepare_all,
+                         split_users)
 from pietsp.errors import PietspError
 from pietsp.linalg import NumericsError
 from pietsp.model import MappingError, init_params
@@ -577,12 +578,47 @@ def test_resume_accepts_the_removed_settings_at_the_values_runs_used(tmp_path):
 
 def test_fit_names_the_epoch_of_a_validation_error():
     train_c, val_c, _ = _split_periodic()
-    assert len(train_c.users) < 64  # one optimizer step per epoch
-    cfg = TrainConfig(dim=4, max_epochs=5, patience=5, base_lr=1e300)  # that step sends the weights to ~1e300
+    instances = sum(len(u.sets) - 1 for u in train_c.users)  # fit trains on every history prefix
+    # a batch of every instance: one optimizer step per epoch, and that step sends the weights to ~1e300
+    cfg = TrainConfig(dim=4, max_epochs=5, patience=5, base_lr=1e300, batch_size=instances)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
         NumericsError, match=r"non-finite values produced by pe_forward \(epoch 0, validation\)$"
     ):
         fit(train_c, val_c, cfg)
+
+
+def test_fit_trains_on_every_history_prefix(monkeypatch):
+    """Each training user gives one instance per set after its first, prepared at the longest training history."""
+    train_c, val_c, _ = _split_periodic(users=12, vocab=40)
+    k_max = max_history_len(train_c)
+    seen = []
+    monkeypatch.setattr(train, "train_epoch", lambda samples, *rest: seen.append(samples) or 1.0)
+    fit(train_c, val_c, TrainConfig(dim=4, max_epochs=1, patience=1))
+    [samples] = seen
+    want = prepare_all(Corpus(train_c.vocab_size, tuple(UserRecord(u.user_id, u.sets[:t]) for u in train_c.users
+                                                         for t in range(2, len(u.sets) + 1))), k_max)
+    assert len(samples) == sum(len(u.sets) - 1 for u in train_c.users) == len(want)
+    for got, one in zip(samples, want):
+        assert got.user_id == one.user_id and got.membership.shape[1] == k_max
+        for name in ("universe", "membership", "target_ids"):
+            assert np.array_equal(getattr(got, name), getattr(one, name)), name
+
+
+def test_resume_refuses_a_checkpoint_trained_on_last_sets_only(tmp_path):
+    """A trainer state written before every prefix was an instance lacks the key, and another value is refused too."""
+    train_c, val_c, _ = _split_periodic(users=24, vocab=50, seed=8)
+    cfg = TrainConfig(dim=8, max_epochs=4, patience=4, seed=11)
+    latest = tmp_path / "latest.json"
+    fit(train_c, val_c, cfg, stop_after_epoch=1, latest_path=latest)
+    ck = load_checkpoint(latest)
+    assert ck.train_state["instances"] == "every-prefix"
+    for instances in ({}, {"instances": "last-set"}):
+        state = {key: value for key, value in ck.train_state.items() if key != "instances"} | instances
+        save_checkpoint(latest, ck.params, seed=ck.seed, config=ck.config, opt_state=ck.opt_state, train_state=state)
+        with pytest.raises(PietspError, match=f"^{re.escape(str(latest))}: checkpoint was trained on each user's"
+                                              " last set only"):
+            fit(train_c, val_c, cfg, resume_from=latest)
+    evaluate(prepare_all(val_c, ck.params.k_max), load_checkpoint(latest).params, (5,))  # still evaluates
 
 
 def test_resume_matches_uninterrupted_run(tmp_path):
@@ -653,16 +689,20 @@ def test_resume_of_an_early_stopped_run_trains_no_further_epoch_unless_patience_
     train_c, val_c, _ = split_users(corpus, (0.6, 0.2, 0.2), seed=1)
     cfg = TrainConfig(max_epochs=40, patience=2, seed=1, batch_size=8, dim=8)
     latest = tmp_path / "latest.json"
-    stopped = fit(train_c, val_c, cfg, latest_path=latest)
+
+    def flat(params, epoch):  # validation never improves after epoch 0
+        return 0.5
+
+    stopped = fit(train_c, val_c, cfg, eval_fn=flat, latest_path=latest)
     assert stopped.epochs_run == 3 and load_checkpoint(latest).train_state["bad_epochs"] == 2
     saved = latest.read_bytes()
-    finished = fit(train_c, val_c, cfg, resume_from=latest, latest_path=latest)
+    finished = fit(train_c, val_c, cfg, resume_from=latest, eval_fn=flat, latest_path=latest)
     assert finished.epochs_run == 3 and finished.history == stopped.history
     assert params_digest(finished.params) == params_digest(stopped.params)
     assert latest.read_bytes() == saved
     patient = TrainConfig(**(cfg.to_dict() | {"patience": 5}))
-    resumed = fit(train_c, val_c, patient, resume_from=latest)
-    straight = fit(train_c, val_c, patient)
+    resumed = fit(train_c, val_c, patient, resume_from=latest, eval_fn=flat)
+    straight = fit(train_c, val_c, patient, eval_fn=flat)
     assert resumed.epochs_run == straight.epochs_run > 3
     assert resumed.history == straight.history
     assert params_digest(resumed.params) == params_digest(straight.params)
