@@ -26,10 +26,12 @@ is the join of the same parts.  Save -> load -> save is byte-identical.
 Format 1, the one written before, is read only: one canonical JSON
 document with each array as ``{"data": base64, "shape": [...]}``.  A file
 that does not start with the magic line is read as format 1, so existing
-``checkpoint-*.json`` files load and ``train --resume`` continues existing
-run directories.  Those names are kept for the same reason, although a
-format-2 file is not JSON: run directories, scripts and the CLI examples
-all name ``checkpoint-best.json`` and ``checkpoint-latest.json``.
+``checkpoint-*.json`` files still serve ``eval``, ``predict`` and
+``inspect``; ``train --resume`` refuses them, since format 1 predates the
+trainer-state key ``instances``.  Those names are kept for the same
+reason, although a format-2 file is not JSON: run directories, scripts and
+the CLI examples all name ``checkpoint-best.json`` and
+``checkpoint-latest.json``.
 ``pietsp inspect --ckpt PATH`` prints either format's header.
 
 Loading is where parameter shapes enter from outside the program, so both

@@ -22,6 +22,7 @@ import argparse
 import itertools
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import bench, seeding
@@ -110,19 +111,10 @@ def _load_users(ckpt, data, split: str = "all"):
     return ck, config, prepare_all(corpus, ck.params.k_max)
 
 
-# train flag and effective-config.json key -> the TrainConfig field it sets
-TRAIN_SETTINGS = {
-    "seed": "seed",
-    "epochs": "max_epochs",
-    "batch_size": "batch_size",
-    "dim": "dim",
-    "lr": "base_lr",
-    "weight_decay": "weight_decay",
-    "patience": "patience",
-    "k": "k_list",
-    "variant": "variant",
-    "split_ratios": "split_ratios",
-}
+# train flag and effective-config.json key -> the TrainConfig field it sets: the field's name, except three
+# keys that every recorded effective-config.json already uses
+TRAIN_SETTINGS = {{"max_epochs": "epochs", "base_lr": "lr", "k_list": "k"}.get(f.name, f.name): f.name
+                  for f in fields(TrainConfig)}
 
 
 def _cmd_train(args) -> int:
@@ -315,16 +307,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data")
     p.add_argument("--out", required=True)
     p.add_argument("--config")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--dim", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--weight-decay", type=float)
-    p.add_argument("--patience", type=int)
-    p.add_argument("--k", type=_int_list)
-    p.add_argument("--variant", choices=VARIANTS)
-    p.add_argument("--split-ratios", type=_float_list)
+    for key, field in TRAIN_SETTINGS.items():  # each flag read by the type of its field's default
+        default = getattr(TrainConfig, field)
+        kind = ({int: _int_list, float: _float_list}[type(default[0])] if isinstance(default, tuple)
+                else type(default))
+        p.add_argument(f"--{key.replace('_', '-')}", **{"choices": VARIANTS} if field == "variant" else {"type": kind})
     p.add_argument("--resume", action="store_true")
     p.set_defaults(func=_cmd_train)
 

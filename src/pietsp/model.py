@@ -99,7 +99,7 @@ sum_b d_logits[b] o_s[b], the row sums of P * M.  Ablation variants drop
 one scoring branch, and every variant is fused by one ``fuse_scores`` call:
 
     "no-ee": y = a * o_s          (element scores removed)
-    "no-ge": y = b * o_e on universe ids, 0 elsewhere (global scores a zero block)
+    "no-ge": y = b * o_e on universe ids, 0 elsewhere (added into a zero block)
 """
 
 from __future__ import annotations
@@ -492,7 +492,7 @@ def ge_forward(set_repr: np.ndarray, emb: np.ndarray) -> np.ndarray:
 
 
 def fuse_scores(
-    global_scores: np.ndarray,
+    global_scores: np.ndarray | None,
     elem_scores: np.ndarray | None,
     universe: np.ndarray,
     fuse_global: np.ndarray,
@@ -505,9 +505,11 @@ def fuse_scores(
     ``cells`` gives the flat index (``Segments.cells``) of each universe
     entry's score when ``global_scores`` is a (B, |E|) block; each must
     occur once.  ``out=global_scores`` works in place on a C-ordered block.
+    ``global_scores`` None is no global term: the element scores are added
+    into ``out``, a zero block, with no multiply.
     Not checked here: ``forward_batch`` checks the result (``_check_logits``).
     """
-    logits = np.multiply(fuse_global, global_scores, out=out, order="C")
+    logits = out if global_scores is None else np.multiply(fuse_global, global_scores, out=out, order="C")
     if elem_scores is not None:
         logits.reshape(-1)[universe if cells is None else cells] += fuse_local[universe] * elem_scores
     return logits
@@ -529,25 +531,28 @@ def forward_batch(batch: Batch, params: ModelParams, variant: str = "full") -> F
     if variant not in VARIANTS:
         raise PietspError(f"unknown variant '{variant}', expected one of {VARIANTS}")
     vocab_size, k_max = params.vocab_size, params.k_max
-    for s in batch.samples:  # before any product: a sample prepared for other parameters is refused by name
+    for s in batch.samples:  # before any product, refused by name: a sample prepared for other parameters, or whose
+        # membership block is not one row a universe item (Z's rows would be scored for another user's items)
         if s.vocab_size != vocab_size or s.membership.shape[1] != k_max:
             raise MappingError(f"user '{s.user_id}': prepared for vocab_size {s.vocab_size} and k_max {s.membership.shape[1]},"
                                f" but the parameters take vocab_size {vocab_size} and k_max {k_max}")
+        if s.membership.shape[0] != s.universe.size:
+            raise MappingError(f"user '{s.user_id}': {s.membership.shape[0]} membership rows for a universe of"
+                               f" {s.universe.size} items")
     segs, ids = batch.segs, batch.ids
     cells = segs.cells(ids, params.vocab_size)
     z = sfi_concat(params.emb.take(ids, axis=0), [s.membership for s in batch.samples])
     z_mean = segs.mean(z)  # kept for backward's Wl gradient
     pe_out = pe_forward(z, params, segs, z_mean)
 
-    elem_scores = hidden = set_repr = pooled = h1 = h2 = None
+    elem_scores = hidden = set_repr = pooled = h1 = h2 = global_scores = None
     if variant != "no-ee":
         elem_scores, hidden = ee_forward(pe_out, params)
     if variant != "no-ge":
         set_repr, pooled, h1, h2 = pi_forward(pe_out, params, segs)
-        logits = ge_forward(set_repr, params.emb)  # fused in place below; backward does not read it
-    else:  # fused from a zero global block
-        logits = np.zeros((batch.size, params.vocab_size), dtype=pe_out.dtype)
-    fuse_scores(logits, elem_scores, ids, params.fuse_global, params.fuse_local, cells, out=logits)
+        global_scores = ge_forward(set_repr, params.emb)  # fused in place below; backward does not read it
+    logits = np.zeros((batch.size, params.vocab_size), pe_out.dtype) if global_scores is None else global_scores
+    fuse_scores(global_scores, elem_scores, ids, params.fuse_global, params.fuse_local, cells, out=logits)
     _check_logits(logits, set_repr, params.emb)
 
     return ForwardTrace(

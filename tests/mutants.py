@@ -40,6 +40,10 @@ class Mutant(NamedTuple):
 ALIKE = "tests/test_train.py::test_config_evaluate_and_eval_k_refuse_a_bad_k_list_alike"
 EMPTY_ITEM = "tests/test_cli.py::test_an_empty_item_of_a_list_flag_is_refused_before_any_file_is_read"
 NOT_A_NUMBER = "tests/test_cli.py::test_a_list_flag_item_that_is_not_a_number_is_refused_naming_it"
+ALIASED = "tests/test_checkpoint.py::test_an_aliased_file_loads_two_unshared_tables_in_one_read"
+ENVELOPE = "tests/test_checkpoint.py::test_malformed_envelope_field_is_rejected_naming_it"
+INSPECT = "tests/test_cli.py::test_inspect_prints_header_shapes_and_norms"
+MEMBERSHIP = "tests/test_engine.py::test_every_engine_call_refuses_a_membership_block_of_the_wrong_height_naming_the_user"
 
 MUTANTS = [
     Mutant("repeated k accepted", "src/pietsp/train.py", "    if repeated:\n", "    if False:\n",
@@ -97,6 +101,35 @@ MUTANTS = [
             "tests/test_cli.py::test_resume_refuses_a_checkpoint_trained_on_last_sets_which_still_evaluates_and_predicts")),
     Mutant("short read of a raw record unchecked", "src/pietsp/checkpoint.py", "if self.pos < end:", "if False:",
            ("tests/test_checkpoint.py::test_v2_short_read_names_the_slot",)),
+    Mutant("raw record read without its seek", "src/pietsp/checkpoint.py", "self.f.seek(self.raw_at + offset)", "pass",
+           ("tests/test_checkpoint.py::test_v2_slots_out_of_slot_order_load_bit_for_bit",)),
+    Mutant("seek before every raw record", "src/pietsp/checkpoint.py", "if offset != self.pos:", "if True:",
+           ("tests/test_checkpoint.py::test_v2_written_by_checkpoint_bytes_is_read_without_a_seek", ALIASED)),
+    Mutant("aliased record read again, not copied", "src/pietsp/checkpoint.py",
+           "src = self.first.setdefault((offset, out.shape), out)", "src = out", (ALIASED,)),
+    Mutant("table allocation unguarded", "src/pietsp/checkpoint.py", "except (MemoryError, ValueError) as exc:",
+           "except () as exc:", tuple(f"{ENVELOPE}[{fault}-{fmt}]" for fault in ("vocab-beyond-memory",
+                                      "dim-beyond-memory", "vocab-beyond-array-size") for fmt in ("v1", "v2"))),
+    Mutant("base64 payload length unchecked", "src/pietsp/checkpoint.py", "if len(raw) != out.nbytes:", "if False:",
+           ("tests/test_checkpoint.py::test_v1_bad_record_names_slot[too-long]",
+            "tests/test_checkpoint.py::test_v1_bad_record_names_slot[too-short]")),
+    Mutant("raw record outside the raw section unchecked", "src/pietsp/checkpoint.py", "if end > self.size:",
+           "if False:", ("tests/test_checkpoint.py::test_v2_offset_out_of_range_names_slot",)),
+    Mutant("inspect leaves optimizer m unsummarised", "src/pietsp/checkpoint.py",
+           'header["optimizer"]["m"] = summary(ck.opt_state.m)', "pass", (INSPECT,)),
+    Mutant("inspect leaves best params unsummarised", "src/pietsp/checkpoint.py",
+           'header["trainer"]["best_params"] = summary(ck.train_state["best_params"])', "pass", (INSPECT,)),
+    Mutant("patience tested only after an epoch", "src/pietsp/train.py",
+           'for epoch in range(state["epoch"] + 1, config.max_epochs):\n        if state["bad_epochs"]',
+           'for epoch in range(first := state["epoch"] + 1, config.max_epochs):\n        if epoch > first and'
+           ' state["bad_epochs"]',
+           ("tests/test_train.py::test_resume_of_an_early_stopped_run_trains_no_further_epoch_unless_patience_is_raised",)),
+    Mutant("from_dict keeps a recorded repeated k", "src/pietsp/train.py", "if isinstance(ks, SEQUENCES):", "if False:",
+           ("tests/test_train.py::test_from_dict_reads_a_recorded_k_list_with_each_k_once",
+            "tests/test_cli.py::test_eval_and_predict_read_a_recorded_repeated_k_once")),
+    Mutant("membership block of the wrong height accepted", "src/pietsp/model.py",
+           "if s.membership.shape[0] != s.universe.size:", "if False:",
+           (f"{MEMBERSHIP}[one-user]", f"{MEMBERSHIP}[two-user]")),
 ]
 
 

@@ -165,6 +165,26 @@ def test_every_engine_call_refuses_a_sample_prepared_for_other_parameters(vocab,
         train_epoch(samples, params, AdamState.init(params), cfg, epoch=0)
 
 
+@pytest.mark.parametrize("users", [1, 2], ids=["one-user", "two-user"])
+def test_every_engine_call_refuses_a_membership_block_of_the_wrong_height_naming_the_user(users):
+    """Unchecked, a 4-row block for a 3-item universe beside a 2-row block for another 3-item universe gave
+    (2, 20) logits, rows of Z scored for the wrong user; alone it raised ``sfi_concat``'s ShapeError, naming no
+    user."""
+    params = init_params(20, 4, 3, seed=1)
+    samples = [PreparedSample(user_id, np.array(universe), np.ones((rows, 3), dtype=bool), np.array([0]), 20)
+               for user_id, universe, rows in [("a", [1, 2, 3], 4), ("b", [4, 5, 6], 2)][:users]]
+    error = r"^user 'a': 4 membership rows for a universe of 3 items"
+    with pytest.raises(MappingError, match=error + "$"):
+        forward(samples[0], params)
+    with pytest.raises(MappingError, match=error + "$"):
+        evaluate(samples, params, (5,))
+    # the shuffle decides which of the two misfits the training call meets first
+    cfg = TrainConfig(batch_size=4, dim=4, max_epochs=2, patience=1)
+    with pytest.raises(MappingError, match=r"^user '(a': 4|b': 2) membership rows for a universe of 3 items"
+                                           r" \(epoch 0, step 0\)$"):
+        train_epoch(samples, params, AdamState.init(params), cfg, epoch=0)
+
+
 check_universe = model._check_universe
 
 
