@@ -27,14 +27,30 @@ in the equivariant layer and the sum pooling are segment reductions
 scores are one (B x D)(D x |E|) product, a B x |E| block that the fusion
 turns into the logits in place (``fuse_scores(..., out=)``), adding each
 universe row's element score at its cell's flat index b * |E| + id
-(``Segments.cells``).  Training overwrites that block with d_logits
-(``train.add_gradients``), so a training slice holds one B x |E| block
-into backward, beside the loss's chunk-sized temporaries.  ``forward`` is
-the B = 1 call and returns 1-D logits; a one-user call carries none of a
-batch's fixed costs: its universe is checked but nothing is stacked, its
-``Segments`` is a shared read-only instance, the cells are the universe
-ids themselves, and the targets become a (B, |E|) bool block only when
-the loss or evaluation asks (``Batch.truth``).
+(``Segments.cells``).  ``forward`` is the B = 1 call and returns 1-D
+logits; a one-user call carries none of a batch's fixed costs: its
+universe is checked but nothing is stacked, its ``Segments`` is a shared
+read-only instance, and the cells are the universe ids themselves.
+Evaluation and ``pietsp predict`` read ``forward_batch``'s whole rows;
+``evaluate``'s targets become a (B, |E|) bool block (``Batch.truth``).
+
+Training takes another call, ``bce_gradients``, which never holds a
+B x |E| block.  It shares ``_row_layers`` (the per-sample checks and every
+layer before the global scores) with ``forward_batch``, then walks the
+vocabulary in item blocks of LOSS_RUN // B items (``Batch.item_blocks``):
+per block, the global scores are written into one reused block-sized
+buffer and fused, ``linalg.bce_block`` writes that block's d_logits into a
+second buffer and adds its loss terms to the rows' sums, and
+``_scores_backward`` adds the block's ``fuse_global`` and ``emb`` rows and
+its part of d set_repr.  The targets come from each block's (item, user)
+pairs, not from a bool block.  A ``dc-like`` call (64 users, |E| = 217)
+and a ``wide`` one (about 20 users, |E| = 2,048) are one block each; a
+64-user call at |E| = 12,000 is 12.  The d_logits have the bits of
+``train.bce_loss``'s and the logits those of ``forward_batch``'s; the
+loss sums and d set_repr round in another order (over blocks, and
+sum log(1 + e) through products, ``linalg.sum_log``), so losses and
+gradients differ from that chain's in the last bits, and a fit from the
+chain's in the last bits too.
 ``batches`` cuts a list of users into engine calls of bounded size
 (``MAX_BATCH_ROWS`` universe rows, ``MAX_BATCH_USERS`` users) and yields each
 call's ``make_batch``, which keeps the memory of a call independent of the
@@ -73,20 +89,27 @@ map -inf to a finite value, the element scores and the summary) and raises
 ``NumericsError`` naming itself.  The B x |E| block is checked once, as
 fused logits: a non-finite global score stays non-finite through the
 fusion, so only a failed check recomputes the global scores to tell
-whether ``ge_forward`` or ``fuse_scores`` is named.
+whether ``ge_forward`` or ``fuse_scores`` is named (``_check_logits``).
+A training call checks no block as such: ``bce_block``'s row sums are
+non-finite whenever a logit is, and only then is the block checked, named
+the same way.
 Parameter shapes are checked once, where they enter from outside the
 program (``checkpoint.load_checkpoint``).
 
 The backward pass is derived by hand (no autodiff) and adds the gradients
 of the whole call into a caller-owned ``ModelParams`` buffer, so a
 minibatch sums into one table.  ``backward`` mirrors ``forward_batch`` with
-one function per branch, called in this order: ``_element_backward`` (the
-element scores and ``fuse_local``; returns d pe_out), ``_global_backward``
-(``fuse_global``, global scoring and the invariant MLP; returns each set's
-d pooled row, which sum pooling hands to every row of the set) and
-``_equivariant_backward`` (the equivariant layer, the concatenation split
-and the embedding scatter, from the summed d pe_out).  A variant skips the
-branch it drops, which its trace holds as ``None``.  The embedding table
+one function per step: ``_scores_backward`` (``fuse_global`` and global
+scoring over any run of items' d_logits columns, all of them here, one
+item block at a time in ``bce_gradients``; returns d set_repr), then
+``_rows_backward``, shared by both calls, which runs
+``_element_backward`` (the element scores and ``fuse_local``, from each
+universe row's d_logit; returns d pe_out), ``_invariant_backward`` (the
+invariant MLP; returns each set's d pooled row, which sum pooling hands
+to every row of the set) and ``_equivariant_backward`` (the equivariant
+layer, the concatenation split and the embedding scatter, from the summed
+d pe_out).  A variant skips the branch it drops, which its trace holds as
+``None``.  The embedding table
 receives gradient through two routes: the gather into Z (universe rows
 only, added in place per (id, column) cell by ``np.add.at``,
 ``Batch.scatter_add``) and the global scoring o_s = M zbar (every row, one
@@ -114,7 +137,7 @@ import numpy as np
 from .data import PreparedSample
 from .errors import PietspError
 from .heap import keep_freed_heap
-from .linalg import NumericsError, ShapeError, check_finite, elu, elu_grad, relu, relu_grad
+from .linalg import NumericsError, ShapeError, bce_block, check_finite, elu, elu_grad, relu, relu_grad
 
 CONCAT_LAYOUT = "membership-then-embedding"
 VARIANTS = ("full", "no-ee", "no-ge")
@@ -234,7 +257,8 @@ def init_params(vocab_size: int, dim: int, k_max: int, seed: int) -> ModelParams
 
 
 MAX_BATCH_ROWS = 4096   # universe rows per engine call: bounds the R x (K+D) and R x D arrays
-MAX_BATCH_USERS = 64    # users per engine call: bounds the B x |E| score blocks
+MAX_BATCH_USERS = 64    # users per engine call: bounds the B x |E| score blocks of forward_batch
+LOSS_RUN = 1 << 16      # elements of a training call's item block (512 KB in float64): LOSS_RUN // B items
 
 
 _FIRST_ROW = np.zeros(1, dtype=np.intp)
@@ -294,8 +318,8 @@ class Batch:
     def size(self) -> int:
         return self.segs.size
 
-    def truth(self, vocab_size: int) -> np.ndarray:
-        """(B, |E|) bool block marking each user's target items: the loss's marks and ``evaluate``'s truth.
+    def targets(self, vocab_size: int) -> tuple[np.ndarray, np.ndarray]:
+        """(user, item id) of every target, user by user: what ``truth`` marks and ``item_blocks`` cuts.
 
         A target id outside [0, |E|) raises ``MappingError`` naming the first user holding one."""
         target_ids = [s.target_ids for s in self.samples]
@@ -303,9 +327,43 @@ class Batch:
         if ids.size and (ids.min() < 0 or ids.max() >= vocab_size):
             user = next(s.user_id for s, t in zip(self.samples, target_ids) if ((t < 0) | (t >= vocab_size)).any())
             raise MappingError(f"user '{user}': target ids outside [0, {vocab_size})")
-        truth = np.zeros((len(target_ids), vocab_size), dtype=bool)
-        truth[np.repeat(np.arange(len(target_ids)), [t.size for t in target_ids]), ids] = True
+        return np.repeat(np.arange(len(target_ids)), [t.size for t in target_ids]), ids
+
+    def truth(self, vocab_size: int) -> np.ndarray:
+        """(B, |E|) bool block marking each user's ``targets``: ``evaluate``'s truth."""
+        truth = np.zeros((self.size, vocab_size), dtype=bool)
+        truth[self.targets(vocab_size)] = True
         return truth
+
+    def item_blocks(self, vocab_size: int, width: int):
+        """Cut the vocabulary into blocks of ``width`` items (the last one shorter) and yield, block by
+        block, (start, stop, rows, cells, hits): the universe rows with an id in [start, stop), each such
+        row's flat index in a C-ordered (B, stop - start) block, and the flat indices of the targets there.
+
+        The target ids are checked first (``targets``).  One block takes every row in order, with no
+        sort or gather, since most calls are one block (every ``dc-like`` and ``wide`` call).  Past one
+        block, every row's and every target's cell in its block is computed at once, and the rows and the
+        (item, user) target pairs are sorted by block (stable), so each block takes its own as slices.
+        """
+        target_users, target_ids = self.targets(vocab_size)
+        if width >= vocab_size:
+            yield (0, vocab_size, slice(None), self.segs.cells(self.ids, vocab_size),
+                   target_users * vocab_size + target_ids)
+            return
+
+        def cells(users, ids, blocks):
+            return users * np.minimum(width, vocab_size - blocks * width) + (ids - blocks * width)
+
+        blocks = self.ids // width
+        order = np.argsort(blocks, kind="stable")
+        row_cells = cells(np.repeat(np.arange(self.size), self.segs.counts), self.ids, blocks)[order]
+        hit_ids, hit_users = np.divmod(np.sort(target_ids * self.size + target_users), self.size)  # by item
+        hit_cells = cells(hit_users, hit_ids, hit_ids // width)
+        edges = np.arange(-(-vocab_size // width) + 1)
+        row_at, hit_at = np.searchsorted(blocks[order], edges), np.searchsorted(hit_ids, edges * width)
+        for b in range(edges.size - 1):
+            rows, hits = slice(row_at[b], row_at[b + 1]), slice(hit_at[b], hit_at[b + 1])
+            yield b * width, min(vocab_size, (b + 1) * width), order[rows], row_cells[rows], hit_cells[hits]
 
     def scatter_add(self, table: np.ndarray, rows: np.ndarray) -> None:
         """``table[ids[r]] += rows[r]`` for every row r; rows of an id repeated across users are summed.
@@ -396,7 +454,8 @@ class ForwardTrace:
     """Everything the backward pass needs, cached once per engine call."""
 
     batch: Batch
-    cells: np.ndarray                 # (R,) flat index of every universe row's (user, item) cell of the logits
+    cells: np.ndarray | None          # (R,) flat index of every universe row's (user, item) cell of the logits;
+    # None in a training call, which takes each item block's own cells (``Batch.item_blocks``)
     z: np.ndarray                     # (R, K+D) concatenated input, C-ordered (cheaper to build than to reduce)
     z_mean: np.ndarray                # (B, K+D) per-user means of z's rows
     pe_out: np.ndarray                # (R, D) after the equivariant layer, column-major: summed along axis 0
@@ -406,7 +465,7 @@ class ForwardTrace:
     pi_h1: np.ndarray | None          # (B, D)
     pi_h2: np.ndarray | None          # (B, D)
     set_repr: np.ndarray | None       # (B, D)
-    logits: np.ndarray | None         # (B, |E|); (|E|,) from ``forward``; training takes it as d_logits
+    logits: np.ndarray | None         # (B, |E|); (|E|,) from ``forward``; None in a training call
 
 
 def sfi_concat(m_u: np.ndarray, membership) -> np.ndarray:
@@ -526,13 +585,17 @@ def _check_logits(logits: np.ndarray, set_repr: np.ndarray | None, emb: np.ndarr
         raise
 
 
-def forward_batch(batch: Batch, params: ModelParams, variant: str = "full") -> ForwardTrace:
-    """The forward pass of every user in ``batch`` at once; logits are (B, |E|)."""
+def _row_layers(batch: Batch, params: ModelParams, variant: str) -> ForwardTrace:
+    """The per-sample checks and every layer before the global scores, shared by ``forward_batch`` and
+    ``bce_gradients``; the trace's logits are None."""
     if variant not in VARIANTS:
         raise PietspError(f"unknown variant '{variant}', expected one of {VARIANTS}")
     vocab_size, k_max = params.vocab_size, params.k_max
     for s in batch.samples:  # before any product, refused by name: a sample prepared for other parameters, or whose
         # membership block is not one row a universe item (Z's rows would be scored for another user's items)
+        if s.membership.ndim != 2:
+            raise MappingError(f"user '{s.user_id}': a membership block of shape {s.membership.shape} is not 2-D"
+                               " (one row a universe item, one column a history step)")
         if s.vocab_size != vocab_size or s.membership.shape[1] != k_max:
             raise MappingError(f"user '{s.user_id}': prepared for vocab_size {s.vocab_size} and k_max {s.membership.shape[1]},"
                                f" but the parameters take vocab_size {vocab_size} and k_max {k_max}")
@@ -540,24 +603,18 @@ def forward_batch(batch: Batch, params: ModelParams, variant: str = "full") -> F
             raise MappingError(f"user '{s.user_id}': {s.membership.shape[0]} membership rows for a universe of"
                                f" {s.universe.size} items")
     segs, ids = batch.segs, batch.ids
-    cells = segs.cells(ids, params.vocab_size)
     z = sfi_concat(params.emb.take(ids, axis=0), [s.membership for s in batch.samples])
     z_mean = segs.mean(z)  # kept for backward's Wl gradient
     pe_out = pe_forward(z, params, segs, z_mean)
 
-    elem_scores = hidden = set_repr = pooled = h1 = h2 = global_scores = None
+    elem_scores = hidden = set_repr = pooled = h1 = h2 = None
     if variant != "no-ee":
         elem_scores, hidden = ee_forward(pe_out, params)
     if variant != "no-ge":
         set_repr, pooled, h1, h2 = pi_forward(pe_out, params, segs)
-        global_scores = ge_forward(set_repr, params.emb)  # fused in place below; backward does not read it
-    logits = np.zeros((batch.size, params.vocab_size), pe_out.dtype) if global_scores is None else global_scores
-    fuse_scores(global_scores, elem_scores, ids, params.fuse_global, params.fuse_local, cells, out=logits)
-    _check_logits(logits, set_repr, params.emb)
-
     return ForwardTrace(
         batch=batch,
-        cells=cells,
+        cells=None,
         z=z,
         z_mean=z_mean,
         pe_out=pe_out,
@@ -567,8 +624,21 @@ def forward_batch(batch: Batch, params: ModelParams, variant: str = "full") -> F
         pi_h1=h1,
         pi_h2=h2,
         set_repr=set_repr,
-        logits=logits,
+        logits=None,
     )
+
+
+def forward_batch(batch: Batch, params: ModelParams, variant: str = "full") -> ForwardTrace:
+    """The forward pass of every user in ``batch`` at once; logits are (B, |E|)."""
+    trace = _row_layers(batch, params, variant)
+    set_repr, trace.cells = trace.set_repr, batch.segs.cells(batch.ids, params.vocab_size)
+    global_scores = None if set_repr is None else ge_forward(set_repr, params.emb)  # fused in place below
+    logits = np.zeros((batch.size, params.vocab_size), trace.pe_out.dtype) if global_scores is None else global_scores
+    fuse_scores(global_scores, trace.elem_scores, batch.ids, params.fuse_global, params.fuse_local, trace.cells,
+                out=logits)
+    _check_logits(logits, set_repr, params.emb)
+    trace.logits = logits
+    return trace
 
 
 def forward(sample: PreparedSample, params: ModelParams, variant: str = "full") -> ForwardTrace:
@@ -581,13 +651,12 @@ def forward(sample: PreparedSample, params: ModelParams, variant: str = "full") 
     return trace
 
 
-def _element_backward(trace: ForwardTrace, params: ModelParams, d_logits: np.ndarray, grads: ModelParams) -> np.ndarray:
+def _element_backward(trace: ForwardTrace, params: ModelParams, d_at: np.ndarray, grads: ModelParams) -> np.ndarray:
     """Score fusion's ``fuse_local`` and the element scoring branch; returns d pe_out (R x D).
 
-    Each universe row reads its own cell of ``d_logits``: the cells are distinct, the ids may repeat.
+    ``d_at`` (R,) is d_logits at each universe row's own cell: the cells are distinct, the ids may repeat.
     """
     ids = trace.batch.ids
-    d_at = d_logits.reshape(-1)[trace.cells]
     np.add.at(grads.fuse_local, ids, d_at * trace.elem_scores)
     d_elem = d_at * params.fuse_local[ids]
     grads.ee_w2 += trace.ee_hidden.T @ d_elem
@@ -599,19 +668,28 @@ def _element_backward(trace: ForwardTrace, params: ModelParams, d_logits: np.nda
     return (params.ee_w1 @ d_hidden.T).T
 
 
-def _global_backward(trace: ForwardTrace, params: ModelParams, d_logits: np.ndarray, grads: ModelParams) -> np.ndarray:
-    """Score fusion's ``fuse_global``, global scoring and the invariant MLP; returns d pooled (B x D).
+def _scores_backward(d_logits: np.ndarray, set_repr: np.ndarray, params: ModelParams, grads: ModelParams,
+                     start: int = 0) -> np.ndarray:
+    """Score fusion's ``fuse_global`` and global scoring for the items start, start + 1, ... whose d_logits
+    columns (B x w) are given: adds those items' ``fuse_global`` and ``emb`` rows and returns their part of
+    d set_repr (B x D).
 
-    With P = d_logits^T zbar (|E| x D) and o_s = M zbar, the fusion gradient sum_b d_logits o_s is the
+    With P = d_logits^T zbar (w x D) and o_s = M zbar, the fusion gradient sum_b d_logits o_s is the
     row sums of P * M; with d_global = d_logits * a (per item), d_global^T zbar = a * P and
-    d_global M = d_logits (a * M): no B x |E| product is formed.
+    d_global M = d_logits (a * M): no B x w product is formed.
     """
-    emb_global = d_logits.T @ trace.set_repr
-    grads.fuse_global += np.einsum("ed,ed->e", emb_global, params.emb)
-    emb_global *= params.fuse_global[:, None]
-    grads.emb += emb_global
+    stop = start + d_logits.shape[1]
+    emb, fuse_global = params.emb[start:stop], params.fuse_global[start:stop]
+    emb_global = d_logits.T @ set_repr
+    grads.fuse_global[start:stop] += np.einsum("ed,ed->e", emb_global, emb)
+    emb_global *= fuse_global[:, None]
+    grads.emb[start:stop] += emb_global
     del emb_global
-    d_repr = d_logits @ (params.fuse_global[:, None] * params.emb)
+    return d_logits @ (fuse_global[:, None] * emb)
+
+
+def _invariant_backward(trace: ForwardTrace, params: ModelParams, d_repr: np.ndarray, grads: ModelParams) -> np.ndarray:
+    """The invariant MLP, from d set_repr (B x D); returns d pooled (B x D)."""
     grads.pi_w3 += trace.pi_h2.T @ d_repr
     grads.pi_b3 += d_repr.sum(0)
     d_h2 = d_repr @ params.pi_w3.T
@@ -647,22 +725,83 @@ def _equivariant_backward(trace: ForwardTrace, params: ModelParams, d_pre: np.nd
     trace.batch.scatter_add(grads.emb, d_rows)
 
 
-def backward(trace: ForwardTrace, params: ModelParams, d_logits: np.ndarray, grads: ModelParams) -> None:
-    """Add the gradients of sum(logits * d_logits) for every parameter slot into ``grads``.
+def _rows_backward(trace: ForwardTrace, params: ModelParams, d_at: np.ndarray | None, d_repr: np.ndarray | None,
+                   grads: ModelParams) -> None:
+    """Every gradient below the fusion's global term, from d_logits at each universe row's cell (``d_at``)
+    and the whole d set_repr (``d_repr``); a variant's dropped branch passes None.
 
     d pe_out is the element branch's gradient plus, by sum pooling, each set's pooled gradient on
     every row of the set.  It is passed on as the call's temporary, never held here, so that
     ``_equivariant_backward`` frees it before its scatter.
     """
     segs = trace.batch.segs
+    if d_repr is None:  # no global branch
+        _equivariant_backward(trace, params, _element_backward(trace, params, d_at, grads), grads)
+    elif d_at is None:  # no element branch
+        _equivariant_backward(trace, params, iadd(np.zeros_like(trace.pe_out),
+                                                  segs.spread(_invariant_backward(trace, params, d_repr, grads))),
+                              grads)
+    else:  # the pooled gradient is added into the element branch's array
+        _equivariant_backward(trace, params, iadd(_element_backward(trace, params, d_at, grads),
+                                                  segs.spread(_invariant_backward(trace, params, d_repr, grads))),
+                              grads)
+
+
+def backward(trace: ForwardTrace, params: ModelParams, d_logits: np.ndarray, grads: ModelParams) -> None:
+    """Add the gradients of sum(logits * d_logits) for every parameter slot into ``grads``.
+
+    The global branch's |E| side is ``_scores_backward`` over all of d_logits' columns at once.
+    """
+    segs = trace.batch.segs
     shape = (segs.size, params.vocab_size)
     if d_logits.shape != shape and not (segs.size == 1 and d_logits.shape == shape[1:]):
         raise ShapeError(f"backward: d_logits {d_logits.shape} vs logits {shape}")
     d_logits = d_logits.reshape(segs.size, -1)
-    branch = (trace, params, d_logits, grads)
-    if trace.set_repr is None:  # no global branch
-        _equivariant_backward(trace, params, _element_backward(*branch), grads)
-    elif trace.elem_scores is None:  # no element branch
-        _equivariant_backward(trace, params, iadd(np.zeros_like(trace.pe_out), segs.spread(_global_backward(*branch))), grads)
-    else:  # the pooled gradient is added into the element branch's array
-        _equivariant_backward(trace, params, iadd(_element_backward(*branch), segs.spread(_global_backward(*branch))), grads)
+    d_at = None if trace.elem_scores is None else d_logits.reshape(-1)[trace.cells]
+    d_repr = None if trace.set_repr is None else _scores_backward(d_logits, trace.set_repr, params, grads)
+    _rows_backward(trace, params, d_at, d_repr, grads)
+
+
+def bce_gradients(batch: Batch, params: ModelParams, variant: str, grads: ModelParams) -> np.ndarray:
+    """Add the gradients of the summed BCE losses (``train.bce_loss``) of ``batch``'s users into ``grads``;
+    returns each user's loss (B,).
+
+    The training call: ``forward_batch``, the loss and ``backward`` in one
+    pass that holds no B x |E| block.  After ``_row_layers`` it walks the
+    vocabulary in blocks of w = LOSS_RUN // B items (``Batch.item_blocks``;
+    one block when |E| <= w).  Per block, one reused B x w buffer receives
+    the fused logits (the bits of ``forward_batch``'s), ``linalg.bce_block``
+    writes their d_logits (the bits of ``bce_loss``'s) into a second one and
+    adds their loss terms to the row sums, ``_scores_backward`` adds the
+    block's ``fuse_global`` and ``emb`` rows and its part of d set_repr, and
+    each universe row's d_logit is gathered for ``_rows_backward``.  The
+    sums round in another order than ``bce_loss``'s, so the losses agree
+    with it to a few units in the last place, not bit for bit.  A non-finite
+    logit raises ``NumericsError`` naming ``fuse_scores`` or ``ge_forward``,
+    as in ``forward_batch``.
+    """
+    trace = _row_layers(batch, params, variant)
+    ids, set_repr, size, n = batch.ids, trace.set_repr, batch.size, params.vocab_size
+    width = max(1, LOSS_RUN // size)
+    local = None if trace.elem_scores is None else params.fuse_local[ids] * trace.elem_scores
+    d_at = None if local is None else np.empty(ids.size, trace.pe_out.dtype)
+    d_repr = None if set_repr is None else np.zeros_like(set_repr)
+    sums = np.zeros(size, trace.pe_out.dtype)
+    buffers = np.empty((2, size * min(width, n)), trace.pe_out.dtype)
+    for start, stop, rows, cells, hits in batch.item_blocks(n, width):
+        y, d = (buf[: size * (stop - start)].reshape(size, -1) for buf in buffers)
+        if set_repr is None:
+            y.fill(0)
+        else:
+            np.matmul(set_repr, params.emb[start:stop].T, out=y)
+            y *= params.fuse_global[start:stop]
+        if local is not None:
+            y.reshape(-1)[cells] += local[rows]
+        sums += bce_block(y, hits, n, d, lambda logits: _check_logits(logits, set_repr, params.emb))
+        if d_at is not None:
+            d_at[rows] = d.reshape(-1)[cells]
+        if d_repr is not None:
+            d_repr += _scores_backward(d, set_repr, params, grads, start)
+    del buffers, y, d  # freed before the backward's R-row blocks are allocated
+    _rows_backward(trace, params, d_at, d_repr, grads)
+    return sums / n

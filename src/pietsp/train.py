@@ -3,15 +3,18 @@
 A training instance is a prefix of a user's history (``fit``), and a
 minibatch is ``batch_size`` instances of the shuffled order.  It runs through
 the model's ragged-batch engine (no padding: the users' universes are
-stacked), one call per ``model.batches`` run of it, each call's backward
-adding into one gradient buffer per minibatch, which is averaged and
-applied in a single optimizer step; the one gradient buffer of an epoch is
-zeroed and averaged in one pass each.  An engine call's ground truth is
-one B x |E| bool block, ``Batch.truth``, which the loss and evaluation both
-read.  The loss is evaluated on the B x |E| logit block against it,
-softplus and logistic sharing one exp, in chunks of whole rows that
-overwrite the logits with d_logits: a training slice holds one B x |E|
-block, which backward then reads.
+stacked), one training call (``model.bce_gradients``) per ``model.batches``
+run of it, each adding into one gradient buffer per minibatch, which is
+averaged and applied in a single optimizer step; the one gradient buffer of
+an epoch is zeroed and averaged in one pass each.  A training call takes
+the forward pass, the loss and the backward pass one item block at a time,
+so it holds no B x |E| block.  Its d_logits have the bits of ``bce_loss``,
+the public reference loss, which runs on a whole logit block; its losses
+agree with ``bce_loss``'s to a few units in the last place, because it sums
+log(1 + exp(-|y|)) through products (``linalg.sum_log``) and the rows block
+by block.  So a fit differs from one through ``bce_loss`` in the last bits.
+An engine call's ground truth for evaluation is one B x |E| bool block,
+``Batch.truth``.
 ``ranked_batches`` ranks each engine call's score block at once: evaluation
 looks its top ids up in the truth block and scores those hits with
 ``metrics.hit_metrics``, and ``pietsp predict`` writes the ids.  The
@@ -35,11 +38,10 @@ from .data import Corpus, PreparedSample, UserRecord, check_split_ratios, max_hi
 from .errors import PietspError
 from .linalg import NumericsError, exp_neg_abs, logistic_from, softplus_from
 from .metrics import MetricReport, hit_metrics, top_k_rows
-from .model import MappingError, ModelParams, VARIANTS, backward, batches, forward, forward_batch, init_params  # noqa: F401  forward stays importable from here
+from .model import LOSS_RUN, MappingError, ModelParams, VARIANTS, batches, bce_gradients, forward, forward_batch, init_params  # noqa: F401  forward stays importable from here
 from .optim import AdamState, OptimizerError, adam_step, cosine_lr
 
 EARLY_STOP_K = 10  # early stopping watches validation NDCG at this k
-LOSS_RUN = 1 << 16  # elements per chunk of whole rows in the loss pass (512 KB in float64)
 # removed setting -> the one value runs used
 REMOVED_SETTINGS = {"l2": 0.0, "l2_coeff": 0.0, "decay_fusion": False, "early_stop_k": EARLY_STOP_K}
 # the TrainConfig fields a resume may change: neither changes any epoch's update; every other field must match
@@ -131,20 +133,32 @@ def reject_removed_settings(saved: dict, where) -> None:
             raise PietspError(f"{where}: setting '{key}' = {saved[key]!r} was removed; only {value!r} is accepted")
 
 
-def _bce_in_place(logits: np.ndarray, marks: np.ndarray) -> np.ndarray:
-    """``bce_loss``'s loss of every row of the C-contiguous ``logits``, which it overwrites with d_logits.
+def bce_loss(logits: np.ndarray, targets) -> tuple[np.ndarray, np.ndarray]:
+    """Mean binary cross-entropy over the vocabulary, per row of logits, in stable logit form: the
+    reference for the training call's loss pass (``model.bce_gradients``).
 
-    ``marks`` is the bool block of the targets, shaped like ``logits``.  The
-    rows are taken in chunks of whole rows, each at most ``LOSS_RUN``
-    elements (one row when a row is longer), so every temporary is
-    chunk-sized.  Per chunk, one exp(-|y|) serves the softplus terms, whose
-    rows are summed, and then the logistic, written over the chunk's logits.
-    Each row is still one pairwise ``sum``, so the bits are those of the
-    whole block taken at once.
+    ``targets`` indexes the positive entries, ``logits[targets]``: for a
+    (B, |E|) block the pair (user rows, item ids), or a boolean mask shaped
+    like ``logits``.  Per row,
+    loss = mean_j [softplus(y_j) - t_j * y_j], and
+    d loss / d y_j = (sigmoid(y_j) - t_j) / |E|.
+    Returns (the loss of every row, d_logits); ``logits`` is left as it was.
+    The rows of its copy are taken in chunks of whole rows, each at most
+    ``LOSS_RUN`` elements (one row when a row is longer), so every temporary
+    is chunk-sized.  Per chunk, one exp(-|y|) serves the softplus terms
+    (``log1p``), whose rows are summed, and then the logistic, written over
+    the chunk's logits.  Each row is still one pairwise ``sum``, so the bits
+    are those of the whole block taken at once.
     """
-    n = logits.shape[-1]
-    rows, marks = logits.reshape(-1, n), marks.reshape(-1, n)
-    loss = np.empty(rows.shape[0], logits.dtype)
+    d_logits = np.array(logits, order="C")
+    marks = np.zeros(d_logits.shape, dtype=bool)  # the targets, one byte a logit
+    try:
+        marks[targets] = True
+    except IndexError as exc:
+        raise PietspError(f"bce_loss: targets do not index logits of shape {logits.shape}: {exc}") from None
+    n = d_logits.shape[-1]
+    rows, marks = d_logits.reshape(-1, n), marks.reshape(-1, n)
+    loss = np.empty(rows.shape[0], d_logits.dtype)
     step = max(1, LOSS_RUN // max(n, 1))
     for start in range(0, rows.shape[0], step):
         y, hit = rows[start : start + step], np.flatnonzero(marks[start : start + step])
@@ -155,41 +169,17 @@ def _bce_in_place(logits: np.ndarray, marks: np.ndarray) -> np.ndarray:
         logistic_from(y, e, out=y)
         y.flat[hit] -= 1
         y /= n
-    return loss.reshape(logits.shape[:-1])[()]  # a scalar for 1-D logits
-
-
-def bce_loss(logits: np.ndarray, targets) -> tuple[np.ndarray, np.ndarray]:
-    """Mean binary cross-entropy over the vocabulary, per row of logits, in stable logit form.
-
-    ``targets`` indexes the positive entries, ``logits[targets]``: for a
-    (B, |E|) block the pair (user rows, item ids), or a boolean mask shaped
-    like ``logits``.  Per row,
-    loss = mean_j [softplus(y_j) - t_j * y_j], and
-    d loss / d y_j = (sigmoid(y_j) - t_j) / |E|.
-    Returns (the loss of every row, d_logits); ``logits`` is left as it was.
-    Training runs the same pass in place over the engine's logits, against ``Batch.truth``.
-    """
-    d_logits = np.array(logits, order="C")
-    marks = np.zeros(d_logits.shape, dtype=bool)  # the targets, one byte a logit
-    try:
-        marks[targets] = True
-    except IndexError as exc:
-        raise PietspError(f"bce_loss: targets do not index logits of shape {logits.shape}: {exc}") from None
-    return _bce_in_place(d_logits, marks), d_logits
+    return loss.reshape(d_logits.shape[:-1])[()], d_logits  # a scalar loss for 1-D logits
 
 
 def add_gradients(samples: list[PreparedSample], params: ModelParams, variant: str, grads: ModelParams) -> list[float]:
     """Add the BCE gradients of every sample, summed, into ``grads``; returns each sample's loss.
 
-    One engine call per ``batches`` run of the samples.
+    One ``bce_gradients`` call per ``batches`` run of the samples.
     """
     losses = []
     for batch in batches(samples, params.vocab_size):
-        trace = forward_batch(batch, params, variant)
-        d_logits, trace.logits = trace.logits, None  # backward never reads the logits: the loss overwrites them
-        losses.extend(_bce_in_place(d_logits, batch.truth(params.vocab_size)).tolist())
-        backward(trace, params, d_logits, grads)
-        del trace, d_logits  # freed before the next slice's forward allocates its own
+        losses.extend(bce_gradients(batch, params, variant, grads).tolist())
     return losses
 
 

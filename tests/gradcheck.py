@@ -8,8 +8,8 @@ Every function takes one sample (with 1-D d_logits) or a list of samples
 Instances are resampled until every activation sits away from its kink so
 the finite differences are trustworthy.
 
-``check_branch`` checks one of ``backward``'s three branch functions on its
-own, against central differences of that branch's forward layers alone.
+``check_branch`` checks one of ``backward``'s three branches on its own,
+against central differences of that branch's forward layers alone.
 """
 
 import numpy as np
@@ -122,13 +122,13 @@ def check_all_slots(samples, params, d_logits, tol=1e-5, variant="full"):
 
 
 def check_branch(branch, samples, params, d_logits, tol=1e-5):
-    """Check one branch function of ``backward`` against central differences of its own forward layers.
+    """Check one branch of ``backward`` against central differences of its own forward layers.
 
     ``branch`` is "element" (``_element_backward``: ``ee_forward`` and ``fuse_local``'s half of
-    ``fuse_scores``, from pe_out), "global" (``_global_backward``: ``pi_forward``, ``ge_forward`` and
-    ``fuse_global``'s half of ``fuse_scores``, from each set's pooled row) or "equivariant"
-    (``_equivariant_backward``: the embedding gather, ``sfi_concat`` and ``pe_forward``, against a
-    random d pe_out).  The function runs on one engine call's trace into a zero buffer.  Every slot it
+    ``fuse_scores``, from pe_out), "global" (``_scores_backward`` then ``_invariant_backward``:
+    ``pi_forward``, ``ge_forward`` and ``fuse_global``'s half of ``fuse_scores``, from each set's pooled
+    row) or "equivariant" (``_equivariant_backward``: the embedding gather, ``sfi_concat`` and
+    ``pe_forward``, against a random d pe_out).  The function runs on one engine call's trace into a zero buffer.  Every slot it
     writes and the gradient it returns must match; every other slot must stay zero.
     Returns {slot or "returned": rel_err}.
     """
@@ -143,7 +143,7 @@ def check_branch(branch, samples, params, d_logits, tol=1e-5):
     if branch == "element":
         slots = ("fuse_local", "ee_w1", "ee_b1", "ee_w2", "ee_b2")
         given = trace.pe_out.copy()  # the branch's input, whose gradient it returns
-        returned = model._element_backward(trace, params, d_logits, grads)
+        returned = model._element_backward(trace, params, d_logits.reshape(-1)[trace.cells], grads)
 
         def f():
             return fused(np.zeros_like(d_logits), ee_forward(given, params)[0])
@@ -151,7 +151,8 @@ def check_branch(branch, samples, params, d_logits, tol=1e-5):
         slots = ("fuse_global", "emb", "pi_w1", "pi_b1", "pi_w2", "pi_b2", "pi_w3", "pi_b3")
         given = trace.pooled.copy()
         one_row_sets = Segments(np.arange(batch.size), np.ones(batch.size, dtype=np.intp))  # pooling is the identity
-        returned = model._global_backward(trace, params, d_logits, grads)
+        d_repr = model._scores_backward(d_logits, trace.set_repr, params, grads)
+        returned = model._invariant_backward(trace, params, d_repr, grads)
 
         def f():
             set_repr = pi_forward(given, params, one_row_sets)[0]

@@ -5,7 +5,7 @@ From the repository root:
 
     python tests/mutants.py
 
-It copies ``src/``, ``tests/`` and ``pyproject.toml`` into
+It copies ``src/``, ``tests/``, ``perfbench/`` and ``pyproject.toml`` into
 ``.bench_work/mutants/`` and first runs every test the table names on the
 unchanged copy, which must pass.  Then it applies each mutant of ``MUTANTS``
 in turn: the mutant's old text must occur exactly once in its file, and
@@ -44,6 +44,10 @@ ALIASED = "tests/test_checkpoint.py::test_an_aliased_file_loads_two_unshared_tab
 ENVELOPE = "tests/test_checkpoint.py::test_malformed_envelope_field_is_rejected_naming_it"
 INSPECT = "tests/test_cli.py::test_inspect_prints_header_shapes_and_norms"
 MEMBERSHIP = "tests/test_engine.py::test_every_engine_call_refuses_a_membership_block_of_the_wrong_height_naming_the_user"
+LAYER_NAMED = ("tests/test_model.py::test_nonfinite_values_name_their_layer",
+               "tests/test_model.py::test_nonfinite_scores_name_their_layer_in_each_variant")
+CALL = "tests/test_training_call.py"
+WORKLOAD_SHAPE = f"{CALL}::test_training_call_matches_the_reference_chain_on_each_workload_shape"
 
 MUTANTS = [
     Mutant("repeated k accepted", "src/pietsp/train.py", "    if repeated:\n", "    if False:\n",
@@ -130,13 +134,22 @@ MUTANTS = [
     Mutant("membership block of the wrong height accepted", "src/pietsp/model.py",
            "if s.membership.shape[0] != s.universe.size:", "if False:",
            (f"{MEMBERSHIP}[one-user]", f"{MEMBERSHIP}[two-user]")),
+    Mutant("membership block that is not 2-D accepted", "src/pietsp/model.py", "if s.membership.ndim != 2:",
+           "if False:", (f"{MEMBERSHIP}[one-dimensional]",)),
+    Mutant("last partial item block skipped", "src/pietsp/model.py", "edges = np.arange(-(-vocab_size // width) + 1)",
+           "edges = np.arange(vocab_size // width + 1)",
+           (f"{CALL}::test_training_call_at_block_edges", f"{WORKLOAD_SHAPE}[large-vocab-blocks1-full]")),
+    Mutant("folded finiteness read dropped", "src/pietsp/linalg.py", "    if not np.isfinite(sums).all():\n",
+           "    if False:\n", LAYER_NAMED),
+    Mutant("product limit past 1,023 factors", "src/pietsp/linalg.py", "PRODUCT_LIMIT = 1000", "PRODUCT_LIMIT = 1024",
+           (f"{CALL}::test_a_row_of_zero_logits_sums_products_of_up_to_a_thousand_factors_of_two[65536]",)),
 ]
 
 
 def copy_tree() -> None:
     """A fresh copy of what the tests need, with its own ``pyproject.toml`` so that pytest roots there."""
     shutil.rmtree(WORK, ignore_errors=True)
-    for name in ("src", "tests"):
+    for name in ("src", "tests", "perfbench"):  # tests/test_training_call.py reads perfbench's workloads
         shutil.copytree(ROOT / name, WORK / name, ignore=shutil.ignore_patterns("__pycache__"))
     shutil.copy2(ROOT / "pyproject.toml", WORK / "pyproject.toml")
 

@@ -165,22 +165,25 @@ def test_every_engine_call_refuses_a_sample_prepared_for_other_parameters(vocab,
         train_epoch(samples, params, AdamState.init(params), cfg, epoch=0)
 
 
-@pytest.mark.parametrize("users", [1, 2], ids=["one-user", "two-user"])
-def test_every_engine_call_refuses_a_membership_block_of_the_wrong_height_naming_the_user(users):
+@pytest.mark.parametrize("users, shape, error", [
+    (1, (4, 3), "4 membership rows for a universe of 3 items"),
+    (2, (4, 3), "4 membership rows for a universe of 3 items"),
+    (1, (3,), r"a membership block of shape \(3,\) is not 2-D \(one row a universe item, one column a history step\)"),
+], ids=["one-user", "two-user", "one-dimensional"])
+def test_every_engine_call_refuses_a_membership_block_of_the_wrong_height_naming_the_user(users, shape, error):
     """Unchecked, a 4-row block for a 3-item universe beside a 2-row block for another 3-item universe gave
     (2, 20) logits, rows of Z scored for the wrong user; alone it raised ``sfi_concat``'s ShapeError, naming no
-    user."""
+    user, and a 1-D block raised a bare ``IndexError: tuple index out of range``."""
     params = init_params(20, 4, 3, seed=1)
-    samples = [PreparedSample(user_id, np.array(universe), np.ones((rows, 3), dtype=bool), np.array([0]), 20)
-               for user_id, universe, rows in [("a", [1, 2, 3], 4), ("b", [4, 5, 6], 2)][:users]]
-    error = r"^user 'a': 4 membership rows for a universe of 3 items"
-    with pytest.raises(MappingError, match=error + "$"):
+    samples = [PreparedSample(user_id, np.array(universe), np.ones(block, dtype=bool), np.array([0]), 20)
+               for user_id, universe, block in [("a", [1, 2, 3], shape), ("b", [4, 5, 6], (2, 3))][:users]]
+    with pytest.raises(MappingError, match=f"^user 'a': {error}$"):
         forward(samples[0], params)
-    with pytest.raises(MappingError, match=error + "$"):
+    with pytest.raises(MappingError, match=f"^user 'a': {error}$"):
         evaluate(samples, params, (5,))
     # the shuffle decides which of the two misfits the training call meets first
     cfg = TrainConfig(batch_size=4, dim=4, max_epochs=2, patience=1)
-    with pytest.raises(MappingError, match=r"^user '(a': 4|b': 2) membership rows for a universe of 3 items"
+    with pytest.raises(MappingError, match=rf"^user '(a': {error}|b': 2 membership rows for a universe of 3 items)"
                                            r" \(epoch 0, step 0\)$"):
         train_epoch(samples, params, AdamState.init(params), cfg, epoch=0)
 
@@ -285,8 +288,9 @@ def test_a_batch_trace_holds_its_row_blocks_column_major():
 
 
 def test_training_slice_peak_memory_in_score_blocks():
-    """One 64-user slice at |E| = 12,000 peaks at 2.2 (B, |E|) blocks of float64: the loss overwrites the
-    logits with d_logits and allocates only chunk-sized temporaries."""
+    """One 64-user slice at |E| = 12,000 peaks below one (B, |E|) block of float64: the training call holds two
+    LOSS_RUN-element item blocks, never a whole score block (the chain of ``forward_batch``, the loss and
+    ``backward`` it replaced peaked near 1.9 blocks)."""
     vocab, users = 12000, MAX_BATCH_USERS
     params = init_params(vocab, 32, 16, seed=0)
     samples = synthetic_samples(30, 16, vocab, users, seed=1)
@@ -299,7 +303,7 @@ def test_training_slice_peak_memory_in_score_blocks():
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak <= 2.2 * users * vocab * 8, peak / (users * vocab * 8)
+    assert peak < users * vocab * 8, peak / (users * vocab * 8)
 
 
 def test_membership_is_one_byte_a_cell_and_enters_z_as_the_float_blocks_did():

@@ -36,6 +36,8 @@ from pietsp.model import (
     pi_forward,
     sfi_concat,
 )
+from pietsp.optim import AdamState
+from pietsp.train import TrainConfig, train_epoch
 
 
 def permuted_sample(sample: PreparedSample, perm: np.ndarray) -> PreparedSample:
@@ -341,9 +343,15 @@ def test_forward_rejects_out_of_range_universe():
         forward(empty, params)
 
 
+def _train_one_step(samples, params, variant="full"):
+    """One ``train_epoch`` of one optimizer step: a training call over every sample."""
+    config = TrainConfig(batch_size=len(samples), dim=params.dim, max_epochs=1, patience=1, variant=variant)
+    train_epoch(samples, params, AdamState.init(params), config, epoch=0)
+
+
 def test_nonfinite_values_name_their_layer():
-    """An overflow in each layer raises NumericsError naming that layer, through ``forward`` and through an
-    engine call over several users alike."""
+    """An overflow in each layer raises NumericsError naming that layer, through ``forward``, through an
+    engine call over several users and through a training call alike."""
     sample = synthetic_samples(4, 2, 10, 1, seed=29)[0]
     others = synthetic_samples(3, 2, 10, 2, seed=33)
     cases = {
@@ -363,6 +371,9 @@ def test_nonfinite_values_name_their_layer():
             forward(sample, params)
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericsError, match=layer):
             forward_batch(make_batch([*others, sample], 10), params)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                NumericsError, match=rf"^non-finite values produced by {layer} \(epoch 0, step 0\)$"):
+            _train_one_step([*others, sample], params)
 
 
 @pytest.mark.parametrize("variant", ["full", "no-ee", "no-ge"])
@@ -394,6 +405,9 @@ def test_nonfinite_scores_name_their_layer_in_each_variant(variant, values, laye
         getattr(params, slot)[...] = value
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericsError, match=layer):
         forward(sample, params, variant)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            NumericsError, match=rf"^non-finite values produced by {layer} \(epoch 0, step 0\)$"):
+        _train_one_step([sample], params, variant)
 
 
 # --- ablation variants -------------------------------------------------------------
